@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +35,7 @@ from .crystal import (
     normal_modes,
 )
 from .ensemble import ScatteringScenario, scan_depth
-from .errors import AdiabaticityWarning, ConfigError, exit_code_for
+from .errors import ConfigError, exit_code_for
 from .micromotion import excess_micromotion
 from .thermometry import (
     estimate_temperature,
@@ -62,6 +61,8 @@ def _parse_grid(spec):
         raise ConfigError(f"--grid: {exc}") from None
     if count < 1:
         raise ConfigError("--grid count must be >= 1")
+    if start < 0 or stop < 0:
+        raise ConfigError("--grid start and stop must be non-negative")
     kind = parts[3]
     if kind == "lin":
         return np.linspace(start, stop, count)
@@ -182,19 +183,7 @@ def cmd_scatter(args):
         depths = _parse_grid(args.grid) * 1e-3 * cn.KB  # mK -> J
     else:
         depths = np.linspace(0.0, abs(lattice.depth_U0), 26)
-    # every shallow depth re-warns with its own period in the text, which
-    # defeats the dedup in "once"; surface the first (most severe) only
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = scan_depth(scenario, cfg.beam, depths)
-    seen_adiabatic = False
-    for w in caught:
-        if issubclass(w.category, AdiabaticityWarning):
-            if seen_adiabatic:
-                continue
-            seen_adiabatic = True
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-
+    table = scan_depth(scenario, cfg.beam, depths)
     rows = [(r["depth"] / cn.KB / 1e-3, r["nu_latt"] / 1e6, r["p_per_ion"],
              r["subsequent_fraction"], r["bunching"]) for r in table]
     _write_csv(f"{out}/scatter.csv",

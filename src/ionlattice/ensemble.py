@@ -13,7 +13,6 @@ sequences that are not the first to scatter,
 which is the experimentally visible contamination of "fresh" events.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -21,10 +20,12 @@ import numpy as np
 
 from . import constants as cn
 from .errors import DomainError
-from .pendulum import (
+# bench/tracer.py wraps bunching and scattering_probability in this module
+from .pendulum import (  # noqa: F401
     IonSpecies,
+    _bunching_vec,
+    _scattering_probabilities,
     bunching,
-    delocalized_scattering_probability,
     lattice_frequency,
     scattering_probability,
 )
@@ -99,25 +100,28 @@ def mean_scattering_probability_per_ion(scenario, beam, t0=None,
     axis reproduce the single-ion value exactly. delocalized=True swaps
     in the uniform-position baseline (standing-wave factor 1/2).
     """
+    return float(_mean_probabilities(
+        scenario, beam, [scenario.ramp.u0_max], t0, include_p32,
+        delocalized)[0])
+
+
+def _mean_probabilities(scenario, beam, peaks, t0=None, include_p32=False,
+                        delocalized=False):
+    """Ion-mean scattering probability for each on-axis ramp peak (J).
+
+    Ions with bit-equal depth factors share one evaluation, weighted by
+    their count; one call into the array path covers every peak.
+    """
     if t0 is None:
         t0 = scenario.ramp.t_end
-    factors = beam.depth_factor(scenario.crystal.positions)
-    p0 = scenario.pumping_efficiency_per_ion
-    total = 0.0
-    for f in factors:
-        ramp_i = dataclasses.replace(scenario.ramp,
-                                     u0_max=scenario.ramp.u0_max * f)
-        lattice_i = dataclasses.replace(scenario.lattice,
-                                        depth_U0=scenario.lattice.depth_U0 * f)
-        if delocalized:
-            total += delocalized_scattering_probability(
-                t0, ramp_i, lattice_i, scenario.species, p0=p0,
-                include_p32=include_p32)
-        else:
-            total += scattering_probability(
-                t0, scenario.T0, ramp_i, lattice_i, scenario.species, p0=p0,
-                include_p32=include_p32)
-    return total / len(factors)
+    factors, counts = np.unique(beam.depth_factor(scenario.crystal.positions),
+                                return_counts=True)
+    p = _scattering_probabilities(
+        t0, scenario.T0, scenario.ramp, np.multiply.outer(peaks, factors),
+        scenario.lattice, scenario.species,
+        p0=scenario.pumping_efficiency_per_ion, include_p32=include_p32,
+        delocalized=delocalized)
+    return p @ counts / counts.sum()
 
 
 def scatter_count_pmf(n_ions, p):
@@ -157,33 +161,24 @@ def scan_depth(scenario, beam, depth_grid, include_p32=False,
     Returns a list of dicts with keys depth (J), nu_latt (Hz, on-axis
     final depth), p_per_ion, subsequent_fraction, and bunching (the
     single-ion localization at the on-axis depth; 1/2 at zero depth).
-    Ramp shape and timings are held fixed while u0_max is rescaled.
+    Ramp shape and timings are held fixed while the ramp peaks at each
+    grid depth in turn.
     """
+    depths = np.asarray(depth_grid, dtype=float)
+    if np.any(depths < 0):
+        raise DomainError("depth grid entries must be non-negative")
+    p = _mean_probabilities(scenario, beam, depths, include_p32=include_p32,
+                            delocalized=delocalized)
+    b = np.full(depths.shape, 0.5)
+    live = depths > 0.0
+    if not delocalized:
+        b[live] = _bunching_vec(cn.KB * scenario.T0 / depths[live])
     n = scenario.n_ions
-    rows = []
-    for depth in np.asarray(depth_grid, dtype=float):
-        if depth < 0:
-            raise DomainError("depth grid entries must be non-negative")
-        if depth == 0.0:
-            rows.append({"depth": 0.0, "nu_latt": 0.0, "p_per_ion": 0.0,
-                         "subsequent_fraction": 0.0, "bunching": 0.5})
-            continue
-        scale = depth / scenario.ramp.u0_max
-        scen = dataclasses.replace(
-            scenario,
-            ramp=dataclasses.replace(scenario.ramp, u0_max=depth),
-            lattice=dataclasses.replace(
-                scenario.lattice,
-                depth_U0=scenario.lattice.depth_U0 * scale))
-        p = mean_scattering_probability_per_ion(
-            scen, beam, include_p32=include_p32, delocalized=delocalized)
-        rows.append({
-            "depth": depth,
-            "nu_latt": lattice_frequency(depth / cn.KB, scenario.species,
-                                         scenario.lattice.wavevector_k),
-            "p_per_ion": p,
-            "subsequent_fraction": subsequent_fraction(n, p),
-            "bunching": 0.5 if delocalized
-            else bunching(scenario.T0, depth),
-        })
-    return rows
+    return [{
+        "depth": float(depth),
+        "nu_latt": lattice_frequency(depth / cn.KB, scenario.species,
+                                     scenario.lattice.wavevector_k),
+        "p_per_ion": float(p_i),
+        "subsequent_fraction": subsequent_fraction(n, float(p_i)),
+        "bunching": float(b_i),
+    } for depth, p_i, b_i in zip(depths, p, b)]

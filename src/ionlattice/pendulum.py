@@ -25,11 +25,9 @@ Conventions
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import PchipInterpolator
 
 from . import constants as cn
 from .errors import (
@@ -38,9 +36,11 @@ from .errors import (
     SeparatrixError,
     TurningPointError,
 )
-from .specfun import (
-    _ellipe_vec,
-    _ellipk_vec,
+# bench/tracer.py wraps elliptic_e and elliptic_k in this module
+from .specfun import (  # noqa: F401
+    _ellipk_deficit_vec,
+    _exp_sinh,
+    _tanh_sinh,
     elliptic_e,
     elliptic_k,
     integrate_with_endpoint_singularity,
@@ -189,10 +189,23 @@ class RampProfile:
             raise DomainError(f"t={t!r} outside ramp domain [0, {self.t_end}]")
         if t >= self.ramp_duration:
             return self.u0_max
-        x = t / self.ramp_duration
+        return self.u0_max * self.fraction(t / self.ramp_duration)
+
+    def fraction(self, x):
+        """|U0|/u0_max at x = t/ramp_duration in [0, 1]; elementwise."""
         if self.shape == "smoothstep":
-            x = x * x * (3.0 - 2.0 * x)
-        return self.u0_max * x
+            return x * x * (3.0 - 2.0 * x)
+        return x
+
+    def full_depth_time(self, t):
+        """Integral of |U0|/u0_max over [0, t], t in [0, t_end]: T x^2/2
+        (linear) or T (x^3 - x^4/2) (smoothstep), x = t/T, plus the hold."""
+        if t < 0 or t > self.t_end:
+            raise DomainError(f"t={t!r} outside ramp domain [0, {self.t_end}]")
+        duration = self.ramp_duration
+        x = min(t / duration, 1.0) if duration > 0 else 0.0
+        ramp = 0.5 * x * x if self.shape == "linear" else x ** 3 * (1 - x / 2)
+        return duration * ramp + max(t - duration, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -217,16 +230,10 @@ def dimensionless_action(E, U0):
     Below the barrier s = (4/pi)[E(m) - (1-m)K(m)], m = E/U0; above it
     s = (4/pi)sqrt(E/U0) E(U0/E).
     """
-    if U0 <= 0:
-        raise DomainError("U0 must be positive")
-    if E < 0:
-        raise DomainError("E must be non-negative")
-    m = E / U0
-    if m == 1.0:
+    x = _energy_ratio(E, U0)
+    if x == 1.0:
         return _4_OVER_PI
-    if m < 1.0:
-        return _4_OVER_PI * (elliptic_e(m) - (1.0 - m) * elliptic_k(m))
-    return _4_OVER_PI * math.sqrt(m) * elliptic_e(1.0 / m)
+    return float(_orbit(x, abs(x - 1.0))[0])
 
 
 def normalized_period(E, U0):
@@ -238,17 +245,19 @@ def normalized_period(E, U0):
     alternative) by requiring tau = ds/d(E/U0), which holds analytically,
     and by the free-flight limit tau -> sqrt(U0/E).
     """
+    x = _energy_ratio(E, U0)
+    if x == 1.0:
+        raise SeparatrixError(
+            "trajectory period diverges at the separatrix E = U0")
+    return float(_orbit(x, abs(x - 1.0))[1])
+
+
+def _energy_ratio(E, U0):
     if U0 <= 0:
         raise DomainError("U0 must be positive")
     if E < 0:
         raise DomainError("E must be non-negative")
-    m = E / U0
-    if m == 1.0:
-        raise SeparatrixError(
-            "trajectory period diverges at the separatrix E = U0")
-    if m < 1.0:
-        return (2.0 / math.pi) * elliptic_k(m)
-    return (2.0 / math.pi) * math.sqrt(1.0 / m) * elliptic_k(1.0 / m)
+    return E / U0
 
 
 def action_density(s, T0, U0):
@@ -302,85 +311,81 @@ def bunching_given_energy(E, U0):
     (E/U0)(1 - E(m)/K(m)) with m = U0/E. Rises from 0 (well bottom)
     through 1 at the separatrix and relaxes to 1/2 (delocalized).
     """
-    if U0 <= 0:
-        raise DomainError("U0 must be positive")
-    if E < 0:
-        raise DomainError("E must be non-negative")
-    x = E / U0
-    if x == 0.0:
-        return 0.0
+    x = _energy_ratio(E, U0)
     if x == 1.0:
         return 1.0
-    if x < 1.0:
-        return 1.0 - elliptic_e(x) / elliptic_k(x)
-    m = 1.0 / x
-    return x * (1.0 - elliptic_e(m) / elliptic_k(m))
+    return float(_orbit(x, abs(x - 1.0))[2])
 
 
-def bunching(T0, U0, tol=1e-9):
+def bunching(T0, U0):
     """Thermal bunching parameter B = integral P(E) <sin^2>(E) dE.
 
-    Performed in the variable x = E/U0 with the separatrix declared as a
-    singular point. B in [0, 1/2]: ~ kB T0/(2 U0) deep in the well,
-    -> 1/2 when the lattice is a small perturbation.
+    B in [0, 1/2]: ~ kB T0/(2 U0) deep in the well, -> 1/2 when the
+    lattice is a small perturbation. A fixed double-exponential rule
+    gives it to about 1e-9 absolute.
     """
     _check_t0_u0(T0, U0)
-    theta = cn.KB * T0 / U0
-    return _bunching_theta(theta, tol)
+    return float(_bunching_vec(cn.KB * T0 / U0))
 
 
 def _bunching_theta(theta, tol=1e-9):
+    # adaptive-quadrature reference for _bunching_vec, kept for the tests:
     # x = E/U0; P(E) dE = w(x) dx with w = exp(-s^2/(4 theta)) tau / sqrt(pi theta)
     norm = 1.0 / math.sqrt(math.pi * theta)
 
     def integrand(x):
-        s = dimensionless_action(x, 1.0)
-        tau = normalized_period(x, 1.0)
-        b = bunching_given_energy(x, 1.0)
+        s, tau, b = _orbit(x, abs(x - 1.0))
         return norm * math.exp(-s * s / (4.0 * theta)) * tau * b
 
     return integrate_with_endpoint_singularity(
         integrand, 0.0, np.inf, singular_points=[1.0], tol=tol)
 
 
-class _BunchingTable:
-    """Lazily built monotone interpolant of B(theta), theta = kB T0/U0.
+def _orbit(x, d):
+    """Action s, period tau and <sin^2> at energy ratios x = E/U0 (arrays).
 
-    The scattering-probability integral and the depth scans evaluate B at
-    thousands of depths; a PCHIP table in log10(theta) over [1e-5, 1e4]
-    with analytic tails (B -> sqrt(theta/pi) deep, B -> 1/2 shallow)
-    reproduces the quadrature to ~1e-7 at negligible cost.
+    d = |x - 1| > 0 comes separately, at its full relative precision.
     """
-
-    LO, HI = 1e-5, 1e4
-
-    def __init__(self):
-        self._interp = None
-        self._c_hi = None
-
-    def _build(self):
-        logs = np.linspace(math.log10(self.LO), math.log10(self.HI), 271)
-        vals = np.array([_bunching_theta(10.0 ** lg, 1e-10) for lg in logs])
-        self._interp = PchipInterpolator(logs, vals, extrapolate=False)
-        self._c_hi = (0.5 - vals[-1]) * math.sqrt(self.HI)
-
-    def __call__(self, theta):
-        if self._interp is None:
-            self._build()
-        th = np.asarray(theta, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        out = np.empty_like(th)
-        lo = th < self.LO
-        hi = th > self.HI
-        mid = ~lo & ~hi
-        out[lo] = np.sqrt(th[lo] / math.pi)
-        out[hi] = 0.5 - self._c_hi / np.sqrt(th[hi])
-        out[mid] = self._interp(np.log10(th[mid]))
-        return float(out[0]) if scalar else out
+    above = x > 1.0
+    x_above = np.where(above, x, 1.0)
+    m = np.where(above, 1.0 / x_above, x)
+    k, deficit = _ellipk_deficit_vec(m, np.where(above, d / x_above, d))
+    root = np.sqrt(x_above)
+    # E = K (1 - deficit): s = (4/pi)(E - (1-m)K) below, (4/pi)sqrt(x)E above
+    s = _4_OVER_PI * k * np.where(above, root * (1.0 - deficit), m - deficit)
+    return s, (2.0 / math.pi) * k / root, x_above * deficit
 
 
-_bunching_table = _BunchingTable()
+# B(theta) integrates exp(-s^2/(4 theta)) tau <sin^2> / sqrt(pi theta) over
+# x = E/U0 with fixed double-exponential rules, split at the separatrix
+# where tau diverges logarithmically: tanh-sinh on x in (0, 1), whose
+# nodes do not depend on theta, and exp-sinh on x - 1 in (0, inf) scaled
+# by max(1, theta) to follow the Gaussian's reach x ~ theta. Error
+# against _bunching_theta: ~1e-10 for theta in [1e-4, 1e5], ~1e-9 at 1e-5.
+_THETA_CHUNK = 128  # thetas per block, bounding the (theta, node) arrays
+_THETA_FREE = 1e30  # B = 1/2 - O(theta^-1/2) is 1/2 in doubles beyond this
+# one tanh-sinh rule serves B's lower panel and the ramp time integral
+_TS_X, _TS_D, _TS_W, _TS_W2 = _tanh_sinh(3.2)
+_UP_U, _UP_W = _exp_sinh(-4.5, 2.0)
+_LOW_S, _LOW_TAU, _LOW_SIN2 = _orbit(_TS_X, _TS_D)
+
+
+def _bunching_vec(theta):
+    """B at every theta = kB T0/U0 > 0 of an array (same shape back)."""
+    theta = np.minimum(np.asarray(theta, dtype=float), _THETA_FREE)
+    flat = theta.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _THETA_CHUNK):
+        th = flat[start:start + _THETA_CHUNK, None]
+        scale = np.maximum(th, 1.0)
+        d = scale * _UP_U
+        s, tau, sin2 = _orbit(1.0 + d, d)
+        upper = (np.exp(-0.25 * s * s / th) * tau * sin2) @ _UP_W
+        lower = np.exp(-0.25 * _LOW_S ** 2 / th) @ (
+            _TS_W * _LOW_TAU * _LOW_SIN2)
+        out[start:start + _THETA_CHUNK] = (
+            (lower + scale[:, 0] * upper) / np.sqrt(math.pi * th[:, 0]))
+    return out.reshape(theta.shape)
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +415,8 @@ class EnergyEnsemble:
     def energy_density(self, E):
         return energy_density(E, self.T0, self.U0)
 
-    def bunching(self, tol=1e-9):
-        return bunching(self.T0, self.U0, tol)
+    def bunching(self):
+        return bunching(self.T0, self.U0)
 
     def sample_actions(self, n, rng):
         """n draws of the dimensionless action (half-Gaussian)."""
@@ -434,32 +439,30 @@ class EnergyEnsemble:
         return EnergyEnsemble(self.T0, U0)
 
 
-def _action_of_ratio(x):
-    # s as a function of x = E/U0, vectorized over both branches
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, _4_OVER_PI)
-    below = x < 1.0
-    above = x > 1.0
-    xb = x[below]
-    out[below] = _4_OVER_PI * (
-        _ellipe_vec(xb) - (1.0 - xb) * _ellipk_vec(xb))
-    xa = x[above]
-    out[above] = _4_OVER_PI * np.sqrt(xa) * _ellipe_vec(1.0 / xa)
-    return out
-
-
 def _ratio_from_action(s):
-    # invert the monotone s(x) by bisection; s >= 0 arrays
+    # invert the monotone s(x), s >= 0 arrays: Newton steps on
+    # tau = ds/dx, inside a bisection bracket that takes over wherever a
+    # step would leave it (tau diverges at the separatrix)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     lo = np.zeros_like(s)
     # free limit s ~ 2 sqrt(x), padded so s(hi) > s everywhere
     hi = 1.5 * (s / 2.0) ** 2 + 2.0
+    # start on a line through (0, 0) and (4/pi, 1), then on the free limit
+    x = np.where(s < _4_OVER_PI, s / _4_OVER_PI,
+                 0.25 * s * s + 1.0 - 0.25 * _4_OVER_PI ** 2)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        take = _action_of_ratio(mid) < s
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return 0.5 * (lo + hi)
+        # d > 0 keeps K finite should x land exactly on the separatrix
+        sx, tau, _ = _orbit(x, np.maximum(np.abs(x - 1.0), 1e-300))
+        f = sx - s
+        lo = np.where(f < 0.0, x, lo)
+        hi = np.where(f > 0.0, x, hi)
+        step = x - f / tau
+        done = np.abs(step - x) <= 1e-15 * x
+        inside = (step > lo) & (step < hi)
+        x = np.where(done | inside, step, 0.5 * (lo + hi))
+        if np.all(done):
+            break
+    return x
 
 
 def _check_t0_u0(T0, U0):
@@ -523,17 +526,18 @@ def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
     follows the instantaneous depth adiabatically. Returns 0 when the
     lattice is off.
     """
+    if T0 <= 0:
+        raise DomainError("T0 must be positive")
     u0t = ramp.depth(t)
     if u0t <= 0.0:
         return 0.0
     pref = _far_detuned_prefactor(config, species, include_p32)
-    b = _bunching_table(cn.KB * T0 / u0t)
-    x_factor = b if config.is_blue else 1.0 - b
-    return pref * u0t * x_factor
+    b = float(_bunching_vec(cn.KB * T0 / u0t))
+    return pref * u0t * (b if config.is_blue else 1.0 - b)
 
 
 def scattering_probability(t0, T0, ramp, config, species, p0=1.0,
-                           include_p32=False, tol=1e-12):
+                           include_p32=False):
     """Probability of at least one scattering event by time t0.
 
     p(t0) = p0 * (1 - exp(-integral_0^t0 <Gamma_sc> dt)); p0 is the
@@ -541,42 +545,8 @@ def scattering_probability(t0, T0, ramp, config, species, p0=1.0,
     it ~1). Warns when the ramp is fast compared to the final lattice
     period, where the conserved-action assumption degrades.
     """
-    if t0 < 0:
-        raise DomainError("t0 must be non-negative")
-    if not 0.0 <= p0 <= 1.0:
-        raise DomainError("p0 must lie in [0, 1]")
-    nu_final = lattice_frequency(ramp.u0_max / cn.KB, species,
-                                 config.wavevector_k)
-    if nu_final > 0 and ramp.ramp_duration < 10.0 / nu_final:
-        warnings.warn(
-            f"ramp_duration {ramp.ramp_duration:.3g} s is shorter than ten "
-            f"lattice periods ({10.0 / nu_final:.3g} s); the adiabatic "
-            "model may be unreliable", AdiabaticityWarning, stacklevel=2)
-
-    t_up = min(t0, ramp.t_end)
-    if t_up <= 0.0 or ramp.u0_max == 0.0:
-        return 0.0
-
-    def rate(t):
-        return mean_scattering_rate(t, T0, ramp, config, species, include_p32)
-
-    accum = 0.0
-    t_ramp = min(t_up, ramp.ramp_duration)
-    if t_ramp > 0.0:
-        # near-zero depths push epsrel below roundoff; the absolute bound
-        # is what the probability accuracy rests on, so judge by abserr
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(rate, 0.0, t_ramp, epsabs=tol, epsrel=1e-10,
-                            limit=200)
-        if err > 1e-8:
-            warnings.warn(
-                f"scattering-rate time integral only reached an error "
-                f"bound of {err:.3g}", RuntimeWarning, stacklevel=2)
-        accum += val
-    if t_up > ramp.ramp_duration:  # hold segment: rate is constant
-        accum += rate(ramp.t_end) * (t_up - ramp.ramp_duration)
-    return p0 * -math.expm1(-accum)
+    return float(_scattering_probabilities(
+        t0, T0, ramp, ramp.u0_max, config, species, p0, include_p32))
 
 
 def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0,
@@ -586,21 +556,64 @@ def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0,
     Reference baseline for an ion that samples the standing wave
     uniformly (no thermal localization): <sin^2 kz> = 1/2 regardless of
     depth, so blue and red coincide. Everything else matches
-    scattering_probability.
+    scattering_probability; the depth integral is closed-form.
+    """
+    return float(_scattering_probabilities(
+        t0, None, ramp, ramp.u0_max, config, species, p0, include_p32,
+        delocalized=True))
+
+
+def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
+                              include_p32=False, delocalized=False):
+    """scattering_probability for every peak depth of the array u0 (J).
+
+    Each entry follows ramp's schedule up to its own peak instead of
+    ramp.u0_max. One tanh-sinh rule in t/T covers the ramp for all of
+    them, its nested half-step rule gives the error estimate. At most one
+    AdiabaticityWarning (shallowest depth) and one RuntimeWarning (largest
+    estimate above 1e-8) per call. delocalized=True pins <sin^2> at 1/2.
     """
     if t0 < 0:
         raise DomainError("t0 must be non-negative")
     if not 0.0 <= p0 <= 1.0:
         raise DomainError("p0 must lie in [0, 1]")
+    u0 = np.asarray(u0, dtype=float)
+    if np.any(u0 < 0):
+        raise DomainError("peak depths must be non-negative")
+    live = u0 > 0.0
+    if not delocalized:
+        if T0 <= 0:
+            raise DomainError("T0 must be positive")
+        if np.any(live):
+            nu_final = lattice_frequency(u0[live].min() / cn.KB, species,
+                                         config.wavevector_k)
+            if ramp.ramp_duration < 10.0 / nu_final:
+                warnings.warn(
+                    f"ramp_duration {ramp.ramp_duration:.3g} s is shorter "
+                    f"than ten lattice periods ({10.0 / nu_final:.3g} s); "
+                    "the adiabatic model may be unreliable",
+                    AdiabaticityWarning, stacklevel=3)
+
     t_up = min(t0, ramp.t_end)
-    if t_up <= 0.0 or ramp.u0_max == 0.0:
-        return 0.0
+    if t_up <= 0.0 or not np.any(live):
+        return np.zeros(u0.shape)
     pref = _far_detuned_prefactor(config, species, include_p32)
+    if delocalized:
+        return p0 * -np.expm1(-0.5 * pref * u0 * ramp.full_depth_time(t_up))
+
     t_ramp = min(t_up, ramp.ramp_duration)
-    depth_integral = 0.0
-    if t_ramp > 0.0:
-        depth_integral += quad(ramp.depth, 0.0, t_ramp,
-                               epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-    if t_up > ramp.ramp_duration:
-        depth_integral += ramp.u0_max * (t_up - ramp.ramp_duration)
-    return p0 * -math.expm1(-0.5 * pref * depth_integral)
+    x_end = t_ramp / ramp.ramp_duration if t_ramp > 0.0 else 1.0
+    # the ramp by the tanh-sinh rule, the hold (constant rate) as one node
+    frac = np.append(ramp.fraction(_TS_X * x_end), 1.0)
+    weight = np.append(t_ramp * _TS_W, t_up - t_ramp)
+    depth = np.multiply.outer(u0[live], frac)
+    b = _bunching_vec(cn.KB * T0 / depth)
+    rate = pref * depth * (b if config.is_blue else 1.0 - b)
+    err = np.max(np.abs(rate[:, :-1] @ (t_ramp * (_TS_W - _TS_W2))))
+    if err > 1e-8:
+        warnings.warn(
+            f"scattering-rate time integral only reached an error "
+            f"bound of {err:.3g}", RuntimeWarning, stacklevel=3)
+    dose = np.zeros(u0.shape)
+    dose[live] = rate @ weight
+    return p0 * -np.expm1(-dose)

@@ -67,7 +67,7 @@ def elliptic_k(m):
         if np.any(m == 1.0):
             raise EllipticDivergenceError(
                 "K(m) diverges logarithmically at m=1 (separatrix)")
-        return _ellipk_vec(m)
+        return _ellipk_deficit_vec(m, 1.0 - m)[0]
     if m < 0.0 or m > 1.0:
         raise DomainError(f"elliptic parameter m={m!r} outside [0, 1)")
     if 1.0 - m <= 0.0:
@@ -100,7 +100,10 @@ def elliptic_e(m):
         m = np.asarray(m, dtype=float)
         if np.any(m < 0.0) or np.any(m > 1.0):
             raise DomainError("elliptic parameter outside [0, 1]")
-        return _ellipe_vec(m)
+        one = m == 1.0  # E(1) = 1 while K diverges
+        k, deficit = _ellipk_deficit_vec(np.where(one, 0.0, m),
+                                         np.where(one, 1.0, 1.0 - m))
+        return np.where(one, 1.0, k * (1.0 - deficit))
     if m < 0.0 or m > 1.0:
         raise DomainError(f"elliptic parameter m={m!r} outside [0, 1]")
     if m == 1.0:
@@ -118,36 +121,62 @@ def elliptic_e(m):
     return math.pi / (2.0 * a) * (1.0 - c2_sum)
 
 
-def _ellipk_vec(m):
-    # vectorized AGM; caller guarantees 0 <= m < 1
-    m = np.asarray(m, dtype=float)
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
-    for _ in range(_MAX_AGM):
-        if np.all(np.abs(a - b) <= _EPS * a):
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return np.pi / (2.0 * a)
+def _ellipk_deficit_vec(m, mc):
+    """K(m) and 1 - E(m)/K(m) from one vectorized AGM; 0 <= m, 0 < mc.
 
-
-def _ellipe_vec(m):
-    # vectorized AGM; caller guarantees 0 <= m <= 1
-    m = np.asarray(m, dtype=float)
-    one = m == 1.0
-    msafe = np.where(one, 0.0, m)
-    a = np.ones_like(msafe)
-    b = np.sqrt(1.0 - msafe)
-    c2_sum = 0.5 * msafe
+    mc = 1 - m is passed separately so that callers who know it more
+    precisely than the rounded difference (near the separatrix) keep its
+    relative accuracy. 1 - E/K is the AGM's own sum of 2^(n-1) c_n^2,
+    with c_{n+1} = c_n^2/(4 a_{n+1}), so it does not cancel as m -> 0.
+    """
+    a = np.ones_like(mc)
+    b = np.sqrt(mc)
+    c2 = np.asarray(m, dtype=float)  # c_n^2, starting from c_0^2 = m
+    deficit = 0.5 * c2
     pow2 = 1.0
     for _ in range(_MAX_AGM):
         if np.all(np.abs(a - b) <= _EPS * a):
             break
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        c2_sum = c2_sum + pow2 * c * c
+        a_next = 0.5 * (a + b)
+        c2 = c2 * c2 / (16.0 * a_next * a_next)
+        a, b = a_next, np.sqrt(a * b)
+        deficit = deficit + pow2 * c2
         pow2 *= 2.0
-    out = np.pi / (2.0 * a) * (1.0 - c2_sum)
-    return np.where(one, 1.0, out)
+    return np.pi / (2.0 * a), deficit
+
+
+# step of the double-exponential rules (Takahasi & Mori, Publ. RIMS 9,
+# 1974): node spacing in the transformed variable t
+_DE_STEP = 1.0 / 16.0
+
+
+def _tanh_sinh(t_max):
+    """Fixed tanh-sinh rule on (0, 1): x = 1/(1 + exp(-pi sinh t)).
+
+    Nodes at t = k h, |t| <= t_max, h = 1/16. Returns the nodes x, their
+    complements 1 - x (at full relative precision near 1), the weights,
+    and the weights of the nested rule on the step 2h (even k only),
+    whose result differs from the full rule's by about the error of the
+    coarser one. Endpoint singularities of integrable type are absorbed
+    by the double-exponential clustering of the nodes.
+    """
+    k = np.arange(-round(t_max / _DE_STEP), round(t_max / _DE_STEP) + 1)
+    e = math.pi * np.sinh(k * _DE_STEP)
+    x, d = 1.0 / (1.0 + np.exp(-e)), 1.0 / (1.0 + np.exp(e))
+    w = _DE_STEP * math.pi * np.cosh(k * _DE_STEP) * x * d
+    return x, d, w, np.where(k % 2 == 0, 2.0 * w, 0.0)
+
+
+def _exp_sinh(t_min, t_max):
+    """Fixed exp-sinh rule on (0, inf): u = exp((pi/2) sinh t).
+
+    Nodes at t = k h in [t_min, t_max], h = 1/16; returns nodes and
+    weights.
+    """
+    t = _DE_STEP * np.arange(round(t_min / _DE_STEP),
+                             round(t_max / _DE_STEP) + 1)
+    u = np.exp(0.5 * math.pi * np.sinh(t))
+    return u, _DE_STEP * 0.5 * math.pi * np.cosh(t) * u
 
 
 def integrate_with_endpoint_singularity(f, a, b, singular_points=(), tol=1e-9):

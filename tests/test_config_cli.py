@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,13 @@ class TestModesCommand:
                      "--grid", "0.0:bad:7"]) == EXIT_CONFIG
         assert "grid" in capsys.readouterr().err
 
+    def test_negative_grid_rejected(self, ws, capsys):
+        cfg, out = ws
+        assert main(["modes", "--config", str(cfg), "--out", str(out),
+                     "--grid=-0.1:0.1:5:lin"]) == EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+        assert not (out / "modes.csv").exists()
+
 
 class TestScatterCommand:
     def test_outputs(self, ws):
@@ -261,6 +269,30 @@ class TestScatterCommand:
                     "seed", "n_ions", "T0_mK", "depth_grid_mK"):
             assert key in meta
         assert meta["n_ions"] == 4 and meta["seed"] == 7
+
+    def test_negative_grid_rejected(self, ws, capsys):
+        cfg, out = ws
+        assert main(["scatter", "--config", str(cfg), "--out", str(out),
+                     "--grid=-5:5:3:lin"]) == EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+
+    def test_zero_depth_config_stays_finite(self, tmp_path):
+        # the scan takes the grid depths as they are: a lattice block at
+        # zero depth must not divide by it
+        cfg = tmp_path / "flat.yaml"
+        cfg.write_text(BASE_YAML.replace("depth_max_mK: 25.0",
+                                         "depth_max_mK: 0"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scatter", "--config", str(cfg), "--out", str(out),
+                         "--grid", "0:5:3:lin"]) == 0
+        _, rows = _read_rows(out / "scatter.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.values())
+        assert float(rows[-1]["p_per_ion"]) > 0.0
 
     def test_needs_temperature(self, ws, tmp_path, capsys):
         text = BASE_YAML.replace("  T0_mK: 3.6\n", "")

@@ -1,5 +1,6 @@
 """Beam-weighted per-ion depths and crystal scattering statistics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -137,6 +138,28 @@ class TestMeanProbability:
             p_one = scattering_probability(RAMP.t_end, 3.6e-3, RAMP,
                                            _blue(ca40), ca40)
         assert p_mean == pytest.approx(p_one, rel=1e-12)
+
+    def test_zigzag_equals_mean_of_single_ions(self, zigzag4, ca40):
+        # 3 distinct depth factors over 4 ions: the shared evaluation must
+        # weight each by its count and match the ion-by-ion scalar route
+        factors = BEAM.depth_factor(zigzag4.positions)
+        assert len(np.unique(factors)) == 3
+        scen = ScatteringScenario(crystal=zigzag4, species=ca40,
+                                  lattice=_blue(ca40), ramp=RAMP, T0=3.6e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            p_mean = mean_scattering_probability_per_ion(scen, BEAM)
+            p_ions = [scattering_probability(
+                RAMP.t_end, 3.6e-3,
+                dataclasses.replace(RAMP, u0_max=U0 * f),
+                _blue(ca40, U0 * f), ca40) for f in factors]
+        assert p_mean == pytest.approx(np.mean(p_ions), rel=0, abs=1e-9)
+
+    def test_one_adiabaticity_warning_per_call(self, scen8):
+        with pytest.warns(AdiabaticityWarning) as rec:
+            scan_depth(scen8, BEAM, np.linspace(0.0, U0, 6))
+        assert len([w for w in rec
+                    if w.category is AdiabaticityWarning]) == 1
 
     def test_pumping_efficiency_scales(self, string8, ca40):
         with warnings.catch_warnings():

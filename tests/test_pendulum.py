@@ -135,6 +135,21 @@ class TestEnergyDistribution:
         s_back = np.array([dimensionless_action(ei, U0) for ei in e])
         np.testing.assert_allclose(s_back, s, rtol=1e-9, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.floats(min_value=0.0, max_value=0.999 * 4.0 / math.pi),
+        st.floats(min_value=1.001 * 4.0 / math.pi, max_value=60.0),
+        st.floats(min_value=-1e-9, max_value=1e-9).map(
+            lambda ds: 4.0 / math.pi + ds)))
+    def test_action_inversion_round_trip(self, s):
+        # s -> x by Newton on both branches and at the separatrix, then
+        # back through the s(x) it inverts (the scalar closed form loses
+        # relative accuracy to cancellation as s -> 0)
+        from ionlattice.pendulum import _orbit
+        x = EnergyEnsemble(T0=1.0, U0=1.0).energies_from_actions([s])
+        s_back = _orbit(x, np.maximum(np.abs(x - 1.0), 1e-300))[0][0]
+        assert s_back == pytest.approx(s, rel=1e-12, abs=1e-300)
+
     def test_adiabatic_invariant_under_depth_change(self, rng):
         # the action, not the energy, carries over when the depth moves
         ens = EnergyEnsemble(T0=3.6e-3, U0=U0)
@@ -213,14 +228,35 @@ class TestBunching:
         assert np.all(np.diff(vals) > 0)
 
     def test_fast_path_matches_quadrature(self):
-        # the interpolation table behind mean_scattering_rate vs the
-        # exact integral it tabulates
-        from ionlattice.pendulum import _bunching_table, _bunching_theta
+        # the fixed-node rule behind mean_scattering_rate vs the adaptive
+        # quadrature of the same integral
+        from ionlattice.pendulum import _bunching_theta, _bunching_vec
         rng = np.random.default_rng(5)
         thetas = 10.0 ** rng.uniform(-4.8, 3.8, 25)
         exact = np.array([_bunching_theta(t, 1e-10) for t in thetas])
-        np.testing.assert_allclose(_bunching_table(thetas), exact,
+        np.testing.assert_allclose(_bunching_vec(thetas), exact,
                                    rtol=0, atol=1e-6)
+
+    def test_fixed_rule_accuracy_over_theta_range(self):
+        from ionlattice.pendulum import _bunching_theta, _bunching_vec
+        thetas = np.geomspace(1e-5, 1e5, 31)
+        exact = np.array([_bunching_theta(t, 1e-10) for t in thetas])
+        np.testing.assert_allclose(_bunching_vec(thetas), exact,
+                                   rtol=0, atol=1e-8)
+
+    def test_vector_matches_scalar_calls(self):
+        # chunked evaluation must not depend on where a theta falls
+        from ionlattice.pendulum import _bunching_vec
+        thetas = np.geomspace(1e-3, 1e3, 300).reshape(3, 100)
+        scalar = [bunching(t * U0 / cn.KB, U0) for t in thetas.ravel()]
+        np.testing.assert_allclose(_bunching_vec(thetas).ravel(), scalar,
+                                   rtol=1e-13, atol=0)
+
+    def test_extreme_theta_stays_finite(self):
+        from ionlattice.pendulum import _bunching_vec
+        vals = _bunching_vec(np.array([1e-300, 1e40, 1e300]))
+        assert vals[0] == pytest.approx(0.0, abs=1e-100)
+        np.testing.assert_allclose(vals[1:], 0.5, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------
@@ -362,6 +398,23 @@ class TestScattering:
         pr = delocalized_scattering_probability(3e-6, PAPER_RAMP, _red(ca40),
                                                 ca40)
         assert pr == pytest.approx(p, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", ["linear", "smoothstep"])
+    @pytest.mark.parametrize("t0", [1.3e-6, 2.5e-6, 5e-6])
+    def test_delocalized_closed_form_matches_quadrature(self, ca40, shape,
+                                                        t0):
+        # t0 inside the ramp, inside the hold and past the end
+        ramp = RampProfile(u0_max=U0, ramp_duration=2e-6, hold_duration=1e-6,
+                           shape=shape)
+        cfg = _blue(ca40)
+        # polynomial on each panel, which Gauss-Kronrod integrates exactly
+        depth_integral, _ = quad(ramp.depth, 0.0, min(t0, ramp.t_end),
+                                 points=[ramp.ramp_duration], epsabs=0.0,
+                                 epsrel=1e-13, limit=200)
+        pref = ca40.gamma_397 / (cn.HBAR * cfg.detuning)
+        expect = -math.expm1(-0.5 * pref * depth_integral)
+        p = delocalized_scattering_probability(t0, ramp, cfg, ca40)
+        assert p == pytest.approx(expect, rel=1e-13)
 
     def test_static_lattice_needs_detuning(self, ca40):
         cfg = LatticeConfig(depth_U0=U0,
