@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,8 +60,9 @@ def _parse_grid(spec):
         raise ConfigError(f"--grid: {exc}") from None
     if count < 1:
         raise ConfigError("--grid count must be >= 1")
-    if start < 0 or stop < 0:
-        raise ConfigError("--grid start and stop must be non-negative")
+    if not (0 <= start < math.inf and 0 <= stop < math.inf):  # NaN fails
+        raise ConfigError(
+            "--grid start and stop must be finite and non-negative")
     kind = parts[3]
     if kind == "lin":
         return np.linspace(start, stop, count)
@@ -83,9 +83,10 @@ def _write_csv(path, header, rows, cfg_hash):
 
 
 def _write_json(path, obj):
+    # encode first, so that a refused NaN leaves no truncated file
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _outdir(args, cfg):
@@ -127,11 +128,17 @@ def cmd_modes(args):
         res = continuation(cfg.n_ions, cfg.trap, lattice,
                            species=cfg.species, seed=cfg.seed,
                            nu_grid=nu_grid)
+    elif lattice.depth_U0 == 0.0:
+        raise ConfigError(
+            "modes without --grid sweeps up to the lattice depth, so "
+            "lattice.depth_max_mK or lattice.nu_latt_max_MHz must be "
+            "nonzero")
     else:
         res = continuation(cfg.n_ions, cfg.trap, lattice,
                            species=cfg.species, seed=cfg.seed, steps=200)
 
-    report = classify_structure(_state_like(res), cfg.trap,
+    # the zero-depth step of the sweep fixes the crystal plane
+    report = classify_structure(res.positions[0], cfg.trap,
                                 species=cfg.species)
     phi = report.plane_angle
     nx, ny = -math.sin(phi), math.cos(phi)  # normal of the crystal plane
@@ -160,11 +167,6 @@ def cmd_modes(args):
             for f in res.flagged],
     })
     return 0
-
-
-def _state_like(res):
-    # zero-depth step of the sweep, wrapped for classify_structure
-    return SimpleNamespace(positions=res.positions[0])
 
 
 def cmd_scatter(args):

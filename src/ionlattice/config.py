@@ -40,7 +40,8 @@ _SCHEMA_VERSION = 1
 
 # per-block key tables: name -> (SI factor or converter, required, default).
 # Factors multiply the raw file value; defaults are already SI. A None
-# factor marks non-numeric keys.
+# factor marks non-numeric keys. A missing optional key takes its default,
+# None included, so every optional key is part of the hashed form.
 
 
 def _thz_to_angular(v):
@@ -136,14 +137,15 @@ def _check_block(name, raw):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name}.{key} must be a number, "
                                   f"got {value!r}")
+            if not math.isfinite(value):  # YAML reads .nan and .inf
+                raise ConfigError(f"{name}.{key} must be finite, "
+                                  f"got {value!r}")
             out[key] = conv(value) if callable(conv) else value * conv
     for key, (_, required, default) in table.items():
         if key not in out:
             if required:
                 raise ConfigError(f"{name}.{key} is required")
-            if default is not None or key in ("q_radial", "depth_max_mK",
-                                              "nu_latt_max_MHz", "T0_mK"):
-                out[key] = default
+            out[key] = default
     return out
 
 

@@ -1,4 +1,8 @@
-"""Physical constants (CODATA via scipy) and documented Ca-40 defaults.
+"""Physical constants (CODATA 2022 literals) and documented Ca-40 defaults.
+
+The SI constants are CODATA 2022 literals, so this module needs no scipy
+import; tests/test_constants.py checks that each equals its
+``scipy.constants`` value exactly.
 
 Every transition constant here is a configuration default, not a hard-coded
 truth: configs may override any of them.
@@ -6,14 +10,12 @@ truth: configs may override any of them.
 
 import math
 
-import scipy.constants as _sc
-
-KB = _sc.k
-HBAR = _sc.hbar
-ECHARGE = _sc.e
-EPS0 = _sc.epsilon_0
-C_LIGHT = _sc.c
-AMU = _sc.physical_constants["atomic mass constant"][0]
+KB = 1.380649e-23  # J/K, exact
+HBAR = 1.0545718176461565e-34  # J s, exact (h / 2 pi)
+ECHARGE = 1.602176634e-19  # C, exact
+EPS0 = 8.8541878188e-12  # F/m
+C_LIGHT = 299792458.0  # m/s, exact
+AMU = 1.66053906892e-27  # kg, atomic mass constant
 
 # e^2 / (4 pi eps0), the Coulomb coupling in SI (J m)
 COULOMB = ECHARGE**2 / (4.0 * math.pi * EPS0)

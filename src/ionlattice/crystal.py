@@ -277,17 +277,12 @@ def total_potential(positions, trap, lattice=None, species=None):
     """Total potential energy (J) of the configuration.
 
     Harmonic pseudo-potential + pairwise Coulomb + U0 sin^2(k z) per ion
-    (signed U0: blue-detuned positive, wells at the nodes).
+    (signed U0: blue-detuned positive, wells at the nodes). Raises
+    SingularConfigurationError if two ions lie within 1e-14 Coulomb
+    lengths of each other.
     """
     species = _default_species(species)
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    if pos.shape[0] >= 2:
-        d = pos[:, None, :] - pos[None, :, :]
-        r = np.sqrt(np.sum(d * d, axis=-1))
-        iu = np.triu_indices(pos.shape[0], k=1)
-        if np.min(r[iu]) < 1e-12:
-            raise SingularConfigurationError(
-                "two ions coincide; Coulomb energy is singular")
     scaled = _Dimensionless(trap, lattice, species)
     return scaled.potential(pos / scaled.ell) * scaled.energy_unit
 
@@ -635,10 +630,11 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
 # structure classification
 
 
-def classify_structure(state, trap, species=None, tol=None):
+def classify_structure(positions, trap, species=None, tol=None):
     """Classify a crystal as linear, planar or three-dimensional.
 
-    The reference plane is constrained to contain the trap axis (the
+    ``positions`` is the (N, 3) array of ion positions in meters. The
+    reference plane is constrained to contain the trap axis (the
     physically meaningful family for a linear trap): among the planes
     through the z axis and one off-axis ion, take the one containing the
     most ions. A best-fit free plane would miscount structures like the
@@ -648,7 +644,7 @@ def classify_structure(state, trap, species=None, tol=None):
     species = _default_species(species)
     if tol is None:
         tol = 1e-3 * length_scale(trap, species)
-    pos = np.asarray(state.positions, dtype=float)
+    pos = np.asarray(positions, dtype=float)
     radial = np.hypot(pos[:, 0], pos[:, 1])
     off = radial > tol
     if not np.any(off):

@@ -43,13 +43,13 @@ def elliptic_k(m):
 
     Parameters
     ----------
-    m : float
-        Parameter, 0 <= m < 1.
+    m : float or array_like
+        Parameter, 0 <= m < 1, elementwise.
 
     Returns
     -------
-    float
-        K(m), relative error <= 1e-12.
+    float or ndarray
+        K(m), relative error <= 1e-12; a float for scalar input.
 
     Raises
     ------
@@ -57,28 +57,12 @@ def elliptic_k(m):
         If m is so close to 1 that K diverges (m = 1 included).
     DomainError
         If m < 0 or m > 1.
-
-    Accepts arrays elementwise under the same domain rules.
     """
-    if np.ndim(m) != 0:
-        m = np.asarray(m, dtype=float)
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            raise DomainError("elliptic parameter outside [0, 1)")
-        if np.any(m == 1.0):
-            raise EllipticDivergenceError(
-                "K(m) diverges logarithmically at m=1 (separatrix)")
-        return _ellipk_deficit_vec(m, 1.0 - m)[0]
-    if m < 0.0 or m > 1.0:
-        raise DomainError(f"elliptic parameter m={m!r} outside [0, 1)")
-    if 1.0 - m <= 0.0:
+    m = _parameter(m)
+    if np.any(m == 1.0):
         raise EllipticDivergenceError(
             "K(m) diverges logarithmically at m=1 (separatrix)")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_MAX_AGM):
-        if abs(a - b) <= _EPS * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return _scalar_if_0d(_ellipk_deficit_vec(m, 1.0 - m)[0])
 
 
 def elliptic_e(m):
@@ -86,39 +70,31 @@ def elliptic_e(m):
 
     Parameters
     ----------
-    m : float
-        Parameter, 0 <= m <= 1.
+    m : float or array_like
+        Parameter, 0 <= m <= 1, elementwise.
 
     Returns
     -------
-    float
-        E(m), relative error <= 1e-12. E(1) = 1 exactly.
-
-    Accepts arrays elementwise under the same domain rules.
+    float or ndarray
+        E(m), relative error <= 1e-12; a float for scalar input.
+        E(1) = 1 exactly.
     """
-    if np.ndim(m) != 0:
-        m = np.asarray(m, dtype=float)
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            raise DomainError("elliptic parameter outside [0, 1]")
-        one = m == 1.0  # E(1) = 1 while K diverges
-        k, deficit = _ellipk_deficit_vec(np.where(one, 0.0, m),
-                                         np.where(one, 1.0, 1.0 - m))
-        return np.where(one, 1.0, k * (1.0 - deficit))
-    if m < 0.0 or m > 1.0:
-        raise DomainError(f"elliptic parameter m={m!r} outside [0, 1]")
-    if m == 1.0:
-        return 1.0
-    a, b = 1.0, math.sqrt(1.0 - m)
-    c2_sum = 0.5 * m  # 2^{-1} c_0^2 with c_0 = sqrt(m)
-    pow2 = 1.0
-    for _ in range(_MAX_AGM):
-        if abs(a - b) <= _EPS * a:
-            break
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        c2_sum += pow2 * c * c
-        pow2 *= 2.0
-    return math.pi / (2.0 * a) * (1.0 - c2_sum)
+    m = _parameter(m)
+    one = m == 1.0  # E(1) = 1 while K diverges
+    k, deficit = _ellipk_deficit_vec(np.where(one, 0.0, m),
+                                     np.where(one, 1.0, 1.0 - m))
+    return _scalar_if_0d(np.where(one, 1.0, k * (1.0 - deficit)))
+
+
+def _parameter(m):
+    m = np.asarray(m, dtype=float)
+    if np.any(m < 0.0) or np.any(m > 1.0):
+        raise DomainError("elliptic parameter outside [0, 1]")
+    return m
+
+
+def _scalar_if_0d(v):
+    return float(v) if v.ndim == 0 else v
 
 
 def _ellipk_deficit_vec(m, mc):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from . import constants as cn
 from .crystal import spot_variance_model
@@ -249,7 +249,7 @@ def estimate_temperature(spots, gamma, trap, species, imaging,
     else:  # no per-spot errors: estimate the scatter from the residuals
         s2 = float(np.sum(resid * resid)) / dof
         var_c = s2 / float(np.sum(g2 * g2))
-    quantile = student_t.ppf(0.975, dof) if n > 1 else 1.96
+    quantile = stdtrit(dof, 0.975) if n > 1 else 1.96
 
     scale = species.mass * trap.omega_z ** 2 / cn.KB
     return TemperatureEstimate(
@@ -266,7 +266,7 @@ def _projected_center(position, axis):
 
 
 def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
-                     trap=None, species=None, axes=_AXES, noise=True,
+                     trap, species=None, axes=_AXES, noise=True,
                      background=0.0):
     """Generate per-ion pixelated spot profiles and fit them.
 
@@ -279,8 +279,6 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
     """
     if T < 0:
         raise DomainError("temperature must be non-negative")
-    if trap is None:
-        raise DomainError("synthesize_spots needs the trap configuration")
     species = species if species is not None else IonSpecies.ca40()
     rng = np.random.default_rng(seed)
     pitch = imaging.pixel_pitch

@@ -129,9 +129,9 @@ def test_05_highest_mode(string8_modes):
 
 def test_06_structure_regimes(string8, trap_string8, zigzag4, trap_zigzag4,
                               octa6, trap_octa6):
-    r8 = classify_structure(string8, trap_string8)
-    r4 = classify_structure(zigzag4, trap_zigzag4)
-    r6 = classify_structure(octa6, trap_octa6)
+    r8 = classify_structure(string8.positions, trap_string8)
+    r4 = classify_structure(zigzag4.positions, trap_zigzag4)
+    r6 = classify_structure(octa6.positions, trap_octa6)
     ok = (r8.kind == "linear" and r4.kind == "planar"
           and r6.kind == "three-dimensional" and r6.out_of_plane_count == 2)
     _report(6, "structure regimes", ok,

@@ -113,6 +113,12 @@ class TestParsing:
             parse_config(BASE_YAML.replace("f_z_kHz: 85.0",
                                            "f_z_kHz: true"))
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ConfigError, match="depth_max_mK"):
+            parse_config(BASE_YAML.replace("depth_max_mK: 25.0",
+                                           f"depth_max_mK: {value}"))
+
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError, match="schema_version"):
             parse_config(BASE_YAML.replace("schema_version: 1",
@@ -244,6 +250,19 @@ class TestModesCommand:
         assert "--grid" in capsys.readouterr().err
         assert not (out / "modes.csv").exists()
 
+    @pytest.mark.parametrize("key", ["depth_max_mK", "nu_latt_max_MHz"])
+    def test_zero_depth_needs_grid(self, tmp_path, capsys, key):
+        cfg = tmp_path / "flat.yaml"
+        cfg.write_text(BASE_YAML.replace("depth_max_mK: 25.0", f"{key}: 0"))
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "depth_max_mK" in err and "nu_latt_max_MHz" in err
+        # an explicit grid does not depend on the configured depth
+        assert main(["modes", "--config", str(cfg), "--out", str(out),
+                     "--grid", "0.01:0.2:3:geom"]) == 0
+
 
 class TestScatterCommand:
     def test_outputs(self, ws):
@@ -275,6 +294,14 @@ class TestScatterCommand:
         assert main(["scatter", "--config", str(cfg), "--out", str(out),
                      "--grid=-5:5:3:lin"]) == EXIT_CONFIG
         assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["nan:5:3:lin", "0:inf:3:lin"])
+    def test_non_finite_grid_rejected(self, ws, capsys, spec):
+        cfg, out = ws
+        assert main(["scatter", "--config", str(cfg), "--out", str(out),
+                     "--grid", spec]) == EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+        assert not (out / "scatter.csv").exists()
 
     def test_zero_depth_config_stays_finite(self, tmp_path):
         # the scan takes the grid depths as they are: a lattice block at
@@ -390,6 +417,13 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["orbit", "--config", "x.yaml"])
         assert exc.value.code == 2
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        from ionlattice.cli import _write_json
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            _write_json(path, {"T_mK": float("nan")})
+        assert not path.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["equilibrium", "--config",

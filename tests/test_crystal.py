@@ -222,19 +222,19 @@ class TestGamma:
 
 class TestClassification:
     def test_linear(self, string8, trap_string8):
-        rep = classify_structure(string8, trap_string8)
+        rep = classify_structure(string8.positions, trap_string8)
         assert rep.kind == "linear"
         assert rep.out_of_plane_count == 0
 
     def test_planar_zigzag(self, zigzag4, trap_zigzag4):
-        rep = classify_structure(zigzag4, trap_zigzag4)
+        rep = classify_structure(zigzag4.positions, trap_zigzag4)
         assert rep.kind == "planar"
         assert rep.out_of_plane_count == 0
         # buckling happens along y, so the plane is the y-z plane
         assert rep.plane_angle == pytest.approx(math.pi / 2.0, abs=1e-6)
 
     def test_three_dimensional(self, octa6, trap_octa6):
-        rep = classify_structure(octa6, trap_octa6)
+        rep = classify_structure(octa6.positions, trap_octa6)
         assert rep.kind == "three-dimensional"
         assert rep.out_of_plane_count == 2
 

@@ -140,7 +140,7 @@ class TestSynthesize:
         with pytest.raises(DomainError):
             synthesize_spots(-1e-3, string8, string8_gamma, imaging,
                              photon_budget=1e4, seed=0, trap=trap_string8)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             synthesize_spots(1e-3, string8, string8_gamma, imaging,
                              photon_budget=1e4, seed=0)  # no trap
         with pytest.raises(DomainError):
