@@ -224,8 +224,7 @@ def cmd_thermometry(args):
         "gamma_axial": [float(g) for g in gamma.axial],
         "gamma_radial_projected": [float(g)
                                    for g in gamma.gamma_radial_projected],
-        "n_spots_used": len([s for s in spots
-                             if s.axis == "axial" or cfg.include_radial]),
+        "n_spots_used": len(est.per_ion_residuals),
     })
     return 0
 

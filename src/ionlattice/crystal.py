@@ -295,13 +295,20 @@ def _string_guess(n, rng, jitter):
     return u
 
 
-def _newton_polish(scaled, u, gtol, max_iter=60):
+# equilibrium: gradient max-norm to reach (dimensionless), cold BFGS
+# starts, Newton iterations per polish
+_GTOL = 1e-10
+_RESTARTS = 4
+_NEWTON_MAX_ITER = 60
+
+
+def _newton_polish(scaled, u):
     u = u.copy()
     mu = 0.0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         g = scaled.gradient(u)
         gnorm = np.max(np.abs(g))
-        if gnorm <= gtol:
+        if gnorm <= _GTOL:
             return u, gnorm, True
         h = scaled.hessian(u)
         gflat = g.reshape(-1, order="F")  # x-block, y-block, z-block
@@ -320,7 +327,7 @@ def _newton_polish(scaled, u, gtol, max_iter=60):
     return u, np.max(np.abs(scaled.gradient(u))), False
 
 
-def _solve_from(scaled, u0, gtol):
+def _solve_from(scaled, u0):
     n = len(u0)
     res = minimize(
         lambda v: scaled.potential(v.reshape(n, 3)),
@@ -330,16 +337,16 @@ def _solve_from(scaled, u0, gtol):
         options={"gtol": 1e-8, "maxiter": 4000},
     )
     u = res.x.reshape(n, 3)
-    return _newton_polish(scaled, u, gtol)
+    return _newton_polish(scaled, u)
 
 
 def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
-                seed=0, gtol=1e-10, restarts=4):
-    """Stationary configuration of N ions, found to gradient max-norm gtol.
+                seed=0):
+    """Stationary configuration of N ions, to gradient max-norm 1e-10.
 
     Without a guess: BFGS descent from a slightly jittered axial string
-    (deterministic in ``seed``), best of ``restarts`` starts by energy,
-    then Newton polish. With a guess (warm start): polish only, fully
+    (deterministic in ``seed``), best of four starts by energy, then
+    Newton polish. With a guess (warm start): polish only, fully
     deterministic. A converged stationary point with a direction of
     negative curvature is returned with ``is_saddle`` set rather than
     re-seeded, so instability of e.g. a linear chain past the zigzag
@@ -354,17 +361,17 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     last = None
     if initial_guess is not None:
         u0 = np.asarray(initial_guess, dtype=float).reshape(N, 3) / scaled.ell
-        u, gnorm, ok = _newton_polish(scaled, u0, gtol)
+        u, gnorm, ok = _newton_polish(scaled, u0)
         if not ok:  # long way from quadratic: descend first, then polish
-            u, gnorm, ok = _solve_from(scaled, u0, gtol)
+            u, gnorm, ok = _solve_from(scaled, u0)
         last = (u, gnorm)
         if ok:
             candidates.append(u)
     else:
-        for attempt in range(restarts):
+        for attempt in range(_RESTARTS):
             rng = np.random.default_rng(seed + attempt)
             u0 = _string_guess(N, rng, jitter=0.02 * (attempt + 1))
-            u, gnorm, ok = _solve_from(scaled, u0, gtol)
+            u, gnorm, ok = _solve_from(scaled, u0)
             last = (u, gnorm)
             if ok:
                 candidates.append(u)
@@ -489,26 +496,34 @@ class ContinuationResult:
         return np.transpose(np.sum(rows * rows, axis=1))
 
 
-def _depth_for_nu(nu, trap, lattice_max, species):
+def _depth_for_nu(nu, lattice_max, species):
     # U0 = M (2 pi nu)^2 / (2 k^2), signed like the reference lattice
     k = lattice_max.wavevector_k
     mag = species.mass * (2.0 * math.pi * nu) ** 2 / (2.0 * k * k)
     return math.copysign(mag, lattice_max.depth_U0) if nu > 0 else 0.0
 
 
+# branch tracking: a step whose weakest matched overlap is below
+# _OVERLAP_MIN is halved, at most _MAX_HALVINGS times; at that depth a
+# branch whose two best overlaps differ by less than _AMBIGUITY_TOL is
+# flagged
+_OVERLAP_MIN = 0.5
+_MAX_HALVINGS = 12
+_AMBIGUITY_TOL = 1e-3
+
+
 def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
-                 nu_grid=None, overlap_threshold=0.5, ambiguity_tol=1e-3,
-                 max_halvings=12):
+                 nu_grid=None):
     """Sweep the lattice from zero to lattice_max, tracking all 3N modes.
 
     The grid is geometric in nu_latt (default ``steps`` points including
     nu=0) unless an explicit nu_grid (Hz) is given. Each depth re-solves
     the equilibrium warm-started from the previous one, then matches the
     new eigenvectors to the tracked branches by maximal absolute overlap
-    (optimal one-to-one assignment). If the weakest match drops below
-    overlap_threshold the step is halved, recursively, up to max_halvings;
-    a crossing whose two best overlaps still differ by less than
-    ambiguity_tol at that point is recorded in ``flagged``.
+    (optimal one-to-one assignment). If the weakest match drops below 0.5
+    the step is halved (geometric midpoint, arithmetic from nu=0), up to
+    12 times; a crossing whose two best overlaps still differ by less
+    than 1e-3 at that point is recorded in ``flagged``.
 
     A deepening lattice can destroy the tracked minimum outright (ions
     re-settle into wells); the warm start then converges onto the saddle
@@ -550,7 +565,7 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         return best
 
     def solve_at(nu, guess):
-        depth = _depth_for_nu(nu, trap, lattice_max, species)
+        depth = _depth_for_nu(nu, lattice_max, species)
         latt = replace(lattice_max, depth_U0=depth) if depth != 0.0 else None
         st = equilibrium(N, trap, latt, initial_guess=guess,
                          species=species, seed=seed)
@@ -559,69 +574,53 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         md = normal_modes(st, trap, latt, species=species)
         return st, md
 
-    state, modes = solve_at(grid[0], None)
-    order = np.argsort(modes.eigenvalues)  # ascending at zero depth
-    b_prev = modes.coordinates[:, order]
-
-    nus = [grid[0]]
-    freqs = [modes.frequencies[order] / (2.0 * math.pi)]
-    coords = [b_prev]
-    poss = [state.positions]
-    refined_flags = [False]
+    # the tracked branches start in eigh's ascending order at zero depth
+    nu = grid[0]
+    state, modes = solve_at(nu, None)
+    b_prev = modes.coordinates
+    rows = [(nu, modes.frequencies, b_prev, state.positions, False)]
     flagged = []
-
-    def advance(nu_from, nu_to, state_from, b_from, level):
-        # returns (state, b_tracked) at nu_to, appending rows along the way
-        st, md = solve_at(nu_to, state_from.positions)
-        overlap = np.abs(b_from.T @ md.coordinates)
-        rows, cols = linear_sum_assignment(-overlap)
-        matched = overlap[rows, cols]
-        if np.min(matched) < overlap_threshold and level < max_halvings:
-            mid = 0.5 * (nu_from + nu_to) if nu_from == 0.0 \
-                else math.sqrt(nu_from * nu_to)
-            st_mid, b_mid = advance(nu_from, mid, state_from, b_from,
-                                    level + 1)
-            nus.append(mid)
-            refined_flags.append(True)
-            return advance(mid, nu_to, st_mid, b_mid, level + 1)
-        # ambiguity: a branch whose two best overlaps are within tolerance
-        if level >= max_halvings:
-            for p in range(overlap.shape[0]):
-                row = np.sort(overlap[p])[::-1]
-                if row[0] - row[1] < ambiguity_tol:
-                    alt = int(np.argsort(overlap[p])[-2])
-                    partner = int(np.nonzero(cols == alt)[0][0]) \
-                        if alt in cols else -1
+    # targets still to reach, nearest last: (nu_latt, halvings, refined)
+    pending = [(target, 0, False) for target in grid[:0:-1]]
+    while pending:
+        target, level, refined = pending.pop()
+        st, md = solve_at(target, state.positions)
+        overlap = np.abs(b_prev.T @ md.coordinates)
+        perm = linear_sum_assignment(-overlap)[1]  # rows come back 0..3N-1
+        weakest = np.min(overlap[np.arange(len(perm)), perm])
+        if weakest < _OVERLAP_MIN and level < _MAX_HALVINGS:
+            mid = 0.5 * (nu + target) if nu == 0.0 \
+                else math.sqrt(nu * target)
+            pending += [(target, level + 1, refined), (mid, level + 1, True)]
+            continue
+        if level == _MAX_HALVINGS:
+            for p, row in enumerate(overlap):
+                order = np.argsort(row)
+                gap = row[order[-1]] - row[order[-2]]
+                if gap < _AMBIGUITY_TOL:
+                    partner = int(np.nonzero(perm == order[-2])[0][0])
                     flagged.append({
-                        "step": len(nus),
-                        "nu_latt": nu_to,
-                        "branches": (int(p), partner),
-                        "overlap_gap": float(row[0] - row[1]),
+                        "step": len(rows),
+                        "nu_latt": target,
+                        "branches": (p, partner),
+                        "overlap_gap": float(gap),
                     })
-        perm = cols[np.argsort(rows)]
         b_new = md.coordinates[:, perm]
         # keep eigenvector signs continuous across steps
-        signs = np.sign(np.sum(b_from * b_new, axis=0))
+        signs = np.sign(np.sum(b_prev * b_new, axis=0))
         signs[signs == 0.0] = 1.0
-        b_new = b_new * signs
-        freqs.append(md.frequencies[perm] / (2.0 * math.pi))
-        coords.append(b_new)
-        poss.append(st.positions)
-        return st, b_new
+        nu, state, b_prev = target, st, b_new * signs
+        rows.append((nu, md.frequencies[perm], b_prev, st.positions, refined))
 
-    for i in range(1, len(grid)):
-        state, b_prev = advance(grid[i - 1], grid[i], state, b_prev, 0)
-        nus.append(grid[i])
-        refined_flags.append(False)
-
+    nus, freqs, coords, poss, refined = zip(*rows)
     return ContinuationResult(
         nu_latt=np.asarray(nus),
-        depths=np.array([_depth_for_nu(nu, trap, lattice_max, species)
-                         for nu in nus]),
-        frequencies=np.transpose(np.asarray(freqs)),
+        depths=np.array([_depth_for_nu(v, lattice_max, species)
+                         for v in nus]),
+        frequencies=np.transpose(freqs) / (2.0 * math.pi),
         coordinates=np.asarray(coords),
         positions=np.asarray(poss),
-        refined=np.asarray(refined_flags, dtype=bool),
+        refined=np.asarray(refined, dtype=bool),
         flagged=flagged,
     )
 

@@ -76,7 +76,7 @@ class ScatteringScenario:
     pumping_efficiency_per_ion: float = 1.0
 
     def __post_init__(self):
-        if self.T0 <= 0:
+        if not self.T0 > 0:  # NaN fails too
             raise DomainError("T0 must be positive")
         if not 0.0 <= self.pumping_efficiency_per_ion <= 1.0:
             raise DomainError("pumping efficiency must lie in [0, 1]")

@@ -253,9 +253,9 @@ def normalized_period(E, U0):
 
 
 def _energy_ratio(E, U0):
-    if U0 <= 0:
+    if not U0 > 0:  # NaN fails too
         raise DomainError("U0 must be positive")
-    if E < 0:
+    if not E >= 0:
         raise DomainError("E must be non-negative")
     return E / U0
 
@@ -466,9 +466,9 @@ def _ratio_from_action(s):
 
 
 def _check_t0_u0(T0, U0):
-    if T0 <= 0:
+    if not T0 > 0:  # NaN fails too
         raise DomainError("T0 must be positive")
-    if U0 <= 0:
+    if not U0 > 0:
         raise DomainError("U0 must be positive")
 
 
@@ -526,7 +526,7 @@ def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
     follows the instantaneous depth adiabatically. Returns 0 when the
     lattice is off.
     """
-    if T0 <= 0:
+    if not T0 > 0:  # NaN fails too
         raise DomainError("T0 must be positive")
     u0t = ramp.depth(t)
     if u0t <= 0.0:
@@ -573,16 +573,16 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     AdiabaticityWarning (shallowest depth) and one RuntimeWarning (largest
     estimate above 1e-8) per call. delocalized=True pins <sin^2> at 1/2.
     """
-    if t0 < 0:
+    if not t0 >= 0:  # NaN fails this and the checks below
         raise DomainError("t0 must be non-negative")
     if not 0.0 <= p0 <= 1.0:
         raise DomainError("p0 must lie in [0, 1]")
     u0 = np.asarray(u0, dtype=float)
-    if np.any(u0 < 0):
+    if not np.all(u0 >= 0):
         raise DomainError("peak depths must be non-negative")
     live = u0 > 0.0
     if not delocalized:
-        if T0 <= 0:
+        if not T0 > 0:
             raise DomainError("T0 must be positive")
         if np.any(live):
             nu_final = lattice_frequency(u0[live].min() / cn.KB, species,

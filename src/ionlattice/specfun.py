@@ -88,7 +88,7 @@ def elliptic_e(m):
 
 def _parameter(m):
     m = np.asarray(m, dtype=float)
-    if np.any(m < 0.0) or np.any(m > 1.0):
+    if not np.all((m >= 0.0) & (m <= 1.0)):  # NaN fails too
         raise DomainError("elliptic parameter outside [0, 1]")
     return m
 

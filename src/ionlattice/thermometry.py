@@ -111,17 +111,17 @@ def _gauss(x, a, c, s, b):
     return a * np.exp(-0.5 * ((x - c) / s) ** 2) + b
 
 
-def fit_gaussian_profile(profile, pixel_pitch=1.0, poisson_weights=True):
+def fit_gaussian_profile(profile, pixel_pitch=1.0):
     """Least-squares Gaussian fit A exp(-(x-c)^2/(2 sigma^2)) + B.
 
     profile is a sequence of (pixel, counts) pairs; results are scaled by
     pixel_pitch so they come back in meters when the pitch is given (and
     in pixel units for the default pitch of 1). Confidence intervals are
     95% from the linearized covariance at the optimum, scaled by the
-    reduced chi-square. With poisson_weights a second fit runs with
-    residuals weighted by the first fit's model (weights frozen, so the
-    estimate stays unbiased); the chi-square scaling makes the intervals
-    insensitive to an overall gain either way.
+    reduced chi-square. An unweighted fit is followed by a second one
+    with Poisson weights from the first fit's model (weights frozen, so
+    the estimate stays unbiased); the chi-square scaling makes the
+    intervals insensitive to an overall gain.
 
     Raises DegenerateFitError for a constant profile or a width collapsing
     below a quarter pixel, FitConvergenceError if the solver stalls.
@@ -157,15 +157,13 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0, poisson_weights=True):
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not res.success:
         raise FitConvergenceError(f"Gaussian fit did not converge: {res.message}")
-    if poisson_weights:
-        sig = np.sqrt(np.maximum(_gauss(x, *res.x), 1.0))
-        resid, jac = make_funcs(sig)
-        res = least_squares(resid, res.x, jac=jac, method="lm",
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                            max_nfev=2000)
-        if not res.success:
-            raise FitConvergenceError(
-                f"weighted Gaussian fit did not converge: {res.message}")
+    sig = np.sqrt(np.maximum(_gauss(x, *res.x), 1.0))
+    resid, jac = make_funcs(sig)
+    res = least_squares(resid, res.x, jac=jac, method="lm",
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    if not res.success:
+        raise FitConvergenceError(
+            f"weighted Gaussian fit did not converge: {res.message}")
     a, c, s, b = res.x
     s = abs(s)
     if s < 0.25:  # below a quarter pixel the model is unresolvable

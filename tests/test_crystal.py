@@ -311,3 +311,42 @@ class TestContinuation:
                              detuning=2 * math.pi * 0.76e12)
         with pytest.raises(DomainError):
             continuation(2, trap_zigzag4, latt, steps=1, species=ca40)
+
+
+@pytest.fixture(scope="module")
+def halved(ca40):
+    # 12 ions up to 0.75 MHz on a 40-point grid: the matched overlap of two
+    # coarse steps drops below 0.5, and each is halved once
+    k = ca40.lattice_wavevector
+    latt = LatticeConfig(
+        depth_U0=ca40.mass * (2 * math.pi * 0.75e6) ** 2 / (2.0 * k * k),
+        wavevector_k=k, detuning=2 * math.pi * 0.76e12)
+    return continuation(12, TrapConfig.from_frequencies(85e3, 300e3), latt,
+                        steps=40, species=ca40, seed=7)
+
+
+class TestStepHalving:
+    def test_rows_inserted(self, halved):
+        assert len(halved.nu_latt) == 42
+        np.testing.assert_array_equal(np.nonzero(halved.refined)[0],
+                                      [30, 36])
+        nu_max = halved.nu_latt[-1]
+        np.testing.assert_allclose(
+            halved.nu_latt[~halved.refined],
+            np.concatenate([[0.0], np.geomspace(1e-3 * nu_max, nu_max, 39)]),
+            rtol=1e-14)
+
+    def test_refined_row_is_geometric_midpoint(self, halved):
+        nu = halved.nu_latt
+        for i in np.nonzero(halved.refined)[0]:
+            assert nu[i] == pytest.approx(math.sqrt(nu[i - 1] * nu[i + 1]),
+                                          rel=1e-14)
+
+    def test_adjacent_overlaps_hold(self, halved):
+        c = halved.coordinates
+        overlap = np.sum(c[:-1] * c[1:], axis=1)  # [step, branch]
+        assert np.abs(overlap).min() >= 0.5
+        assert overlap.min() > 0.0  # and no sign flips
+
+    def test_nothing_flagged(self, halved):
+        assert halved.flagged == []

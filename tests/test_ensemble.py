@@ -189,9 +189,10 @@ class TestMeanProbability:
         assert pr == pytest.approx(pb, rel=1e-12)
 
     def test_scenario_validation(self, string8, ca40):
-        with pytest.raises(DomainError):
-            ScatteringScenario(crystal=string8, species=ca40,
-                               lattice=_blue(ca40), ramp=RAMP, T0=0.0)
+        for T0 in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                ScatteringScenario(crystal=string8, species=ca40,
+                                   lattice=_blue(ca40), ramp=RAMP, T0=T0)
         with pytest.raises(DomainError):
             ScatteringScenario(crystal=string8, species=ca40,
                                lattice=_blue(ca40), ramp=RAMP, T0=3.6e-3,
@@ -234,3 +235,5 @@ class TestScanDepth:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AdiabaticityWarning)
                 scan_depth(scen8, BEAM, [-1e-25])
+        with pytest.raises(DomainError):
+            scan_depth(scen8, BEAM, [math.nan])

@@ -321,6 +321,33 @@ def _red(ca40, depth=U0):
 
 PAPER_RAMP = RampProfile(u0_max=U0, ramp_duration=2e-6, hold_duration=1e-6)
 
+NAN_CALLS = {
+    "bunching T0": lambda sp, cfg: bunching(math.nan, U0),
+    "bunching U0": lambda sp, cfg: bunching(3.6e-3, math.nan),
+    "action E": lambda sp, cfg: dimensionless_action(math.nan, U0),
+    "action U0": lambda sp, cfg: dimensionless_action(0.5 * U0, math.nan),
+    "period E": lambda sp, cfg: normalized_period(math.nan, U0),
+    "bunching_given_energy E": lambda sp, cfg: bunching_given_energy(
+        math.nan, U0),
+    "action density T0": lambda sp, cfg: action_density(1.0, math.nan, U0),
+    "ensemble T0": lambda sp, cfg: EnergyEnsemble(math.nan, U0),
+    "rate T0": lambda sp, cfg: mean_scattering_rate(
+        2.5e-6, math.nan, PAPER_RAMP, cfg, sp),
+    "probability T0": lambda sp, cfg: scattering_probability(
+        3e-6, math.nan, PAPER_RAMP, cfg, sp),
+    "probability t0": lambda sp, cfg: scattering_probability(
+        math.nan, 3.6e-3, PAPER_RAMP, cfg, sp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_nan_input_rejected(name, ca40):
+    # a NaN must fail the domain check, not come back as a NaN result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError):
+            NAN_CALLS[name](ca40, _blue(ca40))
+
 
 class TestScattering:
     def test_rate_vanishes_at_node(self, ca40):

@@ -83,6 +83,11 @@ def test_domain_errors():
         elliptic_e(-1e-9)
     with pytest.raises(DomainError):
         elliptic_e(1.0 + 1e-9)
+    for m in (math.nan, [0.5, math.nan]):
+        with pytest.raises(DomainError):
+            elliptic_k(m)
+        with pytest.raises(DomainError):
+            elliptic_e(m)
 
 
 @settings(max_examples=200, deadline=None)
