@@ -69,7 +69,10 @@ def _parse_grid(spec):
     if kind == "geom":
         if start <= 0 or stop <= 0:
             raise ConfigError("--grid geom needs positive start and stop")
-        return np.geomspace(start, stop, count)
+        # a stop near 1.8e308 overflows inside numpy, which then sets the
+        # endpoint exactly: the points are finite, the warning is noise
+        with np.errstate(over="ignore"):
+            return np.geomspace(start, stop, count)
     raise ConfigError(f"--grid spacing must be 'lin' or 'geom', got {kind!r}")
 
 

@@ -4,8 +4,9 @@ Every physical scalar in the file carries its unit in the key name
 (f_z_kHz, depth_max_mK, waist_um, ...) and is converted exactly once,
 here. Parsing is strict: unknown keys, missing required keys, wrong
 types, and out-of-range values are all reported by their dotted key
-path. JSON files use the identical schema (YAML is a superset, one
-loader handles both).
+path. JSON files use the identical schema: text is read as JSON first,
+so every JSON number form counts as a number (PyYAML follows YAML 1.1
+and would read 1e-05 as a string), and as YAML otherwise.
 
 The canonical form of a parsed config - every value in SI, defaults
 filled in, keys sorted - is hashed with SHA-256 and embedded in every
@@ -22,6 +23,7 @@ import difflib
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,7 +119,7 @@ class RunConfig:
 
 
 def _suggest(key, options):
-    close = difflib.get_close_matches(key, options, n=1)
+    close = difflib.get_close_matches(str(key), options, n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
@@ -137,10 +139,14 @@ def _check_block(name, raw):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name}.{key} must be a number, "
                                   f"got {value!r}")
-            if not math.isfinite(value):  # YAML reads .nan and .inf
-                raise ConfigError(f"{name}.{key} must be finite, "
-                                  f"got {value!r}")
-            out[key] = conv(value) if callable(conv) else value * conv
+            try:
+                si = conv(value) if callable(conv) else value * conv
+            except OverflowError:  # an integer beyond the float range
+                si = math.inf
+            if not math.isfinite(si):  # YAML .nan and .inf, or an overflow
+                raise ConfigError(f"{name}.{key} must be finite in SI "
+                                  f"units, got {value!r}")
+            out[key] = si
     for key, (_, required, default) in table.items():
         if key not in out:
             if required:
@@ -157,6 +163,19 @@ def _validate_int(block, key, value, minimum=0):
     return value
 
 
+@contextmanager
+def _block_errors(name):
+    # a value the model objects reject, or one that overflows on the way
+    # to them, is a config error of its block
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    except ArithmeticError as exc:  # such as (2 pi nu)^2 beyond 1.8e308
+        raise ConfigError(f"{name}: a derived value leaves the float "
+                          f"range ({exc})") from None
+
+
 def config_hash(normalized):
     """SHA-256 hex digest of the canonical JSON form."""
     canonical = json.dumps(normalized, sort_keys=True,
@@ -165,11 +184,15 @@ def config_hash(normalized):
 
 
 def parse_config(text):
-    """Parse YAML or JSON config text into a RunConfig."""
+    """Parse JSON or YAML config text into a RunConfig."""
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML/JSON: {exc}") from None
+        raw = json.loads(text)
+    except ValueError:  # not JSON, so YAML
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(
+                f"config is not valid YAML/JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of blocks")
 
@@ -205,19 +228,19 @@ def parse_config(text):
     if not isinstance(out_dir, str):
         raise ConfigError("output.dir must be a string")
 
-    species = IonSpecies(
-        mass=norm["species"]["mass_amu"],
-        lattice_transition_wavelength=norm["species"]["lattice_wavelength_nm"],
-        detection_wavelength=norm["species"]["detection_wavelength_nm"],
-    )
+    species_n = norm["species"]
+    with _block_errors("species"):
+        species = IonSpecies(
+            mass=species_n["mass_amu"],
+            lattice_transition_wavelength=species_n["lattice_wavelength_nm"],
+            detection_wavelength=species_n["detection_wavelength_nm"],
+        )
     trap_n = norm["trap"]
-    try:
+    with _block_errors("trap"):
         trap = TrapConfig.from_frequencies(
             trap_n["f_z_kHz"], trap_n["f_radial_kHz"],
             asymmetry=trap_n["asymmetry"], f_rf=trap_n["f_rf_MHz"],
             q_radial=trap_n["q_radial"], q_axial=trap_n["q_axial"])
-    except ValueError as exc:
-        raise ConfigError(f"trap: {exc}") from None
 
     lat = norm["lattice"]
     lattice = beam = None
@@ -228,43 +251,37 @@ def parse_config(text):
             raise ConfigError(
                 "lattice needs exactly one of depth_max_mK or "
                 "nu_latt_max_MHz")
-        k = species.lattice_wavevector
-        if has_depth:
-            if lat["depth_max_mK"] < 0:
-                raise ConfigError("lattice.depth_max_mK must be >= 0")
-            u0 = cn.KB * lat["depth_max_mK"]
-        else:
-            if lat["nu_latt_max_MHz"] < 0:
-                raise ConfigError("lattice.nu_latt_max_MHz must be >= 0")
-            nu = lat["nu_latt_max_MHz"]
-            u0 = species.mass * (2.0 * math.pi * nu) ** 2 / (2.0 * k * k)
-        detuning = lat["detuning_THz"]
-        signed = -u0 if detuning < 0 else u0
-        try:
+        with _block_errors("lattice"):
+            k = species.lattice_wavevector
+            if has_depth:
+                if lat["depth_max_mK"] < 0:
+                    raise ConfigError("lattice.depth_max_mK must be >= 0")
+                u0 = cn.KB * lat["depth_max_mK"]
+            else:
+                if lat["nu_latt_max_MHz"] < 0:
+                    raise ConfigError("lattice.nu_latt_max_MHz must be >= 0")
+                nu = lat["nu_latt_max_MHz"]
+                u0 = species.mass * (2.0 * math.pi * nu) ** 2 / (2.0 * k * k)
+            detuning = lat["detuning_THz"]
+            signed = -u0 if detuning < 0 else u0
             lattice = LatticeConfig(depth_U0=signed, wavevector_k=k,
                                     detuning=detuning)
             beam = BeamProfile(waist_radius=lat["waist_um"])
-        except ValueError as exc:
-            raise ConfigError(f"lattice: {exc}") from None
 
     ramp = None
     if lattice is not None:
-        try:
+        with _block_errors("ramp"):
             ramp = RampProfile(u0_max=abs(lattice.depth_U0),
                                ramp_duration=norm["ramp"]["ramp_us"],
                                hold_duration=norm["ramp"]["hold_us"],
                                shape=ramp_shape)
-        except ValueError as exc:
-            raise ConfigError(f"ramp: {exc}") from None
 
     therm = norm["thermometry"]
-    try:
+    with _block_errors("thermometry"):
         imaging = ImagingConfig(
             sigma_res_axial=therm["sigma_res_axial_um"],
             sigma_res_radial=therm["sigma_res_radial_um"],
             pixel_pitch=therm["pixel_pitch_um"])
-    except ValueError as exc:
-        raise ConfigError(f"thermometry: {exc}") from None
 
     t0 = crystal["T0_mK"]
     if t0 is not None and t0 <= 0:

@@ -29,9 +29,6 @@ CA40_MASS = CA40_MASS_AMU * AMU
 CA40_GAMMA_P = 1.41e8  # rad/s
 # Branching of P1/2 decay into the S1/2 ground state (397 nm photon).
 CA40_BRANCHING_397 = 0.94
-# Probability of leaving the lattice-coupled Zeeman state per excitation
-# (decay to S1/2 or to the other D3/2 Zeeman sublevels).
-CA40_BRANCHING_LEAVE = 0.97
 # Fine-structure splitting between P1/2 and P3/2.
 CA40_FINE_STRUCTURE = 2.0 * math.pi * 6.7e12  # rad/s
 

@@ -34,7 +34,7 @@ from .errors import (
     SoftModeError,
     UnstableConfigurationError,
 )
-from .pendulum import IonSpecies, LatticeConfig
+from .pendulum import IonSpecies
 
 __all__ = [
     "TrapConfig",
@@ -75,14 +75,18 @@ class TrapConfig:
     q_axial: float = 0.0
 
     def __post_init__(self):
-        if min(self.omega_z, self.omega_x, self.omega_y) <= 0:
-            raise DomainError("secular frequencies must be positive")
-        if self.omega_rf <= 0:
-            raise DomainError("omega_rf must be positive")
-        for q in (self.q_radial, self.q_axial):
-            if q is not None and not 0.0 <= q <= 0.92:
+        if not all(0 < w < math.inf for w in (  # NaN fails too
+                self.omega_z, self.omega_x, self.omega_y, self.omega_rf)):
+            raise DomainError(
+                "secular and rf frequencies must be positive and finite")
+        # an unset q_radial is derived from the frequencies: check that too
+        derived = "derived " if self.q_radial is None else ""
+        for name, q in ((derived + "q_radial", self.q_radial_effective),
+                        ("q_axial", self.q_axial)):
+            if not 0.0 <= q <= 0.92:
                 raise DomainError(
-                    f"q parameter {q!r} outside the stability-sanity range")
+                    f"{name} {q!r} outside the stability-sanity range "
+                    "[0, 0.92]")
 
     @classmethod
     def from_frequencies(cls, f_z, f_radial, asymmetry=0.03, f_rf=3.98e6,
@@ -452,7 +456,7 @@ def spot_variance_model(T, gamma, trap, species, sigma_res):
 
     sigma^2 = (kB T/(M omega_z^2)) gamma^2 + sigma_res^2.
     """
-    if T < 0:
+    if not T >= 0:  # NaN fails too
         raise DomainError("temperature must be non-negative")
     return cn.KB * T / (species.mass * trap.omega_z ** 2) * gamma ** 2 \
         + sigma_res ** 2
@@ -629,7 +633,7 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
 # structure classification
 
 
-def classify_structure(positions, trap, species=None, tol=None):
+def classify_structure(positions, trap, species=None):
     """Classify a crystal as linear, planar or three-dimensional.
 
     ``positions`` is the (N, 3) array of ion positions in meters. The
@@ -638,11 +642,10 @@ def classify_structure(positions, trap, species=None, tol=None):
     through the z axis and one off-axis ion, take the one containing the
     most ions. A best-fit free plane would miscount structures like the
     six-ion pinwheel, where four of six ions share no axis-containing
-    plane but a tilted fit can graze them all.
+    plane but a tilted fit can graze them all. An ion counts as on the
+    axis, or in a plane, within 1e-3 Coulomb lengths.
     """
-    species = _default_species(species)
-    if tol is None:
-        tol = 1e-3 * length_scale(trap, species)
+    tol = 1e-3 * length_scale(trap, _default_species(species))
     pos = np.asarray(positions, dtype=float)
     radial = np.hypot(pos[:, 0], pos[:, 1])
     off = radial > tol

@@ -48,7 +48,7 @@ class BeamProfile:
     waist_radius: float  # m, 1/e^2 intensity radius
 
     def __post_init__(self):
-        if self.waist_radius <= 0:
+        if not self.waist_radius > 0:  # NaN fails too
             raise DomainError("waist_radius must be positive")
 
     def depth_factor(self, positions):
@@ -91,9 +91,7 @@ def per_ion_depths(crystal, lattice, beam):
     return lattice.depth_U0 * beam.depth_factor(crystal.positions)
 
 
-def mean_scattering_probability_per_ion(scenario, beam, t0=None,
-                                        include_p32=False,
-                                        delocalized=False):
+def mean_scattering_probability_per_ion(scenario, beam, delocalized=False):
     """Arithmetic mean over ions of the single-ion scattering probability.
 
     Each ion's ramp is rescaled by its beam depth factor; ions on the
@@ -101,25 +99,21 @@ def mean_scattering_probability_per_ion(scenario, beam, t0=None,
     in the uniform-position baseline (standing-wave factor 1/2).
     """
     return float(_mean_probabilities(
-        scenario, beam, [scenario.ramp.u0_max], t0, include_p32,
-        delocalized)[0])
+        scenario, beam, [scenario.ramp.u0_max], delocalized)[0])
 
 
-def _mean_probabilities(scenario, beam, peaks, t0=None, include_p32=False,
-                        delocalized=False):
+def _mean_probabilities(scenario, beam, peaks, delocalized=False):
     """Ion-mean scattering probability for each on-axis ramp peak (J).
 
     Ions with bit-equal depth factors share one evaluation, weighted by
     their count; one call into the array path covers every peak.
     """
-    if t0 is None:
-        t0 = scenario.ramp.t_end
     factors, counts = np.unique(beam.depth_factor(scenario.crystal.positions),
                                 return_counts=True)
     p = _scattering_probabilities(
-        t0, scenario.T0, scenario.ramp, np.multiply.outer(peaks, factors),
-        scenario.lattice, scenario.species,
-        p0=scenario.pumping_efficiency_per_ion, include_p32=include_p32,
+        scenario.ramp.t_end, scenario.T0, scenario.ramp,
+        np.multiply.outer(peaks, factors), scenario.lattice,
+        scenario.species, p0=scenario.pumping_efficiency_per_ion,
         delocalized=delocalized)
     return p @ counts / counts.sum()
 
@@ -154,8 +148,7 @@ def subsequent_fraction(n_ions, p):
     return 1.0 + math.expm1(n_ions * math.log1p(-p)) / (n_ions * p)
 
 
-def scan_depth(scenario, beam, depth_grid, include_p32=False,
-               delocalized=False):
+def scan_depth(scenario, beam, depth_grid):
     """Sweep the final lattice depth; one row per grid point.
 
     Returns a list of dicts with keys depth (J), nu_latt (Hz, on-axis
@@ -167,12 +160,10 @@ def scan_depth(scenario, beam, depth_grid, include_p32=False,
     depths = np.asarray(depth_grid, dtype=float)
     if np.any(depths < 0):
         raise DomainError("depth grid entries must be non-negative")
-    p = _mean_probabilities(scenario, beam, depths, include_p32=include_p32,
-                            delocalized=delocalized)
+    p = _mean_probabilities(scenario, beam, depths)
     b = np.full(depths.shape, 0.5)
     live = depths > 0.0
-    if not delocalized:
-        b[live] = _bunching_vec(cn.KB * scenario.T0 / depths[live])
+    b[live] = _bunching_vec(cn.KB * scenario.T0 / depths[live])
     n = scenario.n_ions
     return [{
         "depth": float(depth),

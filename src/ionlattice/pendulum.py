@@ -78,9 +78,7 @@ class IonSpecies:
 
     The decay rates and branching fractions are configuration inputs with
     literature defaults for Ca-40, not hard-coded truths: gamma_397 is the
-    partial P1/2 -> S1/2 rate (the detected 397 nm photons), and
-    branching_leave is the probability per scattering event that the ion
-    leaves the lattice-coupled state.
+    partial P1/2 -> S1/2 rate (the detected 397 nm photons).
     """
 
     mass: float  # kg
@@ -88,16 +86,16 @@ class IonSpecies:
     detection_wavelength: float = cn.CA40_DETECTION_WAVELENGTH
     gamma_p_total: float = cn.CA40_GAMMA_P
     gamma_397: float = cn.CA40_BRANCHING_397 * cn.CA40_GAMMA_P
-    branching_leave: float = cn.CA40_BRANCHING_LEAVE
     fine_structure_splitting: Optional[float] = cn.CA40_FINE_STRUCTURE
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not self.mass > 0:  # NaN fails too
             raise DomainError("ion mass must be positive")
+        if not (self.lattice_transition_wavelength > 0
+                and self.detection_wavelength > 0):
+            raise DomainError("wavelengths must be positive")
         if not 0 < self.gamma_397 <= self.gamma_p_total:
             raise DomainError("need 0 < gamma_397 <= gamma_p_total")
-        if not 0 <= self.branching_leave <= 1:
-            raise DomainError("branching_leave must lie in [0, 1]")
 
     @classmethod
     def ca40(cls):
@@ -115,20 +113,17 @@ class LatticeConfig:
     depth_U0 is signed: positive for a blue-detuned lattice (ions collect
     at intensity nodes), negative for red. detuning is the lattice beam's
     detuning from the coupled transition and must carry the same sign.
-    antinode_intensity / cross_section_397 are only needed when the mean
-    scattering rate is computed from the photon flux instead of from the
-    depth itself.
     """
 
     depth_U0: float  # J, signed
     wavevector_k: float  # 1/m
     detuning: float = 0.0  # rad/s, sign = blue/red
-    antinode_intensity: Optional[float] = None  # W/m^2
-    cross_section_397: Optional[float] = None  # m^2
 
     def __post_init__(self):
-        if self.wavevector_k <= 0:
-            raise DomainError("wavevector_k must be positive")
+        if not 0 < self.wavevector_k < math.inf:  # NaN fails too
+            raise DomainError("wavevector_k must be positive and finite")
+        if not (math.isfinite(self.depth_U0) and math.isfinite(self.detuning)):
+            raise DomainError("depth_U0 and detuning must be finite")
         if self.depth_U0 * self.detuning < 0:
             raise DomainError(
                 "depth_U0 and detuning must carry the same sign "
@@ -172,9 +167,9 @@ class RampProfile:
     shape: str = "linear"
 
     def __post_init__(self):
-        if self.u0_max < 0:
+        if not self.u0_max >= 0:  # NaN fails too
             raise DomainError("u0_max is a depth magnitude, must be >= 0")
-        if self.ramp_duration < 0 or self.hold_duration < 0:
+        if not (self.ramp_duration >= 0 and self.hold_duration >= 0):
             raise DomainError("durations must be non-negative")
         if self.shape not in ("linear", "smoothstep"):
             raise DomainError(f"unknown ramp shape {self.shape!r}")
@@ -218,7 +213,7 @@ def lattice_frequency(T_latt, species, k):
     nu_latt = (k/2pi)*sqrt(2 kB T_latt / M): expanding U0 sin^2(kz) about
     a well bottom gives an angular frequency k*sqrt(2 U0/M).
     """
-    if T_latt < 0:
+    if not T_latt >= 0:  # NaN fails too
         raise DomainError("T_latt must be non-negative")
     return k / (2.0 * math.pi) * math.sqrt(2.0 * cn.KB * T_latt / species.mass)
 
@@ -409,23 +404,9 @@ class EnergyEnsemble:
         """kB T0 / U0, the single dimensionless parameter of the model."""
         return cn.KB * self.T0 / self.U0
 
-    def action_density(self, s):
-        return action_density(s, self.T0, self.U0)
-
-    def energy_density(self, E):
-        return energy_density(E, self.T0, self.U0)
-
-    def bunching(self):
-        return bunching(self.T0, self.U0)
-
     def sample_actions(self, n, rng):
         """n draws of the dimensionless action (half-Gaussian)."""
         return np.abs(rng.normal(0.0, math.sqrt(2.0 * self.theta), size=n))
-
-    def sample_energies(self, n, rng):
-        """n energy draws (J) at the current depth via action inversion."""
-        s = self.sample_actions(n, rng)
-        return self.energies_from_actions(s)
 
     def energies_from_actions(self, s):
         """Map dimensionless actions to energies (J) at the current depth."""
@@ -498,14 +479,7 @@ def _far_detuned_prefactor(config, species, include_p32):
     if delta == 0.0:
         raise DomainError(
             "far-detuned mean rate needs a nonzero lattice detuning")
-    if config.antinode_intensity is not None and config.cross_section_397 is not None:
-        # photon-flux form: (I/hbar omega) sigma_397, with the optical
-        # angular frequency of the lattice beam and I scaled to depth
-        omega_opt = 2.0 * math.pi * cn.C_LIGHT / species.lattice_transition_wavelength
-        flux_max = config.antinode_intensity / (cn.HBAR * omega_opt)
-        pref = flux_max * config.cross_section_397 / config.depth
-    else:
-        pref = species.gamma_397 / (cn.HBAR * abs(delta))
+    pref = species.gamma_397 / (cn.HBAR * abs(delta))
     if include_p32:
         if species.fine_structure_splitting is None:
             raise DomainError(

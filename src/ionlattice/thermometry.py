@@ -21,7 +21,7 @@ the radial-asymmetry bias.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +65,9 @@ class ImagingConfig:
     pixel_pitch: float  # m per pixel
 
     def __post_init__(self):
-        if min(self.sigma_res_axial, self.sigma_res_radial,
-               self.pixel_pitch) <= 0:
+        if not all(v > 0 for v in (  # NaN fails too
+                self.sigma_res_axial, self.sigma_res_radial,
+                self.pixel_pitch)):
             raise DomainError("imaging constants must be positive")
 
     def sigma_res(self, axis):
@@ -384,17 +385,14 @@ def read_spot_profiles(path):
 
 
 def write_spot_profiles(spots, path):
-    """Write SpotMeasurements (or (ion, axis, profile) triples) to CSV."""
+    """Write the raw profiles of SpotMeasurements to CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)
         for spot in spots:
-            if isinstance(spot, SpotMeasurement):
-                ion, axis, prof = spot.ion_index, spot.axis, spot.profile
-            else:
-                ion, axis, prof = spot
-            for pixel, counts in np.asarray(prof, dtype=float):
-                writer.writerow([ion, axis, "%.9g" % pixel, "%.9g" % counts])
+            for pixel, counts in np.asarray(spot.profile, dtype=float):
+                writer.writerow([spot.ion_index, spot.axis, "%.9g" % pixel,
+                                 "%.9g" % counts])
 
 
 def fit_spot_profiles(profiles, imaging):

@@ -119,6 +119,23 @@ class TestParsing:
             parse_config(BASE_YAML.replace("depth_max_mK: 25.0",
                                            f"depth_max_mK: {value}"))
 
+    def test_json_exponent_numbers(self):
+        # YAML 1.1 reads 1e-05 as a string; JSON text must not go that way
+        cfg = parse_config(json.dumps({
+            "trap": {"f_z_kHz": 85, "f_radial_kHz": 170, "q_axial": 1e-05},
+            "crystal": {"n_ions": 2, "seed": 1}}))
+        assert cfg.trap.q_axial == 1e-05
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("f_z_kHz: 85.0", "f_z_kHz: 1.7e+308", "f_z_kHz"),  # inf in Hz
+        ("f_z_kHz: 85.0", "f_z_kHz: 1" + "0" * 400, "f_z_kHz"),
+        ("depth_max_mK: 25.0", "nu_latt_max_MHz: 1.0e+300", "lattice"),
+        ("seed: 7", "seed: 7\n  7: 1", "crystal.7"),
+    ], ids=["inf_in_si", "huge_int", "overflowing_depth", "int_key"])
+    def test_out_of_range_values_are_config_errors(self, old, new, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(BASE_YAML.replace(old, new))
+
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError, match="schema_version"):
             parse_config(BASE_YAML.replace("schema_version: 1",
@@ -410,6 +427,26 @@ class TestMicromotionCommand:
         hottest = max(sum(i["equivalent_temperature_mK"][:2])
                       for i in rep["per_ion"])
         assert hottest == pytest.approx(156.0, rel=0.1)
+
+    @pytest.mark.parametrize("entry", ["mass_amu: 0", "mass_amu: -1",
+                                       "lattice_wavelength_nm: 0"])
+    def test_bad_species_is_config_error(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(BASE_YAML + f"species:\n  {entry}\n")
+        code = main(["micromotion", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "species" in capsys.readouterr().err
+
+    def test_derived_q_out_of_range_is_config_error(self, tmp_path, capsys):
+        # q_radial = 2 sqrt(2) 2500 kHz / 3.98 MHz = 1.78, above 0.92
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(BASE_YAML.replace("f_radial_kHz: 170.0",
+                                         "f_radial_kHz: 2500.0"))
+        code = main(["micromotion", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "q_radial" in capsys.readouterr().err
 
 
 class TestCliPlumbing:

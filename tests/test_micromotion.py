@@ -36,6 +36,13 @@ class TestQParameter:
         with pytest.raises(DomainError):
             q_from_secular_frequency(-1.0, OMEGA_RF)
 
+    def test_derived_q_radial_range_checked(self):
+        # 2.5 MHz radial at the 3.98 MHz drive derives q_radial = 1.78
+        with pytest.raises(DomainError, match="derived q_radial"):
+            TrapConfig.from_frequencies(85e3, 2.5e6)
+        with pytest.raises(DomainError, match="q_radial"):
+            TrapConfig.from_frequencies(85e3, 170e3, q_radial=1.0)
+
     def test_axial_second_order(self):
         assert effective_axial_q(0.12) == pytest.approx(9e-4, rel=1e-12)
         assert effective_axial_q(0.0) == 0.0
