@@ -197,7 +197,8 @@ def parse_config(text):
         raise ConfigError("config must be a mapping of blocks")
 
     version = raw.pop("schema_version", _SCHEMA_VERSION)
-    if version != _SCHEMA_VERSION:
+    # an int, not a bool or float that merely compares equal (True == 1)
+    if type(version) is not int or version != _SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version {version!r} is not supported (expected "
             f"{_SCHEMA_VERSION})")

@@ -232,9 +232,10 @@ class _Dimensionless:
         np.fill_diagonal(r2, 1.0)
         return d, np.sqrt(r2)
 
-    def potential(self, u):
+    def energy_and_gradient(self, u):
+        """Potential and its (N, 3) gradient from one pair pass."""
         d, r = self._pairs(u)
-        if np.min(r + np.eye(len(u)) * 1e30) < 1e-14:
+        if np.min(r) < 1e-14:  # the diagonal of r is 1
             raise SingularConfigurationError(
                 "two ions coincide; Coulomb energy is singular")
         coul = np.sum(np.triu(1.0 / r, k=1))
@@ -242,39 +243,47 @@ class _Dimensionless:
         latt = 0.0
         if self.u0 != 0.0:
             latt = self.u0 * np.sum(np.sin(self.kappa * u[:, 2]) ** 2)
-        return harm + coul + latt
-
-    def gradient(self, u):
-        d, r = self._pairs(u)
         inv3 = 1.0 / (r * r * r)
         np.fill_diagonal(inv3, 0.0)
         g = self.alpha2 * u - np.sum(d * inv3[:, :, None], axis=1)
         if self.u0 != 0.0:
             g[:, 2] += self.u0 * self.kappa * np.sin(2.0 * self.kappa * u[:, 2])
-        return g
+        return harm + coul + latt, g
+
+    def potential(self, u):
+        return self.energy_and_gradient(u)[0]
+
+    def gradient(self, u):
+        return self.energy_and_gradient(u)[1]
 
     def hessian(self, u):
+        """(3N, 3N) Hessian in the x-block, y-block, z-block stacking."""
         n = len(u)
         d, r = self._pairs(u)
         inv3 = 1.0 / (r * r * r)
-        inv5 = inv3 / (r * r)
+        w5 = 3.0 * inv3 / (r * r)
         np.fill_diagonal(inv3, 0.0)
-        np.fill_diagonal(inv5, 0.0)
-        # pair tensor T_ij,ab = 3 d_a d_b / r^5 - delta_ab / r^3
-        t = 3.0 * d[:, :, :, None] * d[:, :, None, :] * inv5[:, :, None, None]
-        t -= np.eye(3)[None, None, :, :] * inv3[:, :, None, None]
-        h = np.zeros((n, n, 3, 3))
-        h -= t
-        diag = np.sum(t, axis=1)
-        h[np.arange(n), np.arange(n)] += diag
-        h[np.arange(n), np.arange(n)] += np.diag(self.alpha2)[None, :, :]
+        np.fill_diagonal(w5, 0.0)
+        d = np.ascontiguousarray(np.moveaxis(d, -1, 0))  # (3, N, N)
+        h = np.empty((3 * n, 3 * n))
+        for a in range(3):
+            for b in range(a, 3):
+                # pair block T_ab = 3 d_a d_b / r^5 - delta_ab / r^3; the
+                # block is -T off the ion diagonal, sum_j T_ij on it
+                t = d[a] * d[b] * w5
+                if a == b:
+                    t -= inv3
+                blk = -t
+                blk.flat[::n + 1] = np.sum(t, axis=1)
+                if a == b:
+                    blk.flat[::n + 1] += self.alpha2[a]
+                h[a * n:(a + 1) * n, b * n:(b + 1) * n] = blk
+                h[b * n:(b + 1) * n, a * n:(a + 1) * n] = blk.T
         if self.u0 != 0.0:
-            curv = 2.0 * self.u0 * self.kappa ** 2 * np.cos(
+            z = np.arange(2 * n, 3 * n)
+            h[z, z] += 2.0 * self.u0 * self.kappa ** 2 * np.cos(
                 2.0 * self.kappa * u[:, 2])
-            h[np.arange(n), np.arange(n), 2, 2] += curv
-        # (i, j, a, b) -> (a*n + i, b*n + j)
-        full = h.transpose(2, 0, 3, 1).reshape(3 * n, 3 * n)
-        return 0.5 * (full + full.T)
+        return h
 
 
 def total_potential(positions, trap, lattice=None, species=None):
@@ -308,40 +317,96 @@ _NEWTON_MAX_ITER = 60
 
 def _newton_polish(scaled, u):
     u = u.copy()
+    g = scaled.gradient(u)
+    gnorm = np.max(np.abs(g))
+    h = None  # Hessian at u, kept while damped retries stay there
     mu = 0.0
     for _ in range(_NEWTON_MAX_ITER):
-        g = scaled.gradient(u)
-        gnorm = np.max(np.abs(g))
         if gnorm <= _GTOL:
             return u, gnorm, True
-        h = scaled.hessian(u)
+        if h is None:
+            h = scaled.hessian(u)
         gflat = g.reshape(-1, order="F")  # x-block, y-block, z-block
         try:
             step = np.linalg.solve(h + mu * np.eye(len(h)), gflat)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(h, gflat, rcond=None)
         trial = u - step.reshape(u.shape, order="F")
-        if np.max(np.abs(scaled.gradient(trial))) < gnorm:
-            u = trial
+        try:
+            g_trial = scaled.gradient(trial)
+        except SingularConfigurationError:  # the step merged two ions
+            g_trial = None
+        if g_trial is not None and np.max(np.abs(g_trial)) < gnorm:
+            u, g, h = trial, g_trial, None
+            gnorm = np.max(np.abs(g))
             mu = max(mu * 0.1, 0.0)
         else:  # damp and retry
             mu = 1e-6 if mu == 0.0 else mu * 10.0
             if mu > 1e6:
                 return u, gnorm, False
-    return u, np.max(np.abs(scaled.gradient(u))), False
+    return u, gnorm, False
 
 
 def _solve_from(scaled, u0):
     n = len(u0)
-    res = minimize(
-        lambda v: scaled.potential(v.reshape(n, 3)),
-        u0.reshape(-1),
-        jac=lambda v: scaled.gradient(v.reshape(n, 3)).reshape(-1),
-        method="BFGS",
-        options={"gtol": 1e-8, "maxiter": 4000},
-    )
+
+    def energy_and_gradient(v):
+        e, g = scaled.energy_and_gradient(v.reshape(n, 3))
+        return e, g.reshape(-1)
+
+    res = minimize(energy_and_gradient, u0.reshape(-1), jac=True,
+                   method="BFGS", options={"gtol": 1e-8, "maxiter": 4000})
     u = res.x.reshape(n, 3)
     return _newton_polish(scaled, u)
+
+
+# a stationary point whose lowest Hessian eigenvalue is below this is a
+# saddle (dimensionless curvature)
+_SADDLE_TOL = -1e-8
+
+
+def _stationary(scaled, n, guess, seed):
+    """Converged stationary point and the spectrum of its Hessian.
+
+    With a dimensionless (n, 3) guess: Newton polish, BFGS first if the
+    polish stalls. Without: the best by energy of ``_RESTARTS`` BFGS
+    descents from jittered strings. Returns (u, energy, gnorm, lam, vec),
+    lam ascending and vec holding one eigenvector per column; raises
+    EquilibriumError if no start converges.
+    """
+    if guess is not None:
+        u, gnorm, ok = _newton_polish(scaled, guess)
+        if not ok:  # long way from quadratic: descend first, then polish
+            u, gnorm, ok = _solve_from(scaled, guess)
+        runs = [(u, gnorm, ok)]
+    else:
+        runs = []
+        for attempt in range(_RESTARTS):
+            rng = np.random.default_rng(seed + attempt)
+            u0 = _string_guess(n, rng, jitter=0.02 * (attempt + 1))
+            runs.append(_solve_from(scaled, u0))
+    converged = [(scaled.potential(u), u, gnorm)
+                 for u, gnorm, ok in runs if ok]
+    if not converged:
+        u, gnorm, _ = runs[-1]
+        raise EquilibriumError(
+            f"equilibrium search stalled at gradient max-norm {gnorm:.3e}",
+            last_positions=u * scaled.ell, gradient_norm=float(gnorm))
+    energy, u, gnorm = min(converged, key=lambda c: c[0])
+    lam, vec = np.linalg.eigh(scaled.hessian(u))
+    return u, energy, float(gnorm), lam, vec
+
+
+def _modes(trap, lam, vec):
+    """ModeDecomposition from the Hessian spectrum at a minimum."""
+    if lam[0] < _SADDLE_TOL:
+        raise UnstableConfigurationError(
+            f"Hessian has a negative eigenvalue {lam[0]:.3e}; "
+            "configuration is unstable (saddle)")
+    lam = np.where(np.abs(lam) < 1e-14, 0.0, lam)
+    freqs = trap.omega_z * np.sqrt(np.clip(lam, 0.0, None))
+    return ModeDecomposition(eigenvalues=lam, frequencies=freqs,
+                             coordinates=vec)
 
 
 def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
@@ -360,40 +425,16 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
         raise DomainError("need at least one ion")
     species = _default_species(species)
     scaled = _Dimensionless(trap, lattice, species)
-
-    candidates = []
-    last = None
     if initial_guess is not None:
-        u0 = np.asarray(initial_guess, dtype=float).reshape(N, 3) / scaled.ell
-        u, gnorm, ok = _newton_polish(scaled, u0)
-        if not ok:  # long way from quadratic: descend first, then polish
-            u, gnorm, ok = _solve_from(scaled, u0)
-        last = (u, gnorm)
-        if ok:
-            candidates.append(u)
-    else:
-        for attempt in range(_RESTARTS):
-            rng = np.random.default_rng(seed + attempt)
-            u0 = _string_guess(N, rng, jitter=0.02 * (attempt + 1))
-            u, gnorm, ok = _solve_from(scaled, u0)
-            last = (u, gnorm)
-            if ok:
-                candidates.append(u)
-    if not candidates:
-        u, gnorm = last
-        raise EquilibriumError(
-            f"equilibrium search stalled at gradient max-norm {gnorm:.3e}",
-            last_positions=u * scaled.ell)
-
-    u = min(candidates, key=scaled.potential)
-    gnorm = float(np.max(np.abs(scaled.gradient(u))))
-    eigmin = float(np.linalg.eigvalsh(scaled.hessian(u)).min())
+        initial_guess = np.asarray(
+            initial_guess, dtype=float).reshape(N, 3) / scaled.ell
+    u, energy, gnorm, lam, _ = _stationary(scaled, N, initial_guess, seed)
     return CrystalState(
         positions=u * scaled.ell,
-        potential_value=scaled.potential(u) * scaled.energy_unit,
+        potential_value=energy * scaled.energy_unit,
         lattice_depth=0.0 if lattice is None else lattice.depth_U0,
         gradient_norm=gnorm,
-        is_saddle=eigmin < -1e-8,
+        is_saddle=bool(lam[0] < _SADDLE_TOL),
     )
 
 
@@ -413,15 +454,7 @@ def normal_modes(state, trap, lattice=None, species=None):
             f"state is not an equilibrium of this potential "
             f"(gradient max-norm {gnorm:.3e}); re-solve before "
             "taking normal modes")
-    lam, vec = np.linalg.eigh(scaled.hessian(u))
-    if lam[0] < -1e-8:
-        raise UnstableConfigurationError(
-            f"Hessian has a negative eigenvalue {lam[0]:.3e}; "
-            "configuration is unstable (saddle)")
-    lam = np.where(np.abs(lam) < 1e-14, 0.0, lam)
-    freqs = trap.omega_z * np.sqrt(np.clip(lam, 0.0, None))
-    return ModeDecomposition(eigenvalues=lam, frequencies=freqs,
-                             coordinates=vec)
+    return _modes(trap, *np.linalg.eigh(scaled.hessian(u)))
 
 
 def gamma_parameters(modes):
@@ -532,7 +565,11 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     A deepening lattice can destroy the tracked minimum outright (ions
     re-settle into wells); the warm start then converges onto the saddle
     left behind. Tracking follows the physics: relax along the unstable
-    direction to the adjacent minimum and continue from there.
+    direction to the adjacent minimum and continue from there. Six kicks
+    of either sign are tried and the lowest minimum reached is kept; a
+    kick whose solve stalls is skipped, and only if every kick stalls
+    does the sweep raise EquilibriumError, naming the best gradient
+    max-norm reached.
     """
     if steps < 2:
         raise DomainError("need at least two continuation steps")
@@ -548,47 +585,56 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         if grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
 
-    def descend_from_saddle(st, latt):
-        scaled = _Dimensionless(trap, latt, species)
-        u = st.positions / scaled.ell
-        lam, vec = np.linalg.eigh(scaled.hessian(u))
-        soft = vec[:, 0].reshape(3, N).T  # most negative curvature
-        best = None
-        for eps in (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1):
-            kicked = st.positions + eps * scaled.ell * soft
-            cand = equilibrium(N, trap, latt, initial_guess=kicked,
-                               species=species, seed=seed)
-            if cand.is_saddle:
+    def descend_from_saddle(scaled, u, soft):
+        # kicks along the most negative curvature direction; a kick that
+        # stalls or lands on a saddle again is skipped
+        soft = soft.reshape(3, N).T
+        kicks = (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)
+        best, stalled = None, []
+        for eps in kicks:
+            try:
+                cand = _stationary(scaled, N, u + eps * soft, seed)
+            except EquilibriumError as exc:
+                stalled.append(exc)
                 continue
-            if best is None or cand.potential_value < best.potential_value:
+            _, energy, _, lam, _ = cand
+            if lam[0] >= _SADDLE_TOL and (best is None or energy < best[1]):
                 best = cand
-        if best is None:
-            raise UnstableConfigurationError(
-                "tracked configuration lost stability and no adjacent "
-                "minimum was reachable along the unstable direction")
-        return best
+        if best is not None:
+            return best
+        if len(stalled) == len(kicks):
+            closest = min(stalled, key=lambda exc: exc.gradient_norm)
+            raise EquilibriumError(
+                "tracked configuration lost stability and every kick along "
+                "the unstable direction stalled; best gradient max-norm "
+                f"{closest.gradient_norm:.3e}",
+                last_positions=closest.last_positions,
+                gradient_norm=closest.gradient_norm)
+        raise UnstableConfigurationError(
+            "tracked configuration lost stability and no adjacent "
+            "minimum was reachable along the unstable direction")
 
     def solve_at(nu, guess):
         depth = _depth_for_nu(nu, lattice_max, species)
         latt = replace(lattice_max, depth_U0=depth) if depth != 0.0 else None
-        st = equilibrium(N, trap, latt, initial_guess=guess,
-                         species=species, seed=seed)
-        if st.is_saddle:
-            st = descend_from_saddle(st, latt)
-        md = normal_modes(st, trap, latt, species=species)
-        return st, md
+        scaled = _Dimensionless(trap, latt, species)
+        u, _, _, lam, vec = _stationary(scaled, N, guess, seed)
+        if lam[0] < _SADDLE_TOL:
+            u, _, _, lam, vec = descend_from_saddle(scaled, u, vec[:, 0])
+        return u, _modes(trap, lam, vec)
 
+    ell = length_scale(trap, species)
     # the tracked branches start in eigh's ascending order at zero depth
     nu = grid[0]
-    state, modes = solve_at(nu, None)
+    u, modes = solve_at(nu, None)
     b_prev = modes.coordinates
-    rows = [(nu, modes.frequencies, b_prev, state.positions, False)]
+    rows = [(nu, modes.frequencies, b_prev, u * ell, False)]
     flagged = []
     # targets still to reach, nearest last: (nu_latt, halvings, refined)
     pending = [(target, 0, False) for target in grid[:0:-1]]
     while pending:
         target, level, refined = pending.pop()
-        st, md = solve_at(target, state.positions)
+        u_new, md = solve_at(target, u)
         overlap = np.abs(b_prev.T @ md.coordinates)
         perm = linear_sum_assignment(-overlap)[1]  # rows come back 0..3N-1
         weakest = np.min(overlap[np.arange(len(perm)), perm])
@@ -613,8 +659,8 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         # keep eigenvector signs continuous across steps
         signs = np.sign(np.sum(b_prev * b_new, axis=0))
         signs[signs == 0.0] = 1.0
-        nu, state, b_prev = target, st, b_new * signs
-        rows.append((nu, md.frequencies[perm], b_prev, st.positions, refined))
+        nu, u, b_prev = target, u_new, b_new * signs
+        rows.append((nu, md.frequencies[perm], b_prev, u * ell, refined))
 
     nus, freqs, coords, poss, refined = zip(*rows)
     return ContinuationResult(

@@ -43,11 +43,15 @@ class SingularConfigurationError(IonLatticeError):
 
 
 class EquilibriumError(IonLatticeError):
-    """Equilibrium search did not converge. Carries the last iterate."""
+    """Equilibrium search did not converge.
 
-    def __init__(self, message, last_positions=None):
+    Carries the last iterate (m) and its gradient max-norm (dimensionless).
+    """
+
+    def __init__(self, message, last_positions=None, gradient_norm=None):
         super().__init__(message)
         self.last_positions = last_positions
+        self.gradient_norm = gradient_norm
 
 
 class UnstableConfigurationError(IonLatticeError):

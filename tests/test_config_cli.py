@@ -141,6 +141,17 @@ class TestParsing:
             parse_config(BASE_YAML.replace("schema_version: 1",
                                            "schema_version: 2"))
 
+    @pytest.mark.parametrize("value", ["true", "1.0", '"1"'])
+    def test_schema_version_must_be_int(self, value, tmp_path):
+        text = BASE_YAML.replace("schema_version: 1",
+                                 f"schema_version: {value}")
+        with pytest.raises(ConfigError, match="schema_version"):
+            parse_config(text)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text)
+        assert main(["equilibrium", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
     def test_hash_ignores_formatting(self):
         noisy = BASE_YAML.replace("f_z_kHz: 85.0", "f_z_kHz: 85.00")
         assert parse_config(noisy).config_hash == \

@@ -1,11 +1,13 @@
 """Equilibria, normal modes, continuation tracking, classification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ionlattice import (
+    CrystalState,
     DomainError,
     EquilibriumError,
     IonSpecies,
@@ -24,6 +26,7 @@ from ionlattice import (
     total_potential,
 )
 from ionlattice import constants as cn
+from ionlattice import crystal
 
 
 def potential_oracle(positions, trap, species):
@@ -350,3 +353,195 @@ class TestStepHalving:
 
     def test_nothing_flagged(self, halved):
         assert halved.flagged == []
+
+
+# ----------------------------------------------------------------------
+# the dimensionless kernel against the formulas it replaced
+
+
+def _separate_potential(scaled, u):
+    """Potential from its own pair pass, as before the fused kernel."""
+    d, r = scaled._pairs(u)
+    coul = np.sum(np.triu(1.0 / r, k=1))
+    harm = 0.5 * np.sum(scaled.alpha2 * u * u)
+    latt = 0.0
+    if scaled.u0 != 0.0:
+        latt = scaled.u0 * np.sum(np.sin(scaled.kappa * u[:, 2]) ** 2)
+    return harm + coul + latt
+
+
+def _separate_gradient(scaled, u):
+    d, r = scaled._pairs(u)
+    inv3 = 1.0 / (r * r * r)
+    np.fill_diagonal(inv3, 0.0)
+    g = scaled.alpha2 * u - np.sum(d * inv3[:, :, None], axis=1)
+    if scaled.u0 != 0.0:
+        g[:, 2] += scaled.u0 * scaled.kappa * np.sin(
+            2.0 * scaled.kappa * u[:, 2])
+    return g
+
+
+def _tensor_hessian(scaled, u):
+    """The (N, N, 3, 3) pair-tensor assembly, transposed into blocks."""
+    n = len(u)
+    d, r = scaled._pairs(u)
+    inv3 = 1.0 / (r * r * r)
+    inv5 = inv3 / (r * r)
+    np.fill_diagonal(inv3, 0.0)
+    np.fill_diagonal(inv5, 0.0)
+    t = 3.0 * d[:, :, :, None] * d[:, :, None, :] * inv5[:, :, None, None]
+    t -= np.eye(3)[None, None, :, :] * inv3[:, :, None, None]
+    h = -t
+    h[np.arange(n), np.arange(n)] += np.sum(t, axis=1)
+    h[np.arange(n), np.arange(n)] += np.diag(scaled.alpha2)[None, :, :]
+    if scaled.u0 != 0.0:
+        h[np.arange(n), np.arange(n), 2, 2] += 2.0 * scaled.u0 \
+            * scaled.kappa ** 2 * np.cos(2.0 * scaled.kappa * u[:, 2])
+    full = h.transpose(2, 0, 3, 1).reshape(3 * n, 3 * n)
+    return 0.5 * (full + full.T)
+
+
+@pytest.fixture(params=["no_lattice", "lattice"])
+def kernel(request, ca40):
+    latt = None
+    if request.param == "lattice":
+        k = ca40.lattice_wavevector
+        latt = LatticeConfig(
+            depth_U0=ca40.mass * (2 * math.pi * 0.3e6) ** 2 / (2.0 * k * k),
+            wavevector_k=k, detuning=2 * math.pi * 0.76e12)
+    trap = TrapConfig.from_frequencies(85e3, 300e3)
+    return crystal._Dimensionless(trap, latt, ca40)
+
+
+def _random_crystal(seed, n):
+    # a jittered 3D string: random, yet no two ions closer than ~0.4
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, 0.3, size=(n, 3))
+    u[:, 2] += 1.2 * (np.arange(n) - 0.5 * (n - 1))
+    return u
+
+
+class TestKernel:
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 7), (2, 16), (3, 64)])
+    def test_energy_and_gradient_bit_equal(self, kernel, seed, n):
+        u = _random_crystal(seed, n)
+        energy, grad = kernel.energy_and_gradient(u)
+        assert energy == _separate_potential(kernel, u)
+        assert np.array_equal(grad, _separate_gradient(kernel, u))
+
+    @pytest.mark.parametrize("seed, n", [(4, 2), (5, 7), (6, 16), (7, 64)])
+    def test_block_hessian_matches_tensor_assembly(self, kernel, seed, n):
+        u = _random_crystal(seed, n)
+        h = kernel.hessian(u)
+        oracle = _tensor_hessian(kernel, u)
+        assert np.array_equal(h, h.T)
+        assert np.max(np.abs(h - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("seed, n", [(8, 3), (9, 9)])
+    def test_hessian_is_gradient_derivative(self, kernel, seed, n):
+        u = _random_crystal(seed, n)
+        eps = 1e-6
+        fd = np.empty((3 * n, 3 * n))
+        for col in range(3 * n):
+            du = np.zeros(3 * n)
+            du[col] = eps
+            du = du.reshape(u.shape, order="F")  # x-block, y-block, z-block
+            diff = kernel.gradient(u + du) - kernel.gradient(u - du)
+            fd[:, col] = diff.reshape(-1, order="F") / (2.0 * eps)
+        h = kernel.hessian(u)
+        assert np.max(np.abs(h - fd)) <= 1e-6 * np.max(np.abs(h))
+
+
+class TestOneSpectrumPerDepth:
+    def test_continuation_counts(self, monkeypatch, ca40, trap_zigzag4):
+        counts = dict.fromkeys(("eigvalsh", "hessian", "solve", "solves"), 0)
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted(np.linalg.eigvalsh, "eigvalsh"))
+        monkeypatch.setattr(crystal._Dimensionless, "hessian",
+                            counted(crystal._Dimensionless.hessian, "hessian"))
+        # a Newton step is one linear solve, or lstsq when singular
+        monkeypatch.setattr(np.linalg, "solve",
+                            counted(np.linalg.solve, "solve"))
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            counted(np.linalg.lstsq, "solve"))
+        monkeypatch.setattr(crystal, "_stationary",
+                            counted(crystal._stationary, "solves"))
+        latt = LatticeConfig(
+            depth_U0=ca40.mass * (2 * math.pi * 0.20e6) ** 2
+            / (2.0 * ca40.lattice_wavevector ** 2),
+            wavevector_k=ca40.lattice_wavevector,
+            detuning=2 * math.pi * 0.76e12)
+        res = continuation(4, trap_zigzag4, latt, species=ca40, seed=7,
+                           nu_grid=NU_GRID)
+        monkeypatch.undo()
+
+        assert counts["eigvalsh"] == 0
+        assert counts["solves"] >= len(res.nu_latt)
+        assert counts["hessian"] <= counts["solve"] + counts["solves"]
+        for i, depth in enumerate(res.depths):
+            row_latt = None if depth == 0.0 else replace(latt, depth_U0=depth)
+            state = CrystalState(positions=res.positions[i],
+                                 potential_value=0.0, lattice_depth=depth,
+                                 gradient_norm=0.0)
+            md = normal_modes(state, trap_zigzag4, row_latt, species=ca40)
+            np.testing.assert_allclose(
+                np.sort(res.frequencies[:, i]),
+                md.frequencies / (2.0 * math.pi), rtol=1e-12)
+
+
+class TestSaddleDescent:
+    def test_planar_sweep_passes_saddle(self, ca40):
+        # 32 ions in a planar crystal: at the 78th node of the default
+        # 200-step grid the tracked minimum turns into a saddle, and the
+        # first kick along the unstable direction stalls
+        latt = LatticeConfig(depth_U0=cn.KB * 25e-3,
+                             wavevector_k=ca40.lattice_wavevector,
+                             detuning=2 * math.pi * 0.76e12)
+        nu_max = latt.vibrational_frequency(ca40)
+        grid = np.geomspace(1e-3 * nu_max, nu_max, 199)[:78]
+        res = continuation(32, TrapConfig.from_frequencies(40e3, 300e3),
+                           latt, species=ca40, seed=7, nu_grid=grid)
+        assert res.nu_latt[-1] == grid[-1]
+        assert np.all(np.isfinite(res.frequencies))
+        assert res.frequencies[:, 1:].min() > 0.0
+
+    @pytest.mark.parametrize("last_kick_converges", [False, True])
+    def test_kicks_that_stall_are_skipped(self, monkeypatch, ca40,
+                                          trap_zigzag4, last_kick_converges):
+        # the first warm solve reports a saddle; every kick from it but
+        # possibly the last stalls, the k-th at gradient max-norm k
+        real = crystal._stationary
+        kicks = []
+
+        def scripted(scaled, n, guess, seed):
+            out = real(scaled, n, guess, seed)
+            if guess is None:
+                return out
+            kicks.append(guess)
+            if len(kicks) == 1:
+                u, energy, gnorm, lam, vec = out
+                return u, energy, gnorm, np.r_[-1.0, lam[1:]], vec
+            if last_kick_converges and len(kicks) >= 7:
+                return out
+            raise EquilibriumError("stalled", gradient_norm=len(kicks) - 1.0)
+
+        monkeypatch.setattr(crystal, "_stationary", scripted)
+        latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
+                             wavevector_k=ca40.lattice_wavevector,
+                             detuning=2 * math.pi * 0.76e12)
+        args = (4, trap_zigzag4, latt)
+        kwargs = dict(species=ca40, seed=7, nu_grid=[0.1e6])
+        if last_kick_converges:
+            assert len(continuation(*args, **kwargs).nu_latt) == 2
+        else:
+            with pytest.raises(EquilibriumError,
+                               match="every kick.*max-norm 1.000e"):
+                continuation(*args, **kwargs)
+        assert len(kicks) >= 7
