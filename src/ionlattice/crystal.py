@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
+from scipy.optimize import OptimizeResult, linear_sum_assignment, minimize
+from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
 from . import constants as cn
 from .errors import (
@@ -347,6 +348,48 @@ def _newton_polish(scaled, u):
     return u, gnorm, False
 
 
+def _bfgs(fun, x0, jac, gtol, maxiter, **_):
+    """scipy's BFGS loop with the inverse-Hessian update in O(n^2).
+
+    The update (I - rho s y^T) H (I - rho y s^T) + rho s s^T expands, for
+    symmetric H, to the rank-two form H + (rho^2 y^T H y + rho) s s^T -
+    rho (H y s^T + s (H y)^T); scipy forms the two dense products, O(n^3)
+    per iteration. Line search, first-step seed, rho = 1000 when y^T s =
+    0, the stop on a non-finite energy and the gradient max-norm test are
+    scipy's. A ``minimize`` method: ``fun`` and ``jac`` share one
+    evaluation through scipy's ``MemoizeJac`` when called with jac=True.
+    """
+    x = x0
+    f = fun(x)
+    g = jac(x)
+    h = np.eye(len(x))
+    old_f = f + np.linalg.norm(g) / 2  # first step of about unit length
+    k = 0
+    while np.max(np.abs(g)) > gtol and k < maxiter:
+        p = -(h @ g)
+        try:
+            alpha, _, _, f, old_f, g_new = _line_search_wolfe12(
+                fun, jac, x, p, g, f, old_f, amin=1e-100, amax=1e100)
+        except _LineSearchError:
+            break
+        s = alpha * p
+        x = x + s
+        if g_new is None:
+            g_new = jac(x)
+        y = g_new - g
+        g = g_new
+        k += 1
+        if np.max(np.abs(g)) <= gtol or not np.isfinite(f):
+            break
+        ys = np.dot(y, s)
+        rho = 1000.0 if ys == 0.0 else 1.0 / ys
+        hy = h @ y
+        a = 0.5 * (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
+        sa = np.outer(s, a)
+        h += sa + sa.T  # s a^T + a s^T, kept exactly symmetric
+    return OptimizeResult(x=x, nit=k)
+
+
 def _solve_from(scaled, u0):
     n = len(u0)
 
@@ -355,23 +398,27 @@ def _solve_from(scaled, u0):
         return e, g.reshape(-1)
 
     res = minimize(energy_and_gradient, u0.reshape(-1), jac=True,
-                   method="BFGS", options={"gtol": 1e-8, "maxiter": 4000})
+                   method=_bfgs, options={"gtol": 1e-8, "maxiter": 4000})
     u = res.x.reshape(n, 3)
     return _newton_polish(scaled, u)
 
 
 # a stationary point whose lowest Hessian eigenvalue is below this is a
-# saddle (dimensionless curvature)
+# saddle (dimensionless curvature); cold starts whose energies agree to
+# _TIE_RTOL relative are tied
 _SADDLE_TOL = -1e-8
+_TIE_RTOL = 1e-12
 
 
 def _stationary(scaled, n, guess, seed):
     """Converged stationary point and the spectrum of its Hessian.
 
     With a dimensionless (n, 3) guess: Newton polish, BFGS first if the
-    polish stalls. Without: the best by energy of ``_RESTARTS`` BFGS
-    descents from jittered strings. Returns (u, energy, gnorm, lam, vec),
-    lam ascending and vec holding one eigenvector per column; raises
+    polish stalls. Without: ``_RESTARTS`` descents from jittered strings,
+    each BFGS with the O(n^2) update (``_bfgs``) then Newton polish; the
+    lowest energy wins, and of starts tied with it to ``_TIE_RTOL``
+    relative (mirror images) the first. Returns (u, energy, gnorm, lam,
+    vec), lam ascending and vec holding one eigenvector per column; raises
     EquilibriumError if no start converges.
     """
     if guess is not None:
@@ -392,7 +439,11 @@ def _stationary(scaled, n, guess, seed):
         raise EquilibriumError(
             f"equilibrium search stalled at gradient max-norm {gnorm:.3e}",
             last_positions=u * scaled.ell, gradient_norm=float(gnorm))
-    energy, u, gnorm = min(converged, key=lambda c: c[0])
+    # mirror images of one minimum differ in energy by rounding only: take
+    # the first start that ties with the lowest, not whichever rounds low
+    lowest = min(c[0] for c in converged)
+    energy, u, gnorm = next(c for c in converged
+                            if c[0] - lowest <= _TIE_RTOL * abs(lowest))
     lam, vec = np.linalg.eigh(scaled.hessian(u))
     return u, energy, float(gnorm), lam, vec
 
@@ -413,9 +464,12 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
                 seed=0):
     """Stationary configuration of N ions, to gradient max-norm 1e-10.
 
-    Without a guess: BFGS descent from a slightly jittered axial string
-    (deterministic in ``seed``), best of four starts by energy, then
-    Newton polish. With a guess (warm start): polish only, fully
+    Without a guess: BFGS descent (scipy's loop with an O(n^2)
+    inverse-Hessian update) from a slightly jittered axial string
+    (deterministic in ``seed``), then Newton polish; best of four starts
+    by energy, and the first of the starts whose energies tie with the
+    lowest to 1e-12 relative, so that rounding never picks between mirror
+    images. With a guess (warm start): polish only, fully
     deterministic. A converged stationary point with a direction of
     negative curvature is returned with ``is_saddle`` set rather than
     re-seeded, so instability of e.g. a linear chain past the zigzag

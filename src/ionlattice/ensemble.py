@@ -105,11 +105,15 @@ def mean_scattering_probability_per_ion(scenario, beam, delocalized=False):
 def _mean_probabilities(scenario, beam, peaks, delocalized=False):
     """Ion-mean scattering probability for each on-axis ramp peak (J).
 
-    Ions with bit-equal depth factors share one evaluation, weighted by
+    Ions whose depth factors agree to 1e-12 relative (mirror images of
+    one another, which the solver places equal only up to rounding)
+    share one evaluation at the group's smallest factor, weighted by
     their count; one call into the array path covers every peak.
     """
-    factors, counts = np.unique(beam.depth_factor(scenario.crystal.positions),
-                                return_counts=True)
+    f = np.sort(beam.depth_factor(scenario.crystal.positions))
+    first = np.concatenate([[True], np.diff(f) > 1e-12 * f[1:]])
+    factors = f[first]
+    counts = np.diff(np.append(np.flatnonzero(first), len(f)))
     p = _scattering_probabilities(
         scenario.ramp.t_end, scenario.T0, scenario.ramp,
         np.multiply.outer(peaks, factors), scenario.lattice,

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize._minimize
+import scipy.optimize._optimize
+from scipy.optimize import linear_sum_assignment, minimize
 
 from ionlattice import (
     CrystalState,
@@ -545,3 +548,65 @@ class TestSaddleDescent:
                                match="every kick.*max-norm 1.000e"):
                 continuation(*args, **kwargs)
         assert len(kicks) >= 7
+
+
+def _cold_start(n, seed, attempt=0):
+    # the jittered string that ``_stationary`` descends from first
+    return crystal._string_guess(n, np.random.default_rng(seed + attempt),
+                                 jitter=0.02 * (attempt + 1))
+
+
+class TestColdSolver:
+    TRAP = TrapConfig.from_frequencies(85e3, 300e3)
+
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_bfgs_reaches_scipy_minimum(self, ca40, n):
+        scaled = crystal._Dimensionless(self.TRAP, None, ca40)
+
+        def energy_and_gradient(v):
+            e, g = scaled.energy_and_gradient(v.reshape(n, 3))
+            return e, g.reshape(-1)
+
+        minima = []
+        for method in ("BFGS", crystal._bfgs):
+            res = minimize(energy_and_gradient, _cold_start(n, 7).reshape(-1),
+                           jac=True, method=method,
+                           options={"gtol": 1e-8, "maxiter": 4000})
+            assert res.nit > 0
+            u, _, ok = crystal._newton_polish(scaled, res.x.reshape(n, 3))
+            assert ok
+            minima.append((scaled.potential(u), u))
+        (e_ref, u_ref), (e_new, u_new) = minima
+        assert e_new == pytest.approx(e_ref, rel=1e-12, abs=0.0)
+        dist = np.linalg.norm(u_ref[:, None, :] - u_new[None, :, :], axis=-1)
+        rows, cols = linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) <= 1e-9
+
+    def test_scipy_bfgs_not_called(self, monkeypatch, ca40):
+        # the O(n^3) update lives in scipy's own BFGS; a cold solve must
+        # not reach it under either of the names ``minimize`` can use
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy's BFGS was called")
+
+        for module in (scipy.optimize._optimize, scipy.optimize._minimize):
+            monkeypatch.setattr(module, "_minimize_bfgs", refuse)
+        state = equilibrium(12, self.TRAP, species=ca40, seed=7)
+        assert state.gradient_norm <= 1e-10
+
+    def test_first_of_tied_starts_wins(self, ca40):
+        # 14 ions, seed 3: starts 0 and 2 reach mirror images whose
+        # energies differ in the last bits only
+        n, seed = 14, 3
+        scaled = crystal._Dimensionless(self.TRAP, None, ca40)
+        starts = []
+        for attempt in range(crystal._RESTARTS):
+            u, _, ok = crystal._solve_from(scaled,
+                                           _cold_start(n, seed, attempt))
+            assert ok
+            starts.append((scaled.potential(u), u))
+        lowest = min(e for e, _ in starts)
+        tied = [u for e, u in starts if e - lowest <= 1e-12 * lowest]
+        assert len(tied) >= 2
+        assert np.max(np.abs(tied[0] - tied[1])) > 1e-3  # not one structure
+        state = equilibrium(n, self.TRAP, species=ca40, seed=seed)
+        np.testing.assert_array_equal(state.positions, tied[0] * scaled.ell)
