@@ -22,7 +22,6 @@ from .crystal import (
     gamma_parameters,
     length_scale,
     normal_modes,
-    spot_variance_model,
     total_potential,
 )
 from .ensemble import (
@@ -92,6 +91,7 @@ from .thermometry import (
     fit_spot_profiles,
     ion_temperature_from_mode_temperatures,
     read_spot_profiles,
+    spot_variance_model,
     synthesize_spots,
     write_spot_profiles,
 )

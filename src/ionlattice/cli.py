@@ -34,7 +34,7 @@ from .crystal import (
     normal_modes,
 )
 from .ensemble import ScatteringScenario, scan_depth
-from .errors import ConfigError, exit_code_for
+from .errors import ConfigError, SpotParseError, exit_code_for
 from .micromotion import excess_micromotion
 from .thermometry import (
     estimate_temperature,
@@ -92,21 +92,13 @@ def _write_json(path, obj):
         fh.write(text + "\n")
 
 
-def _outdir(args, cfg):
-    out = args.out if args.out is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _solve_reference(cfg):
     # the zero-depth structure anchors every command
     return equilibrium(cfg.n_ions, cfg.trap, species=cfg.species,
                        seed=cfg.seed)
 
 
-def cmd_equilibrium(args):
-    cfg = load_config(args.config)
-    out = _outdir(args, cfg)
+def cmd_equilibrium(args, cfg, out):
     state = _solve_reference(cfg)
     rows = [(i, x / 1e-6, y / 1e-6, z / 1e-6)
             for i, (x, y, z) in enumerate(state.positions)]
@@ -122,9 +114,7 @@ def _require(cfg, attr, key):
     return value
 
 
-def cmd_modes(args):
-    cfg = load_config(args.config)
-    out = _outdir(args, cfg)
+def cmd_modes(args, cfg, out):
     lattice = _require(cfg, "lattice", "lattice block")
     if args.grid is not None:
         nu_grid = _parse_grid(args.grid) * 1e6  # MHz -> Hz
@@ -146,12 +136,11 @@ def cmd_modes(args):
     phi = report.plane_angle
     nx, ny = -math.sin(phi), math.cos(phi)  # normal of the crystal plane
 
-    n = cfg.n_ions
     axial = res.block_weight("z")  # (3N, n_steps)
     rows = []
     for i in range(len(res.nu_latt)):
-        c = res.coordinates[i]
-        normal_comp = nx * c[0:n, :] + ny * c[n:2 * n, :]
+        c = res.by_axis[i]  # [axis, ion, branch]
+        normal_comp = nx * c[0] + ny * c[1]
         plane_w = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
         for p in range(res.n_branches):
             rows.append((res.nu_latt[i] / 1e6, str(p),
@@ -172,9 +161,7 @@ def cmd_modes(args):
     return 0
 
 
-def cmd_scatter(args):
-    cfg = load_config(args.config)
-    out = _outdir(args, cfg)
+def cmd_scatter(args, cfg, out):
     lattice = _require(cfg, "lattice", "lattice block")
     ramp = _require(cfg, "ramp", "ramp block")
     t0 = _require(cfg, "T0", "crystal.T0_mK")
@@ -207,10 +194,13 @@ def cmd_scatter(args):
     return 0
 
 
-def cmd_thermometry(args):
-    cfg = load_config(args.config)
-    out = _outdir(args, cfg)
+def cmd_thermometry(args, cfg, out):
     profiles = read_spot_profiles(args.spots)
+    for ion, _, _ in profiles:
+        if ion >= cfg.n_ions:
+            raise SpotParseError(
+                f"spots: ion_index {ion} is outside [0, {cfg.n_ions}) for "
+                f"this crystal of {cfg.n_ions} ions")
     spots = fit_spot_profiles(profiles, cfg.imaging)
 
     state = _solve_reference(cfg)
@@ -232,9 +222,7 @@ def cmd_thermometry(args):
     return 0
 
 
-def cmd_micromotion(args):
-    cfg = load_config(args.config)
-    out = _outdir(args, cfg)
+def cmd_micromotion(args, cfg, out):
     state = _solve_reference(cfg)
     rep = excess_micromotion(state, cfg.trap, cfg.species)
     _write_json(f"{out}/micromotion.json", {
@@ -305,7 +293,10 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        out = args.out if args.out is not None else cfg.output_dir
+        os.makedirs(out, exist_ok=True)
+        return args.func(args, cfg, out)
     except Exception as exc:  # uniform diagnostic + exit-code mapping
         print(f"ionlattice: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

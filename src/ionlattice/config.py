@@ -33,7 +33,7 @@ from . import constants as cn
 from .crystal import TrapConfig
 from .ensemble import BeamProfile
 from .errors import ConfigError
-from .pendulum import IonSpecies, LatticeConfig, RampProfile
+from .pendulum import IonSpecies, LatticeConfig, RampProfile, _depth_for_nu
 from .thermometry import ImagingConfig
 
 __all__ = ["RunConfig", "load_config", "parse_config", "config_hash"]
@@ -261,8 +261,7 @@ def parse_config(text):
             else:
                 if lat["nu_latt_max_MHz"] < 0:
                     raise ConfigError("lattice.nu_latt_max_MHz must be >= 0")
-                nu = lat["nu_latt_max_MHz"]
-                u0 = species.mass * (2.0 * math.pi * nu) ** 2 / (2.0 * k * k)
+                u0 = _depth_for_nu(lat["nu_latt_max_MHz"], species, k)
             detuning = lat["detuning_THz"]
             signed = -u0 if detuning < 0 else u0
             lattice = LatticeConfig(depth_U0=signed, wavevector_k=k,

@@ -14,9 +14,10 @@ previous equilibrium: a cold solve at deep lattice would land in an
 arbitrary well.
 
 Mode bookkeeping: coordinates are stacked x-block, y-block, z-block, so
-row l = a*N + m is axis a of ion m; eigenvector matrices hold one mode per
-column. Branches across a depth sweep are identified by overlap, never by
-frequency order, which swaps at avoided crossings.
+row l = a*N + m is axis a of ion m (``_by_axis`` is the one place that
+unpacks it); eigenvector matrices hold one mode per column. Branches
+across a depth sweep are identified by overlap, never by frequency
+order, which swaps at avoided crossings.
 """
 
 import math
@@ -35,7 +36,7 @@ from .errors import (
     SoftModeError,
     UnstableConfigurationError,
 )
-from .pendulum import IonSpecies
+from .pendulum import _default_species, _depth_for_nu
 
 __all__ = [
     "TrapConfig",
@@ -49,12 +50,17 @@ __all__ = [
     "equilibrium",
     "normal_modes",
     "gamma_parameters",
-    "spot_variance_model",
     "continuation",
     "classify_structure",
 ]
 
 _BLOCKS = {"x": 0, "y": 1, "z": 2}
+
+
+def _by_axis(coordinates):
+    """(..., 3, N, modes) view of (..., 3N, modes) block-stacked vectors."""
+    *lead, rows, modes = coordinates.shape
+    return coordinates.reshape(*lead, 3, rows // 3, modes)
 
 
 @dataclass(frozen=True)
@@ -135,10 +141,6 @@ class CrystalState:
     gradient_norm: float
     is_saddle: bool = False
 
-    @property
-    def n_ions(self):
-        return self.positions.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class ModeDecomposition:
@@ -158,11 +160,14 @@ class ModeDecomposition:
     def n_ions(self):
         return self.coordinates.shape[0] // 3
 
+    @property
+    def by_axis(self):
+        """(3, N, 3N) view of coordinates: [axis, ion, mode]."""
+        return _by_axis(self.coordinates)
+
     def block_weight(self, block):
         """Per-mode weight in one coordinate block ('x', 'y' or 'z')."""
-        a = _BLOCKS[block]
-        n = self.n_ions
-        rows = self.coordinates[a * n:(a + 1) * n, :]
+        rows = self.by_axis[_BLOCKS[block]]
         return np.sum(rows * rows, axis=0)
 
 
@@ -196,10 +201,6 @@ class StructureReport:
     kind: str
     out_of_plane_count: int
     plane_angle: float  # rad, orientation of the reference plane, y=soft
-
-
-def _default_species(species):
-    return species if species is not None else IonSpecies.ca40()
 
 
 def length_scale(trap, species):
@@ -267,6 +268,7 @@ class _Dimensionless:
         np.fill_diagonal(w5, 0.0)
         d = np.ascontiguousarray(np.moveaxis(d, -1, 0))  # (3, N, N)
         h = np.empty((3 * n, 3 * n))
+        blocks = _by_axis(h).reshape(3, n, 3, n)  # [axis, ion, axis, ion]
         for a in range(3):
             for b in range(a, 3):
                 # pair block T_ab = 3 d_a d_b / r^5 - delta_ab / r^3; the
@@ -278,8 +280,8 @@ class _Dimensionless:
                 blk.flat[::n + 1] = np.sum(t, axis=1)
                 if a == b:
                     blk.flat[::n + 1] += self.alpha2[a]
-                h[a * n:(a + 1) * n, b * n:(b + 1) * n] = blk
-                h[b * n:(b + 1) * n, a * n:(a + 1) * n] = blk.T
+                blocks[a, :, b] = blk
+                blocks[b, :, a] = blk.T
         if self.u0 != 0.0:
             z = np.arange(2 * n, 3 * n)
             h[z, z] += 2.0 * self.u0 * self.kappa ** 2 * np.cos(
@@ -526,27 +528,12 @@ def gamma_parameters(modes):
         raise SoftModeError(
             f"mode {p} (frequency {modes.frequencies[p]:.3e} rad/s) is soft; "
             "position variance diverges", mode_index=p)
-    b = modes.coordinates
-    n = modes.n_ions
-    gamma2 = np.empty((n, 3))
-    for a in range(3):
-        rows = b[a * n:(a + 1) * n, :]
-        gamma2[:, a] = np.sum(rows * rows / lam[None, :], axis=1)
-    rad = b[0:n, :] + b[n:2 * n, :]
+    b = modes.by_axis
+    gamma2 = np.sum(b * b / lam, axis=2).T
+    rad = b[0] + b[1]
     gamma2_rad = np.sum(rad * rad / (2.0 * lam[None, :]), axis=1)
     return GammaTable(gamma=np.sqrt(gamma2),
                       gamma_radial_projected=np.sqrt(gamma2_rad))
-
-
-def spot_variance_model(T, gamma, trap, species, sigma_res):
-    """Expected image-spot variance (m^2): thermal motion + resolution.
-
-    sigma^2 = (kB T/(M omega_z^2)) gamma^2 + sigma_res^2.
-    """
-    if not T >= 0:  # NaN fails too
-        raise DomainError("temperature must be non-negative")
-    return cn.KB * T / (species.mass * trap.omega_z ** 2) * gamma ** 2 \
-        + sigma_res ** 2
 
 
 # ----------------------------------------------------------------------
@@ -579,18 +566,20 @@ class ContinuationResult:
     def n_branches(self):
         return self.frequencies.shape[0]
 
+    @property
+    def by_axis(self):
+        """(n, 3, N, 3N) view of coordinates: [step, axis, ion, branch]."""
+        return _by_axis(self.coordinates)
+
     def block_weight(self, block):
         """(3N, n) weight of each branch in one coordinate block."""
-        a = _BLOCKS[block]
-        n = self.coordinates.shape[1] // 3
-        rows = self.coordinates[:, a * n:(a + 1) * n, :]
+        rows = self.by_axis[:, _BLOCKS[block]]
         return np.transpose(np.sum(rows * rows, axis=1))
 
 
-def _depth_for_nu(nu, lattice_max, species):
-    # U0 = M (2 pi nu)^2 / (2 k^2), signed like the reference lattice
-    k = lattice_max.wavevector_k
-    mag = species.mass * (2.0 * math.pi * nu) ** 2 / (2.0 * k * k)
+def _signed_depth(nu, lattice_max, species):
+    # depth at nu_latt, signed like the reference lattice
+    mag = _depth_for_nu(nu, species, lattice_max.wavevector_k)
     return math.copysign(mag, lattice_max.depth_U0) if nu > 0 else 0.0
 
 
@@ -639,10 +628,10 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         if grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
 
-    def descend_from_saddle(scaled, u, soft):
+    def descend_from_saddle(scaled, u, vec):
         # kicks along the most negative curvature direction; a kick that
         # stalls or lands on a saddle again is skipped
-        soft = soft.reshape(3, N).T
+        soft = _by_axis(vec)[:, :, 0].T
         kicks = (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)
         best, stalled = None, []
         for eps in kicks:
@@ -669,12 +658,12 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
             "minimum was reachable along the unstable direction")
 
     def solve_at(nu, guess):
-        depth = _depth_for_nu(nu, lattice_max, species)
+        depth = _signed_depth(nu, lattice_max, species)
         latt = replace(lattice_max, depth_U0=depth) if depth != 0.0 else None
         scaled = _Dimensionless(trap, latt, species)
         u, _, _, lam, vec = _stationary(scaled, N, guess, seed)
         if lam[0] < _SADDLE_TOL:
-            u, _, _, lam, vec = descend_from_saddle(scaled, u, vec[:, 0])
+            u, _, _, lam, vec = descend_from_saddle(scaled, u, vec)
         return u, _modes(trap, lam, vec)
 
     ell = length_scale(trap, species)
@@ -699,10 +688,13 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
             continue
         if level == _MAX_HALVINGS:
             for p, row in enumerate(overlap):
-                order = np.argsort(row)
-                gap = row[order[-1]] - row[order[-2]]
+                second, best = np.argsort(row)[-2:]
+                gap = row[best] - row[second]
                 if gap < _AMBIGUITY_TOL:
-                    partner = int(np.nonzero(perm == order[-2])[0][0])
+                    # the branch holding the other of p's two best columns;
+                    # p itself may hold its second best
+                    other = second if perm[p] == best else best
+                    partner = int(np.nonzero(perm == other)[0][0])
                     flagged.append({
                         "step": len(rows),
                         "nu_latt": target,
@@ -719,7 +711,7 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     nus, freqs, coords, poss, refined = zip(*rows)
     return ContinuationResult(
         nu_latt=np.asarray(nus),
-        depths=np.array([_depth_for_nu(v, lattice_max, species)
+        depths=np.array([_signed_depth(v, lattice_max, species)
                          for v in nus]),
         frequencies=np.transpose(freqs) / (2.0 * math.pi),
         coordinates=np.asarray(coords),

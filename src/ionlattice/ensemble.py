@@ -20,7 +20,7 @@ import numpy as np
 
 from . import constants as cn
 from .errors import DomainError
-# bench/tracer.py wraps bunching and scattering_probability in this module
+# bench/tracer.py reads bunching and scattering_probability in this module
 from .pendulum import (  # noqa: F401
     IonSpecies,
     _bunching_vec,

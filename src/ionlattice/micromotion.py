@@ -21,7 +21,7 @@ import numpy as np
 
 from . import constants as cn
 from .errors import DomainError
-from .pendulum import IonSpecies
+from .pendulum import _default_species
 
 __all__ = [
     "MicromotionReport",
@@ -89,7 +89,7 @@ def excess_micromotion(state, trap, species=None):
     mean radial secular frequency); the axial channel uses q_axial when
     it was configured nonzero and the effective (q_radial/4)^2 otherwise.
     """
-    species = species if species is not None else IonSpecies.ca40()
+    species = _default_species(species)
     q_rad = trap.q_radial_effective
     q_ax = trap.q_axial if trap.q_axial > 0 else effective_axial_q(q_rad)
     q_vec = np.array([q_rad, q_rad, q_ax])

@@ -36,7 +36,9 @@ from .errors import (
     SeparatrixError,
     TurningPointError,
 )
-# bench/tracer.py wraps elliptic_e and elliptic_k in this module
+# bench/tracer.py reads elliptic_e, elliptic_k and
+# integrate_with_endpoint_singularity in this module (and wraps
+# mean_scattering_rate, defined below)
 from .specfun import (  # noqa: F401
     _ellipk_deficit_vec,
     _exp_sinh,
@@ -104,6 +106,11 @@ class IonSpecies:
     @property
     def lattice_wavevector(self):
         return 2.0 * math.pi / self.lattice_transition_wavelength
+
+
+def _default_species(species):
+    """species, or Ca-40 when it is None."""
+    return species if species is not None else IonSpecies.ca40()
 
 
 @dataclass(frozen=True)
@@ -192,16 +199,6 @@ class RampProfile:
             return x * x * (3.0 - 2.0 * x)
         return x
 
-    def full_depth_time(self, t):
-        """Integral of |U0|/u0_max over [0, t], t in [0, t_end]: T x^2/2
-        (linear) or T (x^3 - x^4/2) (smoothstep), x = t/T, plus the hold."""
-        if t < 0 or t > self.t_end:
-            raise DomainError(f"t={t!r} outside ramp domain [0, {self.t_end}]")
-        duration = self.ramp_duration
-        x = min(t / duration, 1.0) if duration > 0 else 0.0
-        ramp = 0.5 * x * x if self.shape == "linear" else x ** 3 * (1 - x / 2)
-        return duration * ramp + max(t - duration, 0.0)
-
 
 # ----------------------------------------------------------------------
 # pendulum kinematics
@@ -216,6 +213,11 @@ def lattice_frequency(T_latt, species, k):
     if not T_latt >= 0:  # NaN fails too
         raise DomainError("T_latt must be non-negative")
     return k / (2.0 * math.pi) * math.sqrt(2.0 * cn.KB * T_latt / species.mass)
+
+
+def _depth_for_nu(nu, species, k):
+    # |U0| = M (2 pi nu)^2 / (2 k^2), the inverse of lattice_frequency
+    return species.mass * (2.0 * math.pi * nu) ** 2 / (2.0 * k * k)
 
 
 def dimensionless_action(E, U0):
@@ -323,19 +325,6 @@ def bunching(T0, U0):
     return float(_bunching_vec(cn.KB * T0 / U0))
 
 
-def _bunching_theta(theta, tol=1e-9):
-    # adaptive-quadrature reference for _bunching_vec, kept for the tests:
-    # x = E/U0; P(E) dE = w(x) dx with w = exp(-s^2/(4 theta)) tau / sqrt(pi theta)
-    norm = 1.0 / math.sqrt(math.pi * theta)
-
-    def integrand(x):
-        s, tau, b = _orbit(x, abs(x - 1.0))
-        return norm * math.exp(-s * s / (4.0 * theta)) * tau * b
-
-    return integrate_with_endpoint_singularity(
-        integrand, 0.0, np.inf, singular_points=[1.0], tol=tol)
-
-
 def _orbit(x, d):
     """Action s, period tau and <sin^2> at energy ratios x = E/U0 (arrays).
 
@@ -356,7 +345,8 @@ def _orbit(x, d):
 # where tau diverges logarithmically: tanh-sinh on x in (0, 1), whose
 # nodes do not depend on theta, and exp-sinh on x - 1 in (0, inf) scaled
 # by max(1, theta) to follow the Gaussian's reach x ~ theta. Error
-# against _bunching_theta: ~1e-10 for theta in [1e-4, 1e5], ~1e-9 at 1e-5.
+# against adaptive quadrature of the same integral (the tests' oracle):
+# ~1e-10 for theta in [1e-4, 1e5], ~1e-9 at 1e-5.
 _THETA_CHUNK = 128  # thetas per block, bounding the (theta, node) arrays
 _THETA_FREE = 1e30  # B = 1/2 - O(theta^-1/2) is 1/2 in doubles beyond this
 # one tanh-sinh rule serves B's lower panel and the ramp time integral
@@ -473,8 +463,13 @@ def scattering_rate(kz, rabi, config, species):
     return 0.5 * species.gamma_397 * half_o2 / denom
 
 
-def _far_detuned_prefactor(config, species, include_p32):
-    # rate per unit (depth * spatial factor): Gamma_sc = pref * U0(t) * X
+def _mean_rate(depth, T0, config, species, include_p32):
+    """Far-detuned ensemble-mean rate pref * |U0| * X at depths |U0| > 0 (J).
+
+    X is the thermal mean of the normalized local intensity: B for a blue
+    lattice (ions pile up at the nodes), 1 - B for red; T0=None pins it
+    at 1/2 (delocalized). Elementwise over an array of depths.
+    """
     delta = config.detuning
     if delta == 0.0:
         raise DomainError(
@@ -488,7 +483,10 @@ def _far_detuned_prefactor(config, species, include_p32):
         # spatial profile; a small correction, not a full multi-level model
         d2 = delta - species.fine_structure_splitting
         pref += species.gamma_397 * abs(delta) / (cn.HBAR * d2 * d2)
-    return pref
+    if T0 is None:
+        return pref * depth * 0.5
+    b = _bunching_vec(cn.KB * T0 / depth)
+    return pref * depth * (b if config.is_blue else 1.0 - b)
 
 
 def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
@@ -505,9 +503,7 @@ def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
     u0t = ramp.depth(t)
     if u0t <= 0.0:
         return 0.0
-    pref = _far_detuned_prefactor(config, species, include_p32)
-    b = float(_bunching_vec(cn.KB * T0 / u0t))
-    return pref * u0t * (b if config.is_blue else 1.0 - b)
+    return float(_mean_rate(u0t, T0, config, species, include_p32))
 
 
 def scattering_probability(t0, T0, ramp, config, species, p0=1.0,
@@ -530,7 +526,7 @@ def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0,
     Reference baseline for an ion that samples the standing wave
     uniformly (no thermal localization): <sin^2 kz> = 1/2 regardless of
     depth, so blue and red coincide. Everything else matches
-    scattering_probability; the depth integral is closed-form.
+    scattering_probability, the tanh-sinh rule over the ramp included.
     """
     return float(_scattering_probabilities(
         t0, None, ramp, ramp.u0_max, config, species, p0, include_p32,
@@ -571,18 +567,14 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     t_up = min(t0, ramp.t_end)
     if t_up <= 0.0 or not np.any(live):
         return np.zeros(u0.shape)
-    pref = _far_detuned_prefactor(config, species, include_p32)
-    if delocalized:
-        return p0 * -np.expm1(-0.5 * pref * u0 * ramp.full_depth_time(t_up))
-
     t_ramp = min(t_up, ramp.ramp_duration)
     x_end = t_ramp / ramp.ramp_duration if t_ramp > 0.0 else 1.0
     # the ramp by the tanh-sinh rule, the hold (constant rate) as one node
     frac = np.append(ramp.fraction(_TS_X * x_end), 1.0)
     weight = np.append(t_ramp * _TS_W, t_up - t_ramp)
     depth = np.multiply.outer(u0[live], frac)
-    b = _bunching_vec(cn.KB * T0 / depth)
-    rate = pref * depth * (b if config.is_blue else 1.0 - b)
+    rate = _mean_rate(depth, None if delocalized else T0, config, species,
+                      include_p32)
     err = np.max(np.abs(rate[:, :-1] @ (t_ramp * (_TS_W - _TS_W2))))
     if err > 1e-8:
         warnings.warn(

@@ -21,7 +21,7 @@ the radial-asymmetry bias.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from scipy.optimize import least_squares
 from scipy.special import stdtrit
 
 from . import constants as cn
-from .crystal import spot_variance_model
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -37,13 +36,14 @@ from .errors import (
     NegativeThermalVarianceError,
     SpotParseError,
 )
-from .pendulum import IonSpecies
+from .pendulum import _default_species
 
 __all__ = [
     "ImagingConfig",
     "SpotMeasurement",
     "TemperatureEstimate",
     "GaussianFit",
+    "spot_variance_model",
     "fit_gaussian_profile",
     "estimate_temperature",
     "synthesize_spots",
@@ -87,7 +87,6 @@ class SpotMeasurement:
     ion_index: int
     axis: str  # "axial" or "radial"
     profile: np.ndarray  # (n, 2): pixel coordinate, counts
-    fitted_center: float  # m
     fitted_sigma: float  # m
     sigma_ci95: float  # m, half-width
     overlapping: bool = False
@@ -106,6 +105,18 @@ class GaussianFit(NamedTuple):
     amplitude: float
     offset: float
     ci95: tuple  # (center, sigma, amplitude, offset) half-widths
+
+
+def spot_variance_model(T, gamma, trap, species, sigma_res):
+    """Expected image-spot variance (m^2): thermal motion + resolution.
+
+    sigma^2 = (kB T/(M omega_z^2)) gamma^2 + sigma_res^2, elementwise in
+    gamma.
+    """
+    if not T >= 0:  # NaN fails too
+        raise DomainError("temperature must be non-negative")
+    return cn.KB * T / (species.mass * trap.omega_z ** 2) * gamma ** 2 \
+        + sigma_res ** 2
 
 
 def _gauss(x, a, c, s, b):
@@ -189,9 +200,12 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
 
 
 def _spot_gamma(spot, gamma):
-    if spot.axis == "axial":
-        return float(gamma.axial[spot.ion_index])
-    return float(gamma.gamma_radial_projected[spot.ion_index])
+    table = gamma.axial if spot.axis == "axial" \
+        else gamma.gamma_radial_projected
+    if not 0 <= spot.ion_index < len(table):
+        raise DomainError(f"spot ion_index {spot.ion_index} is outside "
+                          f"[0, {len(table)})")
+    return float(table[spot.ion_index])
 
 
 def estimate_temperature(spots, gamma, trap, species, imaging,
@@ -258,10 +272,10 @@ def estimate_temperature(spots, gamma, trap, species, imaging,
     )
 
 
-def _projected_center(position, axis):
-    if axis == "axial":
-        return float(position[2])
-    return float((position[0] + position[1]) / math.sqrt(2.0))
+def _projected_center(pos, axis):
+    # camera coordinate of every ion: z, or x and y seen at 45 degrees
+    return pos[:, 2] if axis == "axial" \
+        else (pos[:, 0] + pos[:, 1]) / math.sqrt(2.0)
 
 
 def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
@@ -272,49 +286,41 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
     For each ion and requested axis: expected spot width from
     spot_variance_model, the Gaussian sampled at pixel centers with the
     amplitude scaled so the total is photon_budget, optional Poisson
-    noise (deterministic under seed), then a Gaussian fit of the result.
-    Spots whose centers sit within two widths of another ion on the same
-    projection axis are marked overlapping.
+    noise (deterministic under seed), then a Gaussian fit of the result
+    (fit_spot_profiles). Spots whose centers sit within two widths of
+    another ion on the same projection axis are marked overlapping.
     """
     if T < 0:
         raise DomainError("temperature must be non-negative")
-    species = species if species is not None else IonSpecies.ca40()
+    species = _default_species(species)
     rng = np.random.default_rng(seed)
     pitch = imaging.pixel_pitch
     pos = np.asarray(state.positions, dtype=float)
     n = pos.shape[0]
 
-    spots = []
+    profiles, overlapping = [], []
     for axis in axes:
         if axis not in _AXES:
             raise DomainError(f"unknown spot axis {axis!r}")
-        centers = np.array([_projected_center(pos[m], axis) for m in range(n)])
+        centers = _projected_center(pos, axis)
         gammas = gamma.axial if axis == "axial" else gamma.gamma_radial_projected
-        sigmas = np.sqrt([
-            spot_variance_model(T, float(gm), trap, species,
-                                imaging.sigma_res(axis))
-            for gm in gammas])
+        sigmas = np.sqrt(spot_variance_model(T, gammas, trap, species,
+                                             imaging.sigma_res(axis)))
         for m in range(n):
             c, s = centers[m], sigmas[m]
             others = np.delete(np.arange(n), m)
-            overlap = bool(np.any(
+            overlapping.append(bool(np.any(
                 np.abs(centers[others] - c)
-                < 2.0 * np.maximum(sigmas[others], s)))
+                < 2.0 * np.maximum(sigmas[others], s))))
             lo = math.floor((c - 5.0 * s) / pitch)
             hi = math.ceil((c + 5.0 * s) / pitch)
             px = np.arange(lo, hi + 1, dtype=float)
             amp = photon_budget * pitch / (s * math.sqrt(2.0 * math.pi))
-            expected = amp * np.exp(
-                -0.5 * ((px * pitch - c) / s) ** 2) + background
+            expected = _gauss(px * pitch, amp, c, s, background)
             counts = rng.poisson(expected).astype(float) if noise else expected
-            fit = fit_gaussian_profile(np.column_stack([px, counts]),
-                                       pixel_pitch=pitch)
-            spots.append(SpotMeasurement(
-                ion_index=m, axis=axis,
-                profile=np.column_stack([px, counts]),
-                fitted_center=fit.center, fitted_sigma=fit.sigma,
-                sigma_ci95=fit.ci95[1], overlapping=overlap))
-    return spots
+            profiles.append((m, axis, np.column_stack([px, counts])))
+    return [replace(spot, overlapping=flag) for spot, flag
+            in zip(fit_spot_profiles(profiles, imaging), overlapping)]
 
 
 def ion_temperature_from_mode_temperatures(modes, mode_temperatures):
@@ -325,13 +331,12 @@ def ion_temperature_from_mode_temperatures(modes, mode_temperatures):
     per-mode energy onto ions and axes.
     """
     tp = np.asarray(mode_temperatures, dtype=float)
-    b = modes.coordinates
-    if tp.shape != (b.shape[0],):
+    n_modes = modes.coordinates.shape[1]
+    if tp.shape != (n_modes,):
         raise DomainError(
-            f"need {b.shape[0]} mode temperatures, got {tp.shape}")
-    n = modes.n_ions
-    t_la = (b * b) @ tp  # length 3N, block-stacked
-    return t_la.reshape(3, n).T  # (N, 3): x, y, z columns
+            f"need {n_modes} mode temperatures, got {tp.shape}")
+    b = modes.by_axis
+    return ((b * b) @ tp).T  # (N, 3): x, y, z columns
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +350,9 @@ def read_spot_profiles(path):
     """Parse a spot CSV into [(ion_index, axis, (n,2) array), ...].
 
     Rows are grouped by (ion_index, axis) in order of first appearance.
-    Malformed content raises SpotParseError naming the offending line.
+    Malformed content raises SpotParseError naming the offending line: a
+    wrong header or field count, a non-integer or negative ion_index, an
+    unknown axis, or a pixel or counts value that is not a finite number.
     """
     groups = {}
     order = []
@@ -371,6 +378,12 @@ def read_spot_profiles(path):
                 counts = float(row[3])
             except ValueError as exc:
                 raise SpotParseError(f"line {i}: {exc}") from None
+            if ion < 0:
+                raise SpotParseError(
+                    f"line {i}: ion_index must be non-negative, got {ion}")
+            if not (math.isfinite(pixel) and math.isfinite(counts)):
+                raise SpotParseError(
+                    f"line {i}: pixel and counts must be finite numbers")
             axis = row[1].strip()
             if axis not in _AXES:
                 raise SpotParseError(
@@ -402,6 +415,5 @@ def fit_spot_profiles(profiles, imaging):
         fit = fit_gaussian_profile(prof, pixel_pitch=imaging.pixel_pitch)
         out.append(SpotMeasurement(
             ion_index=ion, axis=axis, profile=np.asarray(prof, dtype=float),
-            fitted_center=fit.center, fitted_sigma=fit.sigma,
-            sigma_ci95=fit.ci95[1]))
+            fitted_sigma=fit.sigma, sigma_ci95=fit.ci95[1]))
     return out

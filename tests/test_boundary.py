@@ -1,13 +1,18 @@
-"""Input boundary: non-finite model parameters, fuzzed configs and grids.
+"""Input boundary: non-finite model parameters, fuzzed configs, grids
+and spot CSVs.
 
 Every parameter bundle rejects NaN with DomainError instead of carrying
 it into a result. parse_config and the --grid parser either return a
-value or raise ConfigError, whatever the input.
+value or raise ConfigError, whatever the input; the spot-CSV reader
+either returns finite profiles or raises SpotParseError.
 """
 
 import copy
+import csv
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -25,9 +30,11 @@ from ionlattice import (
     LatticeConfig,
     RampProfile,
     RunConfig,
+    SpotParseError,
     TrapConfig,
     lattice_frequency,
     parse_config,
+    read_spot_profiles,
     spot_variance_model,
 )
 from ionlattice import constants as cn
@@ -161,3 +168,41 @@ def test_parse_grid_returns_or_raises_config_error(spec):
             return
     assert grid.ndim == 1 and grid.size >= 1
     assert np.all(np.isfinite(grid)) and np.all(grid >= 0)
+
+
+# ----------------------------------------------------------------------
+# spot CSV rows
+
+_FIELDS = st.one_of(
+    st.sampled_from(["0", "3", "-1", "nan", "-nan", "inf", "-inf", "1e400",
+                     "-1e400", "2.5", "", "x", " 4 ", str(10 ** 30),
+                     str(-(10 ** 30))]),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_SPOT_ROWS = st.lists(
+    st.tuples(_FIELDS, st.sampled_from(["axial", "radial", "x", ""]),
+              _FIELDS, _FIELDS),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPOT_ROWS)
+def test_read_spot_profiles_returns_or_raises_spot_parse_error(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spots.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["ion_index", "axis", "pixel", "counts"])
+            writer.writerows(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                profiles = read_spot_profiles(path)
+            except SpotParseError:
+                return
+    for ion, axis, prof in profiles:
+        assert ion >= 0 and axis in ("axial", "radial")
+        assert prof.ndim == 2 and prof.shape[1] == 2
+        assert np.all(np.isfinite(prof))

@@ -402,6 +402,29 @@ class TestThermometryCommand:
         assert code == EXIT_CONFIG
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, named", [
+        ("8,axial,0,10", "ion_index 8"),  # the crystal has ions 0..7
+        ("-1,axial,0,10", "line 3"),
+        ("0,axial,0,nan", "line 3"),
+        ("0,axial,inf,10", "line 3"),
+    ])
+    def test_bad_spot_row_is_config_error(self, ws8, tmp_path, capsys,
+                                          monkeypatch, row, named):
+        import ionlattice.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the crystal was solved before the check")
+
+        monkeypatch.setattr(cli, "equilibrium", no_solve)
+        cfg, out = ws8
+        bad = tmp_path / "bad.csv"
+        bad.write_text("ion_index,axis,pixel,counts\n0,axial,1,10\n"
+                       + row + "\n")
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(bad)])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
     def test_negative_variance_is_solver_error(self, ws8, tmp_path, capsys):
         from ionlattice import (ImagingConfig, equilibrium,
                                 gamma_parameters, normal_modes,

@@ -1,5 +1,6 @@
 """Equilibria, normal modes, continuation tracking, classification."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -25,11 +26,13 @@ from ionlattice import (
     gamma_parameters,
     length_scale,
     normal_modes,
+    parse_config,
     spot_variance_model,
     total_potential,
 )
 from ionlattice import constants as cn
 from ionlattice import crystal
+from ionlattice.cli import _parse_grid, main
 
 
 def potential_oracle(positions, trap, species):
@@ -356,6 +359,65 @@ class TestStepHalving:
 
     def test_nothing_flagged(self, halved):
         assert halved.flagged == []
+
+
+ZIGZAG4_YAML = """\
+trap: {f_z_kHz: 85.0, f_radial_kHz: 170.0, q_axial: 5.0e-4}
+lattice: {detuning_THz: 0.76, nu_latt_max_MHz: 0.2}
+crystal: {n_ions: 4, seed: 7}
+"""
+# coarse zigzag4 grids whose second step lands in the avoided crossing of
+# branches 2 and 3, where their two best overlaps differ by < 0.01; on
+# NU_GRID branch 3 is assigned its second-best column
+AMBIGUOUS_GRID = "0.0487:0.2:4:lin"
+
+
+class TestAmbiguityFlag:
+    @pytest.fixture()
+    def unrefined(self, monkeypatch):
+        # no halving allowed, so the ambiguous step is emitted and flagged
+        monkeypatch.setattr(crystal, "_MAX_HALVINGS", 0)
+        monkeypatch.setattr(crystal, "_AMBIGUITY_TOL", 0.02)
+
+    @pytest.mark.parametrize("grid", [NU_GRID, AMBIGUOUS_GRID])
+    def test_entries_point_at_emitted_rows(self, unrefined, grid):
+        cfg = parse_config(ZIGZAG4_YAML)
+        if isinstance(grid, str):
+            grid = _parse_grid(grid) * 1e6
+        res = continuation(4, cfg.trap, cfg.lattice, species=cfg.species,
+                           seed=7, nu_grid=grid)
+        assert res.flagged
+        c = res.coordinates
+        for entry in res.flagged:
+            step, (p, partner) = entry["step"], entry["branches"]
+            assert entry["nu_latt"] == res.nu_latt[step]
+            assert not res.refined[step]
+            # overlap[p, q]: branch p's previous vector against the column
+            # branch q took at this step
+            overlap = np.abs(c[step - 1].T @ c[step])
+            second, best = np.argsort(overlap[p])[-2:]
+            assert entry["overlap_gap"] == pytest.approx(
+                overlap[p, best] - overlap[p, second], abs=1e-12)
+            assert entry["overlap_gap"] < 0.02
+            # the partner holds the other of p's two best columns
+            assert partner != p
+            assert partner == (second if best == p else best)
+
+    def test_modes_writes_the_same_entries(self, unrefined, tmp_path):
+        cfg = tmp_path / "zigzag4.yaml"
+        cfg.write_text(ZIGZAG4_YAML)
+        assert main(["modes", "--config", str(cfg), "--out", str(tmp_path),
+                     "--grid", AMBIGUOUS_GRID]) == 0
+        parsed = parse_config(ZIGZAG4_YAML)
+        res = continuation(4, parsed.trap, parsed.lattice,
+                           species=parsed.species, seed=7,
+                           nu_grid=_parse_grid(AMBIGUOUS_GRID) * 1e6)
+        written = json.loads((tmp_path / "modes_warnings.json").read_text())
+        assert written["flagged"] == [
+            {"step": e["step"], "nu_latt_MHz": e["nu_latt"] / 1e6,
+             "branches": list(e["branches"]),
+             "overlap_gap": e["overlap_gap"]} for e in res.flagged]
+        assert written["flagged"]
 
 
 # ----------------------------------------------------------------------

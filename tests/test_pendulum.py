@@ -33,13 +33,31 @@ from ionlattice import (
     scattering_rate,
 )
 from ionlattice import constants as cn
+from ionlattice.pendulum import _orbit
 from ionlattice.specfun import integrate_with_endpoint_singularity
 
 U0 = cn.KB * 25e-3  # reference depth throughout
 
 
 # ---------------------------------------------------------------------
-# oracles: the action from its defining phase-space integral
+# oracles: B(theta) by adaptive quadrature, and the action from its
+# defining phase-space integral
+
+
+def bunching_theta(theta, tol=1e-9):
+    """B(theta) by adaptive quadrature, the reference for _bunching_vec.
+
+    x = E/U0; P(E) dE = w(x) dx with w = exp(-s^2/(4 theta)) tau /
+    sqrt(pi theta), integrated against <sin^2>(x) across the separatrix.
+    """
+    norm = 1.0 / math.sqrt(math.pi * theta)
+
+    def integrand(x):
+        s, tau, b = _orbit(x, abs(x - 1.0))
+        return norm * math.exp(-s * s / (4.0 * theta)) * tau * b
+
+    return integrate_with_endpoint_singularity(
+        integrand, 0.0, np.inf, singular_points=[1.0], tol=tol)
 
 
 def action_oracle(E, u0):
@@ -145,7 +163,6 @@ class TestEnergyDistribution:
         # s -> x by Newton on both branches and at the separatrix, then
         # back through the s(x) it inverts (the scalar closed form loses
         # relative accuracy to cancellation as s -> 0)
-        from ionlattice.pendulum import _orbit
         x = EnergyEnsemble(T0=1.0, U0=1.0).energies_from_actions([s])
         s_back = _orbit(x, np.maximum(np.abs(x - 1.0), 1e-300))[0][0]
         assert s_back == pytest.approx(s, rel=1e-12, abs=1e-300)
@@ -230,17 +247,17 @@ class TestBunching:
     def test_fast_path_matches_quadrature(self):
         # the fixed-node rule behind mean_scattering_rate vs the adaptive
         # quadrature of the same integral
-        from ionlattice.pendulum import _bunching_theta, _bunching_vec
+        from ionlattice.pendulum import _bunching_vec
         rng = np.random.default_rng(5)
         thetas = 10.0 ** rng.uniform(-4.8, 3.8, 25)
-        exact = np.array([_bunching_theta(t, 1e-10) for t in thetas])
+        exact = np.array([bunching_theta(t, 1e-10) for t in thetas])
         np.testing.assert_allclose(_bunching_vec(thetas), exact,
                                    rtol=0, atol=1e-6)
 
     def test_fixed_rule_accuracy_over_theta_range(self):
-        from ionlattice.pendulum import _bunching_theta, _bunching_vec
+        from ionlattice.pendulum import _bunching_vec
         thetas = np.geomspace(1e-5, 1e5, 31)
-        exact = np.array([_bunching_theta(t, 1e-10) for t in thetas])
+        exact = np.array([bunching_theta(t, 1e-10) for t in thetas])
         np.testing.assert_allclose(_bunching_vec(thetas), exact,
                                    rtol=0, atol=1e-8)
 

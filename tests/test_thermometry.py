@@ -228,6 +228,20 @@ class TestEstimateTemperature:
                                  imaging, include_radial=True)
         assert c.T != a.T
 
+    @pytest.mark.parametrize("ion", [-1, 8])
+    def test_ion_index_outside_crystal(self, ion, string8, string8_gamma,
+                                       trap_string8, ca40, imaging):
+        # -1 must not wrap round to the last ion's gamma
+        import dataclasses
+        spots = synthesize_spots(3.5e-3, string8, string8_gamma, imaging,
+                                 photon_budget=2e4, seed=4,
+                                 trap=trap_string8, species=ca40,
+                                 axes=("axial",))
+        stray = dataclasses.replace(spots[0], ion_index=ion)
+        with pytest.raises(DomainError, match=f"ion_index {ion} "):
+            estimate_temperature(spots + [stray], string8_gamma,
+                                 trap_string8, ca40, imaging)
+
     def test_no_usable_spots(self, string8, string8_gamma, trap_string8,
                              ca40, imaging):
         spots = synthesize_spots(3.5e-3, string8, string8_gamma, imaging,
@@ -342,4 +356,19 @@ class TestSpotIO:
         p = tmp_path / "nan.csv"
         p.write_text("ion_index,axis,pixel,counts\n0,axial,0,many\n")
         with pytest.raises(SpotParseError, match="line 2"):
+            read_spot_profiles(p)
+
+    @pytest.mark.parametrize("row", [
+        "0,axial,3,nan",  # non-finite counts
+        "0,axial,3,-inf",
+        "0,axial,inf,12",  # non-finite pixel
+        "0,axial,3,1e400",  # overflows to inf
+        "-1,axial,3,12",  # would index the last ion
+    ])
+    def test_non_finite_value_or_negative_ion_names_line(self, tmp_path,
+                                                         row):
+        p = tmp_path / "bad.csv"
+        p.write_text("ion_index,axis,pixel,counts\n0,axial,2,11\n"
+                     + row + "\n")
+        with pytest.raises(SpotParseError, match="line 3"):
             read_spot_profiles(p)
