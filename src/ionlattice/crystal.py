@@ -25,10 +25,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linear_sum_assignment, minimize
-from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
+# every cold solve draws its starts from numpy.random, which numpy loads
+# lazily: importing it here keeps its load in start-up, out of the solve
+from numpy.random import default_rng
 
 from . import constants as cn
+# bench/tracer.py wraps ``minimize`` here, so _solve_from calls it through
+# this module's namespace
+from ._optim import assignment, minimize
 from .errors import (
     DomainError,
     EquilibriumError,
@@ -350,48 +354,6 @@ def _newton_polish(scaled, u):
     return u, gnorm, False
 
 
-def _bfgs(fun, x0, jac, gtol, maxiter, **_):
-    """scipy's BFGS loop with the inverse-Hessian update in O(n^2).
-
-    The update (I - rho s y^T) H (I - rho y s^T) + rho s s^T expands, for
-    symmetric H, to the rank-two form H + (rho^2 y^T H y + rho) s s^T -
-    rho (H y s^T + s (H y)^T); scipy forms the two dense products, O(n^3)
-    per iteration. Line search, first-step seed, rho = 1000 when y^T s =
-    0, the stop on a non-finite energy and the gradient max-norm test are
-    scipy's. A ``minimize`` method: ``fun`` and ``jac`` share one
-    evaluation through scipy's ``MemoizeJac`` when called with jac=True.
-    """
-    x = x0
-    f = fun(x)
-    g = jac(x)
-    h = np.eye(len(x))
-    old_f = f + np.linalg.norm(g) / 2  # first step of about unit length
-    k = 0
-    while np.max(np.abs(g)) > gtol and k < maxiter:
-        p = -(h @ g)
-        try:
-            alpha, _, _, f, old_f, g_new = _line_search_wolfe12(
-                fun, jac, x, p, g, f, old_f, amin=1e-100, amax=1e100)
-        except _LineSearchError:
-            break
-        s = alpha * p
-        x = x + s
-        if g_new is None:
-            g_new = jac(x)
-        y = g_new - g
-        g = g_new
-        k += 1
-        if np.max(np.abs(g)) <= gtol or not np.isfinite(f):
-            break
-        ys = np.dot(y, s)
-        rho = 1000.0 if ys == 0.0 else 1.0 / ys
-        hy = h @ y
-        a = 0.5 * (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
-        sa = np.outer(s, a)
-        h += sa + sa.T  # s a^T + a s^T, kept exactly symmetric
-    return OptimizeResult(x=x, nit=k)
-
-
 def _solve_from(scaled, u0):
     n = len(u0)
 
@@ -399,8 +361,8 @@ def _solve_from(scaled, u0):
         e, g = scaled.energy_and_gradient(v.reshape(n, 3))
         return e, g.reshape(-1)
 
-    res = minimize(energy_and_gradient, u0.reshape(-1), jac=True,
-                   method=_bfgs, options={"gtol": 1e-8, "maxiter": 4000})
+    res = minimize(energy_and_gradient, u0.reshape(-1), gtol=1e-8,
+                   maxiter=4000)
     u = res.x.reshape(n, 3)
     return _newton_polish(scaled, u)
 
@@ -417,7 +379,7 @@ def _stationary(scaled, n, guess, seed):
 
     With a dimensionless (n, 3) guess: Newton polish, BFGS first if the
     polish stalls. Without: ``_RESTARTS`` descents from jittered strings,
-    each BFGS with the O(n^2) update (``_bfgs``) then Newton polish; the
+    each BFGS (``minimize``, O(n^2) per iteration) then Newton polish; the
     lowest energy wins, and of starts tied with it to ``_TIE_RTOL``
     relative (mirror images) the first. Returns (u, energy, gnorm, lam,
     vec), lam ascending and vec holding one eigenvector per column; raises
@@ -431,7 +393,7 @@ def _stationary(scaled, n, guess, seed):
     else:
         runs = []
         for attempt in range(_RESTARTS):
-            rng = np.random.default_rng(seed + attempt)
+            rng = default_rng(seed + attempt)
             u0 = _string_guess(n, rng, jitter=0.02 * (attempt + 1))
             runs.append(_solve_from(scaled, u0))
     converged = [(scaled.potential(u), u, gnorm)
@@ -466,7 +428,7 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
                 seed=0):
     """Stationary configuration of N ions, to gradient max-norm 1e-10.
 
-    Without a guess: BFGS descent (scipy's loop with an O(n^2)
+    Without a guess: BFGS descent (Moré–Thuente line search, O(n^2)
     inverse-Hessian update) from a slightly jittered axial string
     (deterministic in ``seed``), then Newton polish; best of four starts
     by energy, and the first of the starts whose energies tie with the
@@ -679,7 +641,7 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         target, level, refined = pending.pop()
         u_new, md = solve_at(target, u)
         overlap = np.abs(b_prev.T @ md.coordinates)
-        perm = linear_sum_assignment(-overlap)[1]  # rows come back 0..3N-1
+        perm = assignment(-overlap)
         weakest = np.min(overlap[np.arange(len(perm)), perm])
         if weakest < _OVERLAP_MIN and level < _MAX_HALVINGS:
             mid = 0.5 * (nu + target) if nu == 0.0 \

@@ -18,7 +18,6 @@ convergence, no tables), good to ~1e-15 relative over the full domain.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
@@ -153,6 +152,16 @@ def _exp_sinh(t_min, t_max):
                              round(t_max / _DE_STEP) + 1)
     u = np.exp(0.5 * math.pi * np.sinh(t))
     return u, _DE_STEP * 0.5 * math.pi * np.cosh(t) * u
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use.
+
+    Only ``integrate_with_endpoint_singularity``, the tests' adaptive
+    oracle, integrates adaptively, so no CLI run pays scipy's import.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def integrate_with_endpoint_singularity(f, a, b, singular_points=(), tol=1e-9):

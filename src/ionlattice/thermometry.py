@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import stdtrit
 
 from . import constants as cn
+# bench/tracer.py wraps ``least_squares`` here, so the fit calls it through
+# this module's namespace
+from ._optim import least_squares, student_t_975
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -123,6 +124,10 @@ def _gauss(x, a, c, s, b):
     return a * np.exp(-0.5 * ((x - c) / s) ** 2) + b
 
 
+# fewest (pixel, counts) samples a 4-parameter Gaussian fit accepts
+_MIN_SAMPLES = 5
+
+
 def fit_gaussian_profile(profile, pixel_pitch=1.0):
     """Least-squares Gaussian fit A exp(-(x-c)^2/(2 sigma^2)) + B.
 
@@ -139,9 +144,10 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
     below a quarter pixel, FitConvergenceError if the solver stalls.
     """
     arr = np.asarray(list(profile), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < _MIN_SAMPLES:
         raise DegenerateFitError(
-            "need at least 5 (pixel, counts) samples to fit a Gaussian")
+            f"need at least {_MIN_SAMPLES} (pixel, counts) samples to fit "
+            "a Gaussian")
     x, y = arr[:, 0], arr[:, 1]
     if np.ptp(y) == 0.0:
         raise DegenerateFitError("constant profile has no peak to fit")
@@ -165,14 +171,13 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
         return resid, jac
 
     resid, jac = make_funcs(np.ones_like(y))
-    res = least_squares(resid, [a0, c0, s0, b0], jac=jac, method="lm",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    res = least_squares(resid, [a0, c0, s0, b0], jac, tol=1e-14,
+                        max_nfev=2000)
     if not res.success:
         raise FitConvergenceError(f"Gaussian fit did not converge: {res.message}")
     sig = np.sqrt(np.maximum(_gauss(x, *res.x), 1.0))
     resid, jac = make_funcs(sig)
-    res = least_squares(resid, res.x, jac=jac, method="lm",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    res = least_squares(resid, res.x, jac, tol=1e-14, max_nfev=2000)
     if not res.success:
         raise FitConvergenceError(
             f"weighted Gaussian fit did not converge: {res.message}")
@@ -262,7 +267,7 @@ def estimate_temperature(spots, gamma, trap, species, imaging,
     else:  # no per-spot errors: estimate the scatter from the residuals
         s2 = float(np.sum(resid * resid)) / dof
         var_c = s2 / float(np.sum(g2 * g2))
-    quantile = stdtrit(dof, 0.975) if n > 1 else 1.96
+    quantile = student_t_975(dof) if n > 1 else 1.96
 
     scale = species.mass * trap.omega_z ** 2 / cn.KB
     return TemperatureEstimate(
@@ -352,10 +357,12 @@ def read_spot_profiles(path):
     Rows are grouped by (ion_index, axis) in order of first appearance.
     Malformed content raises SpotParseError naming the offending line: a
     wrong header or field count, a non-integer or negative ion_index, an
-    unknown axis, or a pixel or counts value that is not a finite number.
+    unknown axis, a pixel or counts value that is not a finite number,
+    negative counts, or (naming the group's first line) a group of fewer
+    than 5 rows, too few for the Gaussian fit.
     """
     groups = {}
-    order = []
+    first_line = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -384,6 +391,9 @@ def read_spot_profiles(path):
             if not (math.isfinite(pixel) and math.isfinite(counts)):
                 raise SpotParseError(
                     f"line {i}: pixel and counts must be finite numbers")
+            if counts < 0.0:
+                raise SpotParseError(
+                    f"line {i}: counts must be non-negative, got {row[3]!r}")
             axis = row[1].strip()
             if axis not in _AXES:
                 raise SpotParseError(
@@ -391,10 +401,16 @@ def read_spot_profiles(path):
             key = (ion, axis)
             if key not in groups:
                 groups[key] = []
-                order.append(key)
+                first_line[key] = i
             groups[key].append((pixel, counts))
-    return [(ion, axis, np.asarray(groups[(ion, axis)], dtype=float))
-            for ion, axis in order]
+    for (ion, axis), rows in groups.items():
+        if len(rows) < _MIN_SAMPLES:
+            raise SpotParseError(
+                f"line {first_line[ion, axis]}: spot group (ion_index {ion}, "
+                f"axis {axis}) has {len(rows)} rows; the Gaussian fit needs "
+                f"at least {_MIN_SAMPLES}")
+    return [(ion, axis, np.asarray(rows, dtype=float))
+            for (ion, axis), rows in groups.items()]
 
 
 def write_spot_profiles(spots, path):

@@ -181,10 +181,18 @@ _FIELDS = st.one_of(
     st.floats().map(repr),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
 )
-_SPOT_ROWS = st.lists(
-    st.tuples(_FIELDS, st.sampled_from(["axial", "radial", "x", ""]),
-              _FIELDS, _FIELDS),
-    min_size=1, max_size=6)
+_SPOT_ROWS = st.one_of(
+    st.lists(st.tuples(_FIELDS, st.sampled_from(["axial", "radial", "x", ""]),
+                       _FIELDS, _FIELDS),
+             min_size=1, max_size=6),
+    # well-formed rows, so that groups of every size and negative counts
+    # reach the group checks
+    st.lists(st.tuples(st.integers(0, 2).map(str),
+                       st.sampled_from(["axial", "radial"]),
+                       st.integers(-5, 5).map(str),
+                       st.integers(-2, 60).map(str)),
+             min_size=1, max_size=16),
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,9 +208,10 @@ def test_read_spot_profiles_returns_or_raises_spot_parse_error(rows):
             warnings.simplefilter("error")
             try:
                 profiles = read_spot_profiles(path)
-            except SpotParseError:
+            except SpotParseError as exc:
+                assert str(exc).startswith("line ")
                 return
     for ion, axis, prof in profiles:
         assert ion >= 0 and axis in ("axial", "radial")
-        assert prof.ndim == 2 and prof.shape[1] == 2
-        assert np.all(np.isfinite(prof))
+        assert prof.ndim == 2 and prof.shape[1] == 2 and len(prof) >= 5
+        assert np.all(np.isfinite(prof)) and np.all(prof[:, 1] >= 0)

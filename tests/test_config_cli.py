@@ -3,11 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import ionlattice
 from ionlattice import AdiabaticityWarning, ConfigError, parse_config
 from ionlattice import constants as cn
 from ionlattice.cli import main
@@ -407,6 +411,7 @@ class TestThermometryCommand:
         ("-1,axial,0,10", "line 3"),
         ("0,axial,0,nan", "line 3"),
         ("0,axial,inf,10", "line 3"),
+        ("0,axial,0,-3", "line 3"),  # negative counts
     ])
     def test_bad_spot_row_is_config_error(self, ws8, tmp_path, capsys,
                                           monkeypatch, row, named):
@@ -418,12 +423,32 @@ class TestThermometryCommand:
         monkeypatch.setattr(cli, "equilibrium", no_solve)
         cfg, out = ws8
         bad = tmp_path / "bad.csv"
+        # every group has the 5 rows a fit needs; the row is first on line 3
         bad.write_text("ion_index,axis,pixel,counts\n0,axial,1,10\n"
-                       + row + "\n")
+                       + (row + "\n") * 5
+                       + "".join(f"0,axial,{p},10\n" for p in range(2, 6)))
         code = main(["thermometry", "--config", str(cfg), "--out", str(out),
                      "--spots", str(bad)])
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    def test_short_spot_group_is_config_error(self, ws8, tmp_path, capsys,
+                                              monkeypatch):
+        import ionlattice.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the crystal was solved before the check")
+
+        monkeypatch.setattr(cli, "equilibrium", no_solve)
+        cfg, out = ws8
+        bad = tmp_path / "short.csv"
+        bad.write_text("ion_index,axis,pixel,counts\n"
+                       + "".join(f"0,axial,{p},10\n" for p in range(5))
+                       + "1,axial,0,10\n1,axial,1,12\n")
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(bad)])
+        assert code == EXIT_CONFIG
+        assert "line 7" in capsys.readouterr().err
 
     def test_negative_variance_is_solver_error(self, ws8, tmp_path, capsys):
         from ionlattice import (ImagingConfig, equilibrium,
@@ -501,3 +526,42 @@ class TestCliPlumbing:
                      str(tmp_path / "none.yaml")])
         assert code == EXIT_IO
         assert "error" in capsys.readouterr().err
+
+    def test_verbs_never_import_scipy(self, ws, tmp_path):
+        # scipy's import costs more start-up than any one verb's work, so
+        # the library implements what it needed (ionlattice._optim)
+        from ionlattice import (equilibrium, gamma_parameters, normal_modes,
+                                synthesize_spots, write_spot_profiles)
+        cfg, out = ws
+        parsed = parse_config(BASE_YAML)
+        st = equilibrium(4, parsed.trap, species=parsed.species, seed=7)
+        md = normal_modes(st, parsed.trap, species=parsed.species)
+        spots = synthesize_spots(3.5e-3, st, gamma_parameters(md),
+                                 parsed.imaging, photon_budget=2e4, seed=5,
+                                 trap=parsed.trap, species=parsed.species)
+        write_spot_profiles(spots, tmp_path / "spots.csv")
+        script = (
+            "import sys, warnings\n"
+            "from ionlattice.cli import main\n"
+            "warnings.simplefilter('ignore')\n"
+            "cfg, out, spots = sys.argv[1:]\n"
+            "for verb, extra in (('equilibrium', []),\n"
+            "                    ('modes', ['--grid', '0:0.4:4:lin']),\n"
+            "                    ('scatter', ['--grid', '0:25:3:lin']),\n"
+            "                    ('thermometry', ['--spots', spots]),\n"
+            "                    ('micromotion', [])):\n"
+            "    assert main([verb, '--config', cfg, '--out', out]\n"
+            "                + extra) == 0, verb\n"
+            "print(' '.join(m for m in sys.modules\n"
+            "               if m == 'scipy' or m.startswith('scipy.')))\n")
+        src = os.path.dirname(os.path.dirname(ionlattice.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(out),
+             str(tmp_path / "spots.csv")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == []
+        for name in ("positions.csv", "modes.csv", "scatter.csv",
+                     "temperature.json", "micromotion.json"):
+            assert (out / name).exists()

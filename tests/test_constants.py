@@ -1,4 +1,5 @@
-"""The literal constants and the Student-t quantile match scipy's exactly."""
+"""The literal constants match scipy's exactly, the Student-t quantile to
+1e-13 relative."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ from scipy.stats import t as student_t
 
 import ionlattice
 from ionlattice import constants as cn
+from ionlattice._optim import student_t_975
 
 
 @pytest.mark.parametrize("name, value", [
@@ -26,9 +28,13 @@ def test_literal_equals_scipy(name, value):
     assert getattr(cn, name) == value
 
 
-def test_stdtrit_equals_t_ppf():
-    for dof in range(1, 201):
-        assert stdtrit(dof, 0.975) == student_t.ppf(0.975, dof), dof
+def test_t_quantile_matches_t_ppf():
+    # the quantile of thermometry's temperature interval
+    for dof in range(1, 501):
+        q = student_t_975(dof)
+        assert q == pytest.approx(stdtrit(dof, 0.975), rel=1e-13, abs=0.0)
+        assert q == pytest.approx(student_t.ppf(0.975, dof), rel=1e-13,
+                                  abs=0.0), dof
 
 
 def test_cli_import_skips_scipy_stats():

@@ -372,3 +372,25 @@ class TestSpotIO:
                      + row + "\n")
         with pytest.raises(SpotParseError, match="line 3"):
             read_spot_profiles(p)
+
+    def test_negative_counts_name_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("ion_index,axis,pixel,counts\n"
+                     + "".join(f"0,axial,{k},{k + 4}\n" for k in range(4))
+                     + "0,axial,4,-1\n")
+        with pytest.raises(SpotParseError, match="line 6: counts"):
+            read_spot_profiles(p)
+
+    def test_short_group_names_its_first_line(self, tmp_path):
+        # ion 1's group starts on line 2 and has 4 rows among ion 0's 5
+        rows = ["1,axial,0,3"] + [f"0,axial,{k},9" for k in range(5)] \
+            + [f"1,axial,{k},4" for k in range(1, 4)]
+        p = tmp_path / "short.csv"
+        p.write_text("ion_index,axis,pixel,counts\n" + "\n".join(rows)
+                     + "\n")
+        with pytest.raises(SpotParseError,
+                           match=r"line 2: .*ion_index 1, axis axial.* 4 rows"):
+            read_spot_profiles(p)
+        p.write_text("ion_index,axis,pixel,counts\n" + "\n".join(rows)
+                     + "\n1,axial,4,5\n")
+        assert [len(prof) for _, _, prof in read_spot_profiles(p)] == [5, 5]
