@@ -217,12 +217,14 @@ def minimize(fun, x0, gtol, maxiter):
     y^T s = 0, stop on a non-finite value) with ``line_search`` and the
     inverse-Hessian update (I - rho s y^T) H (I - rho y s^T) + rho s s^T
     in its rank-two form H + s a^T + a s^T, a = (rho^2 y^T H y + rho) s/2
-    - rho H y: O(n^2) per iteration instead of two dense O(n^3) products.
-    Stops where the line search fails. Returns x and the iteration count.
+    - rho H y: O(n^2) per iteration instead of two dense O(n^3) products,
+    with its (n, n) arrays allocated once per descent. Stops where the
+    line search fails. Returns x and the iteration count.
     """
     x = x0
     f, g = fun(x)
     h = np.eye(len(x))
+    sa, as_ = np.empty_like(h), np.empty_like(h)  # s a^T and a s^T
     old_f = f + np.linalg.norm(g) / 2
     k = 0
     while np.max(np.abs(g)) > gtol and k < maxiter:
@@ -243,9 +245,20 @@ def minimize(fun, x0, gtol, maxiter):
         rho = 1000.0 if ys == 0.0 else 1.0 / ys
         hy = h @ y
         a = 0.5 * (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
-        sa = np.outer(s, a)
-        h += sa + sa.T  # kept exactly symmetric
+        _rank_two_update(h, s, a, sa, as_)
     return BFGSResult(x=x, nit=k)
+
+
+def _rank_two_update(h, s, a, sa, as_):
+    """h += s a^T + a s^T in place, through the (n, n) buffers sa and as_.
+
+    Entry [i, j] adds s_i a_j + a_i s_j, which equals entry [j, i]'s
+    s_j a_i + a_j s_i exactly, so a symmetric h stays exactly symmetric.
+    """
+    np.outer(s, a, out=sa)
+    np.outer(a, s, out=as_)
+    sa += as_
+    h += sa
 
 
 def assignment(cost):

@@ -18,6 +18,12 @@ row l = a*N + m is axis a of ion m (``_by_axis`` is the one place that
 unpacks it); eigenvector matrices hold one mode per column. Branches
 across a depth sweep are identified by overlap, never by frequency
 order, which swaps at avoided crossings.
+
+Pair pass: the potential, gradient and Hessian share one layout of the
+ion differences, a contiguous (N, N) array per axis a, indexed
+d[a, j, i] = u_i - u_j. A per-ion sum over partners j is then a
+reduction over j, which adds j in index order, and the distance matrix
+r is exactly symmetric.
 """
 
 import math
@@ -233,8 +239,12 @@ class _Dimensionless:
             self.u0 = lattice.depth_U0 / self.energy_unit
 
     def _pairs(self, u):
-        d = u[:, None, :] - u[None, :, :]
-        r2 = np.sum(d * d, axis=-1)
+        """Differences d[a, j, i] = u_i - u_j, (3, N, N), and the distances
+        r, exactly symmetric with a unit diagonal (so that 1/r^3 stays
+        finite there)."""
+        ut = np.ascontiguousarray(u.T)
+        d = ut[:, None, :] - ut[:, :, None]
+        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
         np.fill_diagonal(r2, 1.0)
         return d, np.sqrt(r2)
 
@@ -251,7 +261,8 @@ class _Dimensionless:
             latt = self.u0 * np.sum(np.sin(self.kappa * u[:, 2]) ** 2)
         inv3 = 1.0 / (r * r * r)
         np.fill_diagonal(inv3, 0.0)
-        g = self.alpha2 * u - np.sum(d * inv3[:, :, None], axis=1)
+        # per-ion sums over partners j, added in index order
+        g = self.alpha2 * u - np.sum(d * inv3, axis=1).T
         if self.u0 != 0.0:
             g[:, 2] += self.u0 * self.kappa * np.sin(2.0 * self.kappa * u[:, 2])
         return harm + coul + latt, g
@@ -270,13 +281,13 @@ class _Dimensionless:
         w5 = 3.0 * inv3 / (r * r)
         np.fill_diagonal(inv3, 0.0)
         np.fill_diagonal(w5, 0.0)
-        d = np.ascontiguousarray(np.moveaxis(d, -1, 0))  # (3, N, N)
         h = np.empty((3 * n, 3 * n))
         blocks = _by_axis(h).reshape(3, n, 3, n)  # [axis, ion, axis, ion]
         for a in range(3):
             for b in range(a, 3):
-                # pair block T_ab = 3 d_a d_b / r^5 - delta_ab / r^3; the
-                # block is -T off the ion diagonal, sum_j T_ij on it
+                # pair block T_ab = 3 d_a d_b / r^5 - delta_ab / r^3, which
+                # is exactly symmetric; the block is -T off the ion
+                # diagonal, sum_j T_ij on it
                 t = d[a] * d[b] * w5
                 if a == b:
                     t -= inv3
@@ -335,7 +346,8 @@ def _newton_polish(scaled, u):
             h = scaled.hessian(u)
         gflat = g.reshape(-1, order="F")  # x-block, y-block, z-block
         try:
-            step = np.linalg.solve(h + mu * np.eye(len(h)), gflat)
+            damped = h if mu == 0.0 else h + mu * np.eye(len(h))
+            step = np.linalg.solve(damped, gflat)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(h, gflat, rcond=None)
         trial = u - step.reshape(u.shape, order="F")

@@ -1,10 +1,12 @@
-"""Input boundary: non-finite model parameters, fuzzed configs, grids
-and spot CSVs.
+"""Input boundary: non-finite model parameters, fuzzed configs, grids,
+spot CSVs and whole command-line runs.
 
 Every parameter bundle rejects NaN with DomainError instead of carrying
 it into a result. parse_config and the --grid parser either return a
 value or raise ConfigError, whatever the input; the spot-CSV reader
-either returns finite profiles or raises SpotParseError.
+either returns finite profiles or raises SpotParseError. Every verb of
+``cli.main`` either writes finite artifacts or exits with a defined code
+from a library error.
 """
 
 import copy
@@ -14,6 +16,7 @@ import math
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from ionlattice import (
     ConfigError,
     DomainError,
     ImagingConfig,
+    IonLatticeError,
     IonSpecies,
     LatticeConfig,
     RampProfile,
@@ -38,6 +42,7 @@ from ionlattice import (
     spot_variance_model,
 )
 from ionlattice import constants as cn
+from ionlattice import cli
 from ionlattice.cli import _parse_grid
 from ionlattice.config import _SCHEMA
 
@@ -215,3 +220,100 @@ def test_read_spot_profiles_returns_or_raises_spot_parse_error(rows):
         assert ion >= 0 and axis in ("axial", "radial")
         assert prof.ndim == 2 and prof.shape[1] == 2 and len(prof) >= 5
         assert np.all(np.isfinite(prof)) and np.all(prof[:, 1] >= 0)
+
+
+# ----------------------------------------------------------------------
+# cli.main end to end: small crystals, small grids, every verb
+
+_MHZ_GRIDS = st.tuples(
+    st.sampled_from([0.0, 0.01, 0.05]), st.sampled_from([0.0, 0.1, 0.3]),
+    st.integers(1, 3), st.sampled_from(["lin", "geom"]),
+).map(lambda g: "%r:%r:%d:%s" % g)
+_MK_GRIDS = st.tuples(
+    st.sampled_from([0.0, 0.5, 5.0]), st.sampled_from([0.0, 10.0, 30.0]),
+    st.integers(1, 3), st.sampled_from(["lin", "geom"]),
+).map(lambda g: "%r:%r:%d:%s" % g)
+
+
+@st.composite
+def _run_configs(draw):
+    """A config of 1-4 ions, mostly valid, with edge values mixed in."""
+    f_z = draw(st.floats(40.0, 250.0))
+    raw = {
+        "trap": {"f_z_kHz": f_z,
+                 "f_radial_kHz": f_z * draw(st.floats(0.8, 5.0)),
+                 "asymmetry": draw(st.sampled_from([0.0, 0.03, 0.1])),
+                 "q_axial": draw(st.sampled_from([0.0, 5e-4]))},
+        "crystal": {"n_ions": draw(st.integers(1, 4)),
+                    "seed": draw(st.integers(0, 20))},
+    }
+    if draw(st.booleans()):
+        raw["crystal"]["T0_mK"] = draw(st.floats(0.5, 10.0))
+    if draw(st.integers(0, 4)):
+        depth_key = draw(st.sampled_from(["depth_max_mK", "nu_latt_max_MHz"]))
+        raw["lattice"] = {
+            "detuning_THz": draw(st.sampled_from([0.76, -0.76, 0.0])),
+            depth_key: draw(st.sampled_from([0.0, 0.05, 0.3, 5.0, 30.0])),
+        }
+    return raw
+
+
+def _spot_rows(n_ions, width_px, amplitude):
+    # one axial spot per ion, centred, as a camera would record it
+    px = np.arange(-10, 11)
+    counts = np.round(amplitude * np.exp(-0.5 * (px / width_px) ** 2))
+    return [(ion, "axial", int(p), int(c))
+            for ion in range(n_ions) for p, c in zip(px, counts)]
+
+
+def _assert_finite_artifact(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        def refuse(constant):
+            raise AssertionError(f"{path}: {constant}")
+        json.loads(text, parse_constant=refuse)
+        return
+    lines = text.splitlines()
+    assert lines[0].startswith("# config_hash=")
+    for row in csv.reader(lines[2:]):
+        values = [float(v) for v in row]
+        assert all(math.isfinite(v) for v in values), (path, row)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_run_configs(), _MHZ_GRIDS, _MK_GRIDS, st.floats(1.5, 4.0),
+       st.floats(50.0, 2000.0))
+def test_cli_verbs_exit_cleanly_with_finite_artifacts(
+        raw, modes_grid, scatter_grid, width_px, amplitude):
+    n_ions = raw["crystal"]["n_ions"]
+    runs = [["equilibrium"], ["modes", "--grid", modes_grid],
+            ["scatter", "--grid", scatter_grid], ["thermometry"],
+            ["micromotion"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(raw, fh)
+        spots = os.path.join(tmp, "spots.csv")
+        with open(spots, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["ion_index", "axis", "pixel", "counts"])
+            writer.writerows(_spot_rows(n_ions, width_px, amplitude))
+        for verb, *extra in runs:
+            out = os.path.join(tmp, verb)
+            argv = [verb, "--config", config, "--out", out] + extra
+            if verb == "thermometry":
+                argv += ["--spots", spots]
+            with mock.patch.object(cli, "exit_code_for",
+                                   wraps=cli.exit_code_for) as mapped, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            assert code in (0, 2, 3, 4), (argv, code)
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)], argv
+            for call in mapped.call_args_list:  # a library error, not a crash
+                assert isinstance(call.args[0], (IonLatticeError, OSError)), \
+                    (argv, repr(call.args[0]))
+            for name in os.listdir(out) if os.path.isdir(out) else ():
+                _assert_finite_artifact(os.path.join(out, name))

@@ -419,12 +419,22 @@ class TestAmbiguityFlag:
 
 
 # ----------------------------------------------------------------------
-# the dimensionless kernel against the formulas it replaced
+# the dimensionless kernel against the formulas it replaced; the oracles
+# run their own (N, N, 3) pair pass, not the kernel's
+
+
+def _tensor_pairs(u):
+    """d[i, j] = u_i - u_j as an (N, N, 3) tensor, and r with a unit
+    diagonal: the pair pass the kernel used before its per-axis layout."""
+    d = u[:, None, :] - u[None, :, :]
+    r2 = np.sum(d * d, axis=-1)
+    np.fill_diagonal(r2, 1.0)
+    return d, np.sqrt(r2)
 
 
 def _separate_potential(scaled, u):
     """Potential from its own pair pass, as before the fused kernel."""
-    d, r = scaled._pairs(u)
+    d, r = _tensor_pairs(u)
     coul = np.sum(np.triu(1.0 / r, k=1))
     harm = 0.5 * np.sum(scaled.alpha2 * u * u)
     latt = 0.0
@@ -434,7 +444,7 @@ def _separate_potential(scaled, u):
 
 
 def _separate_gradient(scaled, u):
-    d, r = scaled._pairs(u)
+    d, r = _tensor_pairs(u)
     inv3 = 1.0 / (r * r * r)
     np.fill_diagonal(inv3, 0.0)
     g = scaled.alpha2 * u - np.sum(d * inv3[:, :, None], axis=1)
@@ -444,10 +454,40 @@ def _separate_gradient(scaled, u):
     return g
 
 
+def _six_block_hessian(scaled, u):
+    """The six-block assembly from the (N, N, 3) pair tensor, as it was
+    before the per-axis pair pass: the kernel must keep its bits."""
+    n = len(u)
+    d, r = _tensor_pairs(u)
+    inv3 = 1.0 / (r * r * r)
+    w5 = 3.0 * inv3 / (r * r)
+    np.fill_diagonal(inv3, 0.0)
+    np.fill_diagonal(w5, 0.0)
+    d = np.ascontiguousarray(np.moveaxis(d, -1, 0))  # (3, N, N)
+    h = np.empty((3 * n, 3 * n))
+    blocks = h.reshape(3, n, 3, n)  # [axis, ion, axis, ion]
+    for a in range(3):
+        for b in range(a, 3):
+            t = d[a] * d[b] * w5
+            if a == b:
+                t -= inv3
+            blk = -t
+            blk.flat[::n + 1] = np.sum(t, axis=1)
+            if a == b:
+                blk.flat[::n + 1] += scaled.alpha2[a]
+            blocks[a, :, b] = blk
+            blocks[b, :, a] = blk.T
+    if scaled.u0 != 0.0:
+        z = np.arange(2 * n, 3 * n)
+        h[z, z] += 2.0 * scaled.u0 * scaled.kappa ** 2 * np.cos(
+            2.0 * scaled.kappa * u[:, 2])
+    return h
+
+
 def _tensor_hessian(scaled, u):
     """The (N, N, 3, 3) pair-tensor assembly, transposed into blocks."""
     n = len(u)
-    d, r = scaled._pairs(u)
+    d, r = _tensor_pairs(u)
     inv3 = 1.0 / (r * r * r)
     inv5 = inv3 / (r * r)
     np.fill_diagonal(inv3, 0.0)
@@ -485,7 +525,8 @@ def _random_crystal(seed, n):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 7), (2, 16), (3, 64)])
+    @pytest.mark.parametrize("seed, n",
+                             [(0, 2), (1, 7), (2, 16), (3, 64), (10, 1)])
     def test_energy_and_gradient_bit_equal(self, kernel, seed, n):
         u = _random_crystal(seed, n)
         energy, grad = kernel.energy_and_gradient(u)
@@ -499,6 +540,14 @@ class TestKernel:
         oracle = _tensor_hessian(kernel, u)
         assert np.array_equal(h, h.T)
         assert np.max(np.abs(h - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
+    def test_hessian_bit_equal_to_six_block_assembly(self, kernel, n):
+        for seed in range(20, 25):
+            u = _random_crystal(seed, n)
+            h = kernel.hessian(u)
+            assert np.array_equal(h, _six_block_hessian(kernel, u))
+            assert np.array_equal(h, h.T)
 
     @pytest.mark.parametrize("seed, n", [(8, 3), (9, 9)])
     def test_hessian_is_gradient_derivative(self, kernel, seed, n):

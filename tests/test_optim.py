@@ -55,6 +55,31 @@ def test_line_search_equals_scipy_wolfe1(ca40, monkeypatch, n):
         np.testing.assert_array_equal(step[2], g)
 
 
+@pytest.mark.parametrize("n", [3, 12, 192])
+def test_rank_two_update_equals_outer_sum(n):
+    # the in-place update against the expression it replaced, on random
+    # symmetric h and random s, y, then chained: h stays exactly symmetric
+    rng = np.random.default_rng(n)
+    sa, as_ = np.empty((n, n)), np.empty((n, n))
+    for _ in range(10):
+        m = rng.standard_normal((n, n))
+        h = m + m.T
+        s, y = rng.standard_normal(n), rng.standard_normal(n)
+        a = 0.5 * (np.dot(y, h @ y) + 1.0) * s - h @ y
+        old = h + (np.outer(s, a) + np.outer(s, a).T)
+        _optim._rank_two_update(h, s, a, sa, as_)
+        assert np.array_equal(h, old)
+    h = np.eye(n)
+    for _ in range(50):
+        s, y = rng.standard_normal(n), rng.standard_normal(n)
+        rho = 1.0 / np.dot(y, s)
+        hy = h @ y
+        a = 0.5 * (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
+        _optim._rank_two_update(h, s, a, sa, as_)
+        assert np.array_equal(h, h.T)
+    assert np.all(np.isfinite(h))
+
+
 def test_line_search_fails_uphill():
     def fun(x):
         return float(x @ x), 2.0 * x
