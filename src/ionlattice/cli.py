@@ -27,8 +27,10 @@ from . import __version__
 from . import constants as cn
 from .config import load_config
 from .crystal import (
+    _by_axis,
+    _sweep,
     classify_structure,
-    continuation,
+    continuation,  # noqa: F401  (bench/tracer.py wraps cli.continuation)
     equilibrium,
     gamma_parameters,
     normal_modes,
@@ -114,49 +116,64 @@ def _require(cfg, attr, key):
     return value
 
 
+# one modes.csv line: nu_latt_MHz, branch_id, freq_kHz, plane_weight,
+# axial_weight
+_MODE_ROW = "%.9g,%d,%.9g,%.9g,%.9g\n"
+
+
 def cmd_modes(args, cfg, out):
     lattice = _require(cfg, "lattice", "lattice block")
     if args.grid is not None:
         nu_grid = _parse_grid(args.grid) * 1e6  # MHz -> Hz
-        res = continuation(cfg.n_ions, cfg.trap, lattice,
-                           species=cfg.species, seed=cfg.seed,
-                           nu_grid=nu_grid)
     elif lattice.depth_U0 == 0.0:
         raise ConfigError(
             "modes without --grid sweeps up to the lattice depth, so "
             "lattice.depth_max_mK or lattice.nu_latt_max_MHz must be "
             "nonzero")
     else:
-        res = continuation(cfg.n_ions, cfg.trap, lattice,
-                           species=cfg.species, seed=cfg.seed, steps=200)
+        nu_grid = None
+    flagged = []
+    rows = _sweep(cfg.n_ions, cfg.trap, lattice, 200, cfg.species, cfg.seed,
+                  nu_grid, flagged)
 
-    # the zero-depth step of the sweep fixes the crystal plane
-    report = classify_structure(res.positions[0], cfg.trap,
-                                species=cfg.species)
-    phi = report.plane_angle
-    nx, ny = -math.sin(phi), math.cos(phi)  # normal of the crystal plane
-
-    axial = res.block_weight("z")  # (3N, n_steps)
-    rows = []
-    for i in range(len(res.nu_latt)):
-        c = res.by_axis[i]  # [axis, ion, branch]
-        normal_comp = nx * c[0] + ny * c[1]
-        plane_w = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
-        for p in range(res.n_branches):
-            rows.append((res.nu_latt[i] / 1e6, str(p),
-                         res.frequencies[p, i] / 1e3,
-                         plane_w[p], axial[p, i]))
-    _write_csv(f"{out}/modes.csv",
-               ["nu_latt_MHz", "branch_id", "freq_kHz", "plane_weight",
-                "axial_weight"],
-               rows, cfg.config_hash)
+    # the sweep streams into a temporary file, renamed once it is complete:
+    # a solver failure part-way leaves no truncated modes.csv
+    path = f"{out}/modes.csv"
+    partial = path + ".tmp"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# config_hash={cfg.config_hash}\n"
+                     "nu_latt_MHz,branch_id,freq_kHz,plane_weight,"
+                     "axial_weight\n")
+            for step, (nu, freqs, b, positions, _) in enumerate(rows):
+                if step == 0:  # the zero-depth row fixes the crystal plane
+                    phi = classify_structure(positions, cfg.trap,
+                                             species=cfg.species).plane_angle
+                    # normal of the crystal plane
+                    nx, ny = -math.sin(phi), math.cos(phi)
+                    branch = np.arange(len(freqs))
+                c = _by_axis(b)  # [axis, ion, branch]
+                normal_comp = nx * c[0] + ny * c[1]
+                plane_w = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
+                axial_w = np.sum(c[2] * c[2], axis=0)
+                table = np.column_stack((
+                    np.full(len(freqs), nu / 1e6), branch,
+                    freqs / (2.0 * math.pi) / 1e3, plane_w, axial_w))
+                fh.write((_MODE_ROW * len(freqs)) % tuple(table.ravel().tolist()))
+        os.replace(partial, path)
+    except BaseException:
+        try:
+            os.remove(partial)
+        except FileNotFoundError:
+            pass
+        raise
     _write_json(f"{out}/modes_warnings.json", {
         "config_hash": cfg.config_hash,
         "flagged": [
             {"step": int(f["step"]), "nu_latt_MHz": float(f["nu_latt"]) / 1e6,
              "branches": [int(b) for b in f["branches"]],
              "overlap_gap": float(f["overlap_gap"])}
-            for f in res.flagged],
+            for f in flagged],
     })
     return 0
 

@@ -588,6 +588,32 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     does the sweep raise EquilibriumError, naming the best gradient
     max-norm reached.
     """
+    flagged = []
+    rows = _sweep(N, trap, lattice_max, steps, species, seed, nu_grid,
+                  flagged)
+    nus, freqs, coords, poss, refined = zip(*rows)
+    species = _default_species(species)
+    return ContinuationResult(
+        nu_latt=np.asarray(nus),
+        depths=np.array([_signed_depth(v, lattice_max, species)
+                         for v in nus]),
+        frequencies=np.transpose(freqs) / (2.0 * math.pi),
+        coordinates=np.asarray(coords),
+        positions=np.asarray(poss),
+        refined=np.asarray(refined, dtype=bool),
+        flagged=flagged,
+    )
+
+
+def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
+    """The rows of ``continuation``, one accepted depth at a time.
+
+    Checks the arguments now and returns a generator of (nu_latt Hz,
+    frequencies rad/s in branch order, (3N, 3N) branch eigenvectors,
+    (N, 3) positions m, refined) tuples. Ambiguous crossings are appended
+    to ``flagged`` as they are found, each before its row is yielded; an
+    entry's "step" is the index of that row.
+    """
     if steps < 2:
         raise DomainError("need at least two continuation steps")
     species = _default_species(species)
@@ -601,7 +627,11 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         grid = np.asarray(sorted(float(v) for v in nu_grid))
         if grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
+    return _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged)
 
+
+def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
+    # the generator behind _sweep: its body runs only once iterated
     def descend_from_saddle(scaled, u, vec):
         # kicks along the most negative curvature direction; a kick that
         # stalls or lands on a saddle again is skipped
@@ -645,8 +675,8 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     nu = grid[0]
     u, modes = solve_at(nu, None)
     b_prev = modes.coordinates
-    rows = [(nu, modes.frequencies, b_prev, u * ell, False)]
-    flagged = []
+    yield nu, modes.frequencies, b_prev, u * ell, False
+    n_rows = 1
     # targets still to reach, nearest last: (nu_latt, halvings, refined)
     pending = [(target, 0, False) for target in grid[:0:-1]]
     while pending:
@@ -670,7 +700,7 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
                     other = second if perm[p] == best else best
                     partner = int(np.nonzero(perm == other)[0][0])
                     flagged.append({
-                        "step": len(rows),
+                        "step": n_rows,
                         "nu_latt": target,
                         "branches": (p, partner),
                         "overlap_gap": float(gap),
@@ -680,19 +710,8 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         signs = np.sign(np.sum(b_prev * b_new, axis=0))
         signs[signs == 0.0] = 1.0
         nu, u, b_prev = target, u_new, b_new * signs
-        rows.append((nu, md.frequencies[perm], b_prev, u * ell, refined))
-
-    nus, freqs, coords, poss, refined = zip(*rows)
-    return ContinuationResult(
-        nu_latt=np.asarray(nus),
-        depths=np.array([_signed_depth(v, lattice_max, species)
-                         for v in nus]),
-        frequencies=np.transpose(freqs) / (2.0 * math.pi),
-        coordinates=np.asarray(coords),
-        positions=np.asarray(poss),
-        refined=np.asarray(refined, dtype=bool),
-        flagged=flagged,
-    )
+        yield nu, md.frequencies[perm], b_prev, u * ell, refined
+        n_rows += 1
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,7 @@ def test_cli_verbs_exit_cleanly_with_finite_artifacts(
             argv = [verb, "--config", config, "--out", out] + extra
             if verb == "thermometry":
                 argv += ["--spots", spots]
+            before = set(os.listdir(out)) if os.path.isdir(out) else set()
             with mock.patch.object(cli, "exit_code_for",
                                    wraps=cli.exit_code_for) as mapped, \
                     warnings.catch_warnings(record=True) as caught:
@@ -315,5 +316,9 @@ def test_cli_verbs_exit_cleanly_with_finite_artifacts(
             for call in mapped.call_args_list:  # a library error, not a crash
                 assert isinstance(call.args[0], (IonLatticeError, OSError)), \
                     (argv, repr(call.args[0]))
-            for name in os.listdir(out) if os.path.isdir(out) else ():
+            names = set(os.listdir(out)) if os.path.isdir(out) else set()
+            if code:  # a failed sweep leaves no partial or new modes.csv
+                assert not [n for n in names if n.endswith(".tmp")], argv
+                assert "modes.csv" in before or "modes.csv" not in names
+            for name in names:
                 _assert_finite_artifact(os.path.join(out, name))

@@ -12,9 +12,18 @@ import numpy as np
 import pytest
 
 import ionlattice
-from ionlattice import AdiabaticityWarning, ConfigError, parse_config
+from ionlattice import (
+    AdiabaticityWarning,
+    ConfigError,
+    DomainError,
+    EquilibriumError,
+    classify_structure,
+    continuation,
+    parse_config,
+)
 from ionlattice import constants as cn
-from ionlattice.cli import main
+from ionlattice import crystal
+from ionlattice.cli import _parse_grid, main
 from ionlattice.errors import EXIT_CONFIG, EXIT_IO, EXIT_SOLVER
 
 BASE_YAML = """\
@@ -294,6 +303,96 @@ class TestModesCommand:
         # an explicit grid does not depend on the configured depth
         assert main(["modes", "--config", str(cfg), "--out", str(out),
                      "--grid", "0.01:0.2:3:geom"]) == 0
+
+    def test_stream_matches_collected_result(self, ws):
+        # modes.csv is streamed row by row; it must read exactly like the
+        # rows formatted from the collected ContinuationResult
+        cfg, out = ws
+        grid = "0.01:0.25:8:geom"
+        assert main(["modes", "--config", str(cfg), "--out", str(out),
+                     "--grid", grid]) == 0
+        parsed = parse_config(BASE_YAML)
+        res = continuation(4, parsed.trap, parsed.lattice,
+                           species=parsed.species, seed=7,
+                           nu_grid=_parse_grid(grid) * 1e6)
+        phi = classify_structure(res.positions[0], parsed.trap,
+                                 species=parsed.species).plane_angle
+        nx, ny = -math.sin(phi), math.cos(phi)
+        axial = res.block_weight("z")
+        want = [f"# config_hash={parsed.config_hash}",
+                "nu_latt_MHz,branch_id,freq_kHz,plane_weight,axial_weight"]
+        for i in range(len(res.nu_latt)):
+            c = res.by_axis[i]
+            normal_comp = nx * c[0] + ny * c[1]
+            plane = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
+            for p in range(res.n_branches):
+                row = (res.nu_latt[i] / 1e6, str(p),
+                       res.frequencies[p, i] / 1e3, plane[p], axial[p, i])
+                want.append(",".join(
+                    v if isinstance(v, str) else "%.9g" % v for v in row))
+        assert (out / "modes.csv").read_text().splitlines() == want
+        assert len(want) == 2 + 12 * len(res.nu_latt)
+
+    def test_failure_midway_leaves_earlier_artifacts(self, ws, monkeypatch,
+                                                     capsys):
+        cfg, out = ws
+        argv = ["modes", "--config", str(cfg), "--out", str(out),
+                "--grid", "0.01:0.2:6:geom"]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real, warm = crystal._stationary, []
+
+        def fails_on_third_warm_solve(scaled, n, guess, seed):
+            if guess is not None:
+                warm.append(guess)
+                if len(warm) == 3:
+                    raise EquilibriumError("stalled", gradient_norm=1.0)
+            return real(scaled, n, guess, seed)
+
+        monkeypatch.setattr(crystal, "_stationary", fails_on_third_warm_solve)
+        assert main(argv) == EXIT_SOLVER
+        assert "stalled" in capsys.readouterr().err
+        assert len(warm) == 3
+        # the two rows already streamed went to a temporary file, now gone
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_early_errors_leave_nothing(self, ws, monkeypatch, capsys):
+        cfg, out = ws
+        assert main(["modes", "--config", str(cfg), "--out", str(out),
+                     "--grid", "0.01:0.2:0:geom"]) == EXIT_CONFIG
+        assert "count" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+        def refuses_cold_solve(scaled, n, guess, seed):
+            raise DomainError("no cold solve here")
+
+        monkeypatch.setattr(crystal, "_stationary", refuses_cold_solve)
+        assert main(["modes", "--config", str(cfg), "--out", str(out),
+                     "--grid", "0.01:0.2:3:geom"]) == EXIT_SOLVER
+        assert "no cold solve" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # the sweep streams: the traced peak of a 200-node run stays near
+        # that of a 20-node run (a collecting sweep grows about 8-fold)
+        import tracemalloc
+        cfg = tmp_path / "ions12.yaml"
+        cfg.write_text(BASE_YAML.replace("n_ions: 4", "n_ions: 12")
+                       .replace("170.0", "300.0"))
+
+        def traced_peak(nodes):
+            tracemalloc.start()
+            try:
+                assert main(["modes", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"),
+                             "--grid", f"0.01:0.5:{nodes}:geom"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(20)  # one-time allocations (caches, lazy tables)
+        small, large = traced_peak(20), traced_peak(200)
+        assert large < 1.5 * small, (small, large)
 
 
 class TestScatterCommand:

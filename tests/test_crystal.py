@@ -319,6 +319,19 @@ class TestContinuation:
         with pytest.raises(DomainError):
             continuation(2, trap_zigzag4, latt, steps=1, species=ca40)
 
+    def test_sweep_checks_arguments_before_iterating(self, trap_zigzag4,
+                                                     ca40):
+        # `modes` opens its output only after _sweep returns, so bad input
+        # must raise from the call itself, not from the first row
+        latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
+                             wavevector_k=ca40.lattice_wavevector,
+                             detuning=2 * math.pi * 0.76e12)
+        with pytest.raises(DomainError, match="two continuation steps"):
+            crystal._sweep(2, trap_zigzag4, latt, 1, ca40, 0, None, [])
+        with pytest.raises(DomainError, match="nonzero depth"):
+            crystal._sweep(2, trap_zigzag4, replace(latt, depth_U0=0.0),
+                           200, ca40, 0, None, [])
+
 
 @pytest.fixture(scope="module")
 def halved(ca40):
