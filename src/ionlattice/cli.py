@@ -11,7 +11,11 @@ and writing fixed-format artifacts into --out:
 
 All CSV numbers carry 9 significant digits with LF line endings, every
 artifact embeds the SHA-256 hash of its canonical config, and identical
-config + seed reproduce outputs byte for byte. Exit codes: 0 success,
+config + seed reproduce outputs byte for byte. In modes.csv a
+plane_weight or axial_weight below 1e-14 in magnitude is written as 0:
+the weights of unit eigenvectors carry rounding noise up to about 2e-15,
+whose digits depend on the BLAS build, and a genuine weight is far larger.
+modes.csv appears only once the whole sweep has succeeded. Exit codes: 0 success,
 2 config/parse error, 3 solver error, 4 I/O error.
 """
 
@@ -117,8 +121,9 @@ def _require(cfg, attr, key):
 
 
 # one modes.csv line: nu_latt_MHz, branch_id, freq_kHz, plane_weight,
-# axial_weight
+# axial_weight; weights below _WEIGHT_FLOOR in magnitude are rounding noise
 _MODE_ROW = "%.9g,%d,%.9g,%.9g,%.9g\n"
+_WEIGHT_FLOOR = 1e-14
 
 
 def cmd_modes(args, cfg, out):
@@ -159,6 +164,8 @@ def cmd_modes(args, cfg, out):
                 table = np.column_stack((
                     np.full(len(freqs), nu / 1e6), branch,
                     freqs / (2.0 * math.pi) / 1e3, plane_w, axial_w))
+                weights = table[:, 3:]
+                weights[np.abs(weights) < _WEIGHT_FLOOR] = 0.0
                 fh.write((_MODE_ROW * len(freqs)) % tuple(table.ravel().tolist()))
         os.replace(partial, path)
     except BaseException:

@@ -306,7 +306,11 @@ class TestModesCommand:
 
     def test_stream_matches_collected_result(self, ws):
         # modes.csv is streamed row by row; it must read exactly like the
-        # rows formatted from the collected ContinuationResult
+        # rows formatted from the collected ContinuationResult, with weights
+        # below 1e-14 (rounding noise) written as 0
+        def floor(w):
+            return 0.0 if abs(w) < 1e-14 else w
+
         cfg, out = ws
         grid = "0.01:0.25:8:geom"
         assert main(["modes", "--config", str(cfg), "--out", str(out),
@@ -327,11 +331,15 @@ class TestModesCommand:
             plane = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
             for p in range(res.n_branches):
                 row = (res.nu_latt[i] / 1e6, str(p),
-                       res.frequencies[p, i] / 1e3, plane[p], axial[p, i])
+                       res.frequencies[p, i] / 1e3, floor(plane[p]),
+                       floor(axial[p, i]))
                 want.append(",".join(
                     v if isinstance(v, str) else "%.9g" % v for v in row))
         assert (out / "modes.csv").read_text().splitlines() == want
         assert len(want) == 2 + 12 * len(res.nu_latt)
+        # this grid has noise in both columns: the floor is exercised
+        assert any(",0," in line for line in want)
+        assert any(line.endswith(",0") for line in want)
 
     def test_failure_midway_leaves_earlier_artifacts(self, ws, monkeypatch,
                                                      capsys):
