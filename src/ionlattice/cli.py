@@ -11,12 +11,13 @@ and writing fixed-format artifacts into --out:
 
 All CSV numbers carry 9 significant digits with LF line endings, every
 artifact embeds the SHA-256 hash of its canonical config, and identical
-config + seed reproduce outputs byte for byte. In modes.csv a
+config + seed reproduce outputs byte for byte. Exit codes: 0 success,
+2 config/parse error, 3 solver error, 4 I/O error.
+
+modes.csv appears only once the whole sweep has succeeded. In it a
 plane_weight or axial_weight below 1e-14 in magnitude is written as 0:
 the weights of unit eigenvectors carry rounding noise up to about 2e-15,
 whose digits depend on the BLAS build, and a genuine weight is far larger.
-modes.csv appears only once the whole sweep has succeeded. Exit codes: 0 success,
-2 config/parse error, 3 solver error, 4 I/O error.
 """
 
 import argparse
@@ -166,7 +167,8 @@ def cmd_modes(args, cfg, out):
                     freqs / (2.0 * math.pi) / 1e3, plane_w, axial_w))
                 weights = table[:, 3:]
                 weights[np.abs(weights) < _WEIGHT_FLOOR] = 0.0
-                fh.write((_MODE_ROW * len(freqs)) % tuple(table.ravel().tolist()))
+                fh.write((_MODE_ROW * len(freqs))
+                         % tuple(table.ravel().tolist()))
         os.replace(partial, path)
     except BaseException:
         try:
