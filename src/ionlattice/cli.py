@@ -21,6 +21,7 @@ whose digits depend on the BLAS build, and a genuine weight is far larger.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -171,10 +172,8 @@ def cmd_modes(args, cfg, out):
                          % tuple(table.ravel().tolist()))
         os.replace(partial, path)
     except BaseException:
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.remove(partial)
-        except FileNotFoundError:
-            pass
         raise
     _write_json(f"{out}/modes_warnings.json", {
         "config_hash": cfg.config_hash,

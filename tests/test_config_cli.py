@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,7 +384,6 @@ class TestModesCommand:
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # the sweep streams: the traced peak of a 200-node run stays near
         # that of a 20-node run (a collecting sweep grows about 8-fold)
-        import tracemalloc
         cfg = tmp_path / "ions12.yaml"
         cfg.write_text(BASE_YAML.replace("n_ions: 4", "n_ions: 12")
                        .replace("170.0", "300.0"))
