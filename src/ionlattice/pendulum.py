@@ -346,13 +346,17 @@ def _orbit(x, d):
 # nodes do not depend on theta, and exp-sinh on x - 1 in (0, inf) scaled
 # by max(1, theta) to follow the Gaussian's reach x ~ theta. Error
 # against adaptive quadrature of the same integral (the tests' oracle):
-# ~1e-10 for theta in [1e-4, 1e5], ~1e-9 at 1e-5.
+# ~1e-10 for theta in [1e-4, 1e5], ~1e-9 at 1e-5. The orbit on the lower
+# nodes, and on the upper ones for theta <= 1 (scale 1), is tabulated at
+# import, so only theta > 1 (NaN included) runs the AGM; both paths go
+# through the thetas in blocks that bound the (theta, node) arrays.
 _THETA_CHUNK = 128  # thetas per block, bounding the (theta, node) arrays
 _THETA_FREE = 1e30  # B = 1/2 - O(theta^-1/2) is 1/2 in doubles beyond this
 # one tanh-sinh rule serves B's lower panel and the ramp time integral
 _TS_X, _TS_D, _TS_W, _TS_W2 = _tanh_sinh(3.2)
 _UP_U, _UP_W = _exp_sinh(-4.5, 2.0)
 _LOW_S, _LOW_TAU, _LOW_SIN2 = _orbit(_TS_X, _TS_D)
+_UP_S, _UP_TAU, _UP_SIN2 = _orbit(1.0 + _UP_U, _UP_U)
 
 
 def _bunching_vec(theta):
@@ -360,17 +364,33 @@ def _bunching_vec(theta):
     theta = np.minimum(np.asarray(theta, dtype=float), _THETA_FREE)
     flat = theta.ravel()
     out = np.empty_like(flat)
-    for start in range(0, flat.size, _THETA_CHUNK):
-        th = flat[start:start + _THETA_CHUNK, None]
-        scale = np.maximum(th, 1.0)
-        d = scale * _UP_U
-        s, tau, sin2 = _orbit(1.0 + d, d)
-        upper = (np.exp(-0.25 * s * s / th) * tau * sin2) @ _UP_W
-        lower = np.exp(-0.25 * _LOW_S ** 2 / th) @ (
-            _TS_W * _LOW_TAU * _LOW_SIN2)
-        out[start:start + _THETA_CHUNK] = (
-            (lower + scale[:, 0] * upper) / np.sqrt(math.pi * th[:, 0]))
+    unscaled = flat <= 1.0
+    # below theta ~ 1e-308, s^2/theta overflows to inf and the Gaussian
+    # to its exact limit 0
+    with np.errstate(over="ignore"):
+        for upper, idx in ((_upper_unscaled, np.flatnonzero(unscaled)),
+                           (_upper_scaled, np.flatnonzero(~unscaled))):
+            for start in range(0, idx.size, _THETA_CHUNK):
+                block = idx[start:start + _THETA_CHUNK]
+                th = flat[block, None]
+                lower = np.exp(-0.25 * _LOW_S ** 2 / th) @ (
+                    _TS_W * _LOW_TAU * _LOW_SIN2)
+                out[block] = (lower + upper(th)) / np.sqrt(
+                    math.pi * th[:, 0])
     return out.reshape(theta.shape)
+
+
+def _upper_unscaled(th):
+    # the upper panel at theta <= 1, where the nodes are not scaled
+    return (np.exp(-0.25 * _UP_S * _UP_S / th) * _UP_TAU * _UP_SIN2) @ _UP_W
+
+
+def _upper_scaled(th):
+    # the upper panel with its nodes scaled by theta > 1, times the scale
+    scale = np.maximum(th, 1.0)
+    d = scale * _UP_U
+    s, tau, sin2 = _orbit(1.0 + d, d)
+    return scale[:, 0] * ((np.exp(-0.25 * s * s / th) * tau * sin2) @ _UP_W)
 
 
 # ----------------------------------------------------------------------
@@ -437,10 +457,13 @@ def _ratio_from_action(s):
 
 
 def _check_t0_u0(T0, U0):
-    if not T0 > 0:  # NaN fails too
-        raise DomainError("T0 must be positive")
-    if not U0 > 0:
-        raise DomainError("U0 must be positive")
+    if not 0 < T0 < math.inf:  # NaN fails too
+        raise DomainError("T0 must be positive and finite")
+    if not 0 < U0 < math.inf:
+        raise DomainError("U0 must be positive and finite")
+    if not cn.KB * T0 / U0 > 0:
+        raise DomainError(
+            f"theta = kB*T0/U0 underflows to 0 at T0={T0!r} K, U0={U0!r} J")
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Pendulum action/period/localization against quadrature and ODE oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from ionlattice import (
     scattering_rate,
 )
 from ionlattice import constants as cn
+from ionlattice import pendulum
 from ionlattice.pendulum import _orbit
 from ionlattice.specfun import integrate_with_endpoint_singularity
 
@@ -276,6 +278,84 @@ class TestBunching:
         np.testing.assert_allclose(vals[1:], 0.5, rtol=0, atol=1e-15)
 
 
+def _bunching_every_chunk_on_agm(theta):
+    # B(theta) as computed before the theta <= 1 upper panel was tabulated:
+    # every block runs the orbit on its scaled upper nodes
+    p = pendulum
+    theta = np.minimum(np.asarray(theta, dtype=float), p._THETA_FREE)
+    flat = theta.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, p._THETA_CHUNK):
+        th = flat[start:start + p._THETA_CHUNK, None]
+        scale = np.maximum(th, 1.0)
+        d = scale * p._UP_U
+        s, tau, sin2 = _orbit(1.0 + d, d)
+        upper = (np.exp(-0.25 * s * s / th) * tau * sin2) @ p._UP_W
+        lower = np.exp(-0.25 * p._LOW_S ** 2 / th) @ (
+            p._TS_W * p._LOW_TAU * p._LOW_SIN2)
+        out[start:start + p._THETA_CHUNK] = (
+            (lower + scale[:, 0] * upper) / np.sqrt(math.pi * th[:, 0]))
+    return out.reshape(theta.shape)
+
+
+class TestBunchingTable:
+    """The tabulated theta <= 1 path against the all-AGM evaluation."""
+
+    def test_matches_all_agm_evaluation(self):
+        thetas = np.geomspace(1e-5, 1e31, 4000).reshape(40, 100)
+        got = pendulum._bunching_vec(thetas)
+        assert got.shape == thetas.shape
+        np.testing.assert_allclose(got, _bunching_every_chunk_on_agm(thetas),
+                                   rtol=0, atol=1.2e-16)
+
+    def test_shuffled_mix_matches_each_alone(self):
+        # the two paths scatter back into input order, whatever the mix
+        rng = np.random.default_rng(8)
+        thetas = rng.permutation(np.concatenate([
+            np.geomspace(1e-4, 1e4, 397),
+            [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1e40]]))
+        mixed = pendulum._bunching_vec(thetas)
+        alone = [pendulum._bunching_vec(np.array([t]))[0] for t in thetas]
+        np.testing.assert_allclose(mixed, alone, rtol=0, atol=1e-15)
+        edge = pendulum._bunching_vec(
+            np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]))
+        np.testing.assert_allclose(edge, edge[1], rtol=0, atol=1e-15)
+
+    def test_nan_takes_the_agm_path(self):
+        with np.errstate(invalid="ignore"):
+            vals = pendulum._bunching_vec(np.array([0.5, np.nan, 2.0]))
+        assert np.isnan(vals[1]) and np.all(np.isfinite(vals[[0, 2]]))
+
+    def test_theta_up_to_one_runs_no_agm(self, monkeypatch):
+        calls = []
+        agm = pendulum._ellipk_deficit_vec
+
+        def counted(m, mc):
+            calls.append(np.shape(m))
+            return agm(m, mc)
+
+        monkeypatch.setattr(pendulum, "_ellipk_deficit_vec", counted)
+        pendulum._bunching_vec(np.geomspace(1e-5, 1.0, 1000))
+        assert calls == []
+        # theta > 1 still runs one AGM per block of _THETA_CHUNK
+        pendulum._bunching_vec(np.geomspace(1.5, 1e4, 300))
+        assert len(calls) == math.ceil(300 / pendulum._THETA_CHUNK)
+
+    def test_table_path_stays_chunked(self):
+        # one (theta, node) array over all 200k thetas takes the input's
+        # bytes once per node (105 upper, 103 lower); blocked, the peak is
+        # about 3.3x the input's bytes
+        thetas = np.geomspace(1e-5, 1.0, 200_000)
+        pendulum._bunching_vec(thetas[:10])
+        tracemalloc.start()
+        try:
+            pendulum._bunching_vec(thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(pendulum._UP_U) / 5 * thetas.nbytes
+
+
 # ---------------------------------------------------------------------
 # species / lattice / ramp plumbing
 
@@ -364,6 +444,37 @@ def test_nan_input_rejected(name, ca40):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError):
             NAN_CALLS[name](ca40, _blue(ca40))
+
+
+T0_U0_CALLS = {
+    "bunching": lambda t0, u0: bunching(t0, u0),
+    "action density": lambda t0, u0: action_density(0.1, t0, u0),
+    "energy density": lambda t0, u0: energy_density(1e-3 * U0, t0, u0),
+    "ensemble": lambda t0, u0: EnergyEnsemble(t0, u0),
+}
+# infinite T0 or U0, and a depth so large that kB*T0/U0 underflows to 0
+BAD_T0_U0 = {
+    "T0 inf": (math.inf, U0),
+    "U0 inf": (1e-3, math.inf),
+    "U0 -inf": (1e-3, -math.inf),
+    "theta underflow": (1e-3, 1e300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_T0_U0))
+@pytest.mark.parametrize("name", sorted(T0_U0_CALLS))
+def test_non_finite_t0_u0_rejected(name, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError):
+            T0_U0_CALLS[name](*BAD_T0_U0[case])
+
+
+def test_tiny_positive_theta_accepted():
+    # a subnormal theta is still > 0: B ~ sqrt(theta/pi) rounds to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert bunching(1e-3, 1e-3 * cn.KB / 1e-310) == 0.0
 
 
 class TestScattering:

@@ -18,6 +18,7 @@ from ionlattice import (
     elliptic_k,
     integrate_with_endpoint_singularity,
 )
+from ionlattice import specfun
 
 
 def ellipk_quadrature(m):
@@ -129,6 +130,57 @@ def test_near_one_terminates():
     if m < 1.0:
         assert np.isfinite(elliptic_k(m))
     assert np.isfinite(elliptic_k(np.nextafter(1.0, 0.0)))
+
+
+def _checked_agm(m, mc):
+    # the AGM with its convergence test before every iteration, as it was
+    # before the iteration count of the smallest b was run untested
+    a = np.ones_like(mc)
+    b = np.sqrt(mc)
+    c2 = np.asarray(m, dtype=float)
+    deficit = 0.5 * c2
+    pow2 = 1.0
+    for _ in range(specfun._MAX_AGM):
+        if np.all(np.abs(a - b) <= specfun._EPS * a):
+            break
+        a_next = 0.5 * (a + b)
+        c2 = c2 * c2 / (16.0 * a_next * a_next)
+        a, b = a_next, np.sqrt(a * b)
+        deficit = deficit + pow2 * c2
+        pow2 *= 2.0
+    return np.pi / (2.0 * a), deficit
+
+
+AGM_CASES = {
+    "near 0": np.geomspace(1e-300, 1e-3, 400),
+    "middle": np.random.default_rng(11).uniform(0.0, 1.0, 4000),
+    "near 1": 1.0 - 10.0 ** -np.arange(1.0, 17.0),
+    "one each": np.array([0.0, 0.5, np.nextafter(1.0, 0.0)]),
+    "empty": np.array([]),
+    "0-d": np.array(0.3),
+    "mc = 0": np.array([0.2, 1.0]),
+    "NaN": np.array([0.2, np.nan]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGM_CASES))
+def test_untested_agm_steps_keep_every_bit(case):
+    m = AGM_CASES[case]
+    with np.errstate(all="ignore"):
+        want = _checked_agm(m, 1.0 - m)
+        got = specfun._ellipk_deficit_vec(m, 1.0 - m)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+def test_agm_arrays_of_one_value_keep_every_bit():
+    # each m alone: its own count decides where the test starts
+    for mi in np.random.default_rng(12).uniform(0.0, 1.0, 300):
+        m = np.array([mi])
+        for g, w in zip(specfun._ellipk_deficit_vec(m, 1.0 - m),
+                        _checked_agm(m, 1.0 - m)):
+            assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------
