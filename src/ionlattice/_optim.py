@@ -255,8 +255,8 @@ def _rank_two_update(h, s, a, sa, as_):
     Entry [i, j] adds s_i a_j + a_i s_j, which equals entry [j, i]'s
     s_j a_i + a_j s_i exactly, so a symmetric h stays exactly symmetric.
     """
-    np.outer(s, a, out=sa)
-    np.outer(a, s, out=as_)
+    np.einsum("i,j->ij", s, a, out=sa)
+    np.einsum("i,j->ij", a, s, out=as_)
     sa += as_
     h += sa
 

@@ -28,6 +28,7 @@ r is exactly symmetric.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -220,6 +221,14 @@ def length_scale(trap, species):
     return (cn.COULOMB / (species.mass * trap.omega_z ** 2)) ** (1.0 / 3.0)
 
 
+@lru_cache(maxsize=16)
+def _strict_upper(n):
+    """Read-only (n, n) array, 1 above the diagonal and 0 elsewhere."""
+    mask = np.triu(np.ones((n, n)), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 class _Dimensionless:
     """Scaled potential, gradient and Hessian for one (trap, lattice)."""
 
@@ -254,7 +263,7 @@ class _Dimensionless:
         if np.min(r) < 1e-14:  # the diagonal of r is 1
             raise SingularConfigurationError(
                 "two ions coincide; Coulomb energy is singular")
-        coul = np.sum(np.triu(1.0 / r, k=1))
+        coul = np.sum(1.0 / r * _strict_upper(len(u)))
         harm = 0.5 * np.sum(self.alpha2 * u * u)
         latt = 0.0
         if self.u0 != 0.0:

@@ -28,6 +28,7 @@ from ionlattice import (
     spot_variance_model,
     total_potential,
 )
+from ionlattice import _optim
 from ionlattice import constants as cn
 from ionlattice import crystal
 from ionlattice.cli import _parse_grid, main
@@ -678,6 +679,32 @@ def _cold_start(n, seed, attempt=0):
                                  jitter=0.02 * (attempt + 1))
 
 
+def _outer_rank_two_update(h, s, a, sa, as_):
+    # the BFGS update as it was built with np.outer
+    np.outer(s, a, out=sa)
+    np.outer(a, s, out=as_)
+    sa += as_
+    h += sa
+
+
+def _triu_energy_and_gradient(self, u):
+    # _Dimensionless.energy_and_gradient as it summed np.triu(1/r, k=1)
+    d, r = self._pairs(u)
+    if np.min(r) < 1e-14:
+        raise SingularConfigurationError("two ions coincide")
+    coul = np.sum(np.triu(1.0 / r, k=1))
+    harm = 0.5 * np.sum(self.alpha2 * u * u)
+    latt = 0.0
+    if self.u0 != 0.0:
+        latt = self.u0 * np.sum(np.sin(self.kappa * u[:, 2]) ** 2)
+    inv3 = 1.0 / (r * r * r)
+    np.fill_diagonal(inv3, 0.0)
+    g = self.alpha2 * u - np.sum(d * inv3, axis=1).T
+    if self.u0 != 0.0:
+        g[:, 2] += self.u0 * self.kappa * np.sin(2.0 * self.kappa * u[:, 2])
+    return harm + coul + latt, g
+
+
 class TestColdSolver:
     TRAP = TrapConfig.from_frequencies(85e3, 300e3)
 
@@ -705,6 +732,26 @@ class TestColdSolver:
         dist = np.linalg.norm(u_ref[:, None, :] - u_new[None, :, :], axis=-1)
         rows, cols = linear_sum_assignment(dist)
         assert np.max(dist[rows, cols]) <= 1e-9
+
+    # n -> (axial Hz, radial Hz, seed): a zigzag, a string and a 3-D ball
+    COLD_CASES = {4: (85e3, 170e3, 7), 8: (70e3, 350e3, 3),
+                  64: (85e3, 300e3, 7)}
+
+    @pytest.mark.parametrize("n", sorted(COLD_CASES))
+    def test_positions_equal_outer_and_triu_code(self, ca40, monkeypatch,
+                                                 n):
+        # einsum products and the cached upper mask keep every bit
+        f_z, f_r, seed = self.COLD_CASES[n]
+        scaled = crystal._Dimensionless(TrapConfig.from_frequencies(f_z, f_r),
+                                        None, ca40)
+        u, energy = crystal._stationary(scaled, n, None, seed)[:2]
+        monkeypatch.setattr(_optim, "_rank_two_update",
+                            _outer_rank_two_update)
+        monkeypatch.setattr(crystal._Dimensionless, "energy_and_gradient",
+                            _triu_energy_and_gradient)
+        u_old, energy_old = crystal._stationary(scaled, n, None, seed)[:2]
+        assert np.array_equal(u, u_old)
+        assert energy == energy_old
 
     def test_first_of_tied_starts_wins(self, ca40):
         # 14 ions, seed 3: starts 0 and 2 reach mirror images whose
