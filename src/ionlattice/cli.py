@@ -14,10 +14,11 @@ artifact embeds the SHA-256 hash of its canonical config, and identical
 config + seed reproduce outputs byte for byte. Exit codes: 0 success,
 2 config/parse error, 3 solver error, 4 I/O error.
 
-modes.csv appears only once the whole sweep has succeeded. In it a
-plane_weight or axial_weight below 1e-14 in magnitude is written as 0:
-the weights of unit eigenvectors carry rounding noise up to about 2e-15,
-whose digits depend on the BLAS build, and a genuine weight is far larger.
+Every artifact appears only once complete: a failed run leaves no partial
+file and any earlier artifact of the same name untouched. In modes.csv a
+plane_weight or axial_weight below 1e-14 in magnitude is written as 0: the
+weights of unit eigenvectors carry rounding noise up to about 2e-15, whose
+digits depend on the BLAS build, and a genuine weight is far larger.
 """
 
 import argparse
@@ -45,14 +46,13 @@ from .ensemble import ScatteringScenario, scan_depth
 from .errors import ConfigError, SpotParseError, exit_code_for
 from .micromotion import excess_micromotion
 from .thermometry import (
+    _used_axes,
     estimate_temperature,
     fit_spot_profiles,
     read_spot_profiles,
 )
 
 __all__ = ["main"]
-
-_FMT = "%.9g"
 
 
 def _parse_grid(spec):
@@ -84,20 +84,32 @@ def _parse_grid(spec):
     raise ConfigError(f"--grid spacing must be 'lin' or 'geom', got {kind!r}")
 
 
-def _write_csv(path, header, rows, cfg_hash):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else _FMT % v for v in row) + "\n")
+def _commit(path, write):
+    # write(fh) fills a temporary file, renamed to path once it returns
+    partial = f"{path}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
+def _write_csv(path, header, row, tables, cfg_hash):
+    # one % call per 2-D table, row being the format of one of its lines
+    def write(fh):
+        fh.write(f"# config_hash={cfg_hash}\n{header}\n")
+        for table in tables:
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+    _commit(path, write)
 
 
 def _write_json(path, obj):
-    # encode first, so that a refused NaN leaves no truncated file
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    # encode first, so that a refused NaN writes nothing
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _commit(path, lambda fh: fh.write(text))
 
 
 def _solve_reference(cfg):
@@ -107,11 +119,10 @@ def _solve_reference(cfg):
 
 
 def cmd_equilibrium(args, cfg, out):
-    state = _solve_reference(cfg)
-    rows = [(i, x / 1e-6, y / 1e-6, z / 1e-6)
-            for i, (x, y, z) in enumerate(state.positions)]
-    _write_csv(f"{out}/positions.csv", ["ion", "x_um", "y_um", "z_um"],
-               rows, cfg.config_hash)
+    pos = _solve_reference(cfg).positions
+    table = np.column_stack((np.arange(len(pos)), pos / 1e-6))
+    _write_csv(f"{out}/positions.csv", "ion,x_um,y_um,z_um",
+               "%d,%.9g,%.9g,%.9g\n", [table], cfg.config_hash)
     return 0
 
 
@@ -122,14 +133,13 @@ def _require(cfg, attr, key):
     return value
 
 
-# one modes.csv line: nu_latt_MHz, branch_id, freq_kHz, plane_weight,
-# axial_weight; weights below _WEIGHT_FLOOR in magnitude are rounding noise
-_MODE_ROW = "%.9g,%d,%.9g,%.9g,%.9g\n"
-_WEIGHT_FLOOR = 1e-14
+_MODE_ROW = "%.9g,%d,%.9g,%.9g,%.9g\n"  # one line of modes.csv
+_WEIGHT_FLOOR = 1e-14  # weights below it are rounding noise (see above)
 
 
 def cmd_modes(args, cfg, out):
     lattice = _require(cfg, "lattice", "lattice block")
+    nu_grid = None  # the sweep's own grid up to the lattice depth
     if args.grid is not None:
         nu_grid = _parse_grid(args.grid) * 1e6  # MHz -> Hz
     elif lattice.depth_U0 == 0.0:
@@ -137,44 +147,30 @@ def cmd_modes(args, cfg, out):
             "modes without --grid sweeps up to the lattice depth, so "
             "lattice.depth_max_mK or lattice.nu_latt_max_MHz must be "
             "nonzero")
-    else:
-        nu_grid = None
     flagged = []
     rows = _sweep(cfg.n_ions, cfg.trap, lattice, 200, cfg.species, cfg.seed,
                   nu_grid, flagged)
 
-    # the sweep streams into a temporary file, renamed once it is complete:
-    # a solver failure part-way leaves no truncated modes.csv
-    path = f"{out}/modes.csv"
-    partial = path + ".tmp"
-    try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# config_hash={cfg.config_hash}\n"
-                     "nu_latt_MHz,branch_id,freq_kHz,plane_weight,"
-                     "axial_weight\n")
-            for step, (nu, freqs, b, positions, _) in enumerate(rows):
-                if step == 0:  # the zero-depth row fixes the crystal plane
-                    phi = classify_structure(positions, cfg.trap,
-                                             species=cfg.species).plane_angle
-                    # normal of the crystal plane
-                    nx, ny = -math.sin(phi), math.cos(phi)
-                    branch = np.arange(len(freqs))
-                c = _by_axis(b)  # [axis, ion, branch]
-                normal_comp = nx * c[0] + ny * c[1]
-                plane_w = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
-                axial_w = np.sum(c[2] * c[2], axis=0)
-                table = np.column_stack((
-                    np.full(len(freqs), nu / 1e6), branch,
-                    freqs / (2.0 * math.pi) / 1e3, plane_w, axial_w))
-                weights = table[:, 3:]
-                weights[np.abs(weights) < _WEIGHT_FLOOR] = 0.0
-                fh.write((_MODE_ROW * len(freqs))
-                         % tuple(table.ravel().tolist()))
-        os.replace(partial, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
-        raise
+    def tables():
+        for step, (nu, freqs, b, positions, _) in enumerate(rows):
+            if step == 0:  # the zero-depth row fixes the crystal plane
+                phi = classify_structure(positions, cfg.trap,
+                                         species=cfg.species).plane_angle
+                nx, ny = -math.sin(phi), math.cos(phi)  # plane normal
+                branch = np.arange(len(freqs))
+            c = _by_axis(b)  # [axis, ion, branch]
+            normal_comp = nx * c[0] + ny * c[1]
+            plane_w = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
+            axial_w = np.sum(c[2] * c[2], axis=0)
+            table = np.column_stack((
+                np.full(len(freqs), nu / 1e6), branch,
+                freqs / (2.0 * math.pi) / 1e3, plane_w, axial_w))
+            table[:, 3:][np.abs(table[:, 3:]) < _WEIGHT_FLOOR] = 0.0
+            yield table
+
+    _write_csv(f"{out}/modes.csv",
+               "nu_latt_MHz,branch_id,freq_kHz,plane_weight,axial_weight",
+               _MODE_ROW, tables(), cfg.config_hash)
     _write_json(f"{out}/modes_warnings.json", {
         "config_hash": cfg.config_hash,
         "flagged": [
@@ -200,13 +196,13 @@ def cmd_scatter(args, cfg, out):
         depths = _parse_grid(args.grid) * 1e-3 * cn.KB  # mK -> J
     else:
         depths = np.linspace(0.0, abs(lattice.depth_U0), 26)
-    table = scan_depth(scenario, cfg.beam, depths)
-    rows = [(r["depth"] / cn.KB / 1e-3, r["nu_latt"] / 1e6, r["p_per_ion"],
-             r["subsequent_fraction"], r["bunching"]) for r in table]
+    table = np.array([
+        (r["depth"] / cn.KB / 1e-3, r["nu_latt"] / 1e6, r["p_per_ion"],
+         r["subsequent_fraction"], r["bunching"])
+        for r in scan_depth(scenario, cfg.beam, depths)])
     _write_csv(f"{out}/scatter.csv",
-               ["depth_mK", "nu_latt_MHz", "p_per_ion",
-                "subsequent_fraction", "bunching"],
-               rows, cfg.config_hash)
+               "depth_mK,nu_latt_MHz,p_per_ion,subsequent_fraction,bunching",
+               "%.9g,%.9g,%.9g,%.9g,%.9g\n", [table], cfg.config_hash)
     _write_json(f"{out}/scatter_meta.json", {
         "config_hash": cfg.config_hash,
         "package_version": __version__,
@@ -226,6 +222,10 @@ def cmd_thermometry(args, cfg, out):
             raise SpotParseError(
                 f"spots: ion_index {ion} is outside [0, {cfg.n_ions}) for "
                 f"this crystal of {cfg.n_ions} ions")
+    used = _used_axes(cfg.include_radial)
+    if not any(axis in used for _, axis, _ in profiles):
+        raise SpotParseError(f"spots: no {' or '.join(used)} profile (radial "
+                             "ones need thermometry.include_radial: true)")
     spots = fit_spot_profiles(profiles, cfg.imaging)
 
     state = _solve_reference(cfg)

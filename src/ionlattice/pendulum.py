@@ -242,11 +242,7 @@ def normalized_period(E, U0):
     alternative) by requiring tau = ds/d(E/U0), which holds analytically,
     and by the free-flight limit tau -> sqrt(U0/E).
     """
-    x = _energy_ratio(E, U0)
-    if x == 1.0:
-        raise SeparatrixError(
-            "trajectory period diverges at the separatrix E = U0")
-    return float(_orbit(x, abs(x - 1.0))[1])
+    return float(_off_separatrix_orbit(E, U0)[1])
 
 
 def _energy_ratio(E, U0):
@@ -255,6 +251,15 @@ def _energy_ratio(E, U0):
     if not E >= 0:
         raise DomainError("E must be non-negative")
     return E / U0
+
+
+def _off_separatrix_orbit(E, U0):
+    # s, tau and <sin^2> at one energy where tau is finite
+    x = _energy_ratio(E, U0)
+    if x == 1.0:
+        raise SeparatrixError(
+            "trajectory period diverges at the separatrix E = U0")
+    return _orbit(x, abs(x - 1.0))
 
 
 def action_density(s, T0, U0):
@@ -278,8 +283,7 @@ def energy_density(E, T0, U0):
     with the singular point declared.
     """
     _check_t0_u0(T0, U0)
-    s = dimensionless_action(E, U0)
-    tau = normalized_period(E, U0)  # raises at the separatrix
+    s, tau, _ = map(float, _off_separatrix_orbit(E, U0))
     theta = cn.KB * T0 / U0
     return math.exp(-s * s / (4.0 * theta)) / (U0 * math.sqrt(math.pi * theta)) * tau
 

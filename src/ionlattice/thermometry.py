@@ -213,6 +213,11 @@ def _spot_gamma(spot, gamma):
     return float(table[spot.ion_index])
 
 
+def _used_axes(include_radial):
+    # the spot axes a temperature estimate reads
+    return _AXES if include_radial else ("axial",)
+
+
 def estimate_temperature(spots, gamma, trap, species, imaging,
                          include_radial=False):
     """Single-parameter weighted fit of T across many spots.
@@ -226,8 +231,7 @@ def estimate_temperature(spots, gamma, trap, species, imaging,
     fitted c means every spot is narrower than the stated resolution;
     that raises, carrying the per-spot variance deficits.
     """
-    used = [s for s in spots
-            if s.axis == "axial" or (include_radial and s.axis == "radial")]
+    used = [s for s in spots if s.axis in _used_axes(include_radial)]
     if not used:
         raise DomainError("no usable spots (axial missing and radial excluded)")
 
@@ -238,17 +242,11 @@ def estimate_temperature(spots, gamma, trap, species, imaging,
 
     dsig = np.array([s.sigma_ci95 / 1.96 for s in used])
     var_v = (2.0 * np.sqrt(v) * dsig) ** 2
-    if np.all(var_v == 0.0) or not np.any(np.isfinite(var_v)):
-        w = np.ones_like(v)
-        exact_weights = False
-    else:
-        with np.errstate(divide="ignore"):
-            w = 1.0 / var_v
-        w[~np.isfinite(var_v)] = 0.0  # infinite-CI spots carry no weight
-        exact_weights = True
-        if not np.any(w > 0):
-            w = np.ones_like(v)
-            exact_weights = False
+    # inverse-variance weights need a positive variance on every spot and
+    # a finite one on some; infinite-CI spots carry no weight (1/inf = 0).
+    # A zero CI states no usable error, so then every spot counts equally.
+    exact_weights = bool(np.all(var_v > 0.0) and np.any(np.isfinite(var_v)))
+    w = 1.0 / var_v if exact_weights else np.ones_like(v)
 
     denom = float(np.sum(w * g2 * g2))
     c_hat = float(np.sum(w * g2 * t)) / denom

@@ -1,6 +1,7 @@
 """Config parsing, hashing, and the command-line surface."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -22,8 +23,8 @@ from ionlattice import (
     continuation,
     parse_config,
 )
+from ionlattice import cli, crystal
 from ionlattice import constants as cn
-from ionlattice import crystal
 from ionlattice.cli import _parse_grid, main
 from ionlattice.errors import EXIT_CONFIG, EXIT_IO, EXIT_SOLVER
 
@@ -305,6 +306,22 @@ class TestModesCommand:
         assert main(["modes", "--config", str(cfg), "--out", str(out),
                      "--grid", "0.01:0.2:3:geom"]) == 0
 
+    def test_default_grid(self, ws):
+        # without --grid: 0, then 199 geometric nodes up to the configured
+        # nu_latt (25 mK here); step halving may add rows between them
+        cfg, out = ws
+        assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = _read_rows(out / "modes.csv")
+        nu = [r["nu_latt_MHz"] for r in rows]
+        parsed = parse_config(BASE_YAML)
+        nu_max = parsed.lattice.vibrational_frequency(parsed.species)
+        grid = np.concatenate([[0.0], np.geomspace(1e-3 * nu_max, nu_max,
+                                                   199)])
+        assert float(nu[0]) == 0.0
+        assert nu[-1] == "%.9g" % (nu_max / 1e6)
+        assert {"%.9g" % (g / 1e6) for g in grid} <= set(nu)
+        assert len(set(nu)) >= 200 and len(rows) == 12 * len(set(nu))
+
     def test_stream_matches_collected_result(self, ws):
         # modes.csv is streamed row by row; it must read exactly like the
         # rows formatted from the collected ContinuationResult, with weights
@@ -336,7 +353,8 @@ class TestModesCommand:
                        floor(axial[p, i]))
                 want.append(",".join(
                     v if isinstance(v, str) else "%.9g" % v for v in row))
-        assert (out / "modes.csv").read_text().splitlines() == want
+        assert (out / "modes.csv").read_bytes() == \
+            ("\n".join(want) + "\n").encode()
         assert len(want) == 2 + 12 * len(res.nu_latt)
         # this grid has noise in both columns: the floor is exercised
         assert any(",0," in line for line in want)
@@ -427,6 +445,22 @@ class TestScatterCommand:
                     "seed", "n_ions", "T0_mK", "depth_grid_mK"):
             assert key in meta
         assert meta["n_ions"] == 4 and meta["seed"] == 7
+
+    def test_default_grid(self, ws):
+        # without --grid: 26 depths from 0 to lattice.depth_max_mK
+        cfg, out = ws
+        with pytest.warns(AdiabaticityWarning):
+            assert main(["scatter", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        _, rows = _read_rows(out / "scatter.csv")
+        depth = [float(r["depth_mK"]) for r in rows]
+        assert len(rows) == 26
+        assert depth[0] == 0.0 and depth[-1] == pytest.approx(25.0,
+                                                              rel=1e-12)
+        np.testing.assert_allclose(np.diff(depth), 1.0, rtol=1e-8)
+        assert float(rows[0]["bunching"]) == 0.5
+        meta = json.loads((out / "scatter_meta.json").read_text())
+        assert len(meta["depth_grid_mK"]) == 26
 
     def test_negative_grid_rejected(self, ws, capsys):
         cfg, out = ws
@@ -522,8 +556,6 @@ class TestThermometryCommand:
     ])
     def test_bad_spot_row_is_config_error(self, ws8, tmp_path, capsys,
                                           monkeypatch, row, named):
-        import ionlattice.cli as cli
-
         def no_solve(*args, **kwargs):
             raise AssertionError("the crystal was solved before the check")
 
@@ -541,8 +573,6 @@ class TestThermometryCommand:
 
     def test_short_spot_group_is_config_error(self, ws8, tmp_path, capsys,
                                               monkeypatch):
-        import ionlattice.cli as cli
-
         def no_solve(*args, **kwargs):
             raise AssertionError("the crystal was solved before the check")
 
@@ -556,6 +586,32 @@ class TestThermometryCommand:
                      "--spots", str(bad)])
         assert code == EXIT_CONFIG
         assert "line 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radial, rows", [
+        (False, "".join(f"0,radial,{p},10\n" for p in range(5))),
+        (True, ""),
+    ], ids=["radial-only", "empty"])
+    def test_no_usable_spots_is_config_error(self, ws8, tmp_path, capsys,
+                                             monkeypatch, radial, rows):
+        # rejected before any fit or crystal solve
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the check")
+
+        monkeypatch.setattr(cli, "equilibrium", no_work)
+        monkeypatch.setattr(cli, "fit_spot_profiles", no_work)
+        cfg, out = ws8
+        if radial:
+            cfg = tmp_path / "radial.yaml"
+            cfg.write_text(STRING_YAML
+                           + "thermometry:\n  include_radial: true\n")
+        spots = tmp_path / "radial.csv"
+        spots.write_text("ion_index,axis,pixel,counts\n" + rows)
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(spots)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no axial" in err and "thermometry.include_radial" in err
+        assert not (out / "temperature.json").exists()
 
     def test_negative_variance_is_solver_error(self, ws8, tmp_path, capsys):
         from ionlattice import (ImagingConfig, equilibrium,
@@ -672,3 +728,125 @@ class TestCliPlumbing:
         for name in ("positions.csv", "modes.csv", "scatter.csv",
                      "temperature.json", "micromotion.json"):
             assert (out / name).exists()
+
+
+def _oracle_csv(cfg_hash, header, rows):
+    # the per-value CSV formatting of the writer the table writer replaced,
+    # frozen here as the oracle its bytes must match
+    lines = [f"# config_hash={cfg_hash}", ",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else "%.9g" % v for v in row)
+              for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class _FullDisk:
+    """A file on a disk that fills after the first write: the second write
+    fails with ENOSPC, or the close of a file written in one piece."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        n = self.fh.write(text)
+        self.fh.flush()  # the first write reaches the disk
+        return n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, tb):
+        self.fh.close()
+        if kind is None and self.writes < 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestArtifactWriter:
+    def test_positions_bytes(self, ws):
+        from ionlattice import equilibrium
+        cfg, out = ws
+        assert main(["equilibrium", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        parsed = parse_config(BASE_YAML)
+        st = equilibrium(4, parsed.trap, species=parsed.species, seed=7)
+        rows = [(i, x / 1e-6, y / 1e-6, z / 1e-6)
+                for i, (x, y, z) in enumerate(st.positions)]
+        assert (out / "positions.csv").read_bytes() == _oracle_csv(
+            parsed.config_hash, ["ion", "x_um", "y_um", "z_um"], rows)
+
+    def test_scatter_bytes(self, ws):
+        from ionlattice import ScatteringScenario, equilibrium, scan_depth
+        cfg, out = ws
+        grid = "0.5:30:7:geom"
+        parsed = parse_config(BASE_YAML)
+        st = equilibrium(4, parsed.trap, species=parsed.species, seed=7)
+        scenario = ScatteringScenario(crystal=st, species=parsed.species,
+                                      lattice=parsed.lattice,
+                                      ramp=parsed.ramp, T0=parsed.T0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            assert main(["scatter", "--config", str(cfg), "--out", str(out),
+                         "--grid", grid]) == 0
+            table = scan_depth(scenario, parsed.beam,
+                               _parse_grid(grid) * 1e-3 * cn.KB)
+        rows = [(r["depth"] / cn.KB / 1e-3, r["nu_latt"] / 1e6,
+                 r["p_per_ion"], r["subsequent_fraction"], r["bunching"])
+                for r in table]
+        assert (out / "scatter.csv").read_bytes() == _oracle_csv(
+            parsed.config_hash, ["depth_mK", "nu_latt_MHz", "p_per_ion",
+                                 "subsequent_fraction", "bunching"], rows)
+
+    @pytest.mark.parametrize("verb, name", [
+        ("equilibrium", "positions.csv"),
+        ("modes", "modes.csv"),
+        ("modes", "modes_warnings.json"),
+        ("scatter", "scatter.csv"),
+        ("scatter", "scatter_meta.json"),
+        ("thermometry", "temperature.json"),
+        ("micromotion", "micromotion.json"),
+    ])
+    def test_full_disk_leaves_no_partial_artifact(self, ws, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  verb, name):
+        from ionlattice import (equilibrium, gamma_parameters, normal_modes,
+                                synthesize_spots, write_spot_profiles)
+        cfg, out = ws
+        argv = [verb, "--config", str(cfg), "--out", str(out)]
+        argv += {"modes": ["--grid", "0.01:0.2:3:geom"],
+                 "scatter": ["--grid", "0:25:3:lin"]}.get(verb, [])
+        if verb == "thermometry":
+            parsed = parse_config(BASE_YAML)
+            st = equilibrium(4, parsed.trap, species=parsed.species, seed=7)
+            spots = synthesize_spots(
+                3.5e-3, st, gamma_parameters(normal_modes(
+                    st, parsed.trap, species=parsed.species)),
+                parsed.imaging, photon_budget=2e4, seed=5, trap=parsed.trap,
+                species=parsed.species, axes=("axial",))
+            write_spot_profiles(spots, tmp_path / "spots.csv")
+            argv += ["--spots", str(tmp_path / "spots.csv")]
+
+        def full_disk_run():
+            def fake_open(file, *args, **kwargs):
+                fh = open(file, *args, **kwargs)
+                if os.path.basename(file).startswith(name):
+                    return _FullDisk(fh)
+                return fh
+
+            with monkeypatch.context() as m, warnings.catch_warnings():
+                warnings.simplefilter("ignore", AdiabaticityWarning)
+                m.setattr(cli, "open", fake_open, raising=False)
+                assert main(argv) == EXIT_IO
+            assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+            assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+        full_disk_run()  # into a fresh directory
+        assert not (out / name).exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            assert main(argv) == 0
+        (out / name).write_text("from an earlier run\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        full_disk_run()  # over the artifacts of a successful run
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

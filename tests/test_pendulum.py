@@ -135,6 +135,22 @@ class TestEnergyDistribution:
             singular_points=[U0], tol=1e-10)
         assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_energy_density_is_one_orbit_evaluation(self):
+        # one orbit call gives s and tau: bit-equal to the two-call form
+        t0 = 0.144 * U0 / cn.KB
+        theta = cn.KB * t0 / U0
+        for x in [0.0, 1e-9, 0.3, 0.999999, 1.000001, 1.6, 40.0]:
+            e = x * U0
+            s = dimensionless_action(e, U0)
+            tau = normalized_period(e, U0)
+            want = (math.exp(-s * s / (4.0 * theta))
+                    / (U0 * math.sqrt(math.pi * theta)) * tau)
+            assert energy_density(e, t0, U0) == want, x
+        with pytest.raises(SeparatrixError):
+            energy_density(U0, t0, U0)
+        with pytest.raises(DomainError):
+            energy_density(-U0, t0, U0)
+
     def test_action_density_normalized(self):
         t0 = 0.144 * U0 / cn.KB
         val, _ = quad(lambda s: action_density(s, t0, U0), 0.0, np.inf)

@@ -1,5 +1,6 @@
 """Spot synthesis, Gaussian fitting, and temperature recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ionlattice import (
     DomainError,
     ImagingConfig,
     NegativeThermalVarianceError,
+    SpotMeasurement,
     SpotParseError,
     estimate_temperature,
     fit_gaussian_profile,
@@ -199,6 +201,29 @@ class TestEstimateTemperature:
         padded = estimate_temperature(spots + [junk], string8_gamma,
                                       trap_string8, ca40, imaging)
         assert padded.T == pytest.approx(base.T, rel=1e-12)
+
+    def test_zero_ci_spot_falls_back_to_unweighted(self, trap_string8,
+                                                     ca40, imaging):
+        # a zero CI next to a positive one once gave T = nan (inf/inf):
+        # without a positive variance on every spot, all count equally
+        from types import SimpleNamespace
+
+        spots = [SpotMeasurement(ion_index=i, axis="axial",
+                                 profile=np.zeros((5, 2)),
+                                 fitted_sigma=sigma, sigma_ci95=ci)
+                 for i, (sigma, ci) in enumerate([(2.5e-6, 0.0),
+                                                  (2.6e-6, 1e-8)])]
+        unit = SimpleNamespace(axial=np.ones(2))
+        est = estimate_temperature(spots, unit, trap_string8, ca40, imaging)
+        t = np.array([2.5e-6, 2.6e-6]) ** 2 - imaging.sigma_res_axial ** 2
+        scale = ca40.mass * trap_string8.omega_z ** 2 / cn.KB
+        assert est.T == pytest.approx(np.mean(t) * scale, rel=1e-12)
+        assert math.isfinite(est.ci95) and est.ci95 > 0
+        assert np.all(np.isfinite(est.per_ion_residuals))
+        both_zero = [spots[0], dataclasses.replace(spots[1], sigma_ci95=0.0)]
+        same = estimate_temperature(both_zero, unit, trap_string8, ca40,
+                                    imaging)
+        assert (est.T, est.ci95) == (same.T, same.ci95)
 
     def test_order_invariance(self, string8, string8_gamma, trap_string8,
                               ca40, imaging, rng):
