@@ -8,8 +8,9 @@ than any single call to it saves, so these are written on numpy alone:
   cold crystal solve;
 - ``assignment``: minimum-cost perfect matching of a square matrix by
   Jonker–Volgenant shortest augmenting paths, for mode-branch tracking;
-- ``least_squares``: Levenberg–Marquardt with Marquardt's diagonal
-  scaling, for the Gaussian spot fit;
+- ``least_squares_batch``: Levenberg–Marquardt with Marquardt's diagonal
+  scaling over a stack of problems, for the Gaussian spot fits
+  (``least_squares`` is its one-problem case);
 - ``student_t_975``: the 0.975 quantile of Student's t, for the
   temperature interval.
 
@@ -310,6 +311,7 @@ def assignment(cost):
 
 
 class LeastSquaresResult(NamedTuple):
+    # one problem; least_squares_batch stacks each field along a first axis
     x: np.ndarray
     cost: float  # half the sum of squared residuals at x
     jac: np.ndarray  # the Jacobian at x
@@ -320,198 +322,245 @@ class LeastSquaresResult(NamedTuple):
 
 # The Levenberg-Marquardt fit below is MINPACK's lmder with its
 # arithmetic: sums run in index order (np.add.accumulate over the m rows,
-# Python floats over the n parameters), squares are products, and a norm
-# is the root of such a sum, as ``enorm`` computes it for components in
-# (3.8e-20, 1.3e19/n).
+# a loop over the n parameters), squares are products, and a norm is the
+# root of such a sum, as ``enorm`` computes it for components in
+# (3.8e-20, 1.3e19/n). Problems are lanes along the first axis of every
+# array, and each lane sees the same operations in the same order as the
+# others; where MINPACK branches, both sides are computed and np.where
+# keeps the lane's own, so a lane's result does not depend on the rest of
+# the batch.
 _EPSMCH = float(np.finfo(float).eps)
 _DWARF = float(np.finfo(float).tiny)
+_STOPS = ("gtol termination condition is satisfied",
+          "ftol or xtol termination condition is satisfied",
+          "the maximum number of function evaluations is exceeded",
+          "a tolerance is below machine precision")  # the last two fail
 
 
-def _enorm(v):
-    """Norm of an m-vector (ndarray), summed in index order."""
-    return math.sqrt(np.add.accumulate(v * v)[-1])
+def _pmax(a, b):
+    # Python's max(a, b) per lane: b only where b > a
+    return np.where(b > a, b, a)
 
 
-def _norm(v):
-    """Norm of an n-vector (list), summed in index order."""
-    s = 0.0
-    for x in v:
-        s += x * x
-    return math.sqrt(s)
+def _pmin(a, b):
+    # Python's min(a, b) per lane: b only where b < a
+    return np.where(b < a, b, a)
 
 
-def _qrfac(a):
-    """MINPACK qrfac: Householder QR of a (m, n), m >= n, with pivoting.
+def _sums(v, end):
+    """Sums along v's last axis, in index order up to index end of each lane.
 
-    Returns the transposed factors, (n, m): row j holds R's row j right
-    of the diagonal and the Householder vector from the diagonal on; then
-    R's diagonal, the column norms of a and the column order, as lists.
+    v is (L, W) or (L, k, W); entries past a lane's end are never read.
     """
-    at = np.array(a, dtype=float).T.copy()
-    n = len(at)
-    acnorm = np.sqrt(np.add.accumulate(at * at, axis=1)[:, -1]).tolist()
-    rdiag = acnorm[:]
-    wa = acnorm[:]
-    ipvt = list(range(n))
+    acc = np.add.accumulate(v, axis=-1)
+    lane = np.arange(len(v))
+    return acc[lane, end] if v.ndim == 2 else acc[lane, :, end]
+
+
+def _norms(w):
+    """Norms of the rows of w (L, n), summed in index order."""
+    s = 0.0
+    for j in range(w.shape[1]):
+        s = s + w[:, j] * w[:, j]
+    return np.sqrt(s)
+
+
+def _rt_dot(r, v):
+    """R^T v per lane, each entry summed over R's column in index order."""
+    t = np.zeros_like(v)
+    for i in range(v.shape[1]):
+        t[:, i:] = t[:, i:] + r[:, i, i:] * v[:, i:i + 1]
+    return t
+
+
+def _qrfac(a, end):
+    """MINPACK qrfac of each lane of a (L, M, n): Householder QR, pivoted.
+
+    Lane l has end[l] + 1 >= n rows. Returns the transposed factors, (L, n,
+    M): row j holds R's row j right of the diagonal and the Householder
+    vector from the diagonal on; then R's diagonal, the column norms of a
+    and the column order, each (L, n).
+    """
+    at = a.transpose(0, 2, 1).copy()
+    lanes, n, _ = at.shape
+    acnorm = np.sqrt(_sums(at * at, end))
+    rdiag = acnorm.copy()
+    wa = acnorm.copy()
+    ipvt = np.arange(n)[None].repeat(lanes, axis=0)
     for j in range(n):
-        kmax = max(range(j, n), key=rdiag.__getitem__)  # first largest
-        if kmax != j:
-            at[[j, kmax]] = at[[kmax, j]]
-            rdiag[kmax], wa[kmax] = rdiag[j], wa[j]
-            ipvt[j], ipvt[kmax] = ipvt[kmax], ipvt[j]
-        v = at[j, j:]
-        ajnorm = _enorm(v)
-        if ajnorm != 0.0:
-            if v[0] < 0.0:
-                ajnorm = -ajnorm
-            v /= ajnorm
-            v[0] += 1.0
-            rest = at[j + 1:, j:]
-            rest -= (np.add.accumulate(rest * v, axis=1)[:, -1]
-                     / v[0])[:, None] * v
-            for k, rjk in enumerate(at[j + 1:, j].tolist(), start=j + 1):
-                if rdiag[k] != 0.0:  # downdate the remaining norm
-                    temp = rjk / rdiag[k]
-                    rdiag[k] *= math.sqrt(max(0.0, 1.0 - temp * temp))
-                    q = rdiag[k] / wa[k]
-                    if 0.05 * (q * q) <= _EPSMCH:
-                        rdiag[k] = wa[k] = _enorm(at[k, j + 1:])
-        rdiag[j] = -ajnorm
+        kmax = j + np.argmax(rdiag[:, j:], axis=1)  # the first largest
+        sw = (kmax != j).nonzero()[0]
+        if sw.size:
+            k = kmax[sw]
+            at[sw, j], at[sw, k] = at[sw, k], at[sw, j]
+            rdiag[sw, k], wa[sw, k] = rdiag[sw, j], wa[sw, j]
+            ipvt[sw, j], ipvt[sw, k] = ipvt[sw, k], ipvt[sw, j]
+        v = at[:, j, j:]
+        ajnorm = np.sqrt(_sums(v * v, end - j))
+        nz = ajnorm != 0.0  # a zero column is left as it is
+        ajnorm = np.where(nz & (v[:, 0] < 0.0), -ajnorm, ajnorm)
+        h = v / ajnorm[:, None]
+        h[:, 0] += 1.0
+        rest = at[:, j + 1:, j:]
+        new = rest - (_sums(rest * h[:, None], end - j)
+                      / h[:, :1])[:, :, None] * h[:, None]
+        at[:, j, j:] = np.where(nz[:, None], h, v)
+        at[:, j + 1:, j:] = np.where(nz[:, None, None], new, rest)
+        if j + 1 < n:  # downdate the remaining column norms
+            rk, wk = rdiag[:, j + 1:], wa[:, j + 1:]
+            go = nz[:, None] & (rk != 0.0)
+            temp = at[:, j + 1:, j] / rk
+            shrink = 1.0 - temp * temp
+            down = rk * np.sqrt(np.where(shrink > 0.0, shrink, 0.0))
+            q = down / wk
+            redo = go & (0.05 * (q * q) <= _EPSMCH)
+            if redo.any():  # too much cancellation: recompute the norm
+                tail = at[:, j + 1:, j + 1:]
+                exact = np.sqrt(_sums(tail * tail, end - j - 1))
+                down = np.where(redo, exact, down)
+                wa[:, j + 1:] = np.where(redo, exact, wk)
+            rdiag[:, j + 1:] = np.where(go, down, rk)
+        rdiag[:, j] = -ajnorm
     return at, rdiag, acnorm, ipvt
+
+
+def _qtf(at, f, end):
+    """The first n entries of Q^T f, from _qrfac's Householder vectors."""
+    wa4 = f.copy()
+    n = at.shape[1]
+    for j in range(n):
+        v = at[:, j, j:]
+        step = v * ((-_sums(v * wa4[:, j:], end - j)) / v[:, 0])[:, None]
+        wa4[:, j:] = np.where((v[:, 0] != 0.0)[:, None], wa4[:, j:] + step,
+                              wa4[:, j:])
+    return wa4[:, :n].copy()
 
 
 def _qrsolv(r, ipvt, diag, qtb):
     """MINPACK qrsolv: least-squares x of [J; D] x = [f; 0], J P = Q R.
 
-    r (nested lists) holds R in its upper triangle; its strict lower
-    triangle receives the transposed triangle S of [R; P^T D P] = Q' S,
-    which ``_lmpar``'s Newton correction reads. Returns x and S's
-    diagonal.
+    r (L, n, n) holds R in its upper triangle. Returns x, the diagonal of
+    the triangle S of [R; P^T D P] = Q' S, and S^T in the strict lower
+    triangle of an (L, n, n) array, which ``_lmpar``'s Newton correction
+    reads.
     """
-    n = len(qtb)
-    x = [0.0] * n
+    lanes, n = qtb.shape
+    lane = np.arange(lanes)
+    s = r.transpose(0, 2, 1).copy()  # R's upper triangle, transposed
+    wa = qtb.copy()
+    sdiag = np.zeros((lanes, n))
     for j in range(n):
-        for i in range(j, n):
-            r[i][j] = r[j][i]
-        x[j] = r[j][j]
-    wa = list(qtb)
-    sdiag = [0.0] * n
-    for j in range(n):
-        dj = diag[ipvt[j]]
-        if dj != 0.0:  # Givens rotations eliminate row j of D
-            for k in range(j, n):
-                sdiag[k] = 0.0
-            sdiag[j] = dj
-            qtbpj = 0.0
-            for k in range(j, n):
-                if sdiag[k] == 0.0:
-                    continue
-                if abs(r[k][k]) < abs(sdiag[k]):
-                    cotan = r[k][k] / sdiag[k]
-                    sn = 0.5 / math.sqrt(0.25 + 0.25 * (cotan * cotan))
-                    cs = sn * cotan
-                else:
-                    tn = sdiag[k] / r[k][k]
-                    cs = 0.5 / math.sqrt(0.25 + 0.25 * (tn * tn))
-                    sn = cs * tn
-                r[k][k] = cs * r[k][k] + sn * sdiag[k]
-                temp = cs * wa[k] + sn * qtbpj
-                qtbpj = -sn * wa[k] + cs * qtbpj
-                wa[k] = temp
-                for i in range(k + 1, n):
-                    temp = cs * r[i][k] + sn * sdiag[i]
-                    sdiag[i] = -sn * r[i][k] + cs * sdiag[i]
-                    r[i][k] = temp
-        sdiag[j] = r[j][j]
-        r[j][j] = x[j]
-    nsing = sdiag.index(0.0) if 0.0 in sdiag else n
-    for j in range(nsing, n):
-        wa[j] = 0.0
-    for j in range(nsing - 1, -1, -1):
-        s = 0.0
-        for i in range(j + 1, nsing):
-            s += r[i][j] * wa[i]
-        wa[j] = (wa[j] - s) / sdiag[j]
-    for j in range(n):
-        x[ipvt[j]] = wa[j]
-    return x, sdiag
+        dj = diag[lane, ipvt[:, j]]
+        on = dj != 0.0  # Givens rotations eliminate row j of D
+        sdiag[:, j:] = np.where(on[:, None], 0.0, sdiag[:, j:])
+        sdiag[:, j] = np.where(on, dj, sdiag[:, j])
+        qtbpj = np.zeros(lanes)
+        for k in range(j, n):
+            rkk, sk, wak = s[:, k, k], sdiag[:, k], wa[:, k]
+            go = on & (sk != 0.0)
+            cotan = rkk / sk
+            sin_c = 0.5 / np.sqrt(0.25 + 0.25 * (cotan * cotan))
+            tan = sk / rkk
+            cos_t = 0.5 / np.sqrt(0.25 + 0.25 * (tan * tan))
+            small = np.abs(rkk) < np.abs(sk)
+            cs = np.where(small, sin_c * cotan, cos_t)
+            sn = np.where(small, sin_c, cos_t * tan)
+            s[:, k, k] = np.where(go, cs * rkk + sn * sk, rkk)
+            temp = cs * wak + sn * qtbpj
+            qtbpj = np.where(go, -sn * wak + cs * qtbpj, qtbpj)
+            wa[:, k] = np.where(go, temp, wak)
+            if k + 1 < n:
+                rik, si = s[:, k + 1:, k], sdiag[:, k + 1:]
+                cs, sn, go = cs[:, None], sn[:, None], go[:, None]
+                temp = cs * rik + sn * si
+                sdiag[:, k + 1:] = np.where(go, -sn * rik + cs * si, si)
+                s[:, k + 1:, k] = np.where(go, temp, rik)
+        sdiag[:, j] = s[:, j, j]
+    zero = sdiag == 0.0
+    nsing = np.where(zero.any(axis=1), zero.argmax(axis=1), n)
+    wa[np.arange(n) >= nsing[:, None]] = 0.0
+    for j in range(n - 1, -1, -1):
+        t = 0.0  # the terms past nsing add wa's zeros
+        for i in range(j + 1, n):
+            t = t + s[:, i, j] * wa[:, i]
+        wa[:, j] = np.where(j < nsing, (wa[:, j] - t) / sdiag[:, j],
+                            wa[:, j])
+    x = np.empty_like(wa)
+    x[lane[:, None], ipvt] = wa
+    return x, sdiag, s
 
 
 def _lmpar(r, ipvt, diag, qtb, delta, par):
     """MINPACK lmpar: damping par and step x with |D x| within 10% of delta.
 
     x minimizes |J x + f|^2 + par |D x|^2, given J P = Q R (R in r) and
-    qtb = Q^T f; par is 0 when the Gauss-Newton step is short enough.
+    qtb = Q^T f; par is 0 where the Gauss-Newton step is short enough.
     """
-    n = len(qtb)
-    diagr = [r[j][j] for j in range(n)]
-    nsing = diagr.index(0.0) if 0.0 in diagr else n
-    wa1 = list(qtb[:nsing]) + [0.0] * (n - nsing)
-    for j in range(nsing - 1, -1, -1):  # Gauss-Newton step
-        wa1[j] = wa1[j] / r[j][j]
-        temp = wa1[j]
-        for i in range(j):
-            wa1[i] = wa1[i] - r[i][j] * temp
-    x = [0.0] * n
-    for j in range(n):
-        x[ipvt[j]] = wa1[j]
-    wa2 = [d * v for d, v in zip(diag, x)]
-    dxnorm = _norm(wa2)
+    lanes, n = qtb.shape
+    lane = np.arange(lanes)[:, None]
+    col = np.arange(n)
+    zero = r[:, col, col] == 0.0
+    nsing = np.where(zero.any(axis=1), zero.argmax(axis=1), n)
+    wa1 = np.where(col < nsing[:, None], qtb, 0.0)
+    for j in range(n - 1, -1, -1):  # Gauss-Newton step
+        act = j < nsing
+        wj = np.where(act, wa1[:, j] / r[:, j, j], wa1[:, j])
+        wa1[:, j] = wj
+        wa1[:, :j] = np.where(act[:, None],
+                              wa1[:, :j] - r[:, :j, j] * wj[:, None],
+                              wa1[:, :j])
+    x = np.empty_like(wa1)
+    x[lane, ipvt] = wa1
+    wa2 = diag * x
+    dxnorm = _norms(wa2)
     fp = dxnorm - delta
-    if fp <= 0.1 * delta:
-        return 0.0, x
-    parl = 0.0  # lower bound from the Newton step, when R has full rank
-    if nsing == n:
-        wa1 = [diag[l] * (wa2[l] / dxnorm) for l in ipvt]
-        for j in range(n):
-            s = 0.0
-            for i in range(j):
-                s += r[i][j] * wa1[i]
-            wa1[j] = (wa1[j] - s) / r[j][j]
-        temp = _norm(wa1)
-        parl = ((fp / delta) / temp) / temp
-    for j in range(n):
-        s = 0.0
-        for i in range(j + 1):
-            s += r[i][j] * qtb[i]
-        wa1[j] = s / diag[ipvt[j]]
-    gnorm = _norm(wa1)
+    live = ~(fp <= 0.1 * delta)  # lanes that need a damped step
+    if not live.any():
+        return np.zeros(lanes), x
+    dpiv = diag[lane, ipvt]
+    wa1 = dpiv * (wa2[lane, ipvt] / dxnorm[:, None])
+    t = np.zeros((lanes, n))  # t[:, j] sums r[i, j] wa1[i] over i < j
+    for j in range(n):  # lower bound from the Newton step, if R has full rank
+        wa1[:, j] = (wa1[:, j] - t[:, j]) / r[:, j, j]
+        t[:, j + 1:] = t[:, j + 1:] + r[:, j, j + 1:] * wa1[:, j:j + 1]
+    temp = _norms(wa1)
+    parl = np.where(nsing == n, ((fp / delta) / temp) / temp, 0.0)
+    gnorm = _norms(_rt_dot(r, qtb) / dpiv)
     paru = gnorm / delta
-    if paru == 0.0:
-        paru = _DWARF / min(delta, 0.1)
-    par = min(max(par, parl), paru)
-    if par == 0.0:
-        par = gnorm / dxnorm
+    paru = np.where(paru == 0.0, _DWARF / _pmin(delta, 0.1), paru)
+    damped = live.copy()
+    par = _pmin(_pmax(par, parl), paru)
+    par = np.where(par == 0.0, gnorm / dxnorm, par)
     for it in range(1, 11):
-        if par == 0.0:
-            par = max(_DWARF, 0.001 * paru)
-        temp = math.sqrt(par)
-        x, sdiag = _qrsolv(r, ipvt, [temp * d for d in diag], qtb)
-        wa2 = [d * v for d, v in zip(diag, x)]
-        dxnorm = _norm(wa2)
-        temp = fp
-        fp = dxnorm - delta
-        if (abs(fp) <= 0.1 * delta or parl == 0.0 and fp <= temp < 0.0
-                or it == 10):
+        par = np.where(live & (par == 0.0), _pmax(_DWARF, 0.001 * paru), par)
+        xs, sdiag, s = _qrsolv(r, ipvt, np.sqrt(par)[:, None] * diag, qtb)
+        x = np.where(live[:, None], xs, x)
+        wa2 = diag * xs
+        dxnorm = _norms(wa2)
+        prev = fp
+        fp = np.where(live, dxnorm - delta, fp)
+        live &= ~((np.abs(fp) <= 0.1 * delta)
+                  | (parl == 0.0) & (fp <= prev) & (prev < 0.0) | (it == 10))
+        if not live.any():
             break
-        wa1 = [diag[l] * (wa2[l] / dxnorm) for l in ipvt]
+        wa1 = dpiv * (wa2[lane, ipvt] / dxnorm[:, None])
         for j in range(n):  # Newton correction
-            wa1[j] = wa1[j] / sdiag[j]
-            temp = wa1[j]
-            for i in range(j + 1, n):
-                wa1[i] = wa1[i] - r[i][j] * temp
-        temp = _norm(wa1)
+            wj = wa1[:, j] / sdiag[:, j]
+            wa1[:, j] = wj
+            wa1[:, j + 1:] = wa1[:, j + 1:] - s[:, j + 1:, j] * wj[:, None]
+        temp = _norms(wa1)
         parc = ((fp / delta) / temp) / temp
-        if fp > 0.0:
-            parl = max(parl, par)
-        if fp < 0.0:
-            paru = min(paru, par)
-        par = max(parl, par + parc)
-    return par, x
+        parl = np.where(live & (fp > 0.0), _pmax(parl, par), parl)
+        paru = np.where(live & (fp < 0.0), _pmin(paru, par), paru)
+        par = np.where(live, _pmax(parl, par + parc), par)
+    return np.where(damped, par, 0.0), x
 
 
-def least_squares(fun, x0, jac, tol, max_nfev):
-    """Levenberg-Marquardt minimum of |fun(x)|^2: a port of MINPACK lmder.
+# lanes that a branch does not take, and the padding, compute values that
+# np.where discards or nothing reads: floating-point warnings are off
+@np.errstate(all="ignore")
+def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
+    """Levenberg-Marquardt minima of many |fun(x)|^2 at once: MINPACK lmder.
 
     The trust-region LM of Moré (Lecture Notes in Mathematics 630, 1978)
     with Marquardt's scaling D, the largest column norms of the Jacobian
@@ -523,100 +572,124 @@ def least_squares(fun, x0, jac, tol, max_nfev):
     or when every column of J is orthogonal to the residuals to tol.
     success is False after max_nfev evaluations of fun, or when a
     tolerance is below machine precision.
+
+    x0 is (P, n), one row per problem. ``fun(x, rows)`` returns the (L, M)
+    residuals of problems ``rows`` at their parameters x (L, n), and
+    ``jac(x, rows)`` their (L, M, n) Jacobians; problem p has lengths[p]
+    residuals (all M when lengths is None), and the padding past them is
+    never read. Each problem keeps its own scaling, trust radius, damping,
+    pivot order, evaluation count and stop, and is evaluated only until it
+    stops, so its result is the one it gets alone. fun and jac run with
+    numpy's floating-point warnings off. Returns a LeastSquaresResult of
+    (P, ...) stacks; jac keeps the padding.
     """
     x = np.array(x0, dtype=float)
-    n = len(x)
-    fvec = fun(x)
-    nfev = 1
-    fnorm = _enorm(fvec)
-    par = 0.0
-    first = True  # until the first successful step
+    count, n = x.shape
+    f = fun(x, np.arange(count))
+    end = (np.full(count, f.shape[1]) if lengths is None
+           else np.asarray(lengths)) - 1
+    nfev = np.ones(count, dtype=int)
+    fnorm = np.sqrt(_sums(f * f, end))
+    stop = np.full(count, -1)  # index into _STOPS once a problem stops
+    par, delta, xnorm, gnorm = (np.zeros(count) for _ in range(4))
+    diag, acnorm, qtf = (np.zeros((count, n)) for _ in range(3))
+    ipvt = np.zeros((count, n), dtype=int)
+    r = np.zeros((count, n, n))  # R above the diagonal
+    first = np.ones(count, dtype=bool)  # until the first successful step
+    fresh = first.copy()  # the Jacobian at x is due
+    col = np.arange(n)
     while True:
-        at, rdiag, acnorm, ipvt = _qrfac(jac(x))
-        if first:
-            diag = [c if c != 0.0 else 1.0 for c in acnorm]
-            xnorm = _norm([d * v for d, v in zip(diag, x.tolist())])
-            delta = 100.0 * xnorm if xnorm != 0.0 else 100.0
-        wa4 = fvec.copy()  # Q^T f
+        q = (fresh & (stop < 0)).nonzero()[0]
+        if q.size:
+            at, rdiag, acnorm[q], ipvt[q] = _qrfac(jac(x[q], q), end[q])
+            once = first[q]
+            dq = np.where(once[:, None],
+                          np.where(acnorm[q] != 0.0, acnorm[q], 1.0),
+                          diag[q])
+            xn = _norms(dq * x[q])
+            xnorm[q] = np.where(once, xn, xnorm[q])
+            delta[q] = np.where(once, np.where(xn != 0.0, 100.0 * xn,
+                                               100.0), delta[q])
+            qtf[q] = qq = _qtf(at, f[q], end[q])
+            rq = at[:, :, :n].transpose(0, 2, 1).copy()
+            rq[:, col, col] = rdiag
+            r[q] = rq
+            # largest cosine between f and a column of J
+            fq, an = fnorm[q], acnorm[q][np.arange(q.size)[:, None],
+                                         ipvt[q]]
+            cos = np.abs(_rt_dot(rq, qq / fq[:, None]) / an)
+            gnorm[q] = g = np.where((fq[:, None] != 0.0) & (an != 0.0),
+                                    cos, 0.0).max(axis=1)
+            stop[q] = np.where(g <= tol, 0, -1)
+            diag[q] = _pmax(dq, acnorm[q])
+            fresh[q] = False
+        a = (stop < 0).nonzero()[0]
+        if not a.size:
+            break
+        ra, da, fn = r[a], diag[a], fnorm[a]
+        pa, step = _lmpar(ra, ipvt[a], da, qtf[a], delta[a], par[a])
+        step = -step
+        x_new = x[a] + step
+        pnorm = _norms(da * step)
+        dl = np.where(first[a], _pmin(delta[a], pnorm), delta[a])
+        f_new = fun(x_new, a)
+        nfev[a] += 1
+        fnorm1 = np.sqrt(_sums(f_new * f_new, end[a]))
+        q = fnorm1 / fn
+        actred = np.where(0.1 * fnorm1 < fn, 1.0 - q * q, -1.0)
+        wa3 = np.zeros((a.size, n))  # R P^T step
+        spiv = step[np.arange(a.size)[:, None], ipvt[a]]
         for j in range(n):
-            v = at[j, j:]
-            if v[0] != 0.0:
-                wa4[j:] += v * (-np.add.accumulate(v * wa4[j:])[-1] / v[0])
-        qtf = wa4[:n].tolist()
-        r = at[:, :n].T.tolist()  # R above the diagonal; below, workspace
-        for j in range(n):
-            r[j][j] = rdiag[j]
-        gnorm = 0.0  # largest cosine between f and a column of J
-        if fnorm != 0.0:
-            for j in range(n):
-                if acnorm[ipvt[j]] != 0.0:
-                    s = 0.0
-                    for i in range(j + 1):
-                        s += r[i][j] * (qtf[i] / fnorm)
-                    gnorm = max(gnorm, abs(s / acnorm[ipvt[j]]))
-        if gnorm <= tol:
-            return _lm_result(jac, x, fvec, nfev, True,
-                              "gtol termination condition is satisfied")
-        diag = [max(d, c) for d, c in zip(diag, acnorm)]
-        while True:
-            par, step = _lmpar(r, ipvt, diag, qtf, delta, par)
-            step = [-v for v in step]
-            x_new = x + np.array(step)
-            pnorm = _norm([d * v for d, v in zip(diag, step)])
-            if first:
-                delta = min(delta, pnorm)
-            f_new = fun(x_new)
-            nfev += 1
-            fnorm1 = _enorm(f_new)
-            actred = -1.0
-            if 0.1 * fnorm1 < fnorm:
-                q = fnorm1 / fnorm
-                actred = 1.0 - q * q
-            wa3 = [0.0] * n  # R P^T step
-            for j in range(n):
-                temp = step[ipvt[j]]
-                for i in range(j + 1):
-                    wa3[i] = wa3[i] + r[i][j] * temp
-            temp1 = _norm(wa3) / fnorm
-            temp2 = math.sqrt(par) * pnorm / fnorm
-            prered = temp1 * temp1 + temp2 * temp2 / 0.5
-            dirder = -(temp1 * temp1 + temp2 * temp2)
-            ratio = actred / prered if prered != 0.0 else 0.0
-            if ratio <= 0.25:  # shrink the trust region
-                temp = 0.5 if actred >= 0.0 \
-                    else 0.5 * dirder / (dirder + 0.5 * actred)
-                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-                par = par / temp
-            elif par == 0.0 or ratio >= 0.75:
-                delta = pnorm / 0.5
-                par = 0.5 * par
-            if ratio >= 1e-4:
-                x, fvec, fnorm = x_new, f_new, fnorm1
-                xnorm = _norm([d * v for d, v in zip(diag, x.tolist())])
-                first = False
-            if (abs(actred) <= tol and prered <= tol and 0.5 * ratio <= 1.0
-                    or delta <= tol * xnorm):
-                return _lm_result(jac, x, fvec, nfev, True,
-                                  "ftol or xtol termination condition is "
-                                  "satisfied")
-            if nfev >= max_nfev:
-                return _lm_result(jac, x, fvec, nfev, False,
-                                  "the maximum number of function "
-                                  "evaluations is exceeded")
-            if (abs(actred) <= _EPSMCH and prered <= _EPSMCH
-                    and 0.5 * ratio <= 1.0 or delta <= _EPSMCH * xnorm
-                    or gnorm <= _EPSMCH):
-                return _lm_result(jac, x, fvec, nfev, False,
-                                  "a tolerance is below machine precision")
-            if ratio >= 1e-4:
-                break
+            wa3[:, :j + 1] = wa3[:, :j + 1] + ra[:, :j + 1, j] \
+                * spiv[:, j:j + 1]
+        temp1 = _norms(wa3) / fn
+        temp2 = np.sqrt(pa) * pnorm / fn
+        prered = temp1 * temp1 + temp2 * temp2 / 0.5
+        dirder = -(temp1 * temp1 + temp2 * temp2)
+        ratio = np.where(prered != 0.0, actred / prered, 0.0)
+        shrink = ratio <= 0.25  # shrink the trust region
+        temp = np.where(actred >= 0.0, 0.5,
+                        0.5 * dirder / (dirder + 0.5 * actred))
+        temp = np.where((0.1 * fnorm1 >= fn) | (temp < 0.1), 0.1, temp)
+        grow = ~shrink & ((pa == 0.0) | (ratio >= 0.75))
+        dl = np.where(shrink, temp * _pmin(dl, pnorm / 0.1),
+                      np.where(grow, pnorm / 0.5, dl))
+        pa = np.where(shrink, pa / temp, np.where(grow, 0.5 * pa, pa))
+        ok = ratio >= 1e-4
+        xa = np.where(ok[:, None], x_new, x[a])
+        xn = np.where(ok, _norms(da * xa), xnorm[a])
+        x[a], xnorm[a], delta[a], par[a] = xa, xn, dl, pa
+        f[a] = np.where(ok[:, None], f_new, f[a])
+        fnorm[a] = np.where(ok, fnorm1, fn)
+        first[a] &= ~ok
+        fresh[a] = ok
+        small = 0.5 * ratio <= 1.0
+        stop[a] = np.where(
+            (np.abs(actred) <= tol) & (prered <= tol) & small
+            | (dl <= tol * xn), 1, np.where(
+                nfev[a] >= max_nfev, 2, np.where(
+                    (np.abs(actred) <= _EPSMCH) & (prered <= _EPSMCH)
+                    & small | (dl <= _EPSMCH * xn)
+                    | (gnorm[a] <= _EPSMCH), 3, -1)))
+    cost = np.array([0.5 * float(row[:e + 1] @ row[:e + 1])
+                     for row, e in zip(f, end)])
+    return LeastSquaresResult(
+        x=x, cost=cost, jac=jac(x, np.arange(count)), nfev=nfev,
+        success=stop < 2, message=tuple(_STOPS[k] for k in stop))
 
 
-def _lm_result(jac, x, fvec, nfev, success, message):
-    return LeastSquaresResult(x=x, cost=0.5 * float(fvec @ fvec), jac=jac(x),
-                              nfev=nfev, success=success, message=message)
+def least_squares(fun, x0, jac, tol, max_nfev):
+    """``least_squares_batch`` of one problem: fun(x) and jac(x) take x (n,).
+
+    Returns that problem's LeastSquaresResult.
+    """
+    res = least_squares_batch(lambda x, rows: fun(x[0])[None], [x0],
+                              lambda x, rows: jac(x[0])[None], None, tol,
+                              max_nfev)
+    return LeastSquaresResult(
+        x=res.x[0], cost=float(res.cost[0]), jac=res.jac[0],
+        nfev=int(res.nfev[0]), success=bool(res.success[0]),
+        message=res.message[0])
 
 
 def _t_cdf_central(t, dof):

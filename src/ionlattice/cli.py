@@ -223,7 +223,9 @@ def cmd_thermometry(args, cfg, out):
                 f"spots: ion_index {ion} is outside [0, {cfg.n_ions}) for "
                 f"this crystal of {cfg.n_ions} ions")
     used = _used_axes(cfg.include_radial)
-    if not any(axis in used for _, axis, _ in profiles):
+    # the estimate reads no other axis, so only these are fitted
+    profiles = [p for p in profiles if p[1] in used]
+    if not profiles:
         raise SpotParseError(f"spots: no {' or '.join(used)} profile (radial "
                              "ones need thermometry.include_radial: true)")
     spots = fit_spot_profiles(profiles, cfg.imaging)

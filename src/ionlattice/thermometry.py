@@ -27,9 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constants as cn
-# bench/tracer.py wraps ``least_squares`` here, so the fit calls it through
-# this module's namespace
-from ._optim import least_squares, student_t_975
+# the fit calls least_squares_batch through this module's namespace, where
+# tests patch it; bench/tracer.py wraps least_squares here
+from ._optim import (  # noqa: F401
+    least_squares,
+    least_squares_batch,
+    student_t_975,
+)
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -138,63 +142,16 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
     reduced chi-square. An unweighted fit is followed by a second one
     with Poisson weights from the first fit's model (weights frozen, so
     the estimate stays unbiased); the chi-square scaling makes the
-    intervals insensitive to an overall gain.
+    intervals insensitive to an overall gain. This is the one-profile
+    case of fit_spot_profiles.
 
     Raises DegenerateFitError for a constant profile or a width collapsing
     below a quarter pixel, FitConvergenceError if the solver stalls.
     """
-    arr = np.asarray(list(profile), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < _MIN_SAMPLES:
-        raise DegenerateFitError(
-            f"need at least {_MIN_SAMPLES} (pixel, counts) samples to fit "
-            "a Gaussian")
-    x, y = arr[:, 0], arr[:, 1]
-    if np.ptp(y) == 0.0:
-        raise DegenerateFitError("constant profile has no peak to fit")
-
-    b0 = float(np.min(y))
-    a0 = float(np.max(y) - b0)
-    c0 = float(x[np.argmax(y)])
-    wsum = max(float(np.sum(y - b0)), 1e-12)
-    s0 = math.sqrt(max(float(np.sum((y - b0) * (x - c0) ** 2)) / wsum, 0.25))
-
-    def make_funcs(sig):
-        def resid(p):
-            return (_gauss(x, *p) - y) / sig
-
-        def jac(p):
-            a, c, s, _ = p
-            u = (x - c) / s
-            e = np.exp(-0.5 * u * u)
-            return np.column_stack([e, a * e * u / s, a * e * u * u / s,
-                                    np.ones_like(x)]) / sig[:, None]
-        return resid, jac
-
-    resid, jac = make_funcs(np.ones_like(y))
-    res = least_squares(resid, [a0, c0, s0, b0], jac, tol=1e-14,
-                        max_nfev=2000)
-    if not res.success:
-        raise FitConvergenceError(f"Gaussian fit did not converge: {res.message}")
-    sig = np.sqrt(np.maximum(_gauss(x, *res.x), 1.0))
-    resid, jac = make_funcs(sig)
-    res = least_squares(resid, res.x, jac, tol=1e-14, max_nfev=2000)
-    if not res.success:
-        raise FitConvergenceError(
-            f"weighted Gaussian fit did not converge: {res.message}")
-    a, c, s, b = res.x
-    s = abs(s)
-    if s < 0.25:  # below a quarter pixel the model is unresolvable
-        raise DegenerateFitError(
-            f"fitted width {s:.3g} px is below pixel_pitch/4")
-
-    dof = max(len(y) - 4, 1)
-    s2 = 2.0 * res.cost / dof
-    jtj = res.jac.T @ res.jac
-    try:
-        cov = s2 * np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = s2 * np.linalg.pinv(jtj)
-    ci = 1.96 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    (fit,) = _fit_profiles([profile])
+    if isinstance(fit, Exception):
+        raise fit
+    (a, c, s, b), ci = fit
     return GaussianFit(
         center=c * pixel_pitch,
         sigma=s * pixel_pitch,
@@ -202,6 +159,98 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
         offset=b,
         ci95=(ci[1] * pixel_pitch, ci[2] * pixel_pitch, ci[0], ci[3]),
     )
+
+
+def _fit_profiles(profiles):
+    """Gaussian fits of profiles in pixel units, each pass one batched solve.
+
+    Returns one entry per profile: ((a, c, sigma, b), ci) with ci the 95%
+    half-widths of (a, c, sigma, b), or the DegenerateFitError or
+    FitConvergenceError of a profile that cannot be fitted. Profiles of
+    unequal length are zero-padded, which least_squares_batch never reads,
+    so every entry is the one its profile gets alone.
+    """
+    fits = [None] * len(profiles)
+    kept, x0 = [], []
+    for i, profile in enumerate(profiles):
+        arr = np.asarray(list(profile), dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2 \
+                or arr.shape[0] < _MIN_SAMPLES:
+            fits[i] = DegenerateFitError(
+                f"need at least {_MIN_SAMPLES} (pixel, counts) samples to "
+                "fit a Gaussian")
+            continue
+        x, y = arr[:, 0], arr[:, 1]
+        if np.ptp(y) == 0.0:
+            fits[i] = DegenerateFitError("constant profile has no peak to fit")
+            continue
+        b0 = float(np.min(y))
+        a0 = float(np.max(y) - b0)
+        c0 = float(x[np.argmax(y)])
+        wsum = max(float(np.sum(y - b0)), 1e-12)
+        s0 = math.sqrt(max(float(np.sum((y - b0) * (x - c0) ** 2)) / wsum,
+                           0.25))
+        kept.append((i, arr))
+        x0.append([a0, c0, s0, b0])
+    if not kept:
+        return fits
+
+    lengths = np.array([len(arr) for _, arr in kept])
+    x, y = np.zeros((2, len(kept), lengths.max()))
+    for k, (_, arr) in enumerate(kept):
+        x[k, :lengths[k]], y[k, :lengths[k]] = arr.T
+
+    def solve(rows, sig, start):
+        xs, ys = x[rows], y[rows]
+
+        def resid(p, lanes):
+            a, c, s, b = p.T[:, :, None]
+            return (_gauss(xs[lanes], a, c, s, b) - ys[lanes]) / sig[lanes]
+
+        def jac(p, lanes):
+            a, c, s, _ = p.T[:, :, None]
+            px = xs[lanes]
+            u = (px - c) / s
+            e = np.exp(-0.5 * u * u)
+            return np.stack([e, a * e * u / s, a * e * u * u / s,
+                             np.ones_like(px)], axis=-1) \
+                / sig[lanes][..., None]
+        return least_squares_batch(resid, start, jac, lengths[rows],
+                                   tol=1e-14, max_nfev=2000)
+
+    res = solve(np.arange(len(kept)), np.ones_like(y), x0)
+    for k in np.flatnonzero(~res.success):
+        fits[kept[k][0]] = FitConvergenceError(
+            f"Gaussian fit did not converge: {res.message[k]}")
+    ok = np.flatnonzero(res.success)
+    if not ok.size:
+        return fits
+    a, c, s, b = res.x[ok].T[:, :, None]
+    sig = np.sqrt(np.maximum(_gauss(x[ok], a, c, s, b), 1.0))
+    res = solve(ok, sig, res.x[ok])
+    for k, i in enumerate(ok):
+        m = lengths[i]
+        if not res.success[k]:
+            fits[kept[i][0]] = FitConvergenceError(
+                f"weighted Gaussian fit did not converge: {res.message[k]}")
+            continue
+        a, c, s, b = res.x[k]
+        s = abs(s)
+        if s < 0.25:  # below a quarter pixel the model is unresolvable
+            fits[kept[i][0]] = DegenerateFitError(
+                f"fitted width {s:.3g} px is below pixel_pitch/4")
+            continue
+        dof = max(m - 4, 1)
+        s2 = 2.0 * res.cost[k] / dof
+        jac = res.jac[k, :m]
+        jtj = jac.T @ jac
+        try:
+            cov = s2 * np.linalg.inv(jtj)
+        except np.linalg.LinAlgError:
+            cov = s2 * np.linalg.pinv(jtj)
+        ci = 1.96 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        fits[kept[i][0]] = ((a, c, s, b), ci)
+    return fits
 
 
 def _spot_gamma(spot, gamma):
@@ -423,11 +472,21 @@ def write_spot_profiles(spots, path):
 
 
 def fit_spot_profiles(profiles, imaging):
-    """Fit raw (ion, axis, profile) triples into SpotMeasurements."""
+    """Fit raw (ion, axis, profile) triples into SpotMeasurements.
+
+    All profiles go through one batched solve per pass, each with the
+    result fit_gaussian_profile gives it alone. If any cannot be fitted,
+    raises the error of the first in input order, with its ion_index and
+    axis in the message.
+    """
+    pitch = imaging.pixel_pitch
     out = []
-    for ion, axis, prof in profiles:
-        fit = fit_gaussian_profile(prof, pixel_pitch=imaging.pixel_pitch)
+    for (ion, axis, prof), fit in zip(
+            profiles, _fit_profiles([prof for _, _, prof in profiles])):
+        if isinstance(fit, Exception):
+            raise type(fit)(f"spot (ion_index {ion}, axis {axis}): {fit}")
+        (_, _, s, _), ci = fit
         out.append(SpotMeasurement(
             ion_index=ion, axis=axis, profile=np.asarray(prof, dtype=float),
-            fitted_sigma=fit.sigma, sigma_ci95=fit.ci95[1]))
+            fitted_sigma=s * pitch, sigma_ci95=ci[2] * pitch))
     return out

@@ -613,6 +613,65 @@ class TestThermometryCommand:
         assert "no axial" in err and "thermometry.include_radial" in err
         assert not (out / "temperature.json").exists()
 
+    @staticmethod
+    def _with_group(spots, path, ion, axis, counts):
+        # spots' rows, without any of (ion, axis), then 20 rows of counts
+        lines = spots.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            line for line in lines if not line.startswith(f"{ion},{axis},"))
+            + "".join(f"{ion},{axis},{p},{counts}\n" for p in range(20)))
+        return path
+
+    def test_unfittable_spot_is_solver_error_naming_it(self, ws8, tmp_path,
+                                                       capsys):
+        cfg, out = ws8
+        flat = self._with_group(self._spots_csv(tmp_path),
+                                tmp_path / "flat.csv", 3, "axial", 7)
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(flat)])
+        assert code == EXIT_SOLVER
+        assert "spot (ion_index 3, axis axial): constant profile has no " \
+            "peak to fit" in capsys.readouterr().err
+        assert not (out / "temperature.json").exists()
+
+    def test_unused_axis_is_read_but_not_fitted(self, ws8, tmp_path,
+                                                capsys):
+        # a constant radial group is no error while radial spots are
+        # excluded, and the result is that of the file without it
+        cfg, out = ws8
+        spots = self._spots_csv(tmp_path)
+        flat = self._with_group(spots, tmp_path / "flat.csv", 2, "radial",
+                                7)
+        for name, path in (("with", flat), ("without", spots)):
+            assert main(["thermometry", "--config", str(cfg), "--out",
+                         str(out / name), "--spots", str(path)]) == 0
+        assert (out / "with" / "temperature.json").read_bytes() \
+            == (out / "without" / "temperature.json").read_bytes()
+        radial = tmp_path / "radial.yaml"
+        radial.write_text(STRING_YAML
+                          + "thermometry:\n  include_radial: true\n")
+        code = main(["thermometry", "--config", str(radial), "--out",
+                     str(out / "radial"), "--spots", str(flat)])
+        assert code == EXIT_SOLVER
+        assert "spot (ion_index 2, axis radial): constant profile" \
+            in capsys.readouterr().err
+
+    def test_unused_axis_is_still_validated(self, ws8, tmp_path, capsys,
+                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the check")
+
+        monkeypatch.setattr(cli, "equilibrium", no_work)
+        monkeypatch.setattr(cli, "fit_spot_profiles", no_work)
+        cfg, out = ws8
+        spots = self._spots_csv(tmp_path)
+        bad = self._with_group(spots, tmp_path / "bad.csv", 2, "radial", 7)
+        bad.write_text(bad.read_text() + "2,radial,20,-1\n")
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(bad)])
+        assert code == EXIT_CONFIG
+        assert "counts must be non-negative" in capsys.readouterr().err
+
     def test_negative_variance_is_solver_error(self, ws8, tmp_path, capsys):
         from ionlattice import (ImagingConfig, equilibrium,
                                 gamma_parameters, normal_modes,

@@ -1,9 +1,16 @@
-"""The numpy stand-ins of ``ionlattice._optim`` against scipy's routines."""
+"""The numpy stand-ins of ``ionlattice._optim`` against scipy's routines.
+
+The batched Levenberg-Marquardt fit is also held, problem by problem, to
+the scalar MINPACK port in lmder_oracle.py.
+"""
 
 import math
 
+import lmder_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares as scipy_least_squares
 from scipy.optimize import linear_sum_assignment
 from scipy.optimize._linesearch import line_search_wolfe1
@@ -132,10 +139,10 @@ def test_assignment_matches_scipy_along_a_sweep(ca40, trap_zigzag4,
         np.testing.assert_array_equal(col, ref)
 
 
-def _profile_problem(rng, weighted):
-    px = np.arange(-20, 21, dtype=float)
-    truth = (rng.uniform(20, 3000), rng.uniform(-3, 3), rng.uniform(0.8, 6),
-             rng.uniform(0, 50))
+def _profile_problem(rng, weighted, half_width=20):
+    px = np.arange(-half_width, half_width + 1, dtype=float)
+    truth = (rng.uniform(20, 3000), rng.uniform(-3, 3),
+             rng.uniform(0.8, min(6.0, half_width / 2)), rng.uniform(0, 50))
     y = rng.poisson(_gauss(px, *truth)).astype(float)
     sig = np.sqrt(np.maximum(_gauss(px, *truth), 1.0)) if weighted \
         else np.ones_like(y)
@@ -170,13 +177,151 @@ def test_least_squares_matches_scipy_lm(weighted):
 
 
 def test_fit_raises_when_the_solver_gives_up(monkeypatch):
-    def give_up(fun, x0, jac, tol, max_nfev):
-        res = _optim.least_squares(fun, x0, jac, tol, max_nfev=2)
+    def give_up(fun, x0, jac, lengths, tol, max_nfev):
+        res = _optim.least_squares_batch(fun, x0, jac, lengths, tol,
+                                         max_nfev=2)
         assert res.nfev == 2
         return res
 
-    monkeypatch.setattr(thermometry, "least_squares", give_up)
+    monkeypatch.setattr(thermometry, "least_squares_batch", give_up)
     px = np.arange(-10.0, 11.0)
     prof = np.column_stack([px, _gauss(px, 50.0, 0.4, 2.0, 3.0)])
     with pytest.raises(FitConvergenceError, match="did not converge"):
         fit_gaussian_profile(prof)
+
+
+def _batch(problems, pad=0, fill=np.nan):
+    """fun, jac and lengths of least_squares_batch over (fun, jac, x0) problems.
+
+    Each problem keeps its own callables; the M - m entries past a
+    problem's m residuals hold fill.
+    """
+    lengths = [len(fun(np.asarray(x0, dtype=float)))
+               for fun, _, x0 in problems]
+    width = max(lengths) + pad
+
+    def fun(x, rows):
+        out = np.full((len(rows), width), fill)
+        for k, (row, p) in enumerate(zip(rows, x)):
+            out[k, :lengths[row]] = problems[row][0](p)
+        return out
+
+    def jac(x, rows):
+        out = np.full((len(rows), width, x.shape[1]), fill)
+        for k, (row, p) in enumerate(zip(rows, x)):
+            out[k, :lengths[row]] = problems[row][1](p)
+        return out
+    return fun, jac, lengths
+
+
+def _solve_batch(problems, pad=0, fill=np.nan, max_nfev=2000):
+    fun, jac, lengths = _batch(problems, pad, fill)
+    return _optim.least_squares_batch(fun, [x0 for _, _, x0 in problems],
+                                      jac, lengths, tol=1e-14,
+                                      max_nfev=max_nfev)
+
+
+def _assert_each_as_alone(problems, res, max_nfev=2000):
+    # every lane bit for bit as the scalar port solves its problem alone
+    for k, (fun, jac, x0) in enumerate(problems):
+        ref = lmder_oracle.least_squares(fun, x0, jac, tol=1e-14,
+                                         max_nfev=max_nfev)
+        assert np.array_equal(res.x[k], ref.x)
+        assert res.cost[k] == ref.cost
+        assert np.array_equal(res.jac[k, :len(ref.jac)], ref.jac)
+        assert res.nfev[k] == ref.nfev
+        assert res.success[k] == ref.success
+        assert res.message[k] == ref.message
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=6),
+       widths=st.lists(st.integers(4, 20), min_size=6, max_size=6),
+       pad=st.integers(0, 4), fill=st.sampled_from([0.0, np.nan, 1e300]))
+def test_batch_matches_each_problem_alone(seeds, widths, pad, fill):
+    # whatever else is in the batch, in whatever order and padding
+    problems = [_profile_problem(np.random.default_rng(seed), seed % 2 == 1,
+                                 half_width=w)
+                for seed, w in zip(seeds, widths)]
+    res = _solve_batch(problems, pad, fill)
+    _assert_each_as_alone(problems, res)
+    if len(problems) > 1:  # the same problems reversed
+        back = _solve_batch(problems[::-1], pad, fill)
+        for name in ("x", "cost", "nfev", "success"):
+            assert np.array_equal(getattr(back, name)[::-1],
+                                  getattr(res, name))
+
+
+def test_least_squares_is_a_batch_of_one():
+    rng = np.random.default_rng(3)
+    for weighted in (False, True):
+        fun, jac, x0 = _profile_problem(rng, weighted)
+        one = _optim.least_squares(fun, x0, jac, tol=1e-14, max_nfev=2000)
+        _assert_each_as_alone([(fun, jac, x0)], _optim.LeastSquaresResult(
+            *(np.asarray([v]) for v in one)))
+
+
+def _linear_problem(a, y):
+    # residuals a p - y: a zero or dependent column of a stays one of J
+    return (lambda p: a @ p - y), (lambda p: a.copy()), np.zeros(a.shape[1])
+
+
+def _qrfac_branches(jac0, monkeypatch):
+    """The port's QR of jac0: does R have a zero on its diagonal, how many
+    column norms does it recompute, and do the recomputes change the
+    pivot order?"""
+    calls = []
+    enorm, eps = lmder_oracle._enorm, lmder_oracle._EPSMCH
+    monkeypatch.setattr(lmder_oracle, "_enorm",
+                        lambda v: calls.append(1) or enorm(v))
+    _, rdiag, _, ipvt = lmder_oracle._qrfac(jac0)
+    monkeypatch.setattr(lmder_oracle, "_enorm", enorm)
+    monkeypatch.setattr(lmder_oracle, "_EPSMCH", -1.0)  # never recompute
+    downdated_only = lmder_oracle._qrfac(jac0)[3]
+    monkeypatch.setattr(lmder_oracle, "_EPSMCH", eps)
+    return 0.0 in rdiag, len(calls) - jac0.shape[1], ipvt != downdated_only
+
+
+@pytest.mark.parametrize("case", ["zero_column", "dependent_columns",
+                                  "norm_recompute"])
+def test_rare_qr_branches_match_the_port(case, monkeypatch):
+    # next to two ordinary profiles, a linear problem whose Jacobian takes
+    # the branch: a zero column (ajnorm == 0, so nsing < n), two columns
+    # that elimination makes exactly dependent (nsing < n), or two columns
+    # so close to a third that their downdated norms are recomputed, which
+    # decides which of the two is pivoted first
+    rng = np.random.default_rng(3)
+    a = 0.5 * rng.standard_normal((12, 4))
+    if case == "zero_column":
+        a[:, 2] = 0.0
+    elif case == "dependent_columns":
+        # 8 e0 is the first pivot, whose reflection turns 4 e0 into
+        # exactly -4 e0: its remaining norm is exactly 0
+        a[:, 1], a[:, 3] = 0.0, 0.0
+        a[0, 1], a[0, 3] = 4.0, 8.0
+    else:
+        a[:, 2] = a[:, 0] + 1e-9 * rng.standard_normal(12)
+        a[:, 3] = a[:, 0] + 1e-9 * rng.standard_normal(12)
+    problem = _linear_problem(a, 300.0 * rng.standard_normal(12))
+    rank_deficient, recomputes, reordered = _qrfac_branches(a, monkeypatch)
+    assert rank_deficient == (case != "norm_recompute")
+    assert (recomputes > 0) == (case != "zero_column")
+    assert reordered == (case == "norm_recompute")
+    solves = []
+    qrsolv = lmder_oracle._qrsolv
+    monkeypatch.setattr(lmder_oracle, "_qrsolv",
+                        lambda *args: solves.append(1) or qrsolv(*args))
+    problems = [_profile_problem(rng, False), problem,
+                _profile_problem(rng, True)]
+    _assert_each_as_alone(problems, _solve_batch(problems))
+    assert solves  # the first step is damped: |D x*| exceeds 100
+
+
+def test_one_problem_runs_out_of_evaluations_while_others_converge():
+    rng = np.random.default_rng(23)
+    problems = [_profile_problem(rng, k % 2 == 1) for k in range(8)]
+    res = _solve_batch(problems, max_nfev=9)
+    stops = set(res.message)
+    assert "the maximum number of function evaluations is exceeded" in stops
+    assert res.success.any() and not res.success.all()
+    _assert_each_as_alone(problems, res, max_nfev=9)

@@ -3,24 +3,31 @@
 import dataclasses
 import math
 
+import lmder_oracle
 import numpy as np
 import pytest
 
 from ionlattice import (
     DegenerateFitError,
     DomainError,
+    FitConvergenceError,
     ImagingConfig,
     NegativeThermalVarianceError,
     SpotMeasurement,
     SpotParseError,
+    equilibrium,
     estimate_temperature,
     fit_gaussian_profile,
     fit_spot_profiles,
+    gamma_parameters,
     ion_temperature_from_mode_temperatures,
+    normal_modes,
+    parse_config,
     read_spot_profiles,
     synthesize_spots,
     write_spot_profiles,
 )
+from ionlattice import _optim, thermometry
 from ionlattice import constants as cn
 
 
@@ -419,3 +426,97 @@ class TestSpotIO:
         p.write_text("ion_index,axis,pixel,counts\n" + "\n".join(rows)
                      + "\n1,axial,4,5\n")
         assert [len(prof) for _, _, prof in read_spot_profiles(p)] == [5, 5]
+
+
+# the benchmark's crystal64 config; its spots CSV at noise seed 1 is the
+# imaging_pipeline input
+CRYSTAL64 = """{"schema_version": 1,
+ "trap": {"f_z_kHz": 85.0, "f_radial_kHz": 300.0},
+ "lattice": {"detuning_THz": 0.76, "depth_max_mK": 25.0},
+ "crystal": {"n_ions": 64, "seed": 7, "T0_mK": 3.6}}"""
+
+
+@pytest.fixture(scope="module")
+def crystal64_spots(tmp_path_factory):
+    cfg = parse_config(CRYSTAL64)
+    state = equilibrium(cfg.n_ions, cfg.trap, species=cfg.species,
+                        seed=cfg.seed)
+    gamma = gamma_parameters(normal_modes(state, cfg.trap,
+                                          species=cfg.species))
+    spots = synthesize_spots(3.5e-3, state, gamma, cfg.imaging, 1e4, 1,
+                             trap=cfg.trap, species=cfg.species)
+    path = tmp_path_factory.mktemp("crystal64") / "spots.csv"
+    write_spot_profiles(spots, path)
+    return read_spot_profiles(path), cfg.imaging
+
+
+class TestBatchedFit:
+    def test_bench_spots_fit_as_the_scalar_port(self, crystal64_spots,
+                                                monkeypatch):
+        # both passes of all 64 axial profiles, solved together, against
+        # each profile's fit on the scalar MINPACK port
+        profiles, imaging = crystal64_spots
+        axial = [p for p in profiles if p[1] == "axial"]
+        passes, evaluated = [], []
+        batch = thermometry.least_squares_batch
+
+        def recorded(fun, x0, jac, lengths, tol, max_nfev):
+            def counted(x, rows):
+                evaluated.append(len(rows))
+                return fun(x, rows)
+            passes.append(batch(counted, x0, jac, lengths, tol, max_nfev))
+            return passes[-1]
+
+        monkeypatch.setattr(thermometry, "least_squares_batch", recorded)
+        spots = fit_spot_profiles(axial, imaging)
+        assert len(passes) == 2 and sum(evaluated) == 931
+        oracle_nfev = 0
+        for k, ((_, _, prof), spot) in enumerate(zip(axial, spots)):
+            first, second, params, ci = lmder_oracle.gaussian_fit(prof)
+            for res, ref in zip(passes, (first, second)):
+                assert np.array_equal(res.x[k], ref.x)
+                assert res.nfev[k] == ref.nfev
+            oracle_nfev += first.nfev + second.nfev
+            assert spot.fitted_sigma == params[2] * imaging.pixel_pitch
+            assert spot.sigma_ci95 == ci[2] * imaging.pixel_pitch
+        assert oracle_nfev == 931
+
+    def test_each_profile_as_alone(self, crystal64_spots):
+        # a reordered mix of both axes, lengths 27 to 33 pixels
+        profiles, imaging = crystal64_spots
+        mix = profiles[::-7] + profiles[1:40:3]
+        assert len({len(prof) for _, _, prof in mix}) > 3
+        for (_, _, prof), spot in zip(mix, fit_spot_profiles(mix, imaging)):
+            alone = fit_gaussian_profile(prof, imaging.pixel_pitch)
+            assert (spot.fitted_sigma, spot.sigma_ci95) \
+                == (alone.sigma, alone.ci95[1])
+
+    def test_first_failing_profile_in_input_order_is_named(self, imaging):
+        good = _gauss_profile(100.0, 0.3, 3.0, 5.0)
+        px = np.arange(-10, 11, dtype=float)
+        flat = np.column_stack([px, np.full(21, 7.0)])
+        spike = np.column_stack([px, np.where(px == 0.0, 1000.0, 1.0)])
+        # the flat profile fails before the solve, the spike after it
+        triples = [(0, "axial", good), (5, "radial", flat),
+                   (2, "axial", spike)]
+        with pytest.raises(DegenerateFitError,
+                           match=r"^spot \(ion_index 5, axis radial\): "
+                                 "constant profile"):
+            fit_spot_profiles(triples, imaging)
+        with pytest.raises(DegenerateFitError,
+                           match=r"^spot \(ion_index 2, axis axial\): "
+                                 "fitted width"):
+            fit_spot_profiles(triples[::-1], imaging)
+
+    def test_convergence_error_names_the_spot(self, imaging, monkeypatch):
+        def give_up(fun, x0, jac, lengths, tol, max_nfev):
+            return _optim.least_squares_batch(fun, x0, jac, lengths, tol,
+                                              max_nfev=2)
+
+        monkeypatch.setattr(thermometry, "least_squares_batch", give_up)
+        triples = [(4, "axial", _gauss_profile(50.0, 0.4, 2.0, 3.0)),
+                   (1, "axial", _gauss_profile(80.0, -1.0, 2.5, 1.0))]
+        with pytest.raises(FitConvergenceError,
+                           match=r"^spot \(ion_index 4, axis axial\): "
+                                 "Gaussian fit did not converge"):
+            fit_spot_profiles(triples, imaging)
