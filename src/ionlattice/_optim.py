@@ -591,8 +591,8 @@ def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
     nfev = np.ones(count, dtype=int)
     fnorm = np.sqrt(_sums(f * f, end))
     stop = np.full(count, -1)  # index into _STOPS once a problem stops
-    par, delta, xnorm, gnorm = (np.zeros(count) for _ in range(4))
-    diag, acnorm, qtf = (np.zeros((count, n)) for _ in range(3))
+    par, gnorm = np.zeros(count), np.zeros(count)
+    acnorm, qtf = np.zeros((count, n)), np.zeros((count, n))
     ipvt = np.zeros((count, n), dtype=int)
     r = np.zeros((count, n, n))  # R above the diagonal
     first = np.ones(count, dtype=bool)  # until the first successful step
@@ -602,14 +602,10 @@ def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
         q = (fresh & (stop < 0)).nonzero()[0]
         if q.size:
             at, rdiag, acnorm[q], ipvt[q] = _qrfac(jac(x[q], q), end[q])
-            once = first[q]
-            dq = np.where(once[:, None],
-                          np.where(acnorm[q] != 0.0, acnorm[q], 1.0),
-                          diag[q])
-            xn = _norms(dq * x[q])
-            xnorm[q] = np.where(once, xn, xnorm[q])
-            delta[q] = np.where(once, np.where(xn != 0.0, 100.0 * xn,
-                                               100.0), delta[q])
+            if first.all():  # the first pass: D, |D x| and the radius
+                diag = np.where(acnorm != 0.0, acnorm, 1.0)
+                xnorm = _norms(diag * x)
+                delta = np.where(xnorm != 0.0, 100.0 * xnorm, 100.0)
             qtf[q] = qq = _qtf(at, f[q], end[q])
             rq = at[:, :, :n].transpose(0, 2, 1).copy()
             rq[:, col, col] = rdiag
@@ -621,7 +617,7 @@ def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
             gnorm[q] = g = np.where((fq[:, None] != 0.0) & (an != 0.0),
                                     cos, 0.0).max(axis=1)
             stop[q] = np.where(g <= tol, 0, -1)
-            diag[q] = _pmax(dq, acnorm[q])
+            diag[q] = _pmax(diag[q], acnorm[q])
             fresh[q] = False
         a = (stop < 0).nonzero()[0]
         if not a.size:
@@ -635,8 +631,8 @@ def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
         f_new = fun(x_new, a)
         nfev[a] += 1
         fnorm1 = np.sqrt(_sums(f_new * f_new, end[a]))
-        q = fnorm1 / fn
-        actred = np.where(0.1 * fnorm1 < fn, 1.0 - q * q, -1.0)
+        frac = fnorm1 / fn
+        actred = np.where(0.1 * fnorm1 < fn, 1.0 - frac * frac, -1.0)
         wa3 = np.zeros((a.size, n))  # R P^T step
         spiv = step[np.arange(a.size)[:, None], ipvt[a]]
         for j in range(n):
