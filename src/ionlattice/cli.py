@@ -45,6 +45,7 @@ from .crystal import (
 from .ensemble import ScatteringScenario, scan_depth
 from .errors import ConfigError, SpotParseError, exit_code_for
 from .micromotion import excess_micromotion
+from .pendulum import _depth_for_nu
 from .thermometry import (
     _used_axes,
     estimate_temperature,
@@ -77,10 +78,12 @@ def _parse_grid(spec):
     if kind == "geom":
         if start <= 0 or stop <= 0:
             raise ConfigError("--grid geom needs positive start and stop")
-        # a stop near 1.8e308 overflows inside numpy, which then sets the
-        # endpoint exactly: the points are finite, the warning is noise
+        # the points lie between start and stop. Near 1.8e308 numpy's
+        # interior points overflow to inf (the endpoints it sets exactly),
+        # and start == stop rounds off the constant; clipping undoes both
         with np.errstate(over="ignore"):
-            return np.geomspace(start, stop, count)
+            grid = np.geomspace(start, stop, count)
+        return np.clip(grid, min(start, stop), max(start, stop))
     raise ConfigError(f"--grid spacing must be 'lin' or 'geom', got {kind!r}")
 
 
@@ -141,7 +144,12 @@ def cmd_modes(args, cfg, out):
     lattice = _require(cfg, "lattice", "lattice block")
     nu_grid = None  # the sweep's own grid up to the lattice depth
     if args.grid is not None:
-        nu_grid = _parse_grid(args.grid) * 1e6  # MHz -> Hz
+        with np.errstate(over="ignore"):
+            nu_grid = _parse_grid(args.grid) * 1e6  # MHz -> Hz
+            depth = _depth_for_nu(nu_grid, cfg.species, lattice.wavevector_k)
+        if not np.all(np.isfinite(depth)):
+            raise ConfigError("--grid: a point leaves the float range in "
+                              "Hz or as a lattice depth in J")
     elif lattice.depth_U0 == 0.0:
         raise ConfigError(
             "modes without --grid sweeps up to the lattice depth, so "

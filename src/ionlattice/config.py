@@ -40,16 +40,10 @@ __all__ = ["RunConfig", "load_config", "parse_config", "config_hash"]
 
 _SCHEMA_VERSION = 1
 
-# per-block key tables: name -> (SI factor or converter, required, default).
-# Factors multiply the raw file value; defaults are already SI. A None
-# factor marks non-numeric keys. A missing optional key takes its default,
-# None included, so every optional key is part of the hashed form.
-
-
-def _thz_to_angular(v):
-    return 2.0 * math.pi * 1e12 * v
-
-
+# per-block key tables: name -> (SI factor, required, default). Factors
+# multiply the raw file value; defaults are already SI. A None factor
+# marks non-numeric keys. A missing optional key takes its default, None
+# included, so every optional key is part of the hashed form.
 _SCHEMA = {
     "species": {
         "mass_amu": (cn.AMU, False, cn.CA40_MASS),
@@ -66,7 +60,7 @@ _SCHEMA = {
         "q_axial": (1.0, False, 0.0),
     },
     "lattice": {
-        "detuning_THz": (_thz_to_angular, False, 0.0),
+        "detuning_THz": (2.0 * math.pi * 1e12, False, 0.0),  # to rad/s
         "depth_max_mK": (1e-3, False, None),
         "nu_latt_max_MHz": (1e6, False, None),
         "waist_um": (1e-6, False, 37e-6),
@@ -140,7 +134,7 @@ def _check_block(name, raw):
                 raise ConfigError(f"{name}.{key} must be a number, "
                                   f"got {value!r}")
             try:
-                si = conv(value) if callable(conv) else value * conv
+                si = value * conv
             except OverflowError:  # an integer beyond the float range
                 si = math.inf
             if not math.isfinite(si):  # YAML .nan and .inf, or an overflow
@@ -284,8 +278,9 @@ def parse_config(text):
             pixel_pitch=therm["pixel_pitch_um"])
 
     t0 = crystal["T0_mK"]
-    if t0 is not None and t0 <= 0:
-        raise ConfigError("crystal.T0_mK must be positive")
+    if t0 is not None and not cn.KB * t0 > 0:
+        raise ConfigError("crystal.T0_mK must be positive, and so large that "
+                          "kB*T0 does not underflow to 0")
 
     return RunConfig(
         species=species, trap=trap, lattice=lattice, ramp=ramp, beam=beam,

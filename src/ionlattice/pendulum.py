@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _4_OVER_PI = 4.0 / math.pi
+_2_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 # ----------------------------------------------------------------------
@@ -346,55 +347,42 @@ def _orbit(x, d):
 
 # B(theta) integrates exp(-s^2/(4 theta)) tau <sin^2> / sqrt(pi theta) over
 # x = E/U0 with fixed double-exponential rules, split at the separatrix
-# where tau diverges logarithmically: tanh-sinh on x in (0, 1), whose
-# nodes do not depend on theta, and exp-sinh on x - 1 in (0, inf) scaled
-# by max(1, theta) to follow the Gaussian's reach x ~ theta. Error
-# against adaptive quadrature of the same integral (the tests' oracle):
-# ~1e-10 for theta in [1e-4, 1e5], ~1e-9 at 1e-5. The orbit on the lower
-# nodes, and on the upper ones for theta <= 1 (scale 1), is tabulated at
-# import, so only theta > 1 (NaN included) runs the AGM; both paths go
-# through the thetas in blocks that bound the (theta, node) arrays.
+# where tau diverges logarithmically: tanh-sinh on x in (0, 1) and
+# exp-sinh on x - 1 in (0, inf). Above it <sin^2> = 1/2 + 1/(16x) + ...,
+# and as tau = ds/dx the 1/2 gives 1/2 erfc(2/(pi sqrt(theta))), the
+# action density's mass above s = 4/pi, in closed form. What is left
+# decays like x^(-3/2) whatever theta, so no node depends on theta and
+# the orbit on all of them is tabulated at import. Error against adaptive
+# quadrature of the same integral (the tests' oracle): ~1e-10 for theta
+# in [1e-4, 1e5], ~1e-9 at 1e-5.
 _THETA_CHUNK = 128  # thetas per block, bounding the (theta, node) arrays
-_THETA_FREE = 1e30  # B = 1/2 - O(theta^-1/2) is 1/2 in doubles beyond this
 # one tanh-sinh rule serves B's lower panel and the ramp time integral
 _TS_X, _TS_D, _TS_W, _TS_W2 = _tanh_sinh(3.2)
-_UP_U, _UP_W = _exp_sinh(-4.5, 2.0)
+_UP_U, _UP_W = _exp_sinh(-4.5, 3.3)  # reaches u ~ 2e9
 _LOW_S, _LOW_TAU, _LOW_SIN2 = _orbit(_TS_X, _TS_D)
 _UP_S, _UP_TAU, _UP_SIN2 = _orbit(1.0 + _UP_U, _UP_U)
+_LOW_WEIGHT = _TS_W * _LOW_TAU * _LOW_SIN2
+_UP_WEIGHT = _UP_W * _UP_TAU * (_UP_SIN2 - 0.5)
 
 
 def _bunching_vec(theta):
     """B at every theta = kB T0/U0 > 0 of an array (same shape back)."""
-    theta = np.minimum(np.asarray(theta, dtype=float), _THETA_FREE)
+    theta = np.asarray(theta, dtype=float)
     flat = theta.ravel()
     out = np.empty_like(flat)
-    unscaled = flat <= 1.0
     # below theta ~ 1e-308, s^2/theta overflows to inf and the Gaussian
     # to its exact limit 0
     with np.errstate(over="ignore"):
-        for upper, idx in ((_upper_unscaled, np.flatnonzero(unscaled)),
-                           (_upper_scaled, np.flatnonzero(~unscaled))):
-            for start in range(0, idx.size, _THETA_CHUNK):
-                block = idx[start:start + _THETA_CHUNK]
-                th = flat[block, None]
-                lower = np.exp(-0.25 * _LOW_S ** 2 / th) @ (
-                    _TS_W * _LOW_TAU * _LOW_SIN2)
-                out[block] = (lower + upper(th)) / np.sqrt(
-                    math.pi * th[:, 0])
+        for start in range(0, flat.size, _THETA_CHUNK):
+            th = flat[start:start + _THETA_CHUNK, None]
+            lower = np.exp(-0.25 * _LOW_S ** 2 / th) @ _LOW_WEIGHT
+            upper = np.exp(-0.25 * _UP_S ** 2 / th) @ _UP_WEIGHT
+            norm = np.sqrt(math.pi * th[:, 0])
+            # 2/(pi sqrt(theta)) = (2/sqrt(pi))/norm; numpy has no erfc
+            free = [math.erfc(v) for v in (_2_OVER_SQRT_PI / norm).tolist()]
+            out[start:start + _THETA_CHUNK] = (
+                (lower + upper) / norm + 0.5 * np.array(free))
     return out.reshape(theta.shape)
-
-
-def _upper_unscaled(th):
-    # the upper panel at theta <= 1, where the nodes are not scaled
-    return (np.exp(-0.25 * _UP_S * _UP_S / th) * _UP_TAU * _UP_SIN2) @ _UP_W
-
-
-def _upper_scaled(th):
-    # the upper panel with its nodes scaled by theta > 1, times the scale
-    scale = np.maximum(th, 1.0)
-    d = scale * _UP_U
-    s, tau, sin2 = _orbit(1.0 + d, d)
-    return scale[:, 0] * ((np.exp(-0.25 * s * s / th) * tau * sin2) @ _UP_W)
 
 
 # ----------------------------------------------------------------------
@@ -566,9 +554,10 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
 
     Each entry follows ramp's schedule up to its own peak instead of
     ramp.u0_max. One tanh-sinh rule in t/T covers the ramp for all of
-    them, its nested half-step rule gives the error estimate. At most one
-    AdiabaticityWarning (shallowest depth) and one RuntimeWarning (largest
-    estimate above 1e-8) per call. delocalized=True pins <sin^2> at 1/2.
+    them, its nested half-step rule estimates the error of the dose I,
+    which reaches p as p0 e^(-I) dI. At most one AdiabaticityWarning
+    (shallowest depth) and one RuntimeWarning (largest error in p above
+    1e-8) per call. delocalized=True pins <sin^2> at 1/2.
     """
     if not t0 >= 0:  # NaN fails this and the checks below
         raise DomainError("t0 must be non-negative")
@@ -602,11 +591,12 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     depth = np.multiply.outer(u0[live], frac)
     rate = _mean_rate(depth, None if delocalized else T0, config, species,
                       include_p32)
-    err = np.max(np.abs(rate[:, :-1] @ (t_ramp * (_TS_W - _TS_W2))))
-    if err > 1e-8:
-        warnings.warn(
-            f"scattering-rate time integral only reached an error "
-            f"bound of {err:.3g}", RuntimeWarning, stacklevel=3)
     dose = np.zeros(u0.shape)
     dose[live] = rate @ weight
+    # the nested rule's error estimate of the dose, carried into p
+    err = np.max(p0 * np.exp(-dose[live]) * np.abs(
+        rate[:, :-1] @ (t_ramp * (_TS_W - _TS_W2))))
+    if err > 1e-8:
+        warnings.warn(f"scattering probability only reached an error bound "
+                      f"of {err:.3g}", RuntimeWarning, stacklevel=3)
     return p0 * -np.expm1(-dose)

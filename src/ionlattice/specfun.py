@@ -193,6 +193,9 @@ def integrate_with_endpoint_singularity(f, a, b, singular_points=(), tol=1e-9):
     type). ``b`` may be ``numpy.inf``; the tail is then split off at a
     finite cut beyond the last singular point and transformed.
 
+    Needs scipy, which is a test extra of this package, not a runtime
+    dependency: the verbs never call this function.
+
     Parameters
     ----------
     f : callable

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionlattice import (
@@ -164,6 +164,7 @@ _GRIDS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(_GRIDS)
+@example("1.7976931348622103e+308:1.7976931348622103e+308:3:geom")
 def test_parse_grid_returns_or_raises_config_error(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

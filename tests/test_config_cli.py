@@ -293,6 +293,25 @@ class TestModesCommand:
         assert "--grid" in capsys.readouterr().err
         assert not (out / "modes.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["1e303:1e303:1:lin",
+                                      "1e150:1e150:1:lin"])
+    def test_grid_beyond_float_range_in_si_rejected(self, ws, capsys,
+                                                    monkeypatch, spec):
+        # 1e303 MHz overflows as Hz, 1e150 MHz as a depth in J; both are
+        # refused before any solve
+        cfg, out = ws
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(crystal, "_stationary", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["modes", "--config", str(cfg), "--out", str(out),
+                         "--grid", spec]) == EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("key", ["depth_max_mK", "nu_latt_max_MHz"])
     def test_zero_depth_needs_grid(self, tmp_path, capsys, key):
         cfg = tmp_path / "flat.yaml"
@@ -493,6 +512,44 @@ class TestScatterCommand:
         for row in rows:
             assert all(math.isfinite(float(v)) for v in row.values())
         assert float(rows[-1]["p_per_ion"]) > 0.0
+
+    def test_t0_whose_kb_t0_underflows_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cold.yaml"
+        cfg.write_text(BASE_YAML.replace("T0_mK: 3.6", "T0_mK: 1.0e-300"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scatter", "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_CONFIG
+        assert "crystal.T0_mK" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_t0_with_positive_kb_t0_runs(self, tmp_path):
+        cfg = tmp_path / "cold.yaml"
+        cfg.write_text(BASE_YAML.replace("T0_mK: 3.6", "T0_mK: 1.0e-290"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scatter", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        _, rows = _read_rows(out / "scatter.csv")
+        assert len(rows) == 26
+
+    def test_depths_where_p_is_one_do_not_warn(self, tmp_path):
+        # the photon count's error bound is huge there, its error in p
+        # e^(-I) dI is not
+        cfg = tmp_path / "string8.yaml"
+        cfg.write_text(STRING_YAML + "  T0_mK: 3.6\nlattice:\n"
+                       "  detuning_THz: 0.76\n  depth_max_mK: 25.0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scatter", "--config", str(cfg), "--out", str(out),
+                         "--grid", "1e9:1e45:5:geom"]) == 0
+        _, rows = _read_rows(out / "scatter.csv")
+        assert [float(r["p_per_ion"]) for r in rows] == [1.0] * 5
 
     def test_needs_temperature(self, ws, tmp_path, capsys):
         text = BASE_YAML.replace("  T0_mK: 3.6\n", "")

@@ -36,7 +36,10 @@ from ionlattice import (
 from ionlattice import constants as cn
 from ionlattice import pendulum
 from ionlattice.pendulum import _orbit
-from ionlattice.specfun import integrate_with_endpoint_singularity
+from ionlattice.specfun import (
+    _exp_sinh,
+    integrate_with_endpoint_singularity,
+)
 
 U0 = cn.KB * 25e-3  # reference depth throughout
 
@@ -294,19 +297,24 @@ class TestBunching:
         np.testing.assert_allclose(vals[1:], 0.5, rtol=0, atol=1e-15)
 
 
+# the upper rule and the theta clamp of that evaluation, frozen here
+_AGM_UP_U, _AGM_UP_W = _exp_sinh(-4.5, 2.0)
+_AGM_THETA_FREE = 1e30
+
+
 def _bunching_every_chunk_on_agm(theta):
-    # B(theta) as computed before the theta <= 1 upper panel was tabulated:
-    # every block runs the orbit on its scaled upper nodes
+    # B(theta) as computed before the upper panel was tabulated: every
+    # block runs the orbit on its upper nodes, scaled by max(1, theta)
     p = pendulum
-    theta = np.minimum(np.asarray(theta, dtype=float), p._THETA_FREE)
+    theta = np.minimum(np.asarray(theta, dtype=float), _AGM_THETA_FREE)
     flat = theta.ravel()
     out = np.empty_like(flat)
     for start in range(0, flat.size, p._THETA_CHUNK):
         th = flat[start:start + p._THETA_CHUNK, None]
         scale = np.maximum(th, 1.0)
-        d = scale * p._UP_U
+        d = scale * _AGM_UP_U
         s, tau, sin2 = _orbit(1.0 + d, d)
-        upper = (np.exp(-0.25 * s * s / th) * tau * sin2) @ p._UP_W
+        upper = (np.exp(-0.25 * s * s / th) * tau * sin2) @ _AGM_UP_W
         lower = np.exp(-0.25 * p._LOW_S ** 2 / th) @ (
             p._TS_W * p._LOW_TAU * p._LOW_SIN2)
         out[start:start + p._THETA_CHUNK] = (
@@ -315,17 +323,19 @@ def _bunching_every_chunk_on_agm(theta):
 
 
 class TestBunchingTable:
-    """The tabulated theta <= 1 path against the all-AGM evaluation."""
+    """The one tabulated path against the all-AGM evaluation."""
 
     def test_matches_all_agm_evaluation(self):
+        # a different upper rule, so the two agree to the rules' error,
+        # not to rounding
         thetas = np.geomspace(1e-5, 1e31, 4000).reshape(40, 100)
         got = pendulum._bunching_vec(thetas)
         assert got.shape == thetas.shape
         np.testing.assert_allclose(got, _bunching_every_chunk_on_agm(thetas),
-                                   rtol=0, atol=1.2e-16)
+                                   rtol=0, atol=1e-11)
 
     def test_shuffled_mix_matches_each_alone(self):
-        # the two paths scatter back into input order, whatever the mix
+        # a theta's value does not depend on the others in its block
         rng = np.random.default_rng(8)
         thetas = rng.permutation(np.concatenate([
             np.geomspace(1e-4, 1e4, 397),
@@ -337,12 +347,12 @@ class TestBunchingTable:
             np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]))
         np.testing.assert_allclose(edge, edge[1], rtol=0, atol=1e-15)
 
-    def test_nan_takes_the_agm_path(self):
+    def test_nan_gives_nan_beside_finite_values(self):
         with np.errstate(invalid="ignore"):
             vals = pendulum._bunching_vec(np.array([0.5, np.nan, 2.0]))
         assert np.isnan(vals[1]) and np.all(np.isfinite(vals[[0, 2]]))
 
-    def test_theta_up_to_one_runs_no_agm(self, monkeypatch):
+    def test_no_theta_runs_the_agm(self, monkeypatch):
         calls = []
         agm = pendulum._ellipk_deficit_vec
 
@@ -351,16 +361,16 @@ class TestBunchingTable:
             return agm(m, mc)
 
         monkeypatch.setattr(pendulum, "_ellipk_deficit_vec", counted)
-        pendulum._bunching_vec(np.geomspace(1e-5, 1.0, 1000))
+        thetas = np.append(np.geomspace(1e-5, 1e31, 4000), [np.inf, np.nan])
+        vals = pendulum._bunching_vec(thetas)
         assert calls == []
-        # theta > 1 still runs one AGM per block of _THETA_CHUNK
-        pendulum._bunching_vec(np.geomspace(1.5, 1e4, 300))
-        assert len(calls) == math.ceil(300 / pendulum._THETA_CHUNK)
+        assert vals[-2] == 0.5 and np.isnan(vals[-1])
 
     def test_table_path_stays_chunked(self):
         # one (theta, node) array over all 200k thetas takes the input's
-        # bytes once per node (105 upper, 103 lower); blocked, the peak is
-        # about 3.3x the input's bytes
+        # bytes once per node (126 upper, 103 lower); blocked, the peak is
+        # about 1.2x the input's bytes. 21x is the bound of the 105-node
+        # upper rule this replaced, kept fixed
         thetas = np.geomspace(1e-5, 1.0, 200_000)
         pendulum._bunching_vec(thetas[:10])
         tracemalloc.start()
@@ -369,7 +379,7 @@ class TestBunchingTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < len(pendulum._UP_U) / 5 * thetas.nbytes
+        assert peak < 21 * thetas.nbytes
 
 
 # ---------------------------------------------------------------------
@@ -557,6 +567,15 @@ class TestScattering:
                            hold_duration=1e-6)
         with pytest.warns(AdiabaticityWarning):
             scattering_probability(1e-6, 3.6e-3, fast, cfg, ca40)
+
+    def test_rule_error_in_p_warns(self, ca40, monkeypatch):
+        # a nested rule off by 1e-3 makes the estimate of dp about 1e-4
+        monkeypatch.setattr(pendulum, "_TS_W2", pendulum._TS_W2 * 1.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            with pytest.warns(RuntimeWarning, match="probability only"):
+                scattering_probability(3e-6, 3.6e-3, PAPER_RAMP,
+                                       _blue(ca40), ca40)
 
     def test_delocalized_baseline(self, ca40):
         # closed form: exponent = pref * integral of U0(t) / 2

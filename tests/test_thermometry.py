@@ -74,18 +74,19 @@ class TestGaussianFit:
 
     def test_poisson_ci_coverage(self):
         # the 95% interval on sigma must cover the truth in at least 93%
-        # of repeated noisy fits
+        # of repeated noisy fits; one batched solve, in pixel units, gives
+        # each profile the fit it gets alone
         rng = np.random.default_rng(42)
         sigma_true = 3.1
-        hits = 0
         trials = 500
-        for _ in range(trials):
-            prof = _gauss_profile(1000.0, 0.0, sigma_true, 10.0)
-            noisy = np.column_stack(
-                [prof[:, 0], rng.poisson(prof[:, 1]).astype(float)])
-            fit = fit_gaussian_profile(noisy)
-            if abs(fit.sigma - sigma_true) <= fit.ci95[1]:
-                hits += 1
+        prof = _gauss_profile(1000.0, 0.0, sigma_true, 10.0)
+        noisy = [(i, "axial", np.column_stack(
+                    [prof[:, 0], rng.poisson(prof[:, 1]).astype(float)]))
+                 for i in range(trials)]
+        pixels = ImagingConfig(sigma_res_axial=1.0, sigma_res_radial=1.0,
+                               pixel_pitch=1.0)
+        hits = sum(abs(spot.fitted_sigma - sigma_true) <= spot.sigma_ci95
+                   for spot in fit_spot_profiles(noisy, pixels))
         assert hits / trials >= 0.93
 
     def test_deterministic(self):
