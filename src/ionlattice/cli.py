@@ -43,9 +43,9 @@ from .crystal import (
     normal_modes,
 )
 from .ensemble import ScatteringScenario, scan_depth
-from .errors import ConfigError, SpotParseError, exit_code_for
+from .errors import ConfigError, DomainError, SpotParseError, exit_code_for
 from .micromotion import excess_micromotion
-from .pendulum import _depth_for_nu
+from .pendulum import _check_t0_u0, _depth_for_nu
 from .thermometry import (
     _used_axes,
     estimate_temperature,
@@ -197,13 +197,19 @@ def cmd_scatter(args, cfg, out):
     if lattice.detuning == 0.0:
         raise ConfigError("lattice.detuning_THz must be nonzero for scatter")
 
-    state = _solve_reference(cfg)
-    scenario = ScatteringScenario(crystal=state, species=cfg.species,
-                                  lattice=lattice, ramp=ramp, T0=t0)
     if args.grid is not None:
         depths = _parse_grid(args.grid) * 1e-3 * cn.KB  # mK -> J
     else:
         depths = np.linspace(0.0, abs(lattice.depth_U0), 26)
+    try:  # the model's T0 rule, before the reference solve
+        _check_t0_u0(t0, depths[depths > 0.0])
+    except DomainError as exc:
+        raise ConfigError(
+            f"crystal.T0_mK with this depth grid: {exc}") from None
+
+    state = _solve_reference(cfg)
+    scenario = ScatteringScenario(crystal=state, species=cfg.species,
+                                  lattice=lattice, ramp=ramp, T0=t0)
     table = np.array([
         (r["depth"] / cn.KB / 1e-3, r["nu_latt"] / 1e6, r["p_per_ion"],
          r["subsequent_fraction"], r["bunching"])

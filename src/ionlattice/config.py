@@ -27,8 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-import yaml
-
 from . import constants as cn
 from .crystal import TrapConfig
 from .ensemble import BeamProfile
@@ -182,6 +180,7 @@ def parse_config(text):
     try:
         raw = json.loads(text)
     except ValueError:  # not JSON, so YAML
+        import yaml  # here, so that a JSON config never pays its import
         try:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:

@@ -276,12 +276,6 @@ class _Dimensionless:
             g[:, 2] += self.u0 * self.kappa * np.sin(2.0 * self.kappa * u[:, 2])
         return harm + coul + latt, g
 
-    def potential(self, u):
-        return self.energy_and_gradient(u)[0]
-
-    def gradient(self, u):
-        return self.energy_and_gradient(u)[1]
-
     def hessian(self, u):
         """(3N, 3N) Hessian in the x-block, y-block, z-block stacking."""
         n = len(u)
@@ -324,7 +318,8 @@ def total_potential(positions, trap, lattice=None, species=None):
     species = _default_species(species)
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     scaled = _Dimensionless(trap, lattice, species)
-    return scaled.potential(pos / scaled.ell) * scaled.energy_unit
+    energy, _ = scaled.energy_and_gradient(pos / scaled.ell)
+    return energy * scaled.energy_unit
 
 
 def _string_guess(n, rng, jitter):
@@ -343,14 +338,15 @@ _NEWTON_MAX_ITER = 60
 
 
 def _newton_polish(scaled, u):
+    # returns (u, energy, gnorm, converged)
     u = u.copy()
-    g = scaled.gradient(u)
+    energy, g = scaled.energy_and_gradient(u)
     gnorm = np.max(np.abs(g))
     h = None  # Hessian at u, kept while damped retries stay there
     mu = 0.0
     for _ in range(_NEWTON_MAX_ITER):
         if gnorm <= _GTOL:
-            return u, gnorm, True
+            return u, energy, gnorm, True
         if h is None:
             h = scaled.hessian(u)
         gflat = g.reshape(-1, order="F")  # x-block, y-block, z-block
@@ -361,18 +357,18 @@ def _newton_polish(scaled, u):
             step, *_ = np.linalg.lstsq(h, gflat, rcond=None)
         trial = u - step.reshape(u.shape, order="F")
         try:
-            g_trial = scaled.gradient(trial)
+            e_trial, g_trial = scaled.energy_and_gradient(trial)
         except SingularConfigurationError:  # the step merged two ions
             g_trial = None
         if g_trial is not None and np.max(np.abs(g_trial)) < gnorm:
-            u, g, h = trial, g_trial, None
+            u, energy, g, h = trial, e_trial, g_trial, None
             gnorm = np.max(np.abs(g))
             mu = max(mu * 0.1, 0.0)
         else:  # damp and retry
             mu = 1e-6 if mu == 0.0 else mu * 10.0
             if mu > 1e6:
-                return u, gnorm, False
-    return u, gnorm, False
+                return u, energy, gnorm, False
+    return u, energy, gnorm, False
 
 
 def _solve_from(scaled, u0):
@@ -407,28 +403,27 @@ def _stationary(scaled, n, guess, seed):
     EquilibriumError if no start converges.
     """
     if guess is not None:
-        u, gnorm, ok = _newton_polish(scaled, guess)
+        u, energy, gnorm, ok = _newton_polish(scaled, guess)
         if not ok:  # long way from quadratic: descend first, then polish
-            u, gnorm, ok = _solve_from(scaled, guess)
-        runs = [(u, gnorm, ok)]
+            u, energy, gnorm, ok = _solve_from(scaled, guess)
+        runs = [(u, energy, gnorm, ok)]
     else:
         runs = []
         for attempt in range(_RESTARTS):
             rng = default_rng(seed + attempt)
             u0 = _string_guess(n, rng, jitter=0.02 * (attempt + 1))
             runs.append(_solve_from(scaled, u0))
-    converged = [(scaled.potential(u), u, gnorm)
-                 for u, gnorm, ok in runs if ok]
+    converged = [(u, energy, gnorm) for u, energy, gnorm, ok in runs if ok]
     if not converged:
-        u, gnorm, _ = runs[-1]
+        u, _, gnorm, _ = runs[-1]
         raise EquilibriumError(
             f"equilibrium search stalled at gradient max-norm {gnorm:.3e}",
             last_positions=u * scaled.ell, gradient_norm=float(gnorm))
     # mirror images of one minimum differ in energy by rounding only: take
     # the first start that ties with the lowest, not whichever rounds low
-    lowest = min(c[0] for c in converged)
-    energy, u, gnorm = next(c for c in converged
-                            if c[0] - lowest <= _TIE_RTOL * abs(lowest))
+    lowest = min(c[1] for c in converged)
+    u, energy, gnorm = next(c for c in converged
+                            if c[1] - lowest <= _TIE_RTOL * abs(lowest))
     lam, vec = np.linalg.eigh(scaled.hessian(u))
     return u, energy, float(gnorm), lam, vec
 
@@ -487,7 +482,7 @@ def normal_modes(state, trap, lattice=None, species=None):
     species = _default_species(species)
     scaled = _Dimensionless(trap, lattice, species)
     u = np.asarray(state.positions, dtype=float) / scaled.ell
-    gnorm = np.max(np.abs(scaled.gradient(u)))
+    gnorm = np.max(np.abs(scaled.energy_and_gradient(u)[1]))
     if gnorm > 1e-6:
         raise EquilibriumError(
             f"state is not an equilibrium of this potential "

@@ -24,6 +24,7 @@ from .errors import DomainError
 from .pendulum import (  # noqa: F401
     IonSpecies,
     _bunching_vec,
+    _check_t0_u0,
     _scattering_probabilities,
     bunching,
     lattice_frequency,
@@ -99,11 +100,13 @@ def mean_scattering_probability_per_ion(scenario, beam, delocalized=False):
     in the uniform-position baseline (standing-wave factor 1/2).
     """
     return float(_mean_probabilities(
-        scenario, beam, [scenario.ramp.u0_max], delocalized)[0])
+        scenario, beam, [scenario.ramp.u0_max],
+        None if delocalized else scenario.T0)[0])
 
 
-def _mean_probabilities(scenario, beam, peaks, delocalized=False):
-    """Ion-mean scattering probability for each on-axis ramp peak (J).
+def _mean_probabilities(scenario, beam, peaks, T0):
+    """Ion-mean scattering probability for each on-axis ramp peak (J),
+    at initial temperature T0 (None: delocalized).
 
     Ions whose depth factors agree to 1e-12 relative (mirror images of
     one another, which the solver places equal only up to rounding)
@@ -115,10 +118,9 @@ def _mean_probabilities(scenario, beam, peaks, delocalized=False):
     factors = f[first]
     counts = np.diff(np.append(np.flatnonzero(first), len(f)))
     p = _scattering_probabilities(
-        scenario.ramp.t_end, scenario.T0, scenario.ramp,
+        scenario.ramp.t_end, T0, scenario.ramp,
         np.multiply.outer(peaks, factors), scenario.lattice,
-        scenario.species, p0=scenario.pumping_efficiency_per_ion,
-        delocalized=delocalized)
+        scenario.species, p0=scenario.pumping_efficiency_per_ion)
     return p @ counts / counts.sum()
 
 
@@ -164,9 +166,10 @@ def scan_depth(scenario, beam, depth_grid):
     depths = np.asarray(depth_grid, dtype=float)
     if np.any(depths < 0):
         raise DomainError("depth grid entries must be non-negative")
-    p = _mean_probabilities(scenario, beam, depths)
-    b = np.full(depths.shape, 0.5)
     live = depths > 0.0
+    _check_t0_u0(scenario.T0, depths[live])
+    p = _mean_probabilities(scenario, beam, depths, scenario.T0)
+    b = np.full(depths.shape, 0.5)
     b[live] = _bunching_vec(cn.KB * scenario.T0 / depths[live])
     n = scenario.n_ions
     return [{

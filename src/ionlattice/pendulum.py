@@ -449,13 +449,19 @@ def _ratio_from_action(s):
 
 
 def _check_t0_u0(T0, U0):
+    """The model's one rule for T0 (K) and depths U0 (J, float or array):
+    both positive and finite, and theta = kB T0/U0 > 0 at every depth."""
     if not 0 < T0 < math.inf:  # NaN fails too
         raise DomainError("T0 must be positive and finite")
-    if not 0 < U0 < math.inf:
+    u0 = np.asarray(U0, dtype=float)
+    if not np.all((u0 > 0) & (u0 < math.inf)):
         raise DomainError("U0 must be positive and finite")
-    if not cn.KB * T0 / U0 > 0:
+    with np.errstate(over="ignore"):  # theta = inf is the free limit
+        theta = cn.KB * T0 / u0
+    if not np.all(theta > 0):
         raise DomainError(
-            f"theta = kB*T0/U0 underflows to 0 at T0={T0!r} K, U0={U0!r} J")
+            f"theta = kB*T0/U0 underflows to 0 at T0={T0!r} K, "
+            f"U0={float(np.min(u0[theta == 0]))!r} J")
 
 
 # ----------------------------------------------------------------------
@@ -513,9 +519,8 @@ def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
     follows the instantaneous depth adiabatically. Returns 0 when the
     lattice is off.
     """
-    if not T0 > 0:  # NaN fails too
-        raise DomainError("T0 must be positive")
-    u0t = ramp.depth(t)
+    u0t = np.asarray(ramp.depth(t))
+    _check_t0_u0(T0, u0t[u0t > 0.0])
     if u0t <= 0.0:
         return 0.0
     return float(_mean_rate(u0t, T0, config, species, include_p32))
@@ -544,12 +549,11 @@ def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0,
     scattering_probability, the tanh-sinh rule over the ramp included.
     """
     return float(_scattering_probabilities(
-        t0, None, ramp, ramp.u0_max, config, species, p0, include_p32,
-        delocalized=True))
+        t0, None, ramp, ramp.u0_max, config, species, p0, include_p32))
 
 
 def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
-                              include_p32=False, delocalized=False):
+                              include_p32=False):
     """scattering_probability for every peak depth of the array u0 (J).
 
     Each entry follows ramp's schedule up to its own peak instead of
@@ -557,7 +561,7 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     them, its nested half-step rule estimates the error of the dose I,
     which reaches p as p0 e^(-I) dI. At most one AdiabaticityWarning
     (shallowest depth) and one RuntimeWarning (largest error in p above
-    1e-8) per call. delocalized=True pins <sin^2> at 1/2.
+    1e-8) per call. T0=None pins <sin^2> at 1/2 (delocalized).
     """
     if not t0 >= 0:  # NaN fails this and the checks below
         raise DomainError("t0 must be non-negative")
@@ -567,9 +571,8 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     if not np.all(u0 >= 0):
         raise DomainError("peak depths must be non-negative")
     live = u0 > 0.0
-    if not delocalized:
-        if not T0 > 0:
-            raise DomainError("T0 must be positive")
+    if T0 is not None:
+        _check_t0_u0(T0, u0[live])
         if np.any(live):
             nu_final = lattice_frequency(u0[live].min() / cn.KB, species,
                                          config.wavevector_k)
@@ -589,8 +592,7 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     frac = np.append(ramp.fraction(_TS_X * x_end), 1.0)
     weight = np.append(t_ramp * _TS_W, t_up - t_ramp)
     depth = np.multiply.outer(u0[live], frac)
-    rate = _mean_rate(depth, None if delocalized else T0, config, species,
-                      include_p32)
+    rate = _mean_rate(depth, T0, config, species, include_p32)
     dose = np.zeros(u0.shape)
     dose[live] = rate @ weight
     # the nested rule's error estimate of the dose, carried into p

@@ -103,23 +103,14 @@ def _ellipk_deficit_vec(m, mc):
     precisely than the rounded difference (near the separatrix) keep its
     relative accuracy. 1 - E/K is the AGM's own sum of 2^(n-1) c_n^2,
     with c_{n+1} = c_n^2/(4 a_{n+1}), so it does not cancel as m -> 0.
-
-    The smallest b = sqrt(mc) usually converges last. Its iteration count,
-    found on Python floats with the same arithmetic, is run without the
-    convergence test, since the test cannot pass before that element has
-    converged. From there every iteration is tested again, which normally
-    stops at the first test; it stays because the count is not monotone in
-    b everywhere. The float operations are those of testing before every
-    iteration, so the result is the same bit for bit.
     """
     a = np.ones_like(mc)
     b = np.sqrt(mc)
     c2 = np.asarray(m, dtype=float)  # c_n^2, starting from c_0^2 = m
     deficit = 0.5 * c2
     pow2 = 1.0
-    unchecked = _agm_steps(float(np.min(b))) if b.size else 0
-    for n in range(_MAX_AGM):
-        if n >= unchecked and np.all(np.abs(a - b) <= _EPS * a):
+    for _ in range(_MAX_AGM):
+        if np.all(np.abs(a - b) <= _EPS * a):
             break
         a_next = 0.5 * (a + b)
         c2 = c2 * c2 / (16.0 * a_next * a_next)
@@ -127,17 +118,6 @@ def _ellipk_deficit_vec(m, mc):
         deficit = deficit + pow2 * c2
         pow2 *= 2.0
     return np.pi / (2.0 * a), deficit
-
-
-def _agm_steps(b):
-    """AGM iterations from (1, b) until |a - b| <= _EPS a, at most _MAX_AGM
-    (NaN and b = 0 never converge)."""
-    a = 1.0
-    for n in range(_MAX_AGM):
-        if abs(a - b) <= _EPS * a:
-            return n
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return _MAX_AGM
 
 
 # step of the double-exponential rules (Takahasi & Mori, Publ. RIMS 9,

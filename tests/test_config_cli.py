@@ -551,6 +551,30 @@ class TestScatterCommand:
         _, rows = _read_rows(out / "scatter.csv")
         assert [float(r["p_per_ion"]) for r in rows] == [1.0] * 5
 
+    @pytest.mark.parametrize("lattice, extra", [
+        ("depth_max_mK: 25.0", ["--grid", "1e280:1e300:3:geom"]),
+        ("depth_max_mK: 1.0e+300", []),
+    ], ids=["grid", "default grid"])
+    def test_theta_underflow_rejected_before_solve(self, tmp_path, capsys,
+                                                   monkeypatch, lattice,
+                                                   extra):
+        # kB*T0 > 0, but kB*T0/U0 underflows to 0 at the deepest depths
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(crystal, "_stationary", no_solve)
+        cfg = tmp_path / "cold.yaml"
+        cfg.write_text(BASE_YAML.replace("T0_mK: 3.6", "T0_mK: 1.0e-290")
+                       .replace("depth_max_mK: 25.0", lattice))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scatter", "--config", str(cfg), "--out", str(out)]
+                        + extra) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "crystal.T0_mK" in err and "underflows" in err
+        assert list(out.iterdir()) == []
+
     def test_needs_temperature(self, ws, tmp_path, capsys):
         text = BASE_YAML.replace("  T0_mK: 3.6\n", "")
         cfg = tmp_path / "no_t0.yaml"
@@ -806,12 +830,18 @@ class TestCliPlumbing:
         assert code == EXIT_IO
         assert "error" in capsys.readouterr().err
 
-    def test_verbs_never_import_scipy(self, ws, tmp_path):
+    @pytest.mark.parametrize("form", ["yaml", "json"])
+    def test_verbs_never_import_scipy(self, ws, tmp_path, form):
         # scipy's import costs more start-up than any one verb's work, so
-        # the library implements what it needed (ionlattice._optim)
+        # the library implements what it needed (ionlattice._optim); a
+        # JSON config does not import PyYAML either
+        import yaml
         from ionlattice import (equilibrium, gamma_parameters, normal_modes,
                                 synthesize_spots, write_spot_profiles)
         cfg, out = ws
+        if form == "json":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(yaml.safe_load(BASE_YAML)))
         parsed = parse_config(BASE_YAML)
         st = equilibrium(4, parsed.trap, species=parsed.species, seed=7)
         md = normal_modes(st, parsed.trap, species=parsed.species)
@@ -831,8 +861,9 @@ class TestCliPlumbing:
             "                    ('micromotion', [])):\n"
             "    assert main([verb, '--config', cfg, '--out', out]\n"
             "                + extra) == 0, verb\n"
-            "print(' '.join(m for m in sys.modules\n"
-            "               if m == 'scipy' or m.startswith('scipy.')))\n")
+            "for top in ('scipy', 'yaml'):\n"
+            "    print(' '.join(m for m in sys.modules\n"
+            "                   if m.partition('.')[0] == top))\n")
         src = os.path.dirname(os.path.dirname(ionlattice.__file__))
         run = subprocess.run(
             [sys.executable, "-c", script, str(cfg), str(out),
@@ -840,7 +871,10 @@ class TestCliPlumbing:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == []
+        scipy_modules, yaml_modules = run.stdout.split("\n")[:2]
+        assert scipy_modules == ""
+        if form == "json":
+            assert yaml_modules == ""
         for name in ("positions.csv", "modes.csv", "scatter.csv",
                      "temperature.json", "micromotion.json"):
             assert (out / name).exists()

@@ -16,6 +16,7 @@ from ionlattice import (
     RampProfile,
     ScatteringScenario,
     bunching,
+    delocalized_scattering_probability,
     mean_scattering_probability_per_ion,
     per_ion_depths,
     scan_depth,
@@ -190,6 +191,19 @@ class TestMeanProbability:
                                    lattice=_red(ca40), ramp=RAMP,
                                    T0=3.6e-3), BEAM, delocalized=True)
         assert pr == pytest.approx(pb, rel=1e-12)
+
+    def test_delocalized_on_axis_ions_give_the_single_ion_baseline(
+            self, string8, ca40):
+        # every ion of the string sits on the beam axis, and T0=None is
+        # the one delocalized switch of both paths
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            crystal_p = mean_scattering_probability_per_ion(
+                ScatteringScenario(crystal=string8, species=ca40,
+                                   lattice=_blue(ca40), ramp=RAMP,
+                                   T0=3.6e-3), BEAM, delocalized=True)
+        assert crystal_p == delocalized_scattering_probability(
+            RAMP.t_end, RAMP, _blue(ca40), ca40)
 
     def test_scenario_validation(self, string8, ca40):
         for T0 in (0.0, math.nan):

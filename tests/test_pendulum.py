@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from scipy.stats import halfnorm, kstest
 
 from ionlattice import (
     AdiabaticityWarning,
+    BeamProfile,
     DomainError,
     EnergyEnsemble,
     IonSpecies,
     LatticeConfig,
     RampProfile,
+    ScatteringScenario,
     SeparatrixError,
     TurningPointError,
     action_density,
@@ -30,6 +33,7 @@ from ionlattice import (
     mean_scattering_rate,
     normalized_period,
     position_density_given_energy,
+    scan_depth,
     scattering_probability,
     scattering_rate,
 )
@@ -472,11 +476,31 @@ def test_nan_input_rejected(name, ca40):
             NAN_CALLS[name](ca40, _blue(ca40))
 
 
+CA40 = IonSpecies.ca40()
+
+
+def _ramp_to(u0):
+    return RampProfile(u0_max=u0, ramp_duration=2e-6, hold_duration=1e-6)
+
+
+def _one_ion_scenario(t0):
+    # a single ion on the beam axis
+    return ScatteringScenario(
+        crystal=SimpleNamespace(positions=np.zeros((1, 3))), species=CA40,
+        lattice=_blue(CA40), ramp=PAPER_RAMP, T0=t0)
+
+
 T0_U0_CALLS = {
     "bunching": lambda t0, u0: bunching(t0, u0),
     "action density": lambda t0, u0: action_density(0.1, t0, u0),
     "energy density": lambda t0, u0: energy_density(1e-3 * U0, t0, u0),
     "ensemble": lambda t0, u0: EnergyEnsemble(t0, u0),
+    "mean rate": lambda t0, u0: mean_scattering_rate(
+        1e-6, t0, _ramp_to(u0), _blue(CA40), CA40),
+    "probability": lambda t0, u0: scattering_probability(
+        3e-6, t0, _ramp_to(u0), _blue(CA40), CA40),
+    "scan_depth": lambda t0, u0: scan_depth(
+        _one_ion_scenario(t0), BeamProfile(waist_radius=37e-6), [u0]),
 }
 # infinite T0 or U0, and a depth so large that kB*T0/U0 underflows to 0
 BAD_T0_U0 = {
