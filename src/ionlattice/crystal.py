@@ -28,7 +28,7 @@ r is exactly symmetric.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -253,25 +253,36 @@ class _Dimensionless:
         finite there)."""
         ut = np.ascontiguousarray(u.T)
         d = ut[:, None, :] - ut[:, :, None]
-        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-        np.fill_diagonal(r2, 1.0)
-        return d, np.sqrt(r2)
+        r2 = d[0] * d[0]
+        sq = d[1] * d[1]
+        r2 += sq
+        r2 += np.multiply(d[2], d[2], out=sq)
+        r2.flat[::len(u) + 1] = 1.0
+        return d, np.sqrt(r2, out=r2)
 
     def energy_and_gradient(self, u):
         """Potential and its (N, 3) gradient from one pair pass."""
+        n = len(u)
         d, r = self._pairs(u)
-        if np.min(r) < 1e-14:  # the diagonal of r is 1
+        if r.min() < 1e-14:  # the diagonal of r is 1
             raise SingularConfigurationError(
                 "two ions coincide; Coulomb energy is singular")
-        coul = np.sum(1.0 / r * _strict_upper(len(u)))
-        harm = 0.5 * np.sum(self.alpha2 * u * u)
+        w = np.divide(1.0, r)
+        w *= _strict_upper(n)
+        coul = w.sum()
+        g = self.alpha2 * u
+        harm = 0.5 * (g * u).sum()
         latt = 0.0
         if self.u0 != 0.0:
-            latt = self.u0 * np.sum(np.sin(self.kappa * u[:, 2]) ** 2)
-        inv3 = 1.0 / (r * r * r)
-        np.fill_diagonal(inv3, 0.0)
+            s = np.sin(self.kappa * u[:, 2])
+            latt = self.u0 * (s * s).sum()
+        inv3 = np.multiply(r, r, out=w)
+        inv3 *= r
+        np.divide(1.0, inv3, out=inv3)
+        inv3.flat[::n + 1] = 0.0
         # per-ion sums over partners j, added in index order
-        g = self.alpha2 * u - np.sum(d * inv3, axis=1).T
+        d *= inv3
+        g -= d.sum(axis=1).T
         if self.u0 != 0.0:
             g[:, 2] += self.u0 * self.kappa * np.sin(2.0 * self.kappa * u[:, 2])
         return harm + coul + latt, g
@@ -384,6 +395,35 @@ def _solve_from(scaled, u0):
     return _newton_polish(scaled, u)
 
 
+# cold solves of at least this many ions run their starts in forked
+# workers; below it a fork costs more than the overlap saves (measured
+# crossover, CHANGES.md)
+_FANOUT_MIN_IONS = 16
+
+
+def _fanout_width(n_ions, n_starts):
+    """Workers for the cold starts of n_ions ions: 0 runs them in process."""
+    if n_ions < _FANOUT_MIN_IONS:
+        return 0
+    # imported here, so that a run with no large crystal never pays for it
+    from . import _fork
+    return _fork.width(n_starts)
+
+
+def _descend(scaled, starts):
+    """``_solve_from`` from each start, in start order.
+
+    The starts are independent, so a large crystal runs them side by side
+    in forked workers (``_fork.fork_map``); every run is bit for bit the
+    one the in-process loop gives, and so is the exception raised.
+    """
+    width = _fanout_width(len(starts[0]), len(starts))
+    if width < 2:
+        return [_solve_from(scaled, u0) for u0 in starts]
+    from . import _fork
+    return _fork.fork_map(partial(_solve_from, scaled), starts, width)
+
+
 # a stationary point whose lowest Hessian eigenvalue is below this is a
 # saddle (dimensionless curvature); cold starts whose energies agree to
 # _TIE_RTOL relative are tied
@@ -395,12 +435,12 @@ def _stationary(scaled, n, guess, seed):
     """Converged stationary point and the spectrum of its Hessian.
 
     With a dimensionless (n, 3) guess: Newton polish, BFGS first if the
-    polish stalls. Without: ``_RESTARTS`` descents from jittered strings,
-    each BFGS (``minimize``, O(n^2) per iteration) then Newton polish; the
-    lowest energy wins, and of starts tied with it to ``_TIE_RTOL``
-    relative (mirror images) the first. Returns (u, energy, gnorm, lam,
-    vec), lam ascending and vec holding one eigenvector per column; raises
-    EquilibriumError if no start converges.
+    polish stalls. Without: ``_RESTARTS`` descents from jittered strings
+    (``_descend``), each BFGS (``minimize``, O(n^2) per iteration) then
+    Newton polish; the lowest energy wins, and of starts tied with it to
+    ``_TIE_RTOL`` relative (mirror images) the first. Returns (u, energy,
+    gnorm, lam, vec), lam ascending and vec holding one eigenvector per
+    column; raises EquilibriumError if no start converges.
     """
     if guess is not None:
         u, energy, gnorm, ok = _newton_polish(scaled, guess)
@@ -408,11 +448,10 @@ def _stationary(scaled, n, guess, seed):
             u, energy, gnorm, ok = _solve_from(scaled, guess)
         runs = [(u, energy, gnorm, ok)]
     else:
-        runs = []
-        for attempt in range(_RESTARTS):
-            rng = default_rng(seed + attempt)
-            u0 = _string_guess(n, rng, jitter=0.02 * (attempt + 1))
-            runs.append(_solve_from(scaled, u0))
+        runs = _descend(scaled, [
+            _string_guess(n, default_rng(seed + attempt),
+                          jitter=0.02 * (attempt + 1))
+            for attempt in range(_RESTARTS)])
     converged = [(u, energy, gnorm) for u, energy, gnorm, ok in runs if ok]
     if not converged:
         u, _, gnorm, _ = runs[-1]
@@ -449,7 +488,9 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     (deterministic in ``seed``), then Newton polish; best of four starts
     by energy, and the first of the starts whose energies tie with the
     lowest to 1e-12 relative, so that rounding never picks between mirror
-    images. With a guess (warm start): polish only, fully
+    images. From 16 ions on, the four starts run side by side in forked
+    worker processes (one BLAS thread each) where the host allows it, to
+    the same bits. With a guess (warm start): polish only, fully
     deterministic. A converged stationary point with a direction of
     negative curvature is returned with ``is_saddle`` set rather than
     re-seeded, so instability of e.g. a linear chain past the zigzag

@@ -170,7 +170,9 @@ def scan_depth(scenario, beam, depth_grid):
     _check_t0_u0(scenario.T0, depths[live])
     p = _mean_probabilities(scenario, beam, depths, scenario.T0)
     b = np.full(depths.shape, 0.5)
-    b[live] = _bunching_vec(cn.KB * scenario.T0 / depths[live])
+    with np.errstate(over="ignore"):  # theta = inf is the free limit
+        theta = cn.KB * scenario.T0 / depths[live]
+    b[live] = _bunching_vec(theta)
     n = scenario.n_ions
     return [{
         "depth": float(depth),

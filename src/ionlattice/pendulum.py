@@ -506,7 +506,11 @@ def _mean_rate(depth, T0, config, species, include_p32):
         pref += species.gamma_397 * abs(delta) / (cn.HBAR * d2 * d2)
     if T0 is None:
         return pref * depth * 0.5
-    b = _bunching_vec(cn.KB * T0 / depth)
+    # theta = inf, where T0 is huge or a ramp node's depth underflows to
+    # 0, is the free limit: B = 1/2, and the rate at depth 0 is 0
+    with np.errstate(over="ignore", divide="ignore"):
+        theta = cn.KB * T0 / depth
+    b = _bunching_vec(theta)
     return pref * depth * (b if config.is_blue else 1.0 - b)
 
 

@@ -575,6 +575,32 @@ class TestScatterCommand:
         assert "crystal.T0_mK" in err and "underflows" in err
         assert list(out.iterdir()) == []
 
+    # theta = kB*T0/depth leaves the float range at the top: at a ramp
+    # node whose depth underflows to 0, or with a huge T0. That is the
+    # free limit: the rows hold B = 1/2 and a rate of 0 at depth 0, and
+    # no RuntimeWarning leaks
+    @pytest.mark.parametrize("t0_mk, grid, row", [
+        ("3.6", "1e-285:1e-285:1:lin",
+         "1e-285,2.35552317e-143,3.63379671e-288,0,0.5"),
+        ("1.0e+300", "1e-20:1e-20:1:lin",
+         "1e-20,7.44881829e-11,3.63379671e-23,0,0.5"),
+    ], ids=["depth underflow", "huge T0"])
+    def test_theta_overflow_is_the_free_limit(self, tmp_path, t0_mk, grid,
+                                              row):
+        cfg = tmp_path / "string8.yaml"
+        cfg.write_text(STRING_YAML + f"  T0_mK: {t0_mk}\nlattice:\n"
+                       "  detuning_THz: 0.76\n  depth_max_mK: 25.0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scatter", "--config", str(cfg), "--out", str(out),
+                         "--grid", grid]) == 0
+        lines = (out / "scatter.csv").read_text().splitlines()
+        assert lines[1:] == [
+            "depth_mK,nu_latt_MHz,p_per_ion,subsequent_fraction,bunching",
+            row]
+
     def test_needs_temperature(self, ws, tmp_path, capsys):
         text = BASE_YAML.replace("  T0_mK: 3.6\n", "")
         cfg = tmp_path / "no_t0.yaml"

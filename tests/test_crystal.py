@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from ionlattice import (
     spot_variance_model,
     total_potential,
 )
-from ionlattice import _optim
+from ionlattice import _fork, _optim
 from ionlattice import constants as cn
 from ionlattice import crystal
 from ionlattice.cli import _parse_grid, main
@@ -772,3 +773,163 @@ class TestColdSolver:
         assert np.max(np.abs(tied[0] - tied[1])) > 1e-3  # not one structure
         state = equilibrium(n, self.TRAP, species=ca40, seed=seed)
         np.testing.assert_array_equal(state.positions, tied[0] * scaled.ell)
+
+
+# the benchmark's crystal64 run config (bench/workloads.py), without the
+# lattice that the cold solve does not read
+CRYSTAL64_JSON = json.dumps({
+    "schema_version": 1,
+    "trap": {"f_z_kHz": 85.0, "f_radial_kHz": 300.0},
+    "crystal": {"n_ions": 64, "seed": 7},
+})
+
+
+def _run_in_process(monkeypatch):
+    monkeypatch.setattr(crystal, "_fanout_width",
+                        lambda n_ions, n_starts: 0)
+
+
+@pytest.fixture
+def nothing_left_behind():
+    # no worker left to reap and no pipe left open after the test
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif(_fork.width(crystal._RESTARTS) < 2,
+                    reason="cold starts do not fan out on this host")
+@pytest.mark.usefixtures("nothing_left_behind")
+class TestForkedStarts:
+    TRAP = TrapConfig.from_frequencies(85e3, 300e3)
+    N = crystal._FANOUT_MIN_IONS
+
+    @pytest.fixture
+    def fanned_out(self, monkeypatch):
+        # the widths of the fork_map calls the next solves make
+        widths = []
+        fork_map = _fork.fork_map
+
+        def spy(fn, items, width):
+            widths.append(width)
+            return fork_map(fn, items, width)
+
+        monkeypatch.setattr(_fork, "fork_map", spy)
+        return widths
+
+    @pytest.mark.parametrize("case", ["crystal64", "fanout_min"])
+    def test_forked_starts_keep_every_bit(self, ca40, monkeypatch,
+                                          fanned_out, case):
+        if case == "crystal64":
+            cfg = parse_config(CRYSTAL64_JSON)
+            args = (cfg.n_ions, cfg.trap)
+            kwargs = {"species": cfg.species, "seed": cfg.seed}
+        else:
+            args, kwargs = (self.N, self.TRAP), {"species": ca40, "seed": 7}
+        forked = equilibrium(*args, **kwargs)
+        assert fanned_out == [_fork.width(crystal._RESTARTS)]
+        _run_in_process(monkeypatch)
+        local = equilibrium(*args, **kwargs)
+        assert fanned_out == [_fork.width(crystal._RESTARTS)]
+        assert np.array_equal(forked.positions, local.positions)
+        assert forked.potential_value.hex() == local.potential_value.hex()
+        assert forked.is_saddle == local.is_saddle
+
+    def test_worker_exception_reaches_caller(self, ca40, monkeypatch,
+                                             fanned_out):
+        # start 2 begins with two ions on top of each other, so the pair
+        # pass raises in the worker that descends from it
+        guess = crystal._string_guess
+
+        def merged_start_2(n, rng, jitter):
+            u = guess(n, rng, jitter)
+            if jitter == 0.02 * 3:
+                u[1] = u[0]
+            return u
+
+        parent, ran_here = os.getpid(), []
+        solve = crystal._solve_from
+
+        def spied(scaled, u0):
+            if os.getpid() == parent:
+                ran_here.append(u0)
+            return solve(scaled, u0)
+
+        monkeypatch.setattr(crystal, "_string_guess", merged_start_2)
+        monkeypatch.setattr(crystal, "_solve_from", spied)
+        with pytest.raises(SingularConfigurationError) as forked:
+            equilibrium(self.N, self.TRAP, species=ca40, seed=7)
+        assert fanned_out and not ran_here  # raised in a worker
+        _run_in_process(monkeypatch)
+        with pytest.raises(SingularConfigurationError) as local:
+            equilibrium(self.N, self.TRAP, species=ca40, seed=7)
+        assert len(ran_here) == 3  # starts 0 and 1 ran, 2 raised
+        assert type(forked.value) is type(local.value)
+        assert str(forked.value) == str(local.value)
+
+    def test_dead_worker_starts_run_in_process(self, ca40, monkeypatch,
+                                               fanned_out):
+        n, seed = self.N, 7
+        start_1 = _cold_start(n, seed, 1)
+        parent, ran_here = os.getpid(), []
+        solve = crystal._solve_from
+
+        def dies_on_start_1(scaled, u0):
+            if os.getpid() != parent and np.array_equal(u0, start_1):
+                os._exit(1)
+            if os.getpid() == parent:
+                ran_here.append(u0)
+            return solve(scaled, u0)
+
+        monkeypatch.setattr(crystal, "_solve_from", dies_on_start_1)
+        state = equilibrium(n, self.TRAP, species=ca40, seed=seed)
+        # the dead worker's starts 1, 1 + w, ... ran here, in order
+        width, = fanned_out
+        expected = [_cold_start(n, seed, a)
+                    for a in range(1, crystal._RESTARTS, width)]
+        assert len(ran_here) == len(expected)
+        assert all(map(np.array_equal, ran_here, expected))
+        _run_in_process(monkeypatch)
+        local = equilibrium(n, self.TRAP, species=ca40, seed=seed)
+        assert np.array_equal(state.positions, local.positions)
+        assert state.potential_value.hex() == local.potential_value.hex()
+        assert state.is_saddle == local.is_saddle
+
+    def test_failed_fork_runs_the_rest_in_process(self, ca40, monkeypatch,
+                                                  fanned_out):
+        forks = []
+        fork = _fork._fork
+
+        def second_fork_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(_fork, "_fork", second_fork_fails)
+        state = equilibrium(self.N, self.TRAP, species=ca40, seed=7)
+        assert len(forks) == 2
+        _run_in_process(monkeypatch)
+        local = equilibrium(self.N, self.TRAP, species=ca40, seed=7)
+        assert np.array_equal(state.positions, local.positions)
+        assert state.potential_value.hex() == local.potential_value.hex()
+
+    def test_interrupted_wait_kills_every_worker(self, ca40, monkeypatch,
+                                                 fanned_out):
+        def interrupted(fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_fork, "_read_all", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            equilibrium(64, self.TRAP, species=ca40, seed=7)
+        assert fanned_out
+
+    def test_parent_blas_threads_unchanged(self, ca40, fanned_out):
+        getters = _fork.openblas_functions("get_num_threads")
+        assert getters
+        before = [get() for get in getters]
+        equilibrium(self.N, self.TRAP, species=ca40, seed=7)
+        assert fanned_out
+        assert [get() for get in getters] == before

@@ -132,25 +132,6 @@ def test_near_one_terminates():
     assert np.isfinite(elliptic_k(np.nextafter(1.0, 0.0)))
 
 
-def _checked_agm(m, mc):
-    # the AGM with its convergence test before every iteration, as it was
-    # before the iteration count of the smallest b was run untested
-    a = np.ones_like(mc)
-    b = np.sqrt(mc)
-    c2 = np.asarray(m, dtype=float)
-    deficit = 0.5 * c2
-    pow2 = 1.0
-    for _ in range(specfun._MAX_AGM):
-        if np.all(np.abs(a - b) <= specfun._EPS * a):
-            break
-        a_next = 0.5 * (a + b)
-        c2 = c2 * c2 / (16.0 * a_next * a_next)
-        a, b = a_next, np.sqrt(a * b)
-        deficit = deficit + pow2 * c2
-        pow2 *= 2.0
-    return np.pi / (2.0 * a), deficit
-
-
 AGM_CASES = {
     "near 0": np.geomspace(1e-300, 1e-3, 400),
     "middle": np.random.default_rng(11).uniform(0.0, 1.0, 4000),
@@ -162,25 +143,78 @@ AGM_CASES = {
     "NaN": np.array([0.2, np.nan]),
 }
 
+# K and 1 - E/K of the AGM against scipy, relative; the largest error
+# seen over AGM_CASES is 5.6e-16 for K and 1.1e-15 for 1 - E/K
+AGM_RTOL = 4e-15
+
+
+def _deficit_oracle(m):
+    # 1 - E/K from scipy. Below m = 1/2 through K - E = (pi m/4)
+    # 2F1(3/2, 1/2; 2; m), which keeps its relative precision as m -> 0,
+    # where 1 - E/K cancels
+    with np.errstate(all="ignore"):
+        small = np.pi * m / 4.0 * scipy.special.hyp2f1(1.5, 0.5, 2.0, m)
+        k = scipy.special.ellipk(m)
+        return np.where(m < 0.5, small / k, 1.0 - scipy.special.ellipe(m) / k)
+
 
 @pytest.mark.parametrize("case", sorted(AGM_CASES))
-def test_untested_agm_steps_keep_every_bit(case):
+def test_agm_matches_scipy(case):
     m = AGM_CASES[case]
     with np.errstate(all="ignore"):
-        want = _checked_agm(m, 1.0 - m)
+        k, deficit = specfun._ellipk_deficit_vec(m, 1.0 - m)
+    assert k.shape == deficit.shape == m.shape
+    m, k, deficit = map(np.atleast_1d, (m, k, deficit))
+    assert np.array_equal(np.isnan(k), np.isnan(m))
+    assert np.array_equal(np.isnan(deficit), np.isnan(m))
+    inside = m < 1.0  # K diverges at m = 1
+    np.testing.assert_allclose(k[inside], scipy.special.ellipk(m[inside]),
+                               rtol=AGM_RTOL, atol=0.0)
+    np.testing.assert_allclose(deficit[inside], _deficit_oracle(m[inside]),
+                               rtol=AGM_RTOL, atol=0.0)
+
+
+# (m, K, 1 - E/K) as float hex, each m run through the AGM alone: in one
+# array, the slowest m sets the iteration count and can move the others'
+# last bits (K at m = 0.8 by 2 ulp)
+AGM_TABLE = """
+0x0.0p+0 0x1.921fb54442d18p+0 0x0.0p+0
+0x1.56e1fc2f8f359p-997 0x1.921fb54442d18p+0 0x1.56e1fc2f8f359p-998
+0x1.87e92154ef7acp-665 0x1.921fb54442d18p+0 0x1.87e92154ef7acp-666
+0x1.bff2ee48e0530p-333 0x1.921fb54442d18p+0 0x1.bff2ee48e0530p-334
+0x1.4484bfeebc2a0p-100 0x1.921fb54442d18p+0 0x1.4484bfeebc2a0p-101
+0x1.cd2b297d889bcp-54 0x1.921fb54442d18p+0 0x1.cd2b297d889bcp-55
+0x1.b7cdfd9d7bdbbp-34 0x1.921fb5446dff0p+0 0x1.b7cdfd9d93785p-35
+0x1.4f8b588e368f1p-17 0x1.921ff726a72bep+0 0x1.4f8b740b1f6acp-18
+0x1.0624dd2f1a9fcp-10 0x1.9239755f5cd57p+0 0x1.062d41bdf8d60p-11
+0x1.999999999999ap-5 0x1.974c0099dac08p+0 0x1.9c39e370a49c7p-6
+0x1.999999999999ap-4 0x1.9cc8f4cb78b28p+0 0x1.9efe61bcd9924p-5
+0x1.999999999999ap-3 0x1.a8dd1797b3b97p+0 0x1.a5047e2d96ba6p-4
+0x1.3333333333333p-2 0x1.b6c17578e32c4p+0 0x1.40dfaa3df726cp-3
+0x1.999999999999ap-2 0x1.c70b82708fb87p+0 0x1.b3aa7842a46bap-3
+0x1.0000000000000p-1 0x1.daa4a35759e4ap+0 0x1.160b1904ca3f6p-2
+0x1.3333333333333p-1 0x1.f316df3ec0d12p+0 0x1.5601f4c9df1f9p-2
+0x1.6666666666666p-1 0x1.09a57fccb3dcep+1 0x1.9b59ab62fde87p-2
+0x1.999999999999ap-1 0x1.20ec1aa986ba2p+1 0x1.e95e44391febbp-2
+0x1.ccccccccccccdp-1 0x1.49feec2073f57p+1 0x1.24987b8860645p-1
+0x1.e666666666666p-1 0x1.7444651be76bcp+1 0x1.454ee9f715b15p-1
+0x1.fae147ae147aep-1 0x1.d90aa525f5667p+1 0x1.733e1424ef304p-1
+0x1.fff2e48e8a71ep-1 0x1.7f763323228f5p+2 0x1.aa85fea0ada40p-1
+0x1.ffffde7210be9p-1 0x1.0968de9d703d6p+3 0x1.c244ce22ed2f5p-1
+0x1.ffffffaa19c47p-1 0x1.5317a1c4d1d99p+3 0x1.cfaeca180ef68p-1
+0x1.ffffffff24190p-1 0x1.9cc66892121c3p+3 0x1.d84ec3e8acb12p-1
+0x1.fffffffffdcd1p-1 0x1.e67546c946c36p+3 0x1.de51df493cd45p-1
+0x1.fffffffffffa6p-1 0x1.18139e7b0b623p+4 0x1.e2c0388a4373bp-1
+0x1.ffffffffffff7p-1 0x1.2a7f5036c0b6ap+4 0x1.e48e4d51a5c70p-1
+0x1.fffffffffffffp-1 0x1.3c133ab16db98p+4 0x1.e615052b993fcp-1
+"""
+
+
+def test_agm_keeps_every_bit_of_its_table():
+    for m, k, deficit in map(str.split, AGM_TABLE.strip().splitlines()):
+        m = np.array([float.fromhex(m)])
         got = specfun._ellipk_deficit_vec(m, 1.0 - m)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(g, w, equal_nan=True)
-
-
-def test_agm_arrays_of_one_value_keep_every_bit():
-    # each m alone: its own count decides where the test starts
-    for mi in np.random.default_rng(12).uniform(0.0, 1.0, 300):
-        m = np.array([mi])
-        for g, w in zip(specfun._ellipk_deficit_vec(m, 1.0 - m),
-                        _checked_agm(m, 1.0 - m)):
-            assert np.array_equal(g, w)
+        assert [float(v[0]).hex() for v in got] == [k, deficit], m
 
 
 # ---------------------------------------------------------------------
