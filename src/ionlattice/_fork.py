@@ -20,6 +20,10 @@ included, every worker is killed and reaped and every pipe is closed.
 ``width`` says how many workers pay here: 0 where the process cannot
 fork safely or no OpenBLAS thread setter is found, so that the caller
 runs in process.
+
+``one_blas_thread()`` is the same BLAS setting for the caller's own
+process: every loaded OpenBLAS on one thread for the span of a ``with``
+block, and each library's own count back when the block ends.
 """
 
 import ctypes
@@ -29,7 +33,7 @@ import pickle
 import signal
 import threading
 import warnings
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from functools import lru_cache
 
 # OpenBLAS's exported names carry one of these prefixes and suffixes,
@@ -67,18 +71,42 @@ def _openblas_libraries():
     return tuple(libraries)
 
 
+def _openblas_function(lib, name):
+    # function openblas_<name> of one library, or None
+    symbol = next((f"{p}openblas_{name}{s}" for p in _PREFIXES
+                   for s in _SUFFIXES
+                   if hasattr(lib, f"{p}openblas_{name}{s}")), None)
+    if symbol is None:
+        return None
+    fn = getattr(lib, symbol)
+    fn.argtypes, fn.restype = _SIGNATURES[name]
+    return fn
+
+
 def openblas_functions(name):
     """Function ``openblas_<name>`` of each loaded OpenBLAS that has it."""
-    found = []
+    return [fn for lib in _openblas_libraries()
+            if (fn := _openblas_function(lib, name)) is not None]
+
+
+@contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS that can say its thread count runs one
+    thread inside the block; each one's count before it is restored
+    however the block ends."""
+    counts = []  # (setter, count before)
     for lib in _openblas_libraries():
-        symbol = next((f"{p}openblas_{name}{s}" for p in _PREFIXES
-                       for s in _SUFFIXES
-                       if hasattr(lib, f"{p}openblas_{name}{s}")), None)
-        if symbol is not None:
-            fn = getattr(lib, symbol)
-            fn.argtypes, fn.restype = _SIGNATURES[name]
-            found.append(fn)
-    return found
+        set_threads = _openblas_function(lib, "set_num_threads")
+        get_threads = _openblas_function(lib, "get_num_threads")
+        if set_threads is not None and get_threads is not None:
+            counts.append((set_threads, get_threads()))
+    try:
+        for set_threads, _ in counts:
+            set_threads(1)
+        yield
+    finally:
+        for set_threads, count in counts:
+            set_threads(count)
 
 
 def _one_blas_thread():
@@ -97,6 +125,13 @@ def _one_blas_thread():
             shutdown()
 
 
+def usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def width(n_items):
     """Workers for ``n_items`` calls; fewer than 2 runs them in process.
 
@@ -107,7 +142,7 @@ def width(n_items):
     if (not hasattr(os, "fork") or threading.active_count() != 1
             or not openblas_functions("set_num_threads")):
         return 0
-    cpus = len(os.sched_getaffinity(0))
+    cpus = usable_cpus()
     return min(n_items, cpus) if cpus >= 2 else 0
 
 

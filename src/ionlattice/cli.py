@@ -176,9 +176,12 @@ def cmd_modes(args, cfg, out):
             table[:, 3:][np.abs(table[:, 3:]) < _WEIGHT_FLOOR] = 0.0
             yield table
 
-    _write_csv(f"{out}/modes.csv",
-               "nu_latt_MHz,branch_id,freq_kHz,plane_weight,axial_weight",
-               _MODE_ROW, tables(), cfg.config_hash)
+    # a failed write closes the sweep here, which joins its worker thread
+    # and restores the BLAS thread count before main returns
+    with contextlib.closing(rows):
+        _write_csv(f"{out}/modes.csv",
+                   "nu_latt_MHz,branch_id,freq_kHz,plane_weight,axial_weight",
+                   _MODE_ROW, tables(), cfg.config_hash)
     _write_json(f"{out}/modes_warnings.json", {
         "config_hash": cfg.config_hash,
         "flagged": [

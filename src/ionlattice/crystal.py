@@ -27,6 +27,7 @@ r is exactly symmetric.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Optional
@@ -291,30 +292,36 @@ class _Dimensionless:
         """(3N, 3N) Hessian in the x-block, y-block, z-block stacking."""
         n = len(u)
         d, r = self._pairs(u)
-        inv3 = 1.0 / (r * r * r)
-        w5 = 3.0 * inv3 / (r * r)
-        np.fill_diagonal(inv3, 0.0)
-        np.fill_diagonal(w5, 0.0)
+        r2 = r * r
+        inv3 = np.multiply(r2, r)
+        np.divide(1.0, inv3, out=inv3)
+        w5 = np.multiply(inv3, 3.0)
+        w5 /= r2
+        inv3.flat[::n + 1] = 0.0
+        w5.flat[::n + 1] = 0.0
         h = np.empty((3 * n, 3 * n))
         blocks = _by_axis(h).reshape(3, n, 3, n)  # [axis, ion, axis, ion]
+        t = r2  # reused for each pair block
         for a in range(3):
             for b in range(a, 3):
                 # pair block T_ab = 3 d_a d_b / r^5 - delta_ab / r^3, which
                 # is exactly symmetric; the block is -T off the ion
                 # diagonal, sum_j T_ij on it
-                t = d[a] * d[b] * w5
+                np.multiply(d[a], d[b], out=t)
+                t *= w5
                 if a == b:
                     t -= inv3
-                blk = -t
-                blk.flat[::n + 1] = np.sum(t, axis=1)
+                diagonal = np.sum(t, axis=1)
                 if a == b:
-                    blk.flat[::n + 1] += self.alpha2[a]
+                    diagonal += self.alpha2[a]
+                blk = np.negative(t, out=t)
+                blk.flat[::n + 1] = diagonal
                 blocks[a, :, b] = blk
                 blocks[b, :, a] = blk.T
         if self.u0 != 0.0:
-            z = np.arange(2 * n, 3 * n)
-            h[z, z] += 2.0 * self.u0 * self.kappa ** 2 * np.cos(
-                2.0 * self.kappa * u[:, 2])
+            h.flat[2 * n * (3 * n + 1)::3 * n + 1] += (
+                2.0 * self.u0 * self.kappa ** 2
+                * np.cos(2.0 * self.kappa * u[:, 2]))
         return h
 
 
@@ -431,16 +438,15 @@ _SADDLE_TOL = -1e-8
 _TIE_RTOL = 1e-12
 
 
-def _stationary(scaled, n, guess, seed):
-    """Converged stationary point and the spectrum of its Hessian.
+def _settle(scaled, n, guess, seed):
+    """Converged stationary point: (u, energy, gnorm), dimensionless.
 
-    With a dimensionless (n, 3) guess: Newton polish, BFGS first if the
-    polish stalls. Without: ``_RESTARTS`` descents from jittered strings
-    (``_descend``), each BFGS (``minimize``, O(n^2) per iteration) then
-    Newton polish; the lowest energy wins, and of starts tied with it to
-    ``_TIE_RTOL`` relative (mirror images) the first. Returns (u, energy,
-    gnorm, lam, vec), lam ascending and vec holding one eigenvector per
-    column; raises EquilibriumError if no start converges.
+    With an (n, 3) guess: Newton polish, BFGS first if the polish stalls.
+    Without: ``_RESTARTS`` descents from jittered strings (``_descend``),
+    each BFGS (``minimize``, O(n^2) per iteration) then Newton polish; the
+    lowest energy wins, and of starts tied with it to ``_TIE_RTOL``
+    relative (mirror images) the first. Raises EquilibriumError if no
+    start converges.
     """
     if guess is not None:
         u, energy, gnorm, ok = _newton_polish(scaled, guess)
@@ -463,8 +469,20 @@ def _stationary(scaled, n, guess, seed):
     lowest = min(c[1] for c in converged)
     u, energy, gnorm = next(c for c in converged
                             if c[1] - lowest <= _TIE_RTOL * abs(lowest))
-    lam, vec = np.linalg.eigh(scaled.hessian(u))
-    return u, energy, float(gnorm), lam, vec
+    return u, energy, float(gnorm)
+
+
+def _spectrum(scaled, u):
+    """Hessian eigenvalues at u, ascending, and one eigenvector per
+    column."""
+    return np.linalg.eigh(scaled.hessian(u))
+
+
+def _stationary(scaled, n, guess, seed):
+    """``_settle``, then the ``_spectrum`` at the point it reached:
+    (u, energy, gnorm, lam, vec)."""
+    u, energy, gnorm = _settle(scaled, n, guess, seed)
+    return (u, energy, gnorm, *_spectrum(scaled, u))
 
 
 def _modes(trap, lam, vec):
@@ -529,7 +547,7 @@ def normal_modes(state, trap, lattice=None, species=None):
             f"state is not an equilibrium of this potential "
             f"(gradient max-norm {gnorm:.3e}); re-solve before "
             "taking normal modes")
-    return _modes(trap, *np.linalg.eigh(scaled.hessian(u)))
+    return _modes(trap, *_spectrum(scaled, u))
 
 
 def gamma_parameters(modes):
@@ -632,6 +650,12 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     kick whose solve stalls is skipped, and only if every kick stalls
     does the sweep raise EquilibriumError, naming the best gradient
     max-norm reached.
+
+    From 32 ions on, where at least 2 CPUs are usable and an OpenBLAS
+    thread setter is found, each depth's Hessian spectrum is taken on a
+    worker thread while the next depth settles, and the sweep runs
+    OpenBLAS on one thread; the result is bit for bit the inline sweep's
+    on one BLAS thread.
     """
     flagged = []
     rows = _sweep(N, trap, lattice_max, steps, species, seed, nu_grid,
@@ -675,6 +699,101 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
     return _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged)
 
 
+# a sweep of at least this many ions takes each depth's spectrum on a
+# worker thread while the next depth settles; below it the hand-off costs
+# more than the overlap saves (measured crossover, CHANGES.md)
+_LOOKAHEAD_MIN_IONS = 32
+
+
+def _overlaps(n_ions):
+    """Whether a sweep of n_ions ions overlaps spectra with solves.
+
+    Only where at least 2 CPUs are usable and an OpenBLAS thread setter is
+    found: two callers of a multi-threaded OpenBLAS have no bit-for-bit
+    guarantee, so the sweep runs it on one thread (``_spectra``).
+    """
+    if n_ions < _LOOKAHEAD_MIN_IONS:
+        return False
+    # imported here, so that a run with no large sweep never pays for it
+    from . import _fork
+    return (_fork.usable_cpus() >= 2
+            and bool(_fork.openblas_functions("set_num_threads")))
+
+
+class _SpectrumThread:
+    """``_spectrum`` calls, run in order on one worker thread.
+
+    numpy's LAPACK calls release the GIL, so the worker's ``eigh`` runs
+    alongside the caller's own solves. The thread starts with the first
+    call, so that a cold solve before it may still fork (``_fork.width``
+    wants no other thread), and ``close`` joins it after the queued calls.
+    """
+
+    def __init__(self):
+        # imported here: only a sweep that overlaps loads them
+        import queue
+        import threading
+        self._queue = queue.SimpleQueue
+        self._calls = self._queue()
+        self._thread = threading.Thread(target=self._work, daemon=True,
+                                        name="ionlattice-spectra")
+
+    def _work(self):
+        while (call := self._calls.get()) is not None:
+            scaled, u, answer = call
+            try:
+                answer.put((True, _spectrum(scaled, u)))
+            except BaseException as exc:  # raised where it is read
+                answer.put((False, exc))
+
+    def submit(self, scaled, u):
+        """Queue ``_spectrum(scaled, u)``; the function returned waits for
+        it once, then returns its value or raises its exception."""
+        if self._thread.ident is None:
+            self._thread.start()
+        answer = self._queue()
+        self._calls.put((scaled, u, answer))
+        return partial(self._read, answer)
+
+    @staticmethod
+    def _read(answer):
+        ok, value = answer.get()
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        if self._thread.ident is not None:
+            self._calls.put(None)
+            self._thread.join()
+
+
+def _spectrum_now(scaled, u):
+    # _SpectrumThread.submit's contract, with the spectrum taken at once
+    spectrum = _spectrum(scaled, u)
+    return lambda: spectrum
+
+
+@contextmanager
+def _spectra(overlap):
+    """A function (scaled, u) -> f, where f() is ``_spectrum(scaled, u)``.
+
+    With overlap, the spectra run on a ``_SpectrumThread`` and every loaded
+    OpenBLAS runs one thread until the block ends; without, each is taken
+    at once.
+    """
+    if not overlap:
+        yield _spectrum_now
+        return
+    from . import _fork
+    spectra = _SpectrumThread()
+    with _fork.one_blas_thread():
+        try:
+            yield spectra.submit
+        finally:
+            spectra.close()
+
+
 def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
     # the generator behind _sweep: its body runs only once iterated
     def descend_from_saddle(scaled, u, vec):
@@ -706,57 +825,93 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
             "tracked configuration lost stability and no adjacent "
             "minimum was reachable along the unstable direction")
 
-    def solve_at(nu, guess):
+    def settle_at(nu, guess):
+        # (scaled, u, f) at nu, settled from guess; f() is its spectrum
         depth = _signed_depth(nu, lattice_max, species)
         latt = replace(lattice_max, depth_U0=depth) if depth != 0.0 else None
         scaled = _Dimensionless(trap, latt, species)
-        u, _, _, lam, vec = _stationary(scaled, N, guess, seed)
-        if lam[0] < _SADDLE_TOL:
-            u, _, _, lam, vec = descend_from_saddle(scaled, u, vec)
-        return u, _modes(trap, lam, vec)
+        u = _settle(scaled, N, guess, seed)[0]
+        return scaled, u, spectrum_of(scaled, u)
+
+    def look_ahead(nu, guess):
+        # settle_at(nu, guess), or what it raised, raised only if used
+        try:
+            return settle_at(nu, guess)
+        except Exception as exc:
+            return exc
 
     ell = length_scale(trap, species)
-    # the tracked branches start in eigh's ascending order at zero depth
-    nu = grid[0]
-    u, modes = solve_at(nu, None)
-    b_prev = modes.coordinates
-    yield nu, modes.frequencies, b_prev, u * ell, False
-    n_rows = 1
-    # targets still to reach, nearest last: (nu_latt, halvings, refined)
-    pending = [(target, 0, False) for target in grid[:0:-1]]
-    while pending:
-        target, level, refined = pending.pop()
-        u_new, md = solve_at(target, u)
-        overlap = np.abs(b_prev.T @ md.coordinates)
-        perm = assignment(-overlap)
-        weakest = np.min(overlap[np.arange(len(perm)), perm])
-        if weakest < _OVERLAP_MIN and level < _MAX_HALVINGS:
-            mid = 0.5 * (nu + target) if nu == 0.0 \
-                else math.sqrt(nu * target)
-            pending += [(target, level + 1, refined), (mid, level + 1, True)]
-            continue
-        if level == _MAX_HALVINGS:
-            for p, row in enumerate(overlap):
-                second, best = np.argsort(row)[-2:]
-                gap = row[best] - row[second]
-                if gap < _AMBIGUITY_TOL:
-                    # the branch holding the other of p's two best columns;
-                    # p itself may hold its second best
-                    other = second if perm[p] == best else best
-                    partner = int(np.nonzero(perm == other)[0][0])
-                    flagged.append({
-                        "step": n_rows,
-                        "nu_latt": target,
-                        "branches": (p, partner),
-                        "overlap_gap": float(gap),
-                    })
-        b_new = md.coordinates[:, perm]
-        # keep eigenvector signs continuous across steps
-        signs = np.sign(np.sum(b_prev * b_new, axis=0))
-        signs[signs == 0.0] = 1.0
-        nu, u, b_prev = target, u_new, b_new * signs
-        yield nu, md.frequencies[perm], b_prev, u * ell, refined
-        n_rows += 1
+    lookahead = _overlaps(N)
+    with _spectra(lookahead) as spectrum_of:
+        # the target being settled, and those still to reach, nearest
+        # last: (nu_latt, halvings, refined)
+        step = (grid[0], 0, False)
+        pending = [(target, 0, False) for target in grid[:0:-1]]
+        state = settle_at(grid[0], None)
+        u = b_prev = None
+        n_rows = 0
+        while True:
+            target, level, refined = step
+            scaled, u_new, spectrum = state
+            # settle the next target from this one while its spectrum is
+            # taken; used only if this row is accepted as it stands
+            ahead = None
+            if lookahead and pending:
+                ahead = pending[-1], look_ahead(pending[-1][0], u_new)
+            lam, vec = spectrum()
+            as_is = lam[0] >= _SADDLE_TOL
+            if not as_is:
+                u_new, _, _, lam, vec = descend_from_saddle(scaled, u_new,
+                                                            vec)
+            md = _modes(trap, lam, vec)
+            accepted = True
+            if b_prev is None:
+                # the tracked branches start in eigh's ascending order at
+                # zero depth
+                freqs, b_new = md.frequencies, md.coordinates
+            else:
+                overlap = np.abs(b_prev.T @ md.coordinates)
+                perm = assignment(-overlap)
+                weakest = np.min(overlap[np.arange(len(perm)), perm])
+                if weakest < _OVERLAP_MIN and level < _MAX_HALVINGS:
+                    mid = 0.5 * (nu + target) if nu == 0.0 \
+                        else math.sqrt(nu * target)
+                    pending += [(target, level + 1, refined),
+                                (mid, level + 1, True)]
+                    accepted = False
+                elif level == _MAX_HALVINGS:
+                    for p, row in enumerate(overlap):
+                        second, best = np.argsort(row)[-2:]
+                        gap = row[best] - row[second]
+                        if gap < _AMBIGUITY_TOL:
+                            # the branch holding the other of p's two best
+                            # columns; p itself may hold its second best
+                            other = second if perm[p] == best else best
+                            partner = int(np.nonzero(perm == other)[0][0])
+                            flagged.append({
+                                "step": n_rows,
+                                "nu_latt": target,
+                                "branches": (p, partner),
+                                "overlap_gap": float(gap),
+                            })
+                b_new = md.coordinates[:, perm]
+                # keep eigenvector signs continuous across steps
+                signs = np.sign(np.sum(b_prev * b_new, axis=0))
+                signs[signs == 0.0] = 1.0
+                freqs, b_new = md.frequencies[perm], b_new * signs
+            if accepted:
+                nu, u, b_prev = target, u_new, b_new
+                yield nu, freqs, b_prev, u * ell, refined
+                n_rows += 1
+            if not pending:
+                return
+            step = pending.pop()
+            if accepted and as_is and ahead is not None and ahead[0] == step:
+                state = ahead[1]
+                if isinstance(state, Exception):
+                    raise state
+            else:
+                state = settle_at(step[0], u)
 
 
 # ----------------------------------------------------------------------

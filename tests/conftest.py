@@ -1,6 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from ionlattice import _fork
 from ionlattice import (
     ImagingConfig,
     IonSpecies,
@@ -9,6 +13,29 @@ from ionlattice import (
     gamma_parameters,
     normal_modes,
 )
+
+def _open_descriptors():
+    # None where there is no /proc
+    fd_dir = "/proc/self/fd"
+    return len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+
+
+@pytest.fixture(autouse=True)
+def nothing_left_behind():
+    # after each test: no thread it started still runs, no child process
+    # is left to reap, no descriptor (a worker's pipe) is left open, and
+    # every OpenBLAS runs the thread count it ran before
+    threads = set(threading.enumerate())
+    fds = _open_descriptors()
+    getters = _fork.openblas_functions("get_num_threads")
+    blas = [get() for get in getters]
+    yield
+    assert set(threading.enumerate()) <= threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_descriptors() == fds
+    assert [get() for get in getters] == blas
+
 
 # The three reference crystals used throughout: an 8-ion string, a 4-ion
 # planar zigzag and a 6-ion three-dimensional structure. Solved once per

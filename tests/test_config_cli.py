@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -23,7 +24,7 @@ from ionlattice import (
     continuation,
     parse_config,
 )
-from ionlattice import cli, crystal
+from ionlattice import _fork, cli, crystal
 from ionlattice import constants as cn
 from ionlattice.cli import _parse_grid, main
 from ionlattice.errors import EXIT_CONFIG, EXIT_IO, EXIT_SOLVER
@@ -304,7 +305,7 @@ class TestModesCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved")
 
-        monkeypatch.setattr(crystal, "_stationary", no_solve)
+        monkeypatch.setattr(crystal, "_settle", no_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["modes", "--config", str(cfg), "--out", str(out),
@@ -386,7 +387,7 @@ class TestModesCommand:
                 "--grid", "0.01:0.2:6:geom"]
         assert main(argv) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        real, warm = crystal._stationary, []
+        real, warm = crystal._settle, []
 
         def fails_on_third_warm_solve(scaled, n, guess, seed):
             if guess is not None:
@@ -395,7 +396,7 @@ class TestModesCommand:
                     raise EquilibriumError("stalled", gradient_norm=1.0)
             return real(scaled, n, guess, seed)
 
-        monkeypatch.setattr(crystal, "_stationary", fails_on_third_warm_solve)
+        monkeypatch.setattr(crystal, "_settle", fails_on_third_warm_solve)
         assert main(argv) == EXIT_SOLVER
         assert "stalled" in capsys.readouterr().err
         assert len(warm) == 3
@@ -412,11 +413,53 @@ class TestModesCommand:
         def refuses_cold_solve(scaled, n, guess, seed):
             raise DomainError("no cold solve here")
 
-        monkeypatch.setattr(crystal, "_stationary", refuses_cold_solve)
+        monkeypatch.setattr(crystal, "_settle", refuses_cold_solve)
         assert main(["modes", "--config", str(cfg), "--out", str(out),
                      "--grid", "0.01:0.2:3:geom"]) == EXIT_SOLVER
         assert "no cold solve" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_failed_write_closes_the_sweep(self, ws, monkeypatch, capsys):
+        # the sweep's spectra run on a worker thread, with OpenBLAS on one
+        # thread; a failed write must join the one and restore the other
+        # before main returns. The test keeps the raised error, and with it
+        # every frame of the failed run, so no collection closes the sweep
+        cfg, out = ws
+        monkeypatch.setattr(crystal, "_overlaps", lambda n_ions: True)
+        threads = threading.active_count()
+        getters = _fork.openblas_functions("get_num_threads")
+        blas = [get() for get in getters]
+        raised, spectra = [], []
+
+        class KeptFullDisk(_FullDisk):
+            def write(self, text):
+                try:
+                    return super().write(text)
+                except OSError as exc:
+                    raised.append(exc)
+                    raise
+
+        def fake_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if os.path.basename(file).startswith("modes.csv"):
+                return KeptFullDisk(fh)
+            return fh
+
+        spectrum = crystal._spectrum
+
+        def spied(scaled, u):
+            spectra.append(threading.current_thread() is not
+                           threading.main_thread())
+            return spectrum(scaled, u)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        monkeypatch.setattr(crystal, "_spectrum", spied)
+        assert main(["modes", "--config", str(cfg), "--out", str(out),
+                     "--grid", "0.01:0.2:6:geom"]) == EXIT_IO
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert raised and spectra and all(spectra)
+        assert threading.active_count() == threads
+        assert [get() for get in getters] == blas
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # the sweep streams: the traced peak of a 200-node run stays near
@@ -904,6 +947,24 @@ class TestCliPlumbing:
         for name in ("positions.csv", "modes.csv", "scatter.csv",
                      "temperature.json", "micromotion.json"):
             assert (out / name).exists()
+
+
+    def test_import_loads_no_worker_machinery(self):
+        # the forked cold starts and the sweep's worker thread import what
+        # they use when they run, so start-up pays for none of it
+        script = (
+            "import sys\n"
+            "import ionlattice.cli\n"
+            "pools = ('concurrent', 'multiprocessing', 'queue')\n"
+            "print(' '.join(m for m in sys.modules\n"
+            "               if m == 'ionlattice._fork'\n"
+            "               or m.partition('.')[0] in pools))\n")
+        src = os.path.dirname(os.path.dirname(ionlattice.__file__))
+        run = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == ""
 
 
 def _oracle_csv(cfg_hash, header, rows):

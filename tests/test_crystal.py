@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -599,8 +600,8 @@ class TestOneSpectrumPerDepth:
                             counted(np.linalg.solve, "solve"))
         monkeypatch.setattr(np.linalg, "lstsq",
                             counted(np.linalg.lstsq, "solve"))
-        monkeypatch.setattr(crystal, "_stationary",
-                            counted(crystal._stationary, "solves"))
+        monkeypatch.setattr(crystal, "_settle",
+                            counted(crystal._settle, "solves"))
         latt = LatticeConfig(
             depth_U0=ca40.mass * (2 * math.pi * 0.20e6) ** 2
             / (2.0 * ca40.lattice_wavevector ** 2),
@@ -624,43 +625,81 @@ class TestOneSpectrumPerDepth:
                 md.frequencies / (2.0 * math.pi), rtol=1e-12)
 
 
+def _sweep_rows(monkeypatch, overlap, n, trap, latt, species, seed, grid):
+    """Every row ``_sweep`` yields and its flagged list, with the spectra
+    taken on the worker thread or inline, and the names of the threads
+    that took them. Both run OpenBLAS on one thread, as an overlapped
+    sweep does, so that their bits can be compared."""
+    monkeypatch.setattr(crystal, "_overlaps", lambda n_ions: overlap)
+    spectrum, threads = crystal._spectrum, set()
+
+    def spied(scaled, u):
+        threads.add(threading.current_thread().name)
+        return spectrum(scaled, u)
+
+    monkeypatch.setattr(crystal, "_spectrum", spied)
+    flagged = []
+    with _fork.one_blas_thread():
+        rows = list(crystal._sweep(n, trap, latt, 200, species, seed, grid,
+                                   flagged))
+    return rows, flagged, threads
+
+
+def _planar32(ca40):
+    # 32 ions in a planar crystal: at the 78th node of the default 200-step
+    # grid the tracked minimum turns into a saddle, and the first kick
+    # along the unstable direction stalls
+    latt = LatticeConfig(depth_U0=cn.KB * 25e-3,
+                         wavevector_k=ca40.lattice_wavevector,
+                         detuning=2 * math.pi * 0.76e12)
+    nu_max = latt.vibrational_frequency(ca40)
+    grid = np.geomspace(1e-3 * nu_max, nu_max, 199)[:78]
+    return 32, TrapConfig.from_frequencies(40e3, 300e3), latt, ca40, 7, grid
+
+
+@pytest.fixture(scope="module")
+def planar32_overlapped(ca40):
+    with pytest.MonkeyPatch.context() as mp:
+        return _sweep_rows(mp, True, *_planar32(ca40))
+
+
 class TestSaddleDescent:
-    def test_planar_sweep_passes_saddle(self, ca40):
-        # 32 ions in a planar crystal: at the 78th node of the default
-        # 200-step grid the tracked minimum turns into a saddle, and the
-        # first kick along the unstable direction stalls
-        latt = LatticeConfig(depth_U0=cn.KB * 25e-3,
-                             wavevector_k=ca40.lattice_wavevector,
-                             detuning=2 * math.pi * 0.76e12)
-        nu_max = latt.vibrational_frequency(ca40)
-        grid = np.geomspace(1e-3 * nu_max, nu_max, 199)[:78]
-        res = continuation(32, TrapConfig.from_frequencies(40e3, 300e3),
-                           latt, species=ca40, seed=7, nu_grid=grid)
-        assert res.nu_latt[-1] == grid[-1]
-        assert np.all(np.isfinite(res.frequencies))
-        assert res.frequencies[:, 1:].min() > 0.0
+    def test_planar_sweep_passes_saddle(self, ca40, planar32_overlapped):
+        grid = _planar32(ca40)[-1]
+        rows, _, _ = planar32_overlapped
+        frequencies = np.array([freqs for _, freqs, *_ in rows])
+        assert rows[-1][0] == grid[-1]
+        assert np.all(np.isfinite(frequencies))
+        assert frequencies[1:].min() > 0.0
 
     @pytest.mark.parametrize("last_kick_converges", [False, True])
     def test_kicks_that_stall_are_skipped(self, monkeypatch, ca40,
                                           trap_zigzag4, last_kick_converges):
         # the first warm solve reports a saddle; every kick from it but
         # possibly the last stalls, the k-th at gradient max-norm k
-        real = crystal._stationary
-        kicks = []
+        settle, spectrum = crystal._settle, crystal._spectrum
+        kicks, first_warm = [], []
 
-        def scripted(scaled, n, guess, seed):
-            out = real(scaled, n, guess, seed)
+        def scripted_settle(scaled, n, guess, seed):
+            out = settle(scaled, n, guess, seed)
             if guess is None:
                 return out
             kicks.append(guess)
             if len(kicks) == 1:
-                u, energy, gnorm, lam, vec = out
-                return u, energy, gnorm, np.r_[-1.0, lam[1:]], vec
+                first_warm.append(out[0])
+                return out
             if last_kick_converges and len(kicks) >= 7:
                 return out
             raise EquilibriumError("stalled", gradient_norm=len(kicks) - 1.0)
 
-        monkeypatch.setattr(crystal, "_stationary", scripted)
+        def scripted_spectrum(scaled, u):
+            lam, vec = spectrum(scaled, u)
+            if first_warm and u is first_warm[0]:
+                return np.r_[-1.0, lam[1:]], vec
+            return lam, vec
+
+        monkeypatch.setattr(crystal, "_settle", scripted_settle)
+        monkeypatch.setattr(crystal, "_spectrum", scripted_spectrum)
         latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
                              wavevector_k=ca40.lattice_wavevector,
                              detuning=2 * math.pi * 0.76e12)
@@ -673,6 +712,77 @@ class TestSaddleDescent:
                                match="every kick.*max-norm 1.000e"):
                 continuation(*args, **kwargs)
         assert len(kicks) >= 7
+
+
+class TestLookahead:
+    """An overlapped sweep takes each depth's spectrum on a worker thread
+    while the next depth settles; it must give the inline sweep's rows."""
+
+    @staticmethod
+    def _assert_same_rows(got, want):
+        # every yielded row bit for bit (nu, frequencies, b, positions,
+        # refined), and the flagged list
+        (rows, flagged, _), (want_rows, want_flagged, _) = got, want
+        assert len(rows) == len(want_rows)
+        for row, want_row in zip(rows, want_rows):
+            assert row[0] == want_row[0] and row[4] == want_row[4]
+            for array, expected in zip(row[1:4], want_row[1:4]):
+                assert np.array_equal(array, expected)
+        assert flagged == want_flagged
+
+    @staticmethod
+    def _crystal64_sweep():
+        # the benchmark's crystal64 up to the first halving of its default
+        # grid, every tenth node: 23 rows, 10 of them inserted
+        cfg = parse_config(CRYSTAL64_MODES_JSON)
+        nu_max = cfg.lattice.vibrational_frequency(cfg.species)
+        grid = np.geomspace(1e-3 * nu_max, nu_max, 199)[:119:10]
+        return (cfg.n_ions, cfg.trap, cfg.lattice, cfg.species, cfg.seed,
+                grid)
+
+    @pytest.mark.parametrize("case", ["crystal64", "planar32"])
+    def test_overlap_keeps_every_bit(self, ca40, monkeypatch, request,
+                                     case):
+        if case == "crystal64":
+            args = self._crystal64_sweep()
+            overlapped = _sweep_rows(monkeypatch, True, *args)
+        else:
+            args = _planar32(ca40)
+            overlapped = request.getfixturevalue("planar32_overlapped")
+        inline = _sweep_rows(monkeypatch, False, *args)
+        threads, here = overlapped[2], inline[2]
+        assert threads - here and here == {threading.main_thread().name}
+        assert any(refined for *_, refined in inline[0])  # steps halved
+        self._assert_same_rows(overlapped, inline)
+
+    def test_unused_look_ahead_does_not_raise(self, monkeypatch):
+        # every step halves once, so the state first settled at the first
+        # warm target is rejected. The overlapped sweep has settled the
+        # next target from it already, and that settle raises here; the
+        # inline sweep never settles from the rejected state
+        cfg = parse_config(ZIGZAG4_YAML)
+        monkeypatch.setattr(crystal, "_OVERLAP_MIN", 1.1)
+        monkeypatch.setattr(crystal, "_MAX_HALVINGS", 1)
+        settle, first_warm, raised = crystal._settle, [], []
+
+        def stalls_from_first_warm_state(scaled, n, guess, seed):
+            if first_warm and guess is first_warm[0]:
+                raised.append(guess)
+                raise EquilibriumError("stalled", gradient_norm=1.0)
+            out = settle(scaled, n, guess, seed)
+            if guess is not None and not first_warm:
+                first_warm.append(out[0])
+            return out
+
+        monkeypatch.setattr(crystal, "_settle", stalls_from_first_warm_state)
+        args = (4, cfg.trap, cfg.lattice, cfg.species, 7, [0.1e6, 0.2e6])
+        overlapped = _sweep_rows(monkeypatch, True, *args)
+        assert len(raised) == 1
+        first_warm.clear()
+        inline = _sweep_rows(monkeypatch, False, *args)
+        assert len(raised) == 1
+        assert [r[4] for r in inline[0]] == [False, True, False, True, False]
+        self._assert_same_rows(overlapped, inline)
 
 
 def _cold_start(n, seed, attempt=0):
@@ -784,24 +894,20 @@ CRYSTAL64_JSON = json.dumps({
 })
 
 
+# the same with the benchmark's lattice, for the sweep
+CRYSTAL64_MODES_JSON = json.dumps({
+    **json.loads(CRYSTAL64_JSON),
+    "lattice": {"detuning_THz": 0.76, "depth_max_mK": 25.0},
+})
+
+
 def _run_in_process(monkeypatch):
     monkeypatch.setattr(crystal, "_fanout_width",
                         lambda n_ions, n_starts: 0)
 
 
-@pytest.fixture
-def nothing_left_behind():
-    # no worker left to reap and no pipe left open after the test
-    fds = len(os.listdir("/proc/self/fd"))
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
 @pytest.mark.skipif(_fork.width(crystal._RESTARTS) < 2,
                     reason="cold starts do not fan out on this host")
-@pytest.mark.usefixtures("nothing_left_behind")
 class TestForkedStarts:
     TRAP = TrapConfig.from_frequencies(85e3, 300e3)
     N = crystal._FANOUT_MIN_IONS
