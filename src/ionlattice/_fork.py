@@ -17,9 +17,10 @@ is the one the in-process loop gives:
 If anything interrupts the parent while it waits, KeyboardInterrupt
 included, every worker is killed and reaped and every pipe is closed.
 
-``width`` says how many workers pay here: 0 where the process cannot
-fork safely or no OpenBLAS thread setter is found, so that the caller
-runs in process.
+``cpus()`` is the host rule every caller reads: the CPUs this process
+may run on, or 0 where no OpenBLAS thread setter is found. ``width``
+says how many workers pay here: 0 where the process cannot fork safely
+or ``cpus()`` is below 2, so that the caller runs in process.
 
 ``one_blas_thread()`` is the same BLAS setting for the caller's own
 process: every loaded OpenBLAS on one thread for the span of a ``with``
@@ -125,8 +126,12 @@ def _one_blas_thread():
             shutdown()
 
 
-def usable_cpus():
-    """CPUs this process may run on."""
+def cpus():
+    """CPUs this process may run on, or 0 where no OpenBLAS thread setter
+    is found: without it, callers cannot keep each BLAS caller on one
+    thread, and run in process instead."""
+    if not openblas_functions("set_num_threads"):
+        return 0
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -136,14 +141,13 @@ def width(n_items):
     """Workers for ``n_items`` calls; fewer than 2 runs them in process.
 
     Fan out only where ``os.fork`` exists, this process runs no other
-    Python thread (a lock held by one would stay held in the child), at
-    least two CPUs are usable and the OpenBLAS thread setter is found.
+    Python thread (a lock held by one would stay held in the child) and
+    ``cpus()`` is at least 2.
     """
-    if (not hasattr(os, "fork") or threading.active_count() != 1
-            or not openblas_functions("set_num_threads")):
+    if not hasattr(os, "fork") or threading.active_count() != 1:
         return 0
-    cpus = usable_cpus()
-    return min(n_items, cpus) if cpus >= 2 else 0
+    n_cpus = cpus()
+    return min(n_items, n_cpus) if n_cpus >= 2 else 0
 
 
 def _work(fn, items, mine, read_fd, write_fd, mask):

@@ -651,11 +651,12 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     does the sweep raise EquilibriumError, naming the best gradient
     max-norm reached.
 
-    From 32 ions on, where at least 2 CPUs are usable and an OpenBLAS
-    thread setter is found, each depth's Hessian spectrum is taken on a
-    worker thread while the next depth settles, and the sweep runs
-    OpenBLAS on one thread; the result is bit for bit the inline sweep's
-    on one BLAS thread.
+    From 32 ions on, on a host with at least 2 usable CPUs and an
+    OpenBLAS thread setter (the one host rule, shared with the forked
+    cold starts of ``equilibrium``), each depth's Hessian spectrum is
+    taken on a worker thread while the next depth settles, and the sweep
+    runs OpenBLAS on one thread; the result is bit for bit the inline
+    sweep's on one BLAS thread.
     """
     flagged = []
     rows = _sweep(N, trap, lattice_max, steps, species, seed, nu_grid,
@@ -708,90 +709,40 @@ _LOOKAHEAD_MIN_IONS = 32
 def _overlaps(n_ions):
     """Whether a sweep of n_ions ions overlaps spectra with solves.
 
-    Only where at least 2 CPUs are usable and an OpenBLAS thread setter is
-    found: two callers of a multi-threaded OpenBLAS have no bit-for-bit
-    guarantee, so the sweep runs it on one thread (``_spectra``).
+    Only where ``_fork.cpus()`` is at least 2: two callers of a
+    multi-threaded OpenBLAS have no bit-for-bit guarantee, so the sweep
+    needs the OpenBLAS thread setter to run it on one thread
+    (``_spectra``).
     """
     if n_ions < _LOOKAHEAD_MIN_IONS:
         return False
     # imported here, so that a run with no large sweep never pays for it
     from . import _fork
-    return (_fork.usable_cpus() >= 2
-            and bool(_fork.openblas_functions("set_num_threads")))
-
-
-class _SpectrumThread:
-    """``_spectrum`` calls, run in order on one worker thread.
-
-    numpy's LAPACK calls release the GIL, so the worker's ``eigh`` runs
-    alongside the caller's own solves. The thread starts with the first
-    call, so that a cold solve before it may still fork (``_fork.width``
-    wants no other thread), and ``close`` joins it after the queued calls.
-    """
-
-    def __init__(self):
-        # imported here: only a sweep that overlaps loads them
-        import queue
-        import threading
-        self._queue = queue.SimpleQueue
-        self._calls = self._queue()
-        self._thread = threading.Thread(target=self._work, daemon=True,
-                                        name="ionlattice-spectra")
-
-    def _work(self):
-        while (call := self._calls.get()) is not None:
-            scaled, u, answer = call
-            try:
-                answer.put((True, _spectrum(scaled, u)))
-            except BaseException as exc:  # raised where it is read
-                answer.put((False, exc))
-
-    def submit(self, scaled, u):
-        """Queue ``_spectrum(scaled, u)``; the function returned waits for
-        it once, then returns its value or raises its exception."""
-        if self._thread.ident is None:
-            self._thread.start()
-        answer = self._queue()
-        self._calls.put((scaled, u, answer))
-        return partial(self._read, answer)
-
-    @staticmethod
-    def _read(answer):
-        ok, value = answer.get()
-        if not ok:
-            raise value
-        return value
-
-    def close(self):
-        if self._thread.ident is not None:
-            self._calls.put(None)
-            self._thread.join()
-
-
-def _spectrum_now(scaled, u):
-    # _SpectrumThread.submit's contract, with the spectrum taken at once
-    spectrum = _spectrum(scaled, u)
-    return lambda: spectrum
+    return _fork.cpus() >= 2
 
 
 @contextmanager
 def _spectra(overlap):
     """A function (scaled, u) -> f, where f() is ``_spectrum(scaled, u)``.
 
-    With overlap, the spectra run on a ``_SpectrumThread`` and every loaded
-    OpenBLAS runs one thread until the block ends; without, each is taken
-    at once.
+    Without overlap, f takes the spectrum when called. With overlap, the
+    spectra run in order on one worker thread (numpy's LAPACK calls
+    release the GIL, so its ``eigh`` runs alongside the caller's solves),
+    and every loaded OpenBLAS runs one thread until the block ends. The
+    thread starts with the first call, so that a cold solve before it may
+    still fork (``_fork.width`` wants no other thread). f waits for the
+    spectrum and returns it or raises its exception; a spectrum never
+    waited for raises nothing.
     """
     if not overlap:
-        yield _spectrum_now
+        yield lambda scaled, u: partial(_spectrum, scaled, u)
         return
+    # imported here: only a sweep that overlaps loads them
+    from concurrent.futures import ThreadPoolExecutor
     from . import _fork
-    spectra = _SpectrumThread()
-    with _fork.one_blas_thread():
-        try:
-            yield spectra.submit
-        finally:
-            spectra.close()
+    with _fork.one_blas_thread(), ThreadPoolExecutor(
+            1, thread_name_prefix="ionlattice-spectra") as worker:
+        yield lambda scaled, u: worker.submit(_spectrum, scaled, u).result
 
 
 def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):

@@ -966,6 +966,31 @@ class TestCliPlumbing:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == ""
 
+    def test_small_runs_load_no_worker_machinery(self, ws, ws8):
+        # below both size gates (16 ions for forked cold starts, 32 for
+        # the overlapped sweep) a run never imports what they use
+        (cfg4, out4), (cfg8, out8) = ws, ws8
+        script = (
+            "import sys\n"
+            "from ionlattice.cli import main\n"
+            "cfg4, out4, cfg8, out8 = sys.argv[1:]\n"
+            "assert main(['modes', '--config', cfg4, '--out', out4]) == 0\n"
+            "assert main(['equilibrium', '--config', cfg8,\n"
+            "             '--out', out8]) == 0\n"
+            "print(' '.join(m for m in sys.modules\n"
+            "               if m == 'ionlattice._fork'\n"
+            "               or m.partition('.')[0] == 'concurrent'))\n")
+        src = os.path.dirname(os.path.dirname(ionlattice.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(cfg4), str(out4), str(cfg8),
+             str(out8)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == ""
+        assert (out4 / "modes.csv").exists()
+        assert (out8 / "positions.csv").exists()
+
 
 def _oracle_csv(cfg_hash, header, rows):
     # the per-value CSV formatting of the writer the table writer replaced,

@@ -784,6 +784,26 @@ class TestLookahead:
         assert [r[4] for r in inline[0]] == [False, True, False, True, False]
         self._assert_same_rows(overlapped, inline)
 
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # row 0's spectrum raises on the worker thread; the sweep raises it
+        # where it reads that spectrum
+        cfg = parse_config(ZIGZAG4_YAML)
+        monkeypatch.setattr(crystal, "_overlaps", lambda n_ions: True)
+        spectrum, threads = crystal._spectrum, []
+
+        def raises_on_row_0(scaled, u):
+            threads.append(threading.current_thread().name)
+            if len(threads) == 1:
+                raise np.linalg.LinAlgError("scripted")
+            return spectrum(scaled, u)
+
+        monkeypatch.setattr(crystal, "_spectrum", raises_on_row_0)
+        rows = crystal._sweep(4, cfg.trap, cfg.lattice, 200, cfg.species, 7,
+                              [0.1e6, 0.2e6], [])
+        with pytest.raises(np.linalg.LinAlgError, match="^scripted$"):
+            list(rows)
+        assert threading.main_thread().name not in threads
+
 
 def _cold_start(n, seed, attempt=0):
     # the jittered string that ``_stationary`` descends from first
@@ -899,6 +919,36 @@ CRYSTAL64_MODES_JSON = json.dumps({
     **json.loads(CRYSTAL64_JSON),
     "lattice": {"detuning_THz": 0.76, "depth_max_mK": 25.0},
 })
+
+
+class TestHostRule:
+    """``_fork.cpus()`` is the one host test of both the forked cold
+    starts and the overlapped sweep."""
+
+    def test_no_openblas_setter_runs_everything_in_process(self, ca40,
+                                                           monkeypatch):
+        # numpy on another BLAS: no setter, so neither fans out
+        monkeypatch.setattr(_fork, "openblas_functions", lambda name: [])
+        widths, fork_map = [], _fork.fork_map
+
+        def spy(fn, items, width):
+            widths.append(width)
+            return fork_map(fn, items, width)
+
+        monkeypatch.setattr(_fork, "fork_map", spy)
+        assert _fork.cpus() == 0
+        assert _fork.width(4) == 0
+        assert crystal._overlaps(64) is False
+        equilibrium(crystal._FANOUT_MIN_IONS,
+                    TrapConfig.from_frequencies(85e3, 300e3), species=ca40,
+                    seed=7)
+        assert widths == []
+
+    def test_no_affinity_counts_every_cpu(self, monkeypatch):
+        monkeypatch.setattr(_fork, "openblas_functions",
+                            lambda name: [lambda *args: None])
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _fork.cpus() == (os.cpu_count() or 1)
 
 
 def _run_in_process(monkeypatch):
