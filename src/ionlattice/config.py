@@ -245,16 +245,13 @@ def parse_config(text):
             raise ConfigError(
                 "lattice needs exactly one of depth_max_mK or "
                 "nu_latt_max_MHz")
+        key = "depth_max_mK" if has_depth else "nu_latt_max_MHz"
+        if lat[key] < 0:
+            raise ConfigError(f"lattice.{key} must be >= 0")
         with _block_errors("lattice"):
             k = species.lattice_wavevector
-            if has_depth:
-                if lat["depth_max_mK"] < 0:
-                    raise ConfigError("lattice.depth_max_mK must be >= 0")
-                u0 = cn.KB * lat["depth_max_mK"]
-            else:
-                if lat["nu_latt_max_MHz"] < 0:
-                    raise ConfigError("lattice.nu_latt_max_MHz must be >= 0")
-                u0 = _depth_for_nu(lat["nu_latt_max_MHz"], species, k)
+            u0 = (cn.KB * lat[key] if has_depth
+                  else _depth_for_nu(lat[key], species, k))
             detuning = lat["detuning_THz"]
             signed = -u0 if detuning < 0 else u0
             lattice = LatticeConfig(depth_U0=signed, wavevector_k=k,

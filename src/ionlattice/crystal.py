@@ -217,8 +217,6 @@ class StructureReport:
 
 def length_scale(trap, species):
     """Coulomb length l = (e^2/(4 pi eps0 M omega_z^2))^(1/3)."""
-    if trap.omega_z <= 0:
-        raise DomainError("omega_z must be positive")
     return (cn.COULOMB / (species.mass * trap.omega_z ** 2)) ** (1.0 / 3.0)
 
 
@@ -408,27 +406,22 @@ def _solve_from(scaled, u0):
 _FANOUT_MIN_IONS = 16
 
 
-def _fanout_width(n_ions, n_starts):
-    """Workers for the cold starts of n_ions ions: 0 runs them in process."""
-    if n_ions < _FANOUT_MIN_IONS:
-        return 0
-    # imported here, so that a run with no large crystal never pays for it
-    from . import _fork
-    return _fork.width(n_starts)
-
-
 def _descend(scaled, starts):
     """``_solve_from`` from each start, in start order.
 
-    The starts are independent, so a large crystal runs them side by side
-    in forked workers (``_fork.fork_map``); every run is bit for bit the
-    one the in-process loop gives, and so is the exception raised.
+    The starts are independent, so from ``_FANOUT_MIN_IONS`` ions on they
+    run side by side in ``_fork.width(len(starts))`` forked workers
+    (``_fork.fork_map``) if that is at least 2; every run is bit for bit
+    the one the in-process loop gives, and so is the exception raised.
     """
-    width = _fanout_width(len(starts[0]), len(starts))
-    if width < 2:
-        return [_solve_from(scaled, u0) for u0 in starts]
-    from . import _fork
-    return _fork.fork_map(partial(_solve_from, scaled), starts, width)
+    if len(starts[0]) >= _FANOUT_MIN_IONS:
+        # imported here, so that a run with no large crystal never pays
+        from . import _fork
+        width = _fork.width(len(starts))
+        if width >= 2:
+            return _fork.fork_map(partial(_solve_from, scaled), starts,
+                                  width)
+    return [_solve_from(scaled, u0) for u0 in starts]
 
 
 # a stationary point whose lowest Hessian eigenvalue is below this is a
@@ -784,13 +777,6 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
         u = _settle(scaled, N, guess, seed)[0]
         return scaled, u, spectrum_of(scaled, u)
 
-    def look_ahead(nu, guess):
-        # settle_at(nu, guess), or what it raised, raised only if used
-        try:
-            return settle_at(nu, guess)
-        except Exception as exc:
-            return exc
-
     ell = length_scale(trap, species)
     lookahead = _overlaps(N)
     with _spectra(lookahead) as spectrum_of:
@@ -804,18 +790,20 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
         while True:
             target, level, refined = step
             scaled, u_new, spectrum = state
-            # settle the next target from this one while its spectrum is
-            # taken; used only if this row is accepted as it stands
+            # settle the next target while this one's spectrum is taken;
+            # used (or what it raised raised) only if this row is accepted
             ahead = None
             if lookahead and pending:
-                ahead = pending[-1], look_ahead(pending[-1][0], u_new)
+                try:
+                    ahead = settle_at(pending[-1][0], u_new)
+                except Exception as exc:
+                    ahead = exc
             lam, vec = spectrum()
             as_is = lam[0] >= _SADDLE_TOL
             if not as_is:
                 u_new, _, _, lam, vec = descend_from_saddle(scaled, u_new,
                                                             vec)
             md = _modes(trap, lam, vec)
-            accepted = True
             if b_prev is None:
                 # the tracked branches start in eigh's ascending order at
                 # zero depth
@@ -827,10 +815,11 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
                 if weakest < _OVERLAP_MIN and level < _MAX_HALVINGS:
                     mid = 0.5 * (nu + target) if nu == 0.0 \
                         else math.sqrt(nu * target)
-                    pending += [(target, level + 1, refined),
-                                (mid, level + 1, True)]
-                    accepted = False
-                elif level == _MAX_HALVINGS:
+                    pending.append((target, level + 1, refined))
+                    step = mid, level + 1, True
+                    state = settle_at(mid, u)
+                    continue
+                if level == _MAX_HALVINGS:
                     for p, row in enumerate(overlap):
                         second, best = np.argsort(row)[-2:]
                         gap = row[best] - row[second]
@@ -850,17 +839,16 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
                 signs = np.sign(np.sum(b_prev * b_new, axis=0))
                 signs[signs == 0.0] = 1.0
                 freqs, b_new = md.frequencies[perm], b_new * signs
-            if accepted:
-                nu, u, b_prev = target, u_new, b_new
-                yield nu, freqs, b_prev, u * ell, refined
-                n_rows += 1
+            nu, u, b_prev = target, u_new, b_new
+            yield nu, freqs, b_prev, u * ell, refined
+            n_rows += 1
             if not pending:
                 return
-            step = pending.pop()
-            if accepted and as_is and ahead is not None and ahead[0] == step:
-                state = ahead[1]
-                if isinstance(state, Exception):
-                    raise state
+            step = pending.pop()  # the target settled ahead, if any
+            if as_is and ahead is not None:
+                if isinstance(ahead, Exception):
+                    raise ahead
+                state = ahead
             else:
                 state = settle_at(step[0], u)
 

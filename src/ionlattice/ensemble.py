@@ -167,11 +167,9 @@ def scan_depth(scenario, beam, depth_grid):
     if np.any(depths < 0):
         raise DomainError("depth grid entries must be non-negative")
     live = depths > 0.0
-    _check_t0_u0(scenario.T0, depths[live])
+    theta = _check_t0_u0(scenario.T0, depths[live])
     p = _mean_probabilities(scenario, beam, depths, scenario.T0)
     b = np.full(depths.shape, 0.5)
-    with np.errstate(over="ignore"):  # theta = inf is the free limit
-        theta = cn.KB * scenario.T0 / depths[live]
     b[live] = _bunching_vec(theta)
     n = scenario.n_ions
     return [{

@@ -269,10 +269,9 @@ def action_density(s, T0, U0):
     Half-Gaussian: exp(-s^2/(4 theta))/sqrt(pi theta) with
     theta = kB T0/U0. Conserved under adiabatic depth changes.
     """
-    _check_t0_u0(T0, U0)
+    theta = _check_t0_u0(T0, U0)
     if s < 0:
         raise DomainError("dimensionless action must be non-negative")
-    theta = cn.KB * T0 / U0
     return math.exp(-s * s / (4.0 * theta)) / math.sqrt(math.pi * theta)
 
 
@@ -283,9 +282,8 @@ def energy_density(E, T0, U0):
     Diverges logarithmically (integrably) at E = U0; integrate across it
     with the singular point declared.
     """
-    _check_t0_u0(T0, U0)
+    theta = _check_t0_u0(T0, U0)
     s, tau, _ = map(float, _off_separatrix_orbit(E, U0))
-    theta = cn.KB * T0 / U0
     return math.exp(-s * s / (4.0 * theta)) / (U0 * math.sqrt(math.pi * theta)) * tau
 
 
@@ -326,8 +324,7 @@ def bunching(T0, U0):
     lattice is a small perturbation. A fixed double-exponential rule
     gives it to about 1e-9 absolute.
     """
-    _check_t0_u0(T0, U0)
-    return float(_bunching_vec(cn.KB * T0 / U0))
+    return float(_bunching_vec(_check_t0_u0(T0, U0)))
 
 
 def _orbit(x, d):
@@ -449,8 +446,9 @@ def _ratio_from_action(s):
 
 
 def _check_t0_u0(T0, U0):
-    """The model's one rule for T0 (K) and depths U0 (J, float or array):
-    both positive and finite, and theta = kB T0/U0 > 0 at every depth."""
+    """theta = kB T0/U0 for T0 (K) and depths U0 (J, float or array), by
+    the model's one rule: both positive and finite, and theta > 0 at every
+    depth (inf, the free limit, where it overflows)."""
     if not 0 < T0 < math.inf:  # NaN fails too
         raise DomainError("T0 must be positive and finite")
     u0 = np.asarray(U0, dtype=float)
@@ -462,6 +460,7 @@ def _check_t0_u0(T0, U0):
         raise DomainError(
             f"theta = kB*T0/U0 underflows to 0 at T0={T0!r} K, "
             f"U0={float(np.min(u0[theta == 0]))!r} J")
+    return theta
 
 
 # ----------------------------------------------------------------------

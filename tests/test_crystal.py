@@ -952,8 +952,7 @@ class TestHostRule:
 
 
 def _run_in_process(monkeypatch):
-    monkeypatch.setattr(crystal, "_fanout_width",
-                        lambda n_ions, n_starts: 0)
+    monkeypatch.setattr(crystal, "_FANOUT_MIN_IONS", math.inf)
 
 
 @pytest.mark.skipif(_fork.width(crystal._RESTARTS) < 2,
