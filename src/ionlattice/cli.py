@@ -45,7 +45,7 @@ from .crystal import (
 from .ensemble import ScatteringScenario, scan_depth
 from .errors import ConfigError, DomainError, SpotParseError, exit_code_for
 from .micromotion import excess_micromotion
-from .pendulum import _check_t0_u0, _depth_for_nu
+from .pendulum import _check_rate, _check_t0_u0, _depth_for_nu
 from .thermometry import (
     _used_axes,
     estimate_temperature,
@@ -129,6 +129,24 @@ def cmd_equilibrium(args, cfg, out):
     return 0
 
 
+@contextlib.contextmanager
+def _refused(name):
+    # the model refusing an input, as a config error that names it
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _depth_source(args, cfg):
+    # what sets a verb's deepest grid point: --grid, else the lattice key
+    if args.grid is not None:
+        return "--grid"
+    if cfg.normalized["lattice"]["depth_max_mK"] is not None:
+        return "lattice.depth_max_mK"
+    return "lattice.nu_latt_max_MHz"
+
+
 def _require(cfg, attr, key):
     value = getattr(cfg, attr)
     if value is None:
@@ -156,8 +174,9 @@ def cmd_modes(args, cfg, out):
             "lattice.depth_max_mK or lattice.nu_latt_max_MHz must be "
             "nonzero")
     flagged = []
-    rows = _sweep(cfg.n_ions, cfg.trap, lattice, 200, cfg.species, cfg.seed,
-                  nu_grid, flagged)
+    with _refused(_depth_source(args, cfg)):  # such as a depth too deep
+        rows = _sweep(cfg.n_ions, cfg.trap, lattice, 200, cfg.species,
+                      cfg.seed, nu_grid, flagged)
 
     def tables():
         for step, (nu, freqs, b, positions, _) in enumerate(rows):
@@ -204,11 +223,12 @@ def cmd_scatter(args, cfg, out):
         depths = _parse_grid(args.grid) * 1e-3 * cn.KB  # mK -> J
     else:
         depths = np.linspace(0.0, abs(lattice.depth_U0), 26)
-    try:  # the model's T0 rule, before the reference solve
+    # the model's T0 and rate rules, before the reference solve
+    with _refused("crystal.T0_mK with this depth grid"):
         _check_t0_u0(t0, depths[depths > 0.0])
-    except DomainError as exc:
-        raise ConfigError(
-            f"crystal.T0_mK with this depth grid: {exc}") from None
+    with _refused(_depth_source(args, cfg)):
+        _check_rate(depths, ramp.t_end, lattice, cfg.species,
+                    include_p32=False)
 
     state = _solve_reference(cfg)
     scenario = ScatteringScenario(crystal=state, species=cfg.species,
@@ -337,6 +357,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("--out must name a directory, not ''")
         cfg = load_config(args.config)
         out = args.out if args.out is not None else cfg.output_dir
         os.makedirs(out, exist_ok=True)

@@ -219,8 +219,8 @@ def parse_config(text):
     if not isinstance(include_radial, bool):
         raise ConfigError("thermometry.include_radial must be true or false")
     out_dir = norm["output"]["dir"]
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.dir must be a string")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("output.dir must be a non-empty string")
 
     species_n = norm["species"]
     with _block_errors("species"):

@@ -675,7 +675,8 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
     frequencies rad/s in branch order, (3N, 3N) branch eigenvectors,
     (N, 3) positions m, refined) tuples. Ambiguous crossings are appended
     to ``flagged`` as they are found, each before its row is yielded; an
-    entry's "step" is the index of that row.
+    entry's "step" is the index of that row. A grid whose deepest point
+    would overflow the squared gradient norm is a DomainError.
     """
     if steps < 2:
         raise DomainError("need at least two continuation steps")
@@ -690,6 +691,19 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
         grid = np.asarray(sorted(float(v) for v in nu_grid))
         if grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
+    # the lattice pulls an ion with a force of up to u0*kappa in trap
+    # units; beyond sqrt(max/3N), the squared norm of a 3N-component
+    # gradient, which BFGS forms, leaves the float range
+    scaled = _Dimensionless(trap, lattice_max, species)
+    with np.errstate(over="ignore"):
+        depth = abs(_signed_depth(grid[-1], lattice_max, species))
+        pull = depth / scaled.energy_unit * scaled.kappa
+    ceiling = math.sqrt(np.finfo(float).max / (3 * N))
+    if not pull <= ceiling:
+        raise DomainError(
+            f"a lattice depth of {depth:.3g} J pulls an ion with a force of "
+            f"{pull:.3g} in trap units, beyond the {ceiling:.3g} at which "
+            f"the squared gradient norm of {N} ions leaves the float range")
     return _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged)
 
 

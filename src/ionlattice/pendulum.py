@@ -483,13 +483,11 @@ def scattering_rate(kz, rabi, config, species):
     return 0.5 * species.gamma_397 * half_o2 / denom
 
 
-def _mean_rate(depth, T0, config, species, include_p32):
-    """Far-detuned ensemble-mean rate pref * |U0| * X at depths |U0| > 0 (J).
-
-    X is the thermal mean of the normalized local intensity: B for a blue
-    lattice (ions pile up at the nodes), 1 - B for red; T0=None pins it
-    at 1/2 (delocalized). Elementwise over an array of depths.
-    """
+def _check_rate(u0, t_up, config, species, include_p32):
+    """pref (1/(J s)) of the far-detuned rate pref * |U0| * X, X <= 1, by
+    the model's one rule for peak depths u0 (J, float or array) of a ramp
+    lasting t_up (s): the rate at each peak, and the dose over t_up (the
+    ramp rule's weights add up to t_up), stay finite."""
     delta = config.detuning
     if delta == 0.0:
         raise DomainError(
@@ -503,6 +501,24 @@ def _mean_rate(depth, T0, config, species, include_p32):
         # spatial profile; a small correction, not a full multi-level model
         d2 = delta - species.fine_structure_splitting
         pref += species.gamma_397 * abs(delta) / (cn.HBAR * d2 * d2)
+    u0 = np.asarray(u0, dtype=float)
+    with np.errstate(over="ignore"):  # the larger of rate and dose bound
+        top = pref * u0 * max(1.0, t_up)
+    if not np.all(np.isfinite(top)):
+        raise DomainError(
+            "the scattering rate or its dose over the ramp leaves the float "
+            f"range from a depth of {float(np.min(u0[~np.isfinite(top)]))!r}"
+            " J")
+    return pref
+
+
+def _mean_rate(depth, T0, pref, is_blue):
+    """Far-detuned ensemble-mean rate pref * |U0| * X at depths |U0| > 0 (J).
+
+    X is the thermal mean of the normalized local intensity: B for a blue
+    lattice (ions pile up at the nodes), 1 - B for red; T0=None pins it
+    at 1/2 (delocalized). Elementwise over an array of depths.
+    """
     if T0 is None:
         return pref * depth * 0.5
     # theta = inf, where T0 is huge or a ramp node's depth underflows to
@@ -510,7 +526,7 @@ def _mean_rate(depth, T0, config, species, include_p32):
     with np.errstate(over="ignore", divide="ignore"):
         theta = cn.KB * T0 / depth
     b = _bunching_vec(theta)
-    return pref * depth * (b if config.is_blue else 1.0 - b)
+    return pref * depth * (b if is_blue else 1.0 - b)
 
 
 def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
@@ -526,7 +542,8 @@ def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
     _check_t0_u0(T0, u0t[u0t > 0.0])
     if u0t <= 0.0:
         return 0.0
-    return float(_mean_rate(u0t, T0, config, species, include_p32))
+    pref = _check_rate(u0t, 0.0, config, species, include_p32)
+    return float(_mean_rate(u0t, T0, pref, config.is_blue))
 
 
 def scattering_probability(t0, T0, ramp, config, species, p0=1.0,
@@ -589,13 +606,14 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     t_up = min(t0, ramp.t_end)
     if t_up <= 0.0 or not np.any(live):
         return np.zeros(u0.shape)
+    pref = _check_rate(u0, t_up, config, species, include_p32)
     t_ramp = min(t_up, ramp.ramp_duration)
     x_end = t_ramp / ramp.ramp_duration if t_ramp > 0.0 else 1.0
     # the ramp by the tanh-sinh rule, the hold (constant rate) as one node
     frac = np.append(ramp.fraction(_TS_X * x_end), 1.0)
     weight = np.append(t_ramp * _TS_W, t_up - t_ramp)
     depth = np.multiply.outer(u0[live], frac)
-    rate = _mean_rate(depth, T0, config, species, include_p32)
+    rate = _mean_rate(depth, T0, pref, config.is_blue)
     dose = np.zeros(u0.shape)
     dose[live] = rate @ weight
     # the nested rule's error estimate of the dose, carried into p

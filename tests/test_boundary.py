@@ -28,6 +28,7 @@ from ionlattice import (
     BeamProfile,
     ConfigError,
     DomainError,
+    EnergyEnsemble,
     ImagingConfig,
     IonLatticeError,
     IonSpecies,
@@ -36,10 +37,15 @@ from ionlattice import (
     RunConfig,
     SpotParseError,
     TrapConfig,
+    action_density,
     lattice_frequency,
     parse_config,
     read_spot_profiles,
+    scatter_count_pmf,
+    scattering_probability,
+    scattering_rate,
     spot_variance_model,
+    subsequent_fraction,
 )
 from ionlattice import constants as cn
 from ionlattice import cli
@@ -88,6 +94,49 @@ NON_FINITE_CALLS = {
 def test_non_finite_parameter_rejected(name):
     with pytest.raises(DomainError):
         NON_FINITE_CALLS[name]()
+
+
+_RAMP = RampProfile(u0_max=1e-25, ramp_duration=2e-5, hold_duration=1e-6)
+_BLUE = LatticeConfig(depth_U0=1e-25, wavevector_k=K,
+                      detuning=2 * math.pi * 0.76e12)
+
+# each call -> the start of its DomainError message
+DOMAIN_ERROR_CALLS = {
+    "scatter_count_pmf n": (lambda: scatter_count_pmf(0, 0.5),
+                            "need at least one ion"),
+    "scatter_count_pmf p": (lambda: scatter_count_pmf(3, 1.5),
+                            "per-ion probability"),
+    "subsequent_fraction n": (lambda: subsequent_fraction(0, 0.5),
+                              "need at least one ion"),
+    "subsequent_fraction p": (lambda: subsequent_fraction(3, -0.1),
+                              "per-ion probability"),
+    "IonSpecies gamma_397": (lambda: IonSpecies(
+        mass=cn.CA40_MASS, gamma_p_total=1e7, gamma_397=2e7),
+        "need 0 < gamma_397"),
+    "action_density s": (lambda: action_density(-0.1, 1e-3, 1e-25),
+                         "dimensionless action"),
+    "energies_from_actions": (
+        lambda: EnergyEnsemble(1e-3, 1e-25).energies_from_actions(
+            [0.5, -0.1]), "actions must be non-negative"),
+    "scattering_rate rabi": (lambda: scattering_rate(0.3, -1.0, _BLUE, CA40),
+                             "rabi must be non-negative"),
+    "include_p32 without fine structure": (
+        lambda: scattering_probability(
+            2e-5, 1e-3, _RAMP, _BLUE,
+            IonSpecies(mass=cn.CA40_MASS, fine_structure_splitting=None),
+            include_p32=True), "include_p32 requires"),
+    "p0 above 1": (lambda: scattering_probability(
+        2e-5, 1e-3, _RAMP, _BLUE, CA40, p0=1.5), "p0 must lie in"),
+    "p0 below 0": (lambda: scattering_probability(
+        2e-5, 1e-3, _RAMP, _BLUE, CA40, p0=-0.5), "p0 must lie in"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CALLS))
+def test_domain_error_raised(name):
+    call, message = DOMAIN_ERROR_CALLS[name]
+    with pytest.raises(DomainError, match="^" + message):
+        call()
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,18 @@ def _read_rows(path):
     return first, rows
 
 
+def _refused_before_solve(monkeypatch, capsys, argv):
+    # main's exit code and stderr, with every crystal solve an error
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(crystal, "_settle", no_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
 class TestEquilibriumCommand:
     def test_positions_csv(self, ws):
         cfg, out = ws
@@ -311,6 +323,27 @@ class TestModesCommand:
             assert main(["modes", "--config", str(cfg), "--out", str(out),
                          "--grid", spec]) == EXIT_CONFIG
         assert "--grid" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("lattice, extra, name", [
+        ("depth_max_mK: 25.0", ["--grid", "1e100:1e100:1:lin"], "--grid"),
+        ("depth_max_mK: 1.0e+200", [], "lattice.depth_max_mK"),
+        ("nu_latt_max_MHz: 1.0e+80", [], "lattice.nu_latt_max_MHz"),
+    ], ids=["grid", "depth key", "frequency key"])
+    def test_depth_beyond_gradient_range_rejected_before_solve(
+            self, tmp_path, capsys, monkeypatch, lattice, extra, name):
+        # finite in SI, but the lattice force in trap units would overflow
+        # the squared gradient norm of the 2 ions' 6 coordinates
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(BASE_YAML.replace("n_ions: 4", "n_ions: 2")
+                       .replace("depth_max_mK: 25.0", lattice))
+        out = tmp_path / "out"
+        code, err = _refused_before_solve(
+            monkeypatch, capsys,
+            ["modes", "--config", str(cfg), "--out", str(out)] + extra)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"ionlattice: error: {name}: ")
+        assert "squared gradient norm of 2 ions" in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["depth_max_mK", "nu_latt_max_MHz"])
@@ -593,6 +626,26 @@ class TestScatterCommand:
                          "--grid", "1e9:1e45:5:geom"]) == 0
         _, rows = _read_rows(out / "scatter.csv")
         assert [float(r["p_per_ion"]) for r in rows] == [1.0] * 5
+
+    @pytest.mark.parametrize("depth, extra, name", [
+        ("25.0", ["--grid", "1e250:1.7e308:4:geom"], "--grid"),
+        ("1.0e+305", [], "lattice.depth_max_mK"),
+    ], ids=["grid", "default grid"])
+    def test_rate_beyond_float_range_rejected_before_solve(
+            self, tmp_path, capsys, monkeypatch, depth, extra, name):
+        # theta stays positive there, but the far-detuned rate pref*depth
+        # overflows
+        cfg = tmp_path / "string8.yaml"
+        cfg.write_text(STRING_YAML + "  T0_mK: 3.6\nlattice:\n"
+                       f"  detuning_THz: 0.76\n  depth_max_mK: {depth}\n")
+        out = tmp_path / "out"
+        code, err = _refused_before_solve(
+            monkeypatch, capsys,
+            ["scatter", "--config", str(cfg), "--out", str(out)] + extra)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"ionlattice: error: {name}: ")
+        assert "leaves the float range" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("lattice, extra", [
         ("depth_max_mK: 25.0", ["--grid", "1e280:1e300:3:geom"]),
@@ -892,6 +945,43 @@ class TestCliPlumbing:
         with pytest.raises(ValueError):
             _write_json(path, {"T_mK": float("nan")})
         assert not path.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("trap: [85.0, 170.0\n", "config is not valid YAML/JSON"),
+        ("- trap\n- crystal\n", "config must be a mapping of blocks"),
+    ], ids=["neither JSON nor YAML", "YAML list"])
+    def test_config_text_that_is_no_mapping(self, tmp_path, capsys, text,
+                                            message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["equilibrium", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["depth_max_mK", "nu_latt_max_MHz"])
+    def test_negative_lattice_depth(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(BASE_YAML.replace("depth_max_mK: 25.0",
+                                         f"{key}: -1.0"))
+        assert main(["modes", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"lattice.{key} must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_empty_output_dir_rejected_before_solve(
+            self, tmp_path, capsys, monkeypatch, where):
+        cfg = tmp_path / "run.yaml"
+        argv = ["equilibrium", "--config", str(cfg)]
+        if where == "config":
+            cfg.write_text(BASE_YAML + 'output:\n  dir: ""\n')
+            name = "output.dir"
+        else:
+            cfg.write_text(BASE_YAML)
+            argv += ["--out", ""]
+            name = "--out"
+        code, err = _refused_before_solve(monkeypatch, capsys, argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"ionlattice: error: {name} ")
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["equilibrium", "--config",

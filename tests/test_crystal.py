@@ -335,6 +335,34 @@ class TestContinuation:
             crystal._sweep(2, trap_zigzag4, replace(latt, depth_U0=0.0),
                            200, ca40, 0, None, [])
 
+    def test_sweep_refuses_depths_whose_gradient_norm_overflows(
+            self, trap_zigzag4, ca40):
+        # the lattice force on an ion reaches u0*kappa in trap units; a
+        # 3N-component gradient of that size has a squared norm beyond the
+        # float range once u0*kappa exceeds sqrt(max/3N). The sweep refuses
+        # such a grid when called, before any solve, and takes one below
+        n = 4
+        latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
+                             wavevector_k=ca40.lattice_wavevector,
+                             detuning=2 * math.pi * 0.76e12)
+        scaled = crystal._Dimensionless(trap_zigzag4, latt, ca40)
+        ceiling = math.sqrt(np.finfo(float).max / (3 * n))
+        for factor, overflows in ((0.99, False), (1.01, True)):
+            with np.errstate(over="ignore"):
+                norm2 = np.dot(np.full(3 * n, factor * ceiling),
+                               np.full(3 * n, factor * ceiling))
+            assert np.isinf(norm2) == overflows
+            depth = factor * ceiling / scaled.kappa * scaled.energy_unit
+            nu = latt.wavevector_k / (2 * math.pi) * math.sqrt(
+                2 * depth / ca40.mass)
+            if overflows:
+                with pytest.raises(DomainError, match="float range"):
+                    crystal._sweep(n, trap_zigzag4, latt, 200, ca40, 0, [nu],
+                                   [])
+            else:
+                crystal._sweep(n, trap_zigzag4, latt, 200, ca40, 0, [nu],
+                               []).close()
+
 
 @pytest.fixture(scope="module")
 def halved(ca40):
@@ -714,6 +742,37 @@ class TestSaddleDescent:
         assert len(kicks) >= 7
 
 
+    def test_kicks_that_reach_only_saddles(self, monkeypatch, ca40,
+                                           trap_zigzag4):
+        # the first warm solve reports a saddle, and so does every state
+        # that a kick from it converges to
+        settle, spectrum = crystal._settle, crystal._spectrum
+        warm = []
+
+        def scripted_settle(scaled, n, guess, seed):
+            out = settle(scaled, n, guess, seed)
+            if guess is not None:
+                warm.append(out[0])
+            return out
+
+        def scripted_spectrum(scaled, u):
+            lam, vec = spectrum(scaled, u)
+            if any(u is w for w in warm):
+                return np.r_[-1.0, lam[1:]], vec
+            return lam, vec
+
+        monkeypatch.setattr(crystal, "_settle", scripted_settle)
+        monkeypatch.setattr(crystal, "_spectrum", scripted_spectrum)
+        latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
+                             wavevector_k=ca40.lattice_wavevector,
+                             detuning=2 * math.pi * 0.76e12)
+        with pytest.raises(UnstableConfigurationError,
+                           match="no adjacent minimum was reachable"):
+            continuation(4, trap_zigzag4, latt, species=ca40, seed=7,
+                         nu_grid=[0.1e6])
+        assert len(warm) == 7  # the tracked state and six kicks
+
+
 class TestLookahead:
     """An overlapped sweep takes each depth's spectrum on a worker thread
     while the next depth settles; it must give the inline sweep's rows."""
@@ -783,6 +842,41 @@ class TestLookahead:
         assert len(raised) == 1
         assert [r[4] for r in inline[0]] == [False, True, False, True, False]
         self._assert_same_rows(overlapped, inline)
+
+    def test_used_look_ahead_raises_as_inline(self, monkeypatch):
+        # the second warm settle raises. The overlapped sweep settles that
+        # target ahead, while row 1's spectrum is taken, and raises once
+        # row 1 is accepted as it stands; the inline sweep raises from the
+        # settle itself. Both yield rows 0 and 1 first
+        cfg = parse_config(ZIGZAG4_YAML)
+        settle, warm = crystal._settle, []
+
+        def stalls_at_second_warm_target(scaled, n, guess, seed):
+            if guess is not None:
+                warm.append(guess)
+                if len(warm) == 2:
+                    raise EquilibriumError(f"scripted stall {len(warm)}",
+                                           gradient_norm=1.0)
+            return settle(scaled, n, guess, seed)
+
+        monkeypatch.setattr(crystal, "_settle", stalls_at_second_warm_target)
+        raised = {}
+        for overlap in (True, False):
+            warm.clear()
+            monkeypatch.setattr(crystal, "_overlaps",
+                                lambda n_ions: overlap)
+            rows = []
+            with _fork.one_blas_thread(), \
+                    pytest.raises(EquilibriumError) as info:
+                for row in crystal._sweep(4, cfg.trap, cfg.lattice, 200,
+                                          cfg.species, 7, [0.1e6, 0.2e6],
+                                          []):
+                    rows.append(row)
+            assert len(warm) == 2
+            assert [nu for nu, *_ in rows] == [0.0, 0.1e6]
+            raised[overlap] = info.value
+        assert type(raised[True]) is type(raised[False])
+        assert str(raised[True]) == str(raised[False]) == "scripted stall 2"
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # row 0's spectrum raises on the worker thread; the sweep raises it
@@ -903,6 +997,69 @@ class TestColdSolver:
         assert np.max(np.abs(tied[0] - tied[1])) > 1e-3  # not one structure
         state = equilibrium(n, self.TRAP, species=ca40, seed=seed)
         np.testing.assert_array_equal(state.positions, tied[0] * scaled.ell)
+
+
+class TestNewtonPolish:
+    """Branches of ``_newton_polish`` that a well-posed polish never takes,
+    scripted; each still reaches the minimum of the unscripted polish."""
+
+    @pytest.fixture
+    def polish(self, ca40, trap_zigzag4, zigzag4):
+        # a scaled potential, a start near the zigzag and the unscripted
+        # polish from it
+        scaled = crystal._Dimensionless(trap_zigzag4, None, ca40)
+        start = zigzag4.positions / scaled.ell + 1e-3 * \
+            np.random.default_rng(5).normal(size=(4, 3))
+        want = crystal._newton_polish(scaled, start)
+        assert want[3]
+        return scaled, start, want
+
+    @staticmethod
+    def _assert_same_minimum(got, want):
+        assert got[3]
+        np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-9)
+        assert got[1] == pytest.approx(want[1], rel=1e-14)
+
+    def test_singular_system_takes_least_squares_step(self, monkeypatch,
+                                                      polish):
+        scaled, start, want = polish
+        solve, lstsq, calls = np.linalg.solve, np.linalg.lstsq, []
+
+        def singular_first(a, b):
+            calls.append("solve")
+            if calls == ["solve"]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        def spied_lstsq(*args, **kwargs):
+            calls.append("lstsq")
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_first)
+        monkeypatch.setattr(np.linalg, "lstsq", spied_lstsq)
+        got = crystal._newton_polish(scaled, start)
+        monkeypatch.undo()
+        assert calls[:2] == ["solve", "lstsq"]
+        assert calls.count("lstsq") == 1
+        self._assert_same_minimum(got, want)
+
+    def test_step_that_merges_ions_is_damped(self, monkeypatch, polish):
+        scaled, start, want = polish
+        energy_and_gradient, calls = scaled.energy_and_gradient, []
+
+        def first_trial_merges(u):
+            calls.append(u)
+            if len(calls) == 2:  # the start, then the first trial step
+                raise SingularConfigurationError("two ions coincide")
+            return energy_and_gradient(u)
+
+        monkeypatch.setattr(scaled, "energy_and_gradient",
+                            first_trial_merges)
+        got = crystal._newton_polish(scaled, start)
+        # the damped retry starts from the same point
+        assert np.array_equal(calls[0], start)
+        assert len(calls) > 3
+        self._assert_same_minimum(got, want)
 
 
 # the benchmark's crystal64 run config (bench/workloads.py), without the

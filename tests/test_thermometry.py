@@ -509,6 +509,53 @@ class TestBatchedFit:
                                  "fitted width"):
             fit_spot_profiles(triples[::-1], imaging)
 
+    def test_weighted_pass_failure_names_the_spot(self, imaging,
+                                                  monkeypatch):
+        # the unweighted pass converges, the weighted one runs out of
+        # evaluations
+        calls = []
+
+        def weighted_gives_up(fun, x0, jac, lengths, tol, max_nfev):
+            calls.append(len(x0))
+            return _optim.least_squares_batch(
+                fun, x0, jac, lengths, tol,
+                max_nfev=max_nfev if len(calls) == 1 else 1)
+
+        monkeypatch.setattr(thermometry, "least_squares_batch",
+                            weighted_gives_up)
+        rng = np.random.default_rng(3)
+        prof = _gauss_profile(200.0, 0.4, 2.0, 3.0)
+        prof[:, 1] = rng.poisson(prof[:, 1])
+        with pytest.raises(FitConvergenceError,
+                           match=r"^spot \(ion_index 6, axis axial\): "
+                                 "weighted Gaussian fit did not converge"):
+            fit_spot_profiles([(6, "axial", prof)], imaging)
+        assert calls == [1, 1]
+
+    def test_singular_normal_matrix_takes_pseudo_inverse(self, monkeypatch):
+        # where J^T J cannot be inverted, the covariance is its
+        # pseudo-inverse: for an invertible one, the same to rounding
+        prof = _gauss_profile(200.0, 0.4, 2.0, 3.0)
+        prof[:, 1] = np.random.default_rng(3).poisson(prof[:, 1])
+        want = fit_gaussian_profile(prof)
+        pinv, taken = np.linalg.pinv, []
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def spied_pinv(a):
+            taken.append(a)
+            return pinv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(np.linalg, "pinv", spied_pinv)
+        got = fit_gaussian_profile(prof)
+        monkeypatch.undo()
+        assert len(taken) == 1
+        assert (got.center, got.sigma, got.amplitude, got.offset) == \
+            (want.center, want.sigma, want.amplitude, want.offset)
+        np.testing.assert_allclose(got.ci95, want.ci95, rtol=1e-9)
+
     def test_convergence_error_names_the_spot(self, imaging, monkeypatch):
         def give_up(fun, x0, jac, lengths, tol, max_nfev):
             return _optim.least_squares_batch(fun, x0, jac, lengths, tol,
