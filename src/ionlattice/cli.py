@@ -227,8 +227,7 @@ def cmd_scatter(args, cfg, out):
     with _refused("crystal.T0_mK with this depth grid"):
         _check_t0_u0(t0, depths[depths > 0.0])
     with _refused(_depth_source(args, cfg)):
-        _check_rate(depths, ramp.t_end, lattice, cfg.species,
-                    include_p32=False)
+        _check_rate(depths, ramp.t_end, lattice, cfg.species)
 
     state = _solve_reference(cfg)
     scenario = ScatteringScenario(crystal=state, species=cfg.species,

@@ -29,8 +29,6 @@ CA40_MASS = CA40_MASS_AMU * AMU
 CA40_GAMMA_P = 1.41e8  # rad/s
 # Branching of P1/2 decay into the S1/2 ground state (397 nm photon).
 CA40_BRANCHING_397 = 0.94
-# Fine-structure splitting between P1/2 and P3/2.
-CA40_FINE_STRUCTURE = 2.0 * math.pi * 6.7e12  # rad/s
 
 CA40_LATTICE_WAVELENGTH = 866e-9  # D3/2 -> P1/2
 CA40_DETECTION_WAVELENGTH = 397e-9  # P1/2 -> S1/2

@@ -25,7 +25,6 @@ Conventions
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,7 +67,7 @@ __all__ = [
 ]
 
 _4_OVER_PI = 4.0 / math.pi
-_2_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +88,6 @@ class IonSpecies:
     detection_wavelength: float = cn.CA40_DETECTION_WAVELENGTH
     gamma_p_total: float = cn.CA40_GAMMA_P
     gamma_397: float = cn.CA40_BRANCHING_397 * cn.CA40_GAMMA_P
-    fine_structure_splitting: Optional[float] = cn.CA40_FINE_STRUCTURE
 
     def __post_init__(self):
         if not self.mass > 0:  # NaN fails too
@@ -320,9 +318,10 @@ def bunching_given_energy(E, U0):
 def bunching(T0, U0):
     """Thermal bunching parameter B = integral P(E) <sin^2>(E) dE.
 
-    B in [0, 1/2]: ~ kB T0/(2 U0) deep in the well, -> 1/2 when the
-    lattice is a small perturbation. A fixed double-exponential rule
-    gives it to about 1e-9 absolute.
+    B in [0, 1/2]: sqrt(theta/pi)(1 + theta/16) deep in the well, with
+    theta = kB T0/U0, and -> 1/2 when the lattice is a small
+    perturbation. Fixed double-exponential rules give it to 2e-11
+    relative for theta up to 1e-2, and to 3e-12 absolute up to 1e5.
     """
     return float(_bunching_vec(_check_t0_u0(T0, U0)))
 
@@ -345,20 +344,21 @@ def _orbit(x, d):
 # B(theta) integrates exp(-s^2/(4 theta)) tau <sin^2> / sqrt(pi theta) over
 # x = E/U0 with fixed double-exponential rules, split at the separatrix
 # where tau diverges logarithmically: tanh-sinh on x in (0, 1) and
-# exp-sinh on x - 1 in (0, inf). Above it <sin^2> = 1/2 + 1/(16x) + ...,
-# and as tau = ds/dx the 1/2 gives 1/2 erfc(2/(pi sqrt(theta))), the
-# action density's mass above s = 4/pi, in closed form. What is left
-# decays like x^(-3/2) whatever theta, so no node depends on theta and
-# the orbit on all of them is tabulated at import. Error against adaptive
-# quadrature of the same integral (the tests' oracle): ~1e-10 for theta
-# in [1e-4, 1e5], ~1e-9 at 1e-5.
+# exp-sinh on x - 1 in (0, inf). As tau = ds/dx, each panel's asymptote
+# integrates in closed form over the action density, with g = 2/(pi
+# sqrt(theta)): <sin^2> -> s/2 at the well bottom gives sqrt(theta/pi)
+# (1 - exp(-g^2)) below s = 4/pi, and -> 1/2 far above gives 1/2 erfc(g)
+# above it. What is left vanishes like s^3 below and decays like x^(-3/2)
+# above, whatever theta, so no node depends on theta and the orbit on all
+# of them is tabulated at import. Error against the tests' oracles: under
+# 2e-11 relative for theta in [1e-300, 1e-2], 3e-12 absolute up to 1e5.
 _THETA_CHUNK = 128  # thetas per block, bounding the (theta, node) arrays
 # one tanh-sinh rule serves B's lower panel and the ramp time integral
 _TS_X, _TS_D, _TS_W, _TS_W2 = _tanh_sinh(3.2)
 _UP_U, _UP_W = _exp_sinh(-4.5, 3.3)  # reaches u ~ 2e9
 _LOW_S, _LOW_TAU, _LOW_SIN2 = _orbit(_TS_X, _TS_D)
 _UP_S, _UP_TAU, _UP_SIN2 = _orbit(1.0 + _UP_U, _UP_U)
-_LOW_WEIGHT = _TS_W * _LOW_TAU * _LOW_SIN2
+_LOW_WEIGHT = _TS_W * _LOW_TAU * (_LOW_SIN2 - 0.5 * _LOW_S)
 _UP_WEIGHT = _UP_W * _UP_TAU * (_UP_SIN2 - 0.5)
 
 
@@ -367,18 +367,21 @@ def _bunching_vec(theta):
     theta = np.asarray(theta, dtype=float)
     flat = theta.ravel()
     out = np.empty_like(flat)
-    # below theta ~ 1e-308, s^2/theta overflows to inf and the Gaussian
-    # to its exact limit 0
+    # below theta ~ 1e-308, s^2/theta and g^2 overflow to inf and the
+    # Gaussians to their exact limit 0
     with np.errstate(over="ignore"):
         for start in range(0, flat.size, _THETA_CHUNK):
             th = flat[start:start + _THETA_CHUNK, None]
             lower = np.exp(-0.25 * _LOW_S ** 2 / th) @ _LOW_WEIGHT
             upper = np.exp(-0.25 * _UP_S ** 2 / th) @ _UP_WEIGHT
-            norm = np.sqrt(math.pi * th[:, 0])
-            # 2/(pi sqrt(theta)) = (2/sqrt(pi))/norm; numpy has no erfc
-            free = [math.erfc(v) for v in (_2_OVER_SQRT_PI / norm).tolist()]
+            root = np.sqrt(th[:, 0])  # apart from pi: exact when subnormal
+            g = (2.0 / math.pi) / root
+            free = np.array([math.erfc(v) for v in g.tolist()])  # no np.erfc
+            # g = 0 only at theta = inf, where the limit is 0, not inf*0
+            well = np.multiply(root / _SQRT_PI, -np.expm1(-g * g),
+                               out=np.zeros_like(g), where=g > 0.0)
             out[start:start + _THETA_CHUNK] = (
-                (lower + upper) / norm + 0.5 * np.array(free))
+                (lower + upper) / (_SQRT_PI * root) + 0.5 * free + well)
     return out.reshape(theta.shape)
 
 
@@ -483,7 +486,7 @@ def scattering_rate(kz, rabi, config, species):
     return 0.5 * species.gamma_397 * half_o2 / denom
 
 
-def _check_rate(u0, t_up, config, species, include_p32):
+def _check_rate(u0, t_up, config, species):
     """pref (1/(J s)) of the far-detuned rate pref * |U0| * X, X <= 1, by
     the model's one rule for peak depths u0 (J, float or array) of a ramp
     lasting t_up (s): the rate at each peak, and the dose over t_up (the
@@ -493,14 +496,6 @@ def _check_rate(u0, t_up, config, species, include_p32):
         raise DomainError(
             "far-detuned mean rate needs a nonzero lattice detuning")
     pref = species.gamma_397 / (cn.HBAR * abs(delta))
-    if include_p32:
-        if species.fine_structure_splitting is None:
-            raise DomainError(
-                "include_p32 requires species.fine_structure_splitting")
-        # additive far-detuned channel at detuning Delta - Delta_fs, same
-        # spatial profile; a small correction, not a full multi-level model
-        d2 = delta - species.fine_structure_splitting
-        pref += species.gamma_397 * abs(delta) / (cn.HBAR * d2 * d2)
     u0 = np.asarray(u0, dtype=float)
     with np.errstate(over="ignore"):  # the larger of rate and dose bound
         top = pref * u0 * max(1.0, t_up)
@@ -529,7 +524,7 @@ def _mean_rate(depth, T0, pref, is_blue):
     return pref * depth * (b if is_blue else 1.0 - b)
 
 
-def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
+def mean_scattering_rate(t, T0, ramp, config, species):
     """Ensemble-mean scattering rate at time t of the ramp.
 
     Far-detuned: <Gamma_sc>(t) = pref * U0(t) * X with X the thermal mean
@@ -542,12 +537,11 @@ def mean_scattering_rate(t, T0, ramp, config, species, include_p32=False):
     _check_t0_u0(T0, u0t[u0t > 0.0])
     if u0t <= 0.0:
         return 0.0
-    pref = _check_rate(u0t, 0.0, config, species, include_p32)
+    pref = _check_rate(u0t, 0.0, config, species)
     return float(_mean_rate(u0t, T0, pref, config.is_blue))
 
 
-def scattering_probability(t0, T0, ramp, config, species, p0=1.0,
-                           include_p32=False):
+def scattering_probability(t0, T0, ramp, config, species, p0=1.0):
     """Probability of at least one scattering event by time t0.
 
     p(t0) = p0 * (1 - exp(-integral_0^t0 <Gamma_sc> dt)); p0 is the
@@ -556,11 +550,10 @@ def scattering_probability(t0, T0, ramp, config, species, p0=1.0,
     period, where the conserved-action assumption degrades.
     """
     return float(_scattering_probabilities(
-        t0, T0, ramp, ramp.u0_max, config, species, p0, include_p32))
+        t0, T0, ramp, ramp.u0_max, config, species, p0))
 
 
-def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0,
-                                       include_p32=False):
+def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0):
     """Scattering probability with the position factor pinned at 1/2.
 
     Reference baseline for an ion that samples the standing wave
@@ -569,11 +562,10 @@ def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0,
     scattering_probability, the tanh-sinh rule over the ramp included.
     """
     return float(_scattering_probabilities(
-        t0, None, ramp, ramp.u0_max, config, species, p0, include_p32))
+        t0, None, ramp, ramp.u0_max, config, species, p0))
 
 
-def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
-                              include_p32=False):
+def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0):
     """scattering_probability for every peak depth of the array u0 (J).
 
     Each entry follows ramp's schedule up to its own peak instead of
@@ -606,7 +598,7 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
     t_up = min(t0, ramp.t_end)
     if t_up <= 0.0 or not np.any(live):
         return np.zeros(u0.shape)
-    pref = _check_rate(u0, t_up, config, species, include_p32)
+    pref = _check_rate(u0, t_up, config, species)
     t_ramp = min(t_up, ramp.ramp_duration)
     x_end = t_ramp / ramp.ramp_duration if t_ramp > 0.0 else 1.0
     # the ramp by the tanh-sinh rule, the hold (constant rate) as one node

@@ -120,11 +120,6 @@ DOMAIN_ERROR_CALLS = {
             [0.5, -0.1]), "actions must be non-negative"),
     "scattering_rate rabi": (lambda: scattering_rate(0.3, -1.0, _BLUE, CA40),
                              "rabi must be non-negative"),
-    "include_p32 without fine structure": (
-        lambda: scattering_probability(
-            2e-5, 1e-3, _RAMP, _BLUE,
-            IonSpecies(mass=cn.CA40_MASS, fine_structure_splitting=None),
-            include_p32=True), "include_p32 requires"),
     "p0 above 1": (lambda: scattering_probability(
         2e-5, 1e-3, _RAMP, _BLUE, CA40, p0=1.5), "p0 must lie in"),
     "p0 below 0": (lambda: scattering_probability(
@@ -372,3 +367,46 @@ def test_cli_verbs_exit_cleanly_with_finite_artifacts(
                 assert "modes.csv" in before or "modes.csv" not in names
             for name in names:
                 _assert_finite_artifact(os.path.join(out, name))
+
+
+# scatter on extreme depth grids (mK), from 0 and subnormal depths to the
+# rate's float ceiling: each grid is solved or refused as a config error
+_EXTREME_MK = st.one_of(
+    st.just(0.0),
+    st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+    st.sampled_from([5e304, 1.7e308]),
+)
+_EXTREME_MK_GRIDS = st.tuples(
+    _EXTREME_MK, _EXTREME_MK, st.integers(1, 4),
+    st.sampled_from(["lin", "geom"]),
+).map(lambda g: "%r:%r:%d:%s" % g)
+_T0_MK = st.one_of(st.just(3.6),
+                   st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_configs(), _T0_MK, _EXTREME_MK_GRIDS)
+@example({"trap": {"f_z_kHz": 85.0, "f_radial_kHz": 170.0},
+          "crystal": {"n_ions": 2, "seed": 1}}, 3.6, "1e+100:1.0:3:geom")
+def test_scatter_on_extreme_grids_exits_cleanly(raw, t0_mk, grid):
+    raw = dict(raw, lattice={"detuning_THz": 0.76, "depth_max_mK": 25.0},
+               crystal=dict(raw["crystal"], T0_mK=t0_mk))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        argv = ["scatter", "--config", config, "--out", out, "--grid", grid]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert code in (0, 2), (argv, code)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv
+        for name in os.listdir(out) if os.path.isdir(out) else []:
+            _assert_finite_artifact(os.path.join(out, name))
+        if code == 0:
+            with open(os.path.join(out, "scatter.csv"),
+                      encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh.readlines()[1:]))
+            assert all(0.0 <= float(r["p_per_ion"]) <= 1.0 for r in rows)

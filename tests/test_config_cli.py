@@ -627,6 +627,28 @@ class TestScatterCommand:
         _, rows = _read_rows(out / "scatter.csv")
         assert [float(r["p_per_ion"]) for r in rows] == [1.0] * 5
 
+    # deep in the well B -> sqrt(theta/pi), so the rate pref*depth*B grows
+    # like sqrt(depth), and p stays 1 up to the rate's float ceiling
+    @pytest.mark.parametrize("grid", ["1e45:1e64:20:geom",
+                                      "1e304:1e304:1:lin"])
+    def test_huge_depths_scatter_at_the_deep_well_limit(self, tmp_path,
+                                                        grid):
+        cfg = tmp_path / "string8.yaml"
+        cfg.write_text(STRING_YAML + "  T0_mK: 3.6\nlattice:\n"
+                       "  detuning_THz: 0.76\n  depth_max_mK: 25.0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scatter", "--config", str(cfg), "--out", str(out),
+                         "--grid", grid]) == 0
+        _, rows = _read_rows(out / "scatter.csv")
+        assert [float(r["p_per_ion"]) for r in rows] == [1.0] * len(rows)
+        theta = np.array([3.6 / float(r["depth_mK"]) for r in rows])
+        np.testing.assert_allclose([float(r["bunching"]) for r in rows],
+                                   np.sqrt(theta / math.pi), rtol=1e-8,
+                                   atol=0)
+
     @pytest.mark.parametrize("depth, extra, name", [
         ("25.0", ["--grid", "1e250:1.7e308:4:geom"], "--grid"),
         ("1.0e+305", [], "lattice.depth_max_mK"),

@@ -39,7 +39,7 @@ from ionlattice import (
 )
 from ionlattice import constants as cn
 from ionlattice import pendulum
-from ionlattice.pendulum import _orbit
+from ionlattice.pendulum import _orbit, _ratio_from_action
 from ionlattice.specfun import (
     _exp_sinh,
     integrate_with_endpoint_singularity,
@@ -67,6 +67,30 @@ def bunching_theta(theta, tol=1e-9):
 
     return integrate_with_endpoint_singularity(
         integrand, 0.0, np.inf, singular_points=[1.0], tol=tol)
+
+
+def bunching_action_oracle(theta):
+    """B(theta) in the action variable, for theta <= 1e-2.
+
+    Up to theta = 1e-8, the series: K and E to O(m^3) give s = m + m^2/8
+    + 3m^3/64 and <sin^2> = m/2 + m^2/16 + m^3/32, so <sin^2> = s/2 +
+    s^3/128 + O(s^4) and B = sqrt(theta/pi)(1 + theta/16), with a next
+    term of about 0.1 theta^1.5 relative. Above it, quad in t =
+    s/(2 sqrt(theta)): B = (2/sqrt(pi)) integral exp(-t^2)
+    <sin^2>(2 sqrt(theta) t) dt, split at the separatrix.
+    """
+    if theta <= 1e-8:
+        return math.sqrt(theta / math.pi) * (1.0 + theta / 16.0)
+    root = 2.0 * math.sqrt(theta)
+
+    def integrand(t):
+        x = _ratio_from_action(root * t)[0]
+        return math.exp(-t * t) * float(_orbit(x, abs(x - 1.0))[2])
+
+    sep = 2.0 / (math.pi * math.sqrt(theta))
+    return 2.0 / math.sqrt(math.pi) * sum(
+        quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in ((0.0, sep), (sep, np.inf)))
 
 
 def action_oracle(E, u0):
@@ -294,6 +318,21 @@ class TestBunching:
         np.testing.assert_allclose(_bunching_vec(thetas).ravel(), scalar,
                                    rtol=1e-13, atol=0)
 
+    def test_matches_action_oracle_at_every_theta(self):
+        # one table at every theta, from the well bottom's sqrt(theta/pi)
+        # limit to the paper's regime
+        from ionlattice.pendulum import _bunching_vec
+        thetas = np.concatenate([np.geomspace(1e-300, 1e-9, 60),
+                                 np.geomspace(1e-8, 1e-2, 7)])
+        exact = np.array([bunching_action_oracle(t) for t in thetas])
+        np.testing.assert_allclose(_bunching_vec(thetas), exact,
+                                   rtol=1e-10, atol=0)
+        # the public API at a subnormal theta
+        t0, u0 = 1e-3, 1e-3 * cn.KB / 1e-320
+        theta = cn.KB * t0 / u0
+        assert bunching(t0, u0) == pytest.approx(
+            math.sqrt(theta) / math.sqrt(math.pi), rel=1e-12, abs=0.0)
+
     def test_extreme_theta_stays_finite(self):
         from ionlattice.pendulum import _bunching_vec
         vals = _bunching_vec(np.array([1e-300, 1e40, 1e300]))
@@ -307,8 +346,10 @@ _AGM_THETA_FREE = 1e30
 
 
 def _bunching_every_chunk_on_agm(theta):
-    # B(theta) as computed before the upper panel was tabulated: every
-    # block runs the orbit on its upper nodes, scaled by max(1, theta)
+    # B(theta) with the upper panel as computed before it was tabulated:
+    # every block runs the orbit on its upper nodes, scaled by
+    # max(1, theta). The lower panel is the module's, its s/2 added back
+    # in closed form, so that only the upper panel is compared
     p = pendulum
     theta = np.minimum(np.asarray(theta, dtype=float), _AGM_THETA_FREE)
     flat = theta.ravel()
@@ -319,10 +360,12 @@ def _bunching_every_chunk_on_agm(theta):
         d = scale * _AGM_UP_U
         s, tau, sin2 = _orbit(1.0 + d, d)
         upper = (np.exp(-0.25 * s * s / th) * tau * sin2) @ _AGM_UP_W
-        lower = np.exp(-0.25 * p._LOW_S ** 2 / th) @ (
-            p._TS_W * p._LOW_TAU * p._LOW_SIN2)
+        lower = np.exp(-0.25 * p._LOW_S ** 2 / th) @ p._LOW_WEIGHT
+        well = np.sqrt(th[:, 0] / math.pi) * -np.expm1(
+            -4.0 / (math.pi ** 2 * th[:, 0]))
         out[start:start + p._THETA_CHUNK] = (
-            (lower + scale[:, 0] * upper) / np.sqrt(math.pi * th[:, 0]))
+            (lower + scale[:, 0] * upper) / np.sqrt(math.pi * th[:, 0])
+            + well)
     return out.reshape(theta.shape)
 
 
@@ -521,10 +564,11 @@ def test_non_finite_t0_u0_rejected(name, case):
 
 
 def test_tiny_positive_theta_accepted():
-    # a subnormal theta is still > 0: B ~ sqrt(theta/pi) rounds to 0
+    # a subnormal theta is still > 0, and B ~ sqrt(theta/pi) there
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert bunching(1e-3, 1e-3 * cn.KB / 1e-310) == 0.0
+        assert bunching(1e-3, 1e-3 * cn.KB / 1e-310) == pytest.approx(
+            math.sqrt(1e-310 / math.pi), rel=1e-12, abs=0.0)
 
 
 class TestScattering:
@@ -638,11 +682,3 @@ class TestScattering:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AdiabaticityWarning)
                 scattering_probability(3e-6, 3.6e-3, PAPER_RAMP, cfg, ca40)
-
-    def test_p32_channel_increases_rate(self, ca40):
-        cfg = _blue(ca40)
-        base = mean_scattering_rate(2.5e-6, 3.6e-3, PAPER_RAMP, cfg, ca40)
-        both = mean_scattering_rate(2.5e-6, 3.6e-3, PAPER_RAMP, cfg, ca40,
-                                    include_p32=True)
-        assert both > base
-        assert (both - base) / base < 0.2  # small correction, not dominant
