@@ -59,7 +59,6 @@ from .micromotion import (
     variance_broadening,
 )
 from .pendulum import (
-    EnergyEnsemble,
     IonSpecies,
     LatticeConfig,
     RampProfile,
@@ -76,11 +75,7 @@ from .pendulum import (
     scattering_probability,
     scattering_rate,
 )
-from .specfun import (
-    elliptic_e,
-    elliptic_k,
-    integrate_with_endpoint_singularity,
-)
+from .specfun import elliptic_e, elliptic_k
 from .thermometry import (
     GaussianFit,
     ImagingConfig,

@@ -45,7 +45,7 @@ from .crystal import (
 from .ensemble import ScatteringScenario, scan_depth
 from .errors import ConfigError, DomainError, SpotParseError, exit_code_for
 from .micromotion import excess_micromotion
-from .pendulum import _check_rate, _check_t0_u0, _depth_for_nu
+from .pendulum import _check_rate, _check_t0_u0
 from .thermometry import (
     _used_axes,
     estimate_temperature,
@@ -162,12 +162,9 @@ def cmd_modes(args, cfg, out):
     lattice = _require(cfg, "lattice", "lattice block")
     nu_grid = None  # the sweep's own grid up to the lattice depth
     if args.grid is not None:
+        # a point past the float range in Hz is _sweep's to refuse
         with np.errstate(over="ignore"):
             nu_grid = _parse_grid(args.grid) * 1e6  # MHz -> Hz
-            depth = _depth_for_nu(nu_grid, cfg.species, lattice.wavevector_k)
-        if not np.all(np.isfinite(depth)):
-            raise ConfigError("--grid: a point leaves the float range in "
-                              "Hz or as a lattice depth in J")
     elif lattice.depth_U0 == 0.0:
         raise ConfigError(
             "modes without --grid sweeps up to the lattice depth, so "

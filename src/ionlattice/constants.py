@@ -14,7 +14,6 @@ KB = 1.380649e-23  # J/K, exact
 HBAR = 1.0545718176461565e-34  # J s, exact (h / 2 pi)
 ECHARGE = 1.602176634e-19  # C, exact
 EPS0 = 8.8541878188e-12  # F/m
-C_LIGHT = 299792458.0  # m/s, exact
 AMU = 1.66053906892e-27  # kg, atomic mass constant
 
 # e^2 / (4 pi eps0), the Coulomb coupling in SI (J m)

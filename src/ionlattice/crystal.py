@@ -351,6 +351,15 @@ def _string_guess(n, rng, jitter):
 _GTOL = 1e-10
 _RESTARTS = 4
 _NEWTON_MAX_ITER = 60
+# Newton also accepts a gradient max-norm up to the rounding floor
+# c*2 eps |u0| kappa^2 max|z| of the lattice force u0 kappa sin(2 kappa z),
+# whose slope in z is 2 u0 kappa^2: z at the float nearest the root
+# (eps|z|/2 off) and 2 kappa z rounded as it is formed (as much again) move
+# it by up to 2 eps |u0| kappa^2 |z| together, a Newton step from that
+# gradient lands as far off again, and c = 4 leaves a factor 2 for the
+# harmonic, Coulomb and sine roundings. At the paper's depths it is far
+# below _GTOL, which then decides.
+_FLOOR = 4.0 * 2.0 * np.finfo(float).eps  # c * 2 eps, c = 4
 
 
 def _newton_polish(scaled, u):
@@ -358,10 +367,11 @@ def _newton_polish(scaled, u):
     u = u.copy()
     energy, g = scaled.energy_and_gradient(u)
     gnorm = np.max(np.abs(g))
+    floor = _FLOOR * abs(scaled.u0) * scaled.kappa ** 2  # per unit of max|z|
     h = None  # Hessian at u, kept while damped retries stay there
     mu = 0.0
     for _ in range(_NEWTON_MAX_ITER):
-        if gnorm <= _GTOL:
+        if gnorm <= max(_GTOL, floor * np.max(np.abs(u[:, 2]))):
             return u, energy, gnorm, True
         if h is None:
             h = scaled.hessian(u)
@@ -591,10 +601,6 @@ class ContinuationResult:
     positions: np.ndarray  # (n, N, 3), m
     refined: np.ndarray  # (n,), bool
     flagged: list = field(default_factory=list)
-
-    @property
-    def n_branches(self):
-        return self.frequencies.shape[0]
 
     @property
     def by_axis(self):

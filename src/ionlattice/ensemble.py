@@ -130,9 +130,18 @@ def scatter_count_pmf(n_ions, p):
         raise DomainError("need at least one ion")
     if not 0.0 <= p <= 1.0:
         raise DomainError("per-ion probability must lie in [0, 1]")
-    q = 1.0 - p
-    return np.array([math.comb(n_ions, k) * p ** k * q ** (n_ions - k)
-                     for k in range(n_ions + 1)])
+    k = np.array(range(n_ions + 1))  # range refuses a fractional N
+    if p == 0.0 or p == 1.0:  # all mass at k = 0 or k = N, exactly
+        return (k == n_ions * p).astype(float)
+    # the ratios t[k+1]/t[k] = (N - k)/(k + 1) * p/q, multiplied out from
+    # the mode (the largest term) and normalized: no float C(N, k), which
+    # overflows from N = 1030, and a term is off by ~|k - mode| roundings
+    mode = min(int((n_ions + 1) * p), n_ions)
+    ratio = (n_ions - k[:-1]) / (k[:-1] + 1) * (p / (1.0 - p))
+    t = np.ones(n_ions + 1)
+    t[mode + 1:] = np.cumprod(ratio[mode:])
+    t[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return t / t.sum()
 
 
 def subsequent_fraction(n_ions, p):

@@ -51,7 +51,6 @@ __all__ = [
     "IonSpecies",
     "LatticeConfig",
     "RampProfile",
-    "EnergyEnsemble",
     "lattice_frequency",
     "action_density",
     "dimensionless_action",
@@ -383,69 +382,6 @@ def _bunching_vec(theta):
             out[start:start + _THETA_CHUNK] = (
                 (lower + upper) / (_SQRT_PI * root) + 0.5 * free + well)
     return out.reshape(theta.shape)
-
-
-# ----------------------------------------------------------------------
-# thermal ensemble
-
-
-class EnergyEnsemble:
-    """Thermal ensemble of pendulum trajectories at depth U0.
-
-    Frozen action statistics from the initial gas at T0; energies and
-    densities at the current depth follow by mapping through s(E).
-    """
-
-    def __init__(self, T0, U0):
-        _check_t0_u0(T0, U0)
-        self.T0 = float(T0)
-        self.U0 = float(U0)
-
-    @property
-    def theta(self):
-        """kB T0 / U0, the single dimensionless parameter of the model."""
-        return cn.KB * self.T0 / self.U0
-
-    def sample_actions(self, n, rng):
-        """n draws of the dimensionless action (half-Gaussian)."""
-        return np.abs(rng.normal(0.0, math.sqrt(2.0 * self.theta), size=n))
-
-    def energies_from_actions(self, s):
-        """Map dimensionless actions to energies (J) at the current depth."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise DomainError("actions must be non-negative")
-        return _ratio_from_action(s) * self.U0
-
-    def at_depth(self, U0):
-        """Same ensemble adiabatically transported to a new depth."""
-        return EnergyEnsemble(self.T0, U0)
-
-
-def _ratio_from_action(s):
-    # invert the monotone s(x), s >= 0 arrays: Newton steps on
-    # tau = ds/dx, inside a bisection bracket that takes over wherever a
-    # step would leave it (tau diverges at the separatrix)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    lo = np.zeros_like(s)
-    # free limit s ~ 2 sqrt(x), padded so s(hi) > s everywhere
-    hi = 1.5 * (s / 2.0) ** 2 + 2.0
-    # start on a line through (0, 0) and (4/pi, 1), then on the free limit
-    x = np.where(s < _4_OVER_PI, s / _4_OVER_PI,
-                 0.25 * s * s + 1.0 - 0.25 * _4_OVER_PI ** 2)
-    for _ in range(60):
-        # d > 0 keeps K finite should x land exactly on the separatrix
-        sx, tau, _ = _orbit(x, np.maximum(np.abs(x - 1.0), 1e-300))
-        f = sx - s
-        lo = np.where(f < 0.0, x, lo)
-        hi = np.where(f > 0.0, x, hi)
-        step = x - f / tau
-        done = np.abs(step - x) <= 1e-15 * x
-        inside = (step > lo) & (step < hi)
-        x = np.where(done | inside, step, 0.5 * (lo + hi))
-        if np.all(done):
-            break
-    return x
 
 
 def _check_t0_u0(T0, U0):

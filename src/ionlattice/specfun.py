@@ -25,11 +25,7 @@ from .errors import (
     QuadratureConvergenceError,
 )
 
-__all__ = [
-    "elliptic_k",
-    "elliptic_e",
-    "integrate_with_endpoint_singularity",
-]
+__all__ = ["elliptic_k", "elliptic_e"]
 
 # convergence tolerance for the AGM loops; must sit safely above machine
 # epsilon or the iteration can cycle at the last ulp and never terminate

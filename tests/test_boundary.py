@@ -28,7 +28,6 @@ from ionlattice import (
     BeamProfile,
     ConfigError,
     DomainError,
-    EnergyEnsemble,
     ImagingConfig,
     IonLatticeError,
     IonSpecies,
@@ -115,9 +114,6 @@ DOMAIN_ERROR_CALLS = {
         "need 0 < gamma_397"),
     "action_density s": (lambda: action_density(-0.1, 1e-3, 1e-25),
                          "dimensionless action"),
-    "energies_from_actions": (
-        lambda: EnergyEnsemble(1e-3, 1e-25).energies_from_actions(
-            [0.5, -0.1]), "actions must be non-negative"),
     "scattering_rate rabi": (lambda: scattering_rate(0.3, -1.0, _BLUE, CA40),
                              "rabi must be non-negative"),
     "p0 above 1": (lambda: scattering_probability(

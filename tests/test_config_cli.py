@@ -346,6 +346,29 @@ class TestModesCommand:
         assert "squared gradient norm of 2 ions" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("n_ions, seed, lattice, grid, nu_end", [
+        (2, 1, f"nu_latt_max_MHz: {nu}", [], nu)
+        for nu in (250, 300, 500, 700, 1000)
+    ] + [(4, 7, "depth_max_mK: 25.0", ["--grid", "0:200:30:lin"], 200)],
+        ids=["2 ions 250 MHz", "2 ions 300 MHz", "2 ions 500 MHz",
+             "2 ions 700 MHz", "2 ions 1 GHz", "zigzag4 200 MHz"])
+    def test_deep_sweep_converges_at_the_rounding_floor(
+            self, tmp_path, n_ions, seed, lattice, grid, nu_end):
+        # the lattice's curvature lifts the gradient's rounding floor
+        # above the absolute 1e-10 here, where the sweep used to stall
+        cfg = tmp_path / "deep.yaml"
+        cfg.write_text(BASE_YAML.replace("n_ions: 4", f"n_ions: {n_ions}")
+                       .replace("seed: 7", f"seed: {seed}")
+                       .replace("depth_max_mK: 25.0", lattice))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["modes", "--config", str(cfg), "--out", str(out)]
+                        + grid) == 0
+        table = np.loadtxt(out / "modes.csv", delimiter=",", skiprows=2)
+        assert table.shape[1] == 5 and np.all(np.isfinite(table))
+        assert table[-1, 0] == pytest.approx(nu_end, rel=1e-8)
+
     @pytest.mark.parametrize("key", ["depth_max_mK", "nu_latt_max_MHz"])
     def test_zero_depth_needs_grid(self, tmp_path, capsys, key):
         cfg = tmp_path / "flat.yaml"
@@ -400,7 +423,7 @@ class TestModesCommand:
             c = res.by_axis[i]
             normal_comp = nx * c[0] + ny * c[1]
             plane = 1.0 - np.sum(normal_comp * normal_comp, axis=0)
-            for p in range(res.n_branches):
+            for p in range(len(res.frequencies)):
                 row = (res.nu_latt[i] / 1e6, str(p),
                        res.frequencies[p, i] / 1e3, floor(plane[p]),
                        floor(axial[p, i]))

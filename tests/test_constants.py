@@ -20,7 +20,6 @@ from ionlattice._optim import student_t_975
     ("HBAR", scipy.constants.hbar),
     ("ECHARGE", scipy.constants.e),
     ("EPS0", scipy.constants.epsilon_0),
-    ("C_LIGHT", scipy.constants.c),
     ("AMU", scipy.constants.physical_constants["atomic mass constant"][0]),
 ])
 def test_literal_equals_scipy(name, value):

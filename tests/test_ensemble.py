@@ -76,7 +76,9 @@ class TestBeam:
 
 class TestCountDistribution:
     def test_pmf_normalized_and_matches_binom(self):
-        for n, p in [(1, 0.3), (8, 0.0434), (8, 0.5), (20, 0.9)]:
+        # from N = 1030 on, C(N, k) as a float overflows
+        for n, p in [(1, 0.3), (8, 0.0434), (8, 0.5), (20, 0.9),
+                     (1030, 0.3), (10_000, 0.3)]:
             pmf = scatter_count_pmf(n, p)
             assert len(pmf) == n + 1
             assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
@@ -92,8 +94,10 @@ class TestCountDistribution:
                                    rtol=0, atol=1e-3)
 
     def test_edge_probabilities(self):
-        assert scatter_count_pmf(5, 0.0)[0] == 1.0
-        assert scatter_count_pmf(5, 1.0)[5] == 1.0
+        assert scatter_count_pmf(5, 0.0).tolist() == [1.0] + [0.0] * 5
+        assert scatter_count_pmf(5, 1.0).tolist() == [0.0] * 5 + [1.0]
+        with pytest.raises(TypeError):
+            scatter_count_pmf(5.5, 0.3)
 
 
 class TestSubsequentFraction:

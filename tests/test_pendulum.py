@@ -10,13 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
-from scipy.stats import halfnorm, kstest
 
 from ionlattice import (
     AdiabaticityWarning,
     BeamProfile,
     DomainError,
-    EnergyEnsemble,
     IonSpecies,
     LatticeConfig,
     RampProfile,
@@ -39,7 +37,7 @@ from ionlattice import (
 )
 from ionlattice import constants as cn
 from ionlattice import pendulum
-from ionlattice.pendulum import _orbit, _ratio_from_action
+from ionlattice.pendulum import _4_OVER_PI, _orbit
 from ionlattice.specfun import (
     _exp_sinh,
     integrate_with_endpoint_singularity,
@@ -49,8 +47,8 @@ U0 = cn.KB * 25e-3  # reference depth throughout
 
 
 # ---------------------------------------------------------------------
-# oracles: B(theta) by adaptive quadrature, and the action from its
-# defining phase-space integral
+# oracles: B(theta) by adaptive quadrature and in the action variable,
+# and the action from its defining phase-space integral
 
 
 def bunching_theta(theta, tol=1e-9):
@@ -67,6 +65,32 @@ def bunching_theta(theta, tol=1e-9):
 
     return integrate_with_endpoint_singularity(
         integrand, 0.0, np.inf, singular_points=[1.0], tol=tol)
+
+
+def _ratio_from_action(s):
+    # invert the monotone s(x), s >= 0 arrays: Newton steps on
+    # tau = ds/dx, inside a bisection bracket that takes over wherever a
+    # step would leave it (tau diverges at the separatrix)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    lo = np.zeros_like(s)
+    # free limit s ~ 2 sqrt(x), padded so s(hi) > s everywhere
+    hi = 1.5 * (s / 2.0) ** 2 + 2.0
+    # start on a line through (0, 0) and (4/pi, 1), then on the free limit
+    x = np.where(s < _4_OVER_PI, s / _4_OVER_PI,
+                 0.25 * s * s + 1.0 - 0.25 * _4_OVER_PI ** 2)
+    for _ in range(60):
+        # d > 0 keeps K finite should x land exactly on the separatrix
+        sx, tau, _ = _orbit(x, np.maximum(np.abs(x - 1.0), 1e-300))
+        f = sx - s
+        lo = np.where(f < 0.0, x, lo)
+        hi = np.where(f > 0.0, x, hi)
+        step = x - f / tau
+        done = np.abs(step - x) <= 1e-15 * x
+        inside = (step > lo) & (step < hi)
+        x = np.where(done | inside, step, 0.5 * (lo + hi))
+        if np.all(done):
+            break
+    return x
 
 
 def bunching_action_oracle(theta):
@@ -187,18 +211,11 @@ class TestEnergyDistribution:
         val, _ = quad(lambda s: action_density(s, t0, U0), 0.0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
-    def test_action_sampling_matches_density(self, rng):
-        # |N(0, sqrt(2 theta))| against its analytic CDF
-        theta = 0.2
-        ens = EnergyEnsemble(T0=theta * U0 / cn.KB, U0=U0)
-        s = ens.sample_actions(20000, rng)
-        res = kstest(s, halfnorm(scale=math.sqrt(2.0 * theta)).cdf)
-        assert res.pvalue > 1e-3
-
     def test_energies_from_actions_round_trip(self, rng):
-        ens = EnergyEnsemble(T0=3.6e-3, U0=U0)
-        s = ens.sample_actions(500, rng)
-        e = ens.energies_from_actions(s)
+        # the half-Gaussian actions of the initial gas at T0 = 3.6 mK
+        theta = cn.KB * 3.6e-3 / U0
+        s = np.abs(rng.normal(0.0, math.sqrt(2.0 * theta), size=500))
+        e = _ratio_from_action(s) * U0
         s_back = np.array([dimensionless_action(ei, U0) for ei in e])
         np.testing.assert_allclose(s_back, s, rtol=1e-9, atol=1e-12)
 
@@ -212,21 +229,9 @@ class TestEnergyDistribution:
         # s -> x by Newton on both branches and at the separatrix, then
         # back through the s(x) it inverts (the scalar closed form loses
         # relative accuracy to cancellation as s -> 0)
-        x = EnergyEnsemble(T0=1.0, U0=1.0).energies_from_actions([s])
+        x = _ratio_from_action([s])
         s_back = _orbit(x, np.maximum(np.abs(x - 1.0), 1e-300))[0][0]
         assert s_back == pytest.approx(s, rel=1e-12, abs=1e-300)
-
-    def test_adiabatic_invariant_under_depth_change(self, rng):
-        # the action, not the energy, carries over when the depth moves
-        ens = EnergyEnsemble(T0=3.6e-3, U0=U0)
-        s = ens.sample_actions(200, rng)
-        e1 = ens.energies_from_actions(s)
-        ens2 = ens.at_depth(0.37 * U0)
-        e2 = ens2.energies_from_actions(s)
-        s1 = [dimensionless_action(e, ens.U0) for e in e1]
-        s2 = [dimensionless_action(e, ens2.U0) for e in e2]
-        np.testing.assert_allclose(s1, s2, rtol=1e-9)
-        assert not np.allclose(e1, e2, rtol=1e-3, atol=0.0)
 
 
 class TestPositionDistribution:
@@ -500,7 +505,6 @@ NAN_CALLS = {
     "bunching_given_energy E": lambda sp, cfg: bunching_given_energy(
         math.nan, U0),
     "action density T0": lambda sp, cfg: action_density(1.0, math.nan, U0),
-    "ensemble T0": lambda sp, cfg: EnergyEnsemble(math.nan, U0),
     "rate T0": lambda sp, cfg: mean_scattering_rate(
         2.5e-6, math.nan, PAPER_RAMP, cfg, sp),
     "probability T0": lambda sp, cfg: scattering_probability(
@@ -537,7 +541,6 @@ T0_U0_CALLS = {
     "bunching": lambda t0, u0: bunching(t0, u0),
     "action density": lambda t0, u0: action_density(0.1, t0, u0),
     "energy density": lambda t0, u0: energy_density(1e-3 * U0, t0, u0),
-    "ensemble": lambda t0, u0: EnergyEnsemble(t0, u0),
     "mean rate": lambda t0, u0: mean_scattering_rate(
         1e-6, t0, _ramp_to(u0), _blue(CA40), CA40),
     "probability": lambda t0, u0: scattering_probability(

@@ -1,6 +1,9 @@
 """Elliptic integrals and singular quadrature against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,9 +19,9 @@ from ionlattice import (
     QuadratureConvergenceError,
     elliptic_e,
     elliptic_k,
-    integrate_with_endpoint_singularity,
 )
 from ionlattice import specfun
+from ionlattice.specfun import integrate_with_endpoint_singularity
 
 
 def ellipk_quadrature(m):
@@ -251,3 +254,18 @@ def test_divergent_integral_reports_estimate():
         integrate_with_endpoint_singularity(lambda x: 1.0 / x, 0.0, 1.0)
     assert np.isfinite(err.value.best_estimate)
     assert err.value.error_bound > 0
+
+
+def test_quadrature_oracle_is_not_exported():
+    # it needs scipy, a test extra: only the module holds it, for the
+    # tests, and neither the package nor the module's __all__ exports it
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import ionlattice, ionlattice.specfun as s; "
+         "name = 'integrate_with_endpoint_singularity'; "
+         "print(hasattr(ionlattice, name), name in ionlattice.__all__, "
+         "name in s.__all__, callable(getattr(s, name)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert out.stdout.split() == ["False", "False", "False", "True"]
