@@ -11,8 +11,10 @@ is the one the in-process loop gives:
 - the values come back in item order;
 - if calls raise, the exception of the lowest-index failing item is
   raised, as the loop would raise it first;
-- an item whose worker died or could not be started, or whose exception
-  does not survive pickling, is run again in the parent.
+- a worker's results arrive whole or not at all: it runs its items up to
+  the first that raises and sends what it got as one pickle. Every item
+  of a worker that died or could not be started, or whose pickle does
+  not load, is run again in the parent.
 
 If anything interrupts the parent while it waits, KeyboardInterrupt
 included, every worker is killed and reaped and every pipe is closed.
@@ -28,7 +30,6 @@ block, and each library's own count back when the block ends.
 """
 
 import ctypes
-import io
 import os
 import pickle
 import signal
@@ -157,21 +158,15 @@ def _work(fn, items, mine, read_fd, write_fd, mask):
         os.close(read_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         _one_blas_thread()
+        got = []  # (item index, value or exception)
+        for i in mine:
+            try:
+                got.append((i, fn(items[i])))
+            except Exception as exc:
+                got.append((i, exc))
+                break
         with os.fdopen(write_fd, "wb") as out:
-            for i in mine:
-                try:
-                    value = fn(items[i])
-                except Exception as exc:
-                    try:  # an exception the parent cannot rebuild is
-                        # left for the parent to raise itself
-                        record = pickle.dumps((i, exc))
-                        pickle.loads(record)
-                    except Exception:
-                        break
-                    out.write(record)
-                    break
-                out.write(pickle.dumps((i, value)))
-                out.flush()
+            out.write(pickle.dumps(got))
         status = 0
     finally:
         os._exit(status)
@@ -197,17 +192,6 @@ def _read_all(fd):
         if not chunk:
             return b"".join(chunks)
         chunks.append(chunk)
-
-
-def _records(data):
-    # the (item index, value or exception) pairs of one worker, up to the
-    # first one cut short by the worker's death
-    stream = io.BytesIO(data)
-    while stream.tell() < len(data):
-        try:
-            yield pickle.load(stream)
-        except (EOFError, pickle.UnpicklingError):
-            return
 
 
 def fork_map(fn, items, width):
@@ -238,9 +222,12 @@ def fork_map(fn, items, width):
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for pid, read_fd in list(workers.items()):
-            got.update(_records(_read_all(read_fd)))
+            data = _read_all(read_fd)
             os.close(read_fd)
             workers[pid] = None
+            with suppress(Exception):  # empty from a dead worker, or
+                # holding what the parent cannot rebuild: its items run here
+                got.update(pickle.loads(data))
             os.waitpid(pid, 0)
             del workers[pid]
     finally:
@@ -253,7 +240,7 @@ def fork_map(fn, items, width):
                 os.close(read_fd)
     values = []
     for i, item in enumerate(items):
-        if i not in got:  # its worker died or never started
+        if i not in got:  # its worker sent nothing that loads
             values.append(fn(item))
         elif isinstance(got[i], BaseException):
             raise got[i]

@@ -14,6 +14,7 @@ which is the experimentally visible contamination of "fresh" events.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +125,20 @@ def _mean_probabilities(scenario, beam, peaks, T0):
     return p @ counts / counts.sum()
 
 
-def scatter_count_pmf(n_ions, p):
-    """Binomial pmf over the number of ions that scattered, length N+1."""
+def _ion_count(n_ions):
+    # at least 1, and an int: operator.index refuses 3.5 and 2.0 alike
+    n_ions = operator.index(n_ions)
     if n_ions < 1:
         raise DomainError("need at least one ion")
+    return n_ions
+
+
+def scatter_count_pmf(n_ions, p):
+    """Binomial pmf over the number of ions that scattered, length N+1."""
+    n_ions = _ion_count(n_ions)
     if not 0.0 <= p <= 1.0:
         raise DomainError("per-ion probability must lie in [0, 1]")
-    k = np.array(range(n_ions + 1))  # range refuses a fractional N
+    k = np.arange(n_ions + 1)
     if p == 0.0 or p == 1.0:  # all mass at k = 0 or k = N, exactly
         return (k == n_ions * p).astype(float)
     # the ratios t[k+1]/t[k] = (N - k)/(k + 1) * p/q, multiplied out from
@@ -152,8 +160,7 @@ def subsequent_fraction(n_ions, p):
     attempts. Evaluated via expm1/log1p so the p -> 0 limit is a clean 0;
     f -> 1 - 1/N as p -> 1.
     """
-    if n_ions < 1:
-        raise DomainError("need at least one ion")
+    n_ions = _ion_count(n_ions)
     if not 0.0 <= p <= 1.0:
         raise DomainError("per-ion probability must lie in [0, 1]")
     if p == 0.0 or n_ions == 1:

@@ -673,13 +673,18 @@ def _sweep_rows(monkeypatch, overlap, n, trap, latt, species, seed, grid):
     return rows, flagged, threads
 
 
+def _blue_lattice(ca40):
+    # the 25 mK blue-detuned lattice of the large-crystal sweeps
+    return LatticeConfig(depth_U0=cn.KB * 25e-3,
+                         wavevector_k=ca40.lattice_wavevector,
+                         detuning=2 * math.pi * 0.76e12)
+
+
 def _planar32(ca40):
     # 32 ions in a planar crystal: at the 78th node of the default 200-step
     # grid the tracked minimum turns into a saddle, and the first kick
     # along the unstable direction stalls
-    latt = LatticeConfig(depth_U0=cn.KB * 25e-3,
-                         wavevector_k=ca40.lattice_wavevector,
-                         detuning=2 * math.pi * 0.76e12)
+    latt = _blue_lattice(ca40)
     nu_max = latt.vibrational_frequency(ca40)
     grid = np.geomspace(1e-3 * nu_max, nu_max, 199)[:78]
     return 32, TrapConfig.from_frequencies(40e3, 300e3), latt, ca40, 7, grid
@@ -799,15 +804,27 @@ class TestLookahead:
         return (cfg.n_ions, cfg.trap, cfg.lattice, cfg.species, cfg.seed,
                 grid)
 
-    @pytest.mark.parametrize("case", ["crystal64", "planar32"])
+    @staticmethod
+    def _ions16_sweep(ca40):
+        # the smallest crystal that overlaps, every tenth node of its
+        # default grid: 24 rows, 3 of them inserted
+        latt = _blue_lattice(ca40)
+        nu_max = latt.vibrational_frequency(ca40)
+        grid = np.geomspace(1e-3 * nu_max, nu_max, 199)[::10]
+        return (crystal._PARALLEL_MIN_IONS,
+                TrapConfig.from_frequencies(85e3, 300e3), latt, ca40, 7,
+                grid)
+
+    @pytest.mark.parametrize("case", ["crystal64", "planar32", "ions16"])
     def test_overlap_keeps_every_bit(self, ca40, monkeypatch, request,
                                      case):
-        if case == "crystal64":
-            args = self._crystal64_sweep()
-            overlapped = _sweep_rows(monkeypatch, True, *args)
-        else:
+        if case == "planar32":
             args = _planar32(ca40)
             overlapped = request.getfixturevalue("planar32_overlapped")
+        else:
+            args = (self._crystal64_sweep() if case == "crystal64"
+                    else self._ions16_sweep(ca40))
+            overlapped = _sweep_rows(monkeypatch, True, *args)
         inline = _sweep_rows(monkeypatch, False, *args)
         threads, here = overlapped[2], inline[2]
         assert threads - here and here == {threading.main_thread().name}
@@ -1096,7 +1113,7 @@ class TestHostRule:
         assert _fork.cpus() == 0
         assert _fork.width(4) == 0
         assert crystal._overlaps(64) is False
-        equilibrium(crystal._FANOUT_MIN_IONS,
+        equilibrium(crystal._PARALLEL_MIN_IONS,
                     TrapConfig.from_frequencies(85e3, 300e3), species=ca40,
                     seed=7)
         assert widths == []
@@ -1108,15 +1125,21 @@ class TestHostRule:
         assert _fork.cpus() == (os.cpu_count() or 1)
 
 
+class _TwoArgumentError(Exception):
+    # pickles as _TwoArgumentError(message), which its __init__ refuses
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
 def _run_in_process(monkeypatch):
-    monkeypatch.setattr(crystal, "_FANOUT_MIN_IONS", math.inf)
+    monkeypatch.setattr(crystal, "_PARALLEL_MIN_IONS", math.inf)
 
 
 @pytest.mark.skipif(_fork.width(crystal._RESTARTS) < 2,
                     reason="cold starts do not fan out on this host")
 class TestForkedStarts:
     TRAP = TrapConfig.from_frequencies(85e3, 300e3)
-    N = crystal._FANOUT_MIN_IONS
+    N = crystal._PARALLEL_MIN_IONS
 
     @pytest.fixture
     def fanned_out(self, monkeypatch):
@@ -1178,6 +1201,33 @@ class TestForkedStarts:
         with pytest.raises(SingularConfigurationError) as local:
             equilibrium(self.N, self.TRAP, species=ca40, seed=7)
         assert len(ran_here) == 3  # starts 0 and 1 ran, 2 raised
+        assert type(forked.value) is type(local.value)
+        assert str(forked.value) == str(local.value)
+
+    def test_unloadable_worker_exception_runs_in_process(
+            self, ca40, monkeypatch, fanned_out):
+        # start 2 raises an exception that pickles but does not load, so
+        # the parent cannot rebuild it and runs start 2 itself
+        n, seed = self.N, 7
+        start_2 = _cold_start(n, seed, 2)
+        parent, ran_here = os.getpid(), []
+        solve = crystal._solve_from
+
+        def raises_on_start_2(scaled, u0):
+            if os.getpid() == parent:
+                ran_here.append(u0)
+            if np.array_equal(u0, start_2):
+                raise _TwoArgumentError("scripted", "start 2")
+            return solve(scaled, u0)
+
+        monkeypatch.setattr(crystal, "_solve_from", raises_on_start_2)
+        with pytest.raises(_TwoArgumentError) as forked:
+            equilibrium(n, self.TRAP, species=ca40, seed=seed)
+        assert fanned_out
+        assert any(np.array_equal(u0, start_2) for u0 in ran_here)
+        _run_in_process(monkeypatch)
+        with pytest.raises(_TwoArgumentError) as local:
+            equilibrium(n, self.TRAP, species=ca40, seed=seed)
         assert type(forked.value) is type(local.value)
         assert str(forked.value) == str(local.value)
 

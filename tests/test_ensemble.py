@@ -111,6 +111,13 @@ class TestSubsequentFraction:
         assert subsequent_fraction(8, 0.3) == pytest.approx(0.60735334,
                                                             abs=1e-8)
 
+    def test_fractional_ion_count_refused(self):
+        # the ion-count rule of scatter_count_pmf: an integer, not a float
+        # that happens to be whole
+        for n in (3.5, 2.0):
+            with pytest.raises(TypeError):
+                subsequent_fraction(n, 0.3)
+
     def test_small_p_stability(self):
         # naive (1-(1-p)^N)/(N p) loses digits as p -> 0; here it must
         # approach (N-1) p / 2 smoothly
