@@ -410,21 +410,23 @@ def _solve_from(scaled, u0):
     return _newton_polish(scaled, u)
 
 
-# crystals of at least this many ions run their cold starts in forked
-# workers and overlap a sweep's spectra with its solves; below it either
-# hand-off costs more than it saves (measured crossovers, CHANGES.md)
-_PARALLEL_MIN_IONS = 16
+# cold solves of at least _FANOUT_MIN_IONS ions fork their starts, and
+# sweeps of at least _LOOKAHEAD_MIN_IONS ions overlap spectra with solves;
+# below each, the hand-off costs more than it saves (measured crossovers,
+# CHANGES.md)
+_FANOUT_MIN_IONS = 16
+_LOOKAHEAD_MIN_IONS = 32
 
 
 def _descend(scaled, starts):
     """``_solve_from`` from each start, in start order.
 
-    The starts are independent, so from ``_PARALLEL_MIN_IONS`` ions on
-    they run side by side in ``_fork.width(len(starts))`` forked workers
+    The starts are independent, so from ``_FANOUT_MIN_IONS`` ions on they
+    run side by side in ``_fork.width(len(starts))`` forked workers
     (``_fork.fork_map``) if that is at least 2; every run is bit for bit
     the one the in-process loop gives, and so is the exception raised.
     """
-    if len(starts[0]) >= _PARALLEL_MIN_IONS:
+    if len(starts[0]) >= _FANOUT_MIN_IONS:
         # imported here, so that a run with no large crystal never pays
         from . import _fork
         width = _fork.width(len(starts))
@@ -650,12 +652,12 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     does the sweep raise EquilibriumError, naming the best gradient
     max-norm reached.
 
-    From 16 ions on, on a host with at least 2 usable CPUs and an
-    OpenBLAS thread setter (the one size rule and the one host rule,
-    both shared with the forked cold starts of ``equilibrium``), each
-    depth's Hessian spectrum is taken on a worker thread while the next
-    depth settles, and the sweep runs OpenBLAS on one thread; the result
-    is bit for bit the inline sweep's on one BLAS thread.
+    From 32 ions on, on a host with at least 2 usable CPUs and an
+    OpenBLAS thread setter (the one host rule, shared with the forked
+    cold starts of ``equilibrium``), each depth's Hessian spectrum is
+    taken on a worker thread while the next depth settles, and the sweep
+    runs OpenBLAS on one thread; the result is bit for bit the inline
+    sweep's on one BLAS thread.
     """
     flagged = []
     rows = _sweep(N, trap, lattice_max, steps, species, seed, nu_grid,
@@ -716,12 +718,12 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
 def _overlaps(n_ions):
     """Whether a sweep of n_ions ions overlaps spectra with solves.
 
-    From ``_PARALLEL_MIN_IONS`` ions on, and only where ``_fork.cpus()``
-    is at least 2: two callers of a multi-threaded OpenBLAS have no
-    bit-for-bit guarantee, so the sweep needs the OpenBLAS thread setter
-    to run it on one thread (``_spectra``).
+    Only where ``_fork.cpus()`` is at least 2: two callers of a
+    multi-threaded OpenBLAS have no bit-for-bit guarantee, so the sweep
+    needs the OpenBLAS thread setter to run it on one thread
+    (``_spectra``).
     """
-    if n_ions < _PARALLEL_MIN_IONS:
+    if n_ions < _LOOKAHEAD_MIN_IONS:
         return False
     # imported here, so that a run with no large sweep never pays for it
     from . import _fork

@@ -806,13 +806,12 @@ class TestLookahead:
 
     @staticmethod
     def _ions16_sweep(ca40):
-        # the smallest crystal that overlaps, every tenth node of its
-        # default grid: 24 rows, 3 of them inserted
+        # 16 ions, below the overlap's size gate (the test forces it), on
+        # every tenth node of the default grid: 24 rows, 3 of them inserted
         latt = _blue_lattice(ca40)
         nu_max = latt.vibrational_frequency(ca40)
         grid = np.geomspace(1e-3 * nu_max, nu_max, 199)[::10]
-        return (crystal._PARALLEL_MIN_IONS,
-                TrapConfig.from_frequencies(85e3, 300e3), latt, ca40, 7,
+        return (16, TrapConfig.from_frequencies(85e3, 300e3), latt, ca40, 7,
                 grid)
 
     @pytest.mark.parametrize("case", ["crystal64", "planar32", "ions16"])
@@ -1113,10 +1112,29 @@ class TestHostRule:
         assert _fork.cpus() == 0
         assert _fork.width(4) == 0
         assert crystal._overlaps(64) is False
-        equilibrium(crystal._PARALLEL_MIN_IONS,
+        equilibrium(crystal._FANOUT_MIN_IONS,
                     TrapConfig.from_frequencies(85e3, 300e3), species=ca40,
                     seed=7)
         assert widths == []
+
+    def test_size_gates(self, ca40, monkeypatch):
+        # each speed-up starts at its own size, where the host rule allows
+        lookahead = crystal._LOOKAHEAD_MIN_IONS
+        assert crystal._overlaps(lookahead - 1) is False
+        assert crystal._overlaps(lookahead) is (_fork.cpus() >= 2)
+        widths, fork_map = [], _fork.fork_map
+
+        def spy(fn, items, width):
+            widths.append(width)
+            return fork_map(fn, items, width)
+
+        monkeypatch.setattr(_fork, "fork_map", spy)
+        trap = TrapConfig.from_frequencies(85e3, 300e3)
+        equilibrium(crystal._FANOUT_MIN_IONS - 1, trap, species=ca40, seed=7)
+        assert widths == []
+        equilibrium(crystal._FANOUT_MIN_IONS, trap, species=ca40, seed=7)
+        width = _fork.width(crystal._RESTARTS)
+        assert widths == ([width] if width >= 2 else [])
 
     def test_no_affinity_counts_every_cpu(self, monkeypatch):
         monkeypatch.setattr(_fork, "openblas_functions",
@@ -1132,14 +1150,14 @@ class _TwoArgumentError(Exception):
 
 
 def _run_in_process(monkeypatch):
-    monkeypatch.setattr(crystal, "_PARALLEL_MIN_IONS", math.inf)
+    monkeypatch.setattr(crystal, "_FANOUT_MIN_IONS", math.inf)
 
 
 @pytest.mark.skipif(_fork.width(crystal._RESTARTS) < 2,
                     reason="cold starts do not fan out on this host")
 class TestForkedStarts:
     TRAP = TrapConfig.from_frequencies(85e3, 300e3)
-    N = crystal._PARALLEL_MIN_IONS
+    N = crystal._FANOUT_MIN_IONS
 
     @pytest.fixture
     def fanned_out(self, monkeypatch):
@@ -1207,7 +1225,8 @@ class TestForkedStarts:
     def test_unloadable_worker_exception_runs_in_process(
             self, ca40, monkeypatch, fanned_out):
         # start 2 raises an exception that pickles but does not load, so
-        # the parent cannot rebuild it and runs start 2 itself
+        # the parent cannot rebuild it and runs that worker's starts
+        # itself, in order, up to start 2
         n, seed = self.N, 7
         start_2 = _cold_start(n, seed, 2)
         parent, ran_here = os.getpid(), []
@@ -1223,8 +1242,11 @@ class TestForkedStarts:
         monkeypatch.setattr(crystal, "_solve_from", raises_on_start_2)
         with pytest.raises(_TwoArgumentError) as forked:
             equilibrium(n, self.TRAP, species=ca40, seed=seed)
-        assert fanned_out
-        assert any(np.array_equal(u0, start_2) for u0 in ran_here)
+        width, = fanned_out
+        expected = [_cold_start(n, seed, a)
+                    for a in range(2 % width, 3, width)]
+        assert len(ran_here) == len(expected)
+        assert all(map(np.array_equal, ran_here, expected))
         _run_in_process(monkeypatch)
         with pytest.raises(_TwoArgumentError) as local:
             equilibrium(n, self.TRAP, species=ca40, seed=seed)
