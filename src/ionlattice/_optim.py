@@ -8,9 +8,9 @@ than any single call to it saves, so these are written on numpy alone:
   cold crystal solve;
 - ``assignment``: minimum-cost perfect matching of a square matrix by
   Jonker–Volgenant shortest augmenting paths, for mode-branch tracking;
-- ``least_squares_batch``: Levenberg–Marquardt with Marquardt's diagonal
-  scaling over a stack of problems, for the Gaussian spot fits
-  (``least_squares`` is its one-problem case);
+- ``least_squares_batch``: Levenberg–Marquardt, damped Gauss–Newton steps
+  on the normal equations of a stack of problems, for the Gaussian spot
+  fits (``least_squares`` is its one-problem case);
 - ``student_t_975``: the 0.975 quantile of Student's t, for the
   temperature interval.
 
@@ -320,365 +320,115 @@ class LeastSquaresResult(NamedTuple):
     message: str
 
 
-# The Levenberg-Marquardt fit below is MINPACK's lmder with its
-# arithmetic: sums run in index order (np.add.accumulate over the m rows,
-# a loop over the n parameters), squares are products, and a norm is the
-# root of such a sum, as ``enorm`` computes it for components in
-# (3.8e-20, 1.3e19/n). Problems are lanes along the first axis of every
-# array, and each lane sees the same operations in the same order as the
-# others; where MINPACK branches, both sides are computed and np.where
-# keeps the lane's own, so a lane's result does not depend on the rest of
-# the batch.
-_EPSMCH = float(np.finfo(float).eps)
-_DWARF = float(np.finfo(float).tiny)
 _STOPS = ("gtol termination condition is satisfied",
           "ftol or xtol termination condition is satisfied",
-          "the maximum number of function evaluations is exceeded",
-          "a tolerance is below machine precision")  # the last two fail
+          "the maximum number of function evaluations is exceeded")  # fails
+# Marquardt's first damping, and a floor that keeps it positive
+_LAM0 = 1e-3
+_LAM_MIN = float(np.finfo(float).tiny)
 
 
-def _pmax(a, b):
-    # Python's max(a, b) per lane: b only where b > a
-    return np.where(b > a, b, a)
+def _over_residuals(v):
+    # sums over the residual axis in index order, so padding adds nothing
+    return np.add.accumulate(v, axis=1)[:, -1]
 
 
-def _pmin(a, b):
-    # Python's min(a, b) per lane: b only where b < a
-    return np.where(b < a, b, a)
+def _solve(lhs, rhs):
+    # np.linalg.solve per lane; a lane singular in floating point (dependent
+    # columns of J) takes the least-norm solution, the rest keep their bits
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        if len(lhs) == 1:
+            return np.linalg.pinv(lhs) @ rhs
+        return np.concatenate([_solve(lhs[k:k + 1], rhs[k:k + 1])
+                               for k in range(len(lhs))])
 
 
-def _sums(v, end):
-    """Sums along v's last axis, in index order up to index end of each lane.
-
-    v is (L, W) or (L, k, W); entries past a lane's end are never read.
-    """
-    acc = np.add.accumulate(v, axis=-1)
-    lane = np.arange(len(v))
-    return acc[lane, end] if v.ndim == 2 else acc[lane, :, end]
-
-
-def _norms(w):
-    """Norms of the rows of w (L, n), summed in index order."""
-    s = 0.0
-    for j in range(w.shape[1]):
-        s = s + w[:, j] * w[:, j]
-    return np.sqrt(s)
-
-
-def _rt_dot(r, v):
-    """R^T v per lane, each entry summed over R's column in index order."""
-    t = np.zeros_like(v)
-    for i in range(v.shape[1]):
-        t[:, i:] = t[:, i:] + r[:, i, i:] * v[:, i:i + 1]
-    return t
-
-
-def _qrfac(a, end):
-    """MINPACK qrfac of each lane of a (L, M, n): Householder QR, pivoted.
-
-    Lane l has end[l] + 1 >= n rows. Returns the transposed factors, (L, n,
-    M): row j holds R's row j right of the diagonal and the Householder
-    vector from the diagonal on; then R's diagonal, the column norms of a
-    and the column order, each (L, n).
-    """
-    at = a.transpose(0, 2, 1).copy()
-    lanes, n, _ = at.shape
-    acnorm = np.sqrt(_sums(at * at, end))
-    rdiag = acnorm.copy()
-    wa = acnorm.copy()
-    ipvt = np.arange(n)[None].repeat(lanes, axis=0)
-    for j in range(n):
-        kmax = j + np.argmax(rdiag[:, j:], axis=1)  # the first largest
-        sw = (kmax != j).nonzero()[0]
-        if sw.size:
-            k = kmax[sw]
-            at[sw, j], at[sw, k] = at[sw, k], at[sw, j]
-            rdiag[sw, k], wa[sw, k] = rdiag[sw, j], wa[sw, j]
-            ipvt[sw, j], ipvt[sw, k] = ipvt[sw, k], ipvt[sw, j]
-        v = at[:, j, j:]
-        ajnorm = np.sqrt(_sums(v * v, end - j))
-        nz = ajnorm != 0.0  # a zero column is left as it is
-        ajnorm = np.where(nz & (v[:, 0] < 0.0), -ajnorm, ajnorm)
-        h = v / ajnorm[:, None]
-        h[:, 0] += 1.0
-        rest = at[:, j + 1:, j:]
-        new = rest - (_sums(rest * h[:, None], end - j)
-                      / h[:, :1])[:, :, None] * h[:, None]
-        at[:, j, j:] = np.where(nz[:, None], h, v)
-        at[:, j + 1:, j:] = np.where(nz[:, None, None], new, rest)
-        if j + 1 < n:  # downdate the remaining column norms
-            rk, wk = rdiag[:, j + 1:], wa[:, j + 1:]
-            go = nz[:, None] & (rk != 0.0)
-            temp = at[:, j + 1:, j] / rk
-            shrink = 1.0 - temp * temp
-            down = rk * np.sqrt(np.where(shrink > 0.0, shrink, 0.0))
-            q = down / wk
-            redo = go & (0.05 * (q * q) <= _EPSMCH)
-            if redo.any():  # too much cancellation: recompute the norm
-                tail = at[:, j + 1:, j + 1:]
-                exact = np.sqrt(_sums(tail * tail, end - j - 1))
-                down = np.where(redo, exact, down)
-                wa[:, j + 1:] = np.where(redo, exact, wk)
-            rdiag[:, j + 1:] = np.where(go, down, rk)
-        rdiag[:, j] = -ajnorm
-    return at, rdiag, acnorm, ipvt
-
-
-def _qtf(at, f, end):
-    """The first n entries of Q^T f, from _qrfac's Householder vectors."""
-    wa4 = f.copy()
-    n = at.shape[1]
-    for j in range(n):
-        v = at[:, j, j:]
-        step = v * ((-_sums(v * wa4[:, j:], end - j)) / v[:, 0])[:, None]
-        wa4[:, j:] = np.where((v[:, 0] != 0.0)[:, None], wa4[:, j:] + step,
-                              wa4[:, j:])
-    return wa4[:, :n].copy()
-
-
-def _qrsolv(r, ipvt, diag, qtb):
-    """MINPACK qrsolv: least-squares x of [J; D] x = [f; 0], J P = Q R.
-
-    r (L, n, n) holds R in its upper triangle. Returns x, the diagonal of
-    the triangle S of [R; P^T D P] = Q' S, and S^T in the strict lower
-    triangle of an (L, n, n) array, which ``_lmpar``'s Newton correction
-    reads.
-    """
-    lanes, n = qtb.shape
-    lane = np.arange(lanes)
-    s = r.transpose(0, 2, 1).copy()  # R's upper triangle, transposed
-    wa = qtb.copy()
-    sdiag = np.zeros((lanes, n))
-    for j in range(n):
-        dj = diag[lane, ipvt[:, j]]
-        on = dj != 0.0  # Givens rotations eliminate row j of D
-        sdiag[:, j:] = np.where(on[:, None], 0.0, sdiag[:, j:])
-        sdiag[:, j] = np.where(on, dj, sdiag[:, j])
-        qtbpj = np.zeros(lanes)
-        for k in range(j, n):
-            rkk, sk, wak = s[:, k, k], sdiag[:, k], wa[:, k]
-            go = on & (sk != 0.0)
-            cotan = rkk / sk
-            sin_c = 0.5 / np.sqrt(0.25 + 0.25 * (cotan * cotan))
-            tan = sk / rkk
-            cos_t = 0.5 / np.sqrt(0.25 + 0.25 * (tan * tan))
-            small = np.abs(rkk) < np.abs(sk)
-            cs = np.where(small, sin_c * cotan, cos_t)
-            sn = np.where(small, sin_c, cos_t * tan)
-            s[:, k, k] = np.where(go, cs * rkk + sn * sk, rkk)
-            temp = cs * wak + sn * qtbpj
-            qtbpj = np.where(go, -sn * wak + cs * qtbpj, qtbpj)
-            wa[:, k] = np.where(go, temp, wak)
-            if k + 1 < n:
-                rik, si = s[:, k + 1:, k], sdiag[:, k + 1:]
-                cs, sn, go = cs[:, None], sn[:, None], go[:, None]
-                temp = cs * rik + sn * si
-                sdiag[:, k + 1:] = np.where(go, -sn * rik + cs * si, si)
-                s[:, k + 1:, k] = np.where(go, temp, rik)
-        sdiag[:, j] = s[:, j, j]
-    zero = sdiag == 0.0
-    nsing = np.where(zero.any(axis=1), zero.argmax(axis=1), n)
-    wa[np.arange(n) >= nsing[:, None]] = 0.0
-    for j in range(n - 1, -1, -1):
-        t = 0.0  # the terms past nsing add wa's zeros
-        for i in range(j + 1, n):
-            t = t + s[:, i, j] * wa[:, i]
-        wa[:, j] = np.where(j < nsing, (wa[:, j] - t) / sdiag[:, j],
-                            wa[:, j])
-    x = np.empty_like(wa)
-    x[lane[:, None], ipvt] = wa
-    return x, sdiag, s
-
-
-def _lmpar(r, ipvt, diag, qtb, delta, par):
-    """MINPACK lmpar: damping par and step x with |D x| within 10% of delta.
-
-    x minimizes |J x + f|^2 + par |D x|^2, given J P = Q R (R in r) and
-    qtb = Q^T f; par is 0 where the Gauss-Newton step is short enough.
-    """
-    lanes, n = qtb.shape
-    lane = np.arange(lanes)[:, None]
-    col = np.arange(n)
-    zero = r[:, col, col] == 0.0
-    nsing = np.where(zero.any(axis=1), zero.argmax(axis=1), n)
-    wa1 = np.where(col < nsing[:, None], qtb, 0.0)
-    for j in range(n - 1, -1, -1):  # Gauss-Newton step
-        act = j < nsing
-        wj = np.where(act, wa1[:, j] / r[:, j, j], wa1[:, j])
-        wa1[:, j] = wj
-        wa1[:, :j] = np.where(act[:, None],
-                              wa1[:, :j] - r[:, :j, j] * wj[:, None],
-                              wa1[:, :j])
-    x = np.empty_like(wa1)
-    x[lane, ipvt] = wa1
-    wa2 = diag * x
-    dxnorm = _norms(wa2)
-    fp = dxnorm - delta
-    live = ~(fp <= 0.1 * delta)  # lanes that need a damped step
-    if not live.any():
-        return np.zeros(lanes), x
-    dpiv = diag[lane, ipvt]
-    wa1 = dpiv * (wa2[lane, ipvt] / dxnorm[:, None])
-    t = np.zeros((lanes, n))  # t[:, j] sums r[i, j] wa1[i] over i < j
-    for j in range(n):  # lower bound from the Newton step, if R has full rank
-        wa1[:, j] = (wa1[:, j] - t[:, j]) / r[:, j, j]
-        t[:, j + 1:] = t[:, j + 1:] + r[:, j, j + 1:] * wa1[:, j:j + 1]
-    temp = _norms(wa1)
-    parl = np.where(nsing == n, ((fp / delta) / temp) / temp, 0.0)
-    gnorm = _norms(_rt_dot(r, qtb) / dpiv)
-    paru = gnorm / delta
-    paru = np.where(paru == 0.0, _DWARF / _pmin(delta, 0.1), paru)
-    damped = live.copy()
-    par = _pmin(_pmax(par, parl), paru)
-    par = np.where(par == 0.0, gnorm / dxnorm, par)
-    for it in range(1, 11):
-        par = np.where(live & (par == 0.0), _pmax(_DWARF, 0.001 * paru), par)
-        xs, sdiag, s = _qrsolv(r, ipvt, np.sqrt(par)[:, None] * diag, qtb)
-        x = np.where(live[:, None], xs, x)
-        wa2 = diag * xs
-        dxnorm = _norms(wa2)
-        prev = fp
-        fp = np.where(live, dxnorm - delta, fp)
-        live &= ~((np.abs(fp) <= 0.1 * delta)
-                  | (parl == 0.0) & (fp <= prev) & (prev < 0.0) | (it == 10))
-        if not live.any():
-            break
-        wa1 = dpiv * (wa2[lane, ipvt] / dxnorm[:, None])
-        for j in range(n):  # Newton correction
-            wj = wa1[:, j] / sdiag[:, j]
-            wa1[:, j] = wj
-            wa1[:, j + 1:] = wa1[:, j + 1:] - s[:, j + 1:, j] * wj[:, None]
-        temp = _norms(wa1)
-        parc = ((fp / delta) / temp) / temp
-        parl = np.where(live & (fp > 0.0), _pmax(parl, par), parl)
-        paru = np.where(live & (fp < 0.0), _pmin(paru, par), paru)
-        par = np.where(live, _pmax(parl, par + parc), par)
-    return np.where(damped, par, 0.0), x
-
-
-# lanes that a branch does not take, and the padding, compute values that
-# np.where discards or nothing reads: floating-point warnings are off
+# trial steps may leave fun's float range: floating-point warnings are off
 @np.errstate(all="ignore")
 def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
-    """Levenberg-Marquardt minima of many |fun(x)|^2 at once: MINPACK lmder.
+    """Levenberg-Marquardt minima of many |fun(x)|^2 at once.
 
-    The trust-region LM of Moré (Lecture Notes in Mathematics 630, 1978)
-    with Marquardt's scaling D, the largest column norms of the Jacobian
-    seen so far, so that the iterates do not depend on the units of the
-    parameters; the first trust radius is 100 |D x0|. As scipy's
-    ``least_squares(method="lm")`` with ftol = xtol = gtol = tol, it
-    stops when the actual and predicted relative reductions of the sum of
-    squares are both below tol, when the trust radius is below tol |D x|,
-    or when every column of J is orthogonal to the residuals to tol.
-    success is False after max_nfev evaluations of fun, or when a
-    tolerance is below machine precision.
+    Each step solves (J^T J + lam D^2) step = -J^T f with Marquardt's
+    scaling (SIAM J. Appl. Math. 11, 431, 1963), D^2 the largest diagonal
+    of J^T J so far (1 where 0). A step that gets 1e-4 of the predicted
+    reduction of |f|^2 is taken and lam falls tenfold, else lam rises
+    tenfold. As scipy's ``least_squares(method="lm")`` with ftol = xtol =
+    gtol = tol, a problem stops when each column of J is orthogonal to f
+    to tol, when the actual and predicted relative reductions are both
+    below tol, or when |D step| < tol |D x|; it fails after max_nfev
+    evaluations of fun.
 
-    x0 is (P, n), one row per problem. ``fun(x, rows)`` returns the (L, M)
-    residuals of problems ``rows`` at their parameters x (L, n), and
-    ``jac(x, rows)`` their (L, M, n) Jacobians; problem p has lengths[p]
-    residuals (all M when lengths is None), and the padding past them is
-    never read. Each problem keeps its own scaling, trust radius, damping,
-    pivot order, evaluation count and stop, and is evaluated only until it
-    stops, so its result is the one it gets alone. fun and jac run with
-    numpy's floating-point warnings off. Returns a LeastSquaresResult of
-    (P, ...) stacks; jac keeps the padding.
+    x0 is (P, n). ``fun(x, rows)`` and ``jac(x, rows)`` return the (L, M)
+    residuals and (L, M, n) Jacobians of problems ``rows`` at x (L, n);
+    problem p has lengths[p] residuals (all M if lengths is None), and the
+    padding is set to 0. One stacked np.linalg.solve steps the live
+    problems, each with its own damping, scaling, count and stop, so each
+    gets the bits it gets alone. Returns a LeastSquaresResult of (P, ...)
+    stacks; jac keeps the padding.
     """
     x = np.array(x0, dtype=float)
     count, n = x.shape
     f = fun(x, np.arange(count))
-    end = (np.full(count, f.shape[1]) if lengths is None
-           else np.asarray(lengths)) - 1
+    ends = np.broadcast_to(f.shape[1] if lengths is None else lengths, count)
+    pad = np.arange(f.shape[1]) >= ends[:, None]
+    f = np.where(pad, 0.0, f)
+    ss = _over_residuals(f * f)
     nfev = np.ones(count, dtype=int)
-    fnorm = np.sqrt(_sums(f * f, end))
     stop = np.full(count, -1)  # index into _STOPS once a problem stops
-    par, gnorm = np.zeros(count), np.zeros(count)
-    acnorm, qtf = np.zeros((count, n)), np.zeros((count, n))
-    ipvt = np.zeros((count, n), dtype=int)
-    r = np.zeros((count, n, n))  # R above the diagonal
-    first = np.ones(count, dtype=bool)  # until the first successful step
-    fresh = first.copy()  # the Jacobian at x is due
+    lam = np.full(count, _LAM0)
+    d2 = np.zeros((count, n))
+    jtj, g = np.zeros((count, n, n)), np.zeros((count, n))
+    due = np.ones(count, dtype=bool)  # J^T J and J^T f at x are due
     col = np.arange(n)
     while True:
-        q = (fresh & (stop < 0)).nonzero()[0]
+        q = (due & (stop < 0)).nonzero()[0]
         if q.size:
-            at, rdiag, acnorm[q], ipvt[q] = _qrfac(jac(x[q], q), end[q])
-            if first.all():  # the first pass: D, |D x| and the radius
-                diag = np.where(acnorm != 0.0, acnorm, 1.0)
-                xnorm = _norms(diag * x)
-                delta = np.where(xnorm != 0.0, 100.0 * xnorm, 100.0)
-            qtf[q] = qq = _qtf(at, f[q], end[q])
-            rq = at[:, :, :n].transpose(0, 2, 1).copy()
-            rq[:, col, col] = rdiag
-            r[q] = rq
+            j = np.where(pad[q, :, None], 0.0, jac(x[q], q))
+            jtj[q] = np.stack([_over_residuals(j * j[:, :, k:k + 1])
+                               for k in range(n)], axis=1)
+            g[q] = _over_residuals(j * f[q, :, None])
+            cn2 = jtj[q][:, col, col]  # squared column norms of J
+            d2[q] = np.maximum(d2[q], cn2)
             # largest cosine between f and a column of J
-            fq, an = fnorm[q], acnorm[q][np.arange(q.size)[:, None],
-                                         ipvt[q]]
-            cos = np.abs(_rt_dot(rq, qq / fq[:, None]) / an)
-            gnorm[q] = g = np.where((fq[:, None] != 0.0) & (an != 0.0),
-                                    cos, 0.0).max(axis=1)
-            stop[q] = np.where(g <= tol, 0, -1)
-            diag[q] = _pmax(diag[q], acnorm[q])
-            fresh[q] = False
+            cos = np.abs(g[q]) / np.sqrt(cn2) / np.sqrt(ss[q])[:, None]
+            cos = np.where((cn2 != 0.0) & (ss[q] != 0.0)[:, None], cos, 0.0)
+            stop[q] = np.where(cos.max(axis=1) <= tol, 0, -1)
+            due[q] = False
         a = (stop < 0).nonzero()[0]
         if not a.size:
             break
-        ra, da, fn = r[a], diag[a], fnorm[a]
-        pa, step = _lmpar(ra, ipvt[a], da, qtf[a], delta[a], par[a])
-        step = -step
+        dd = np.where(d2[a] != 0.0, d2[a], 1.0)  # D^2
+        la, lhs = lam[a], jtj[a]  # lhs is a copy
+        lhs[:, col, col] += la[:, None] * dd
+        step = -_solve(lhs, g[a][:, :, None])[:, :, 0]
         x_new = x[a] + step
-        pnorm = _norms(da * step)
-        dl = np.where(first[a], _pmin(delta[a], pnorm), delta[a])
-        f_new = fun(x_new, a)
+        f_new = np.where(pad[a], 0.0, fun(x_new, a))
         nfev[a] += 1
-        fnorm1 = np.sqrt(_sums(f_new * f_new, end[a]))
-        frac = fnorm1 / fn
-        actred = np.where(0.1 * fnorm1 < fn, 1.0 - frac * frac, -1.0)
-        wa3 = np.zeros((a.size, n))  # R P^T step
-        spiv = step[np.arange(a.size)[:, None], ipvt[a]]
-        for j in range(n):
-            wa3[:, :j + 1] = wa3[:, :j + 1] + ra[:, :j + 1, j] \
-                * spiv[:, j:j + 1]
-        temp1 = _norms(wa3) / fn
-        temp2 = np.sqrt(pa) * pnorm / fn
-        prered = temp1 * temp1 + temp2 * temp2 / 0.5
-        dirder = -(temp1 * temp1 + temp2 * temp2)
+        ss_new = _over_residuals(f_new * f_new)
+        # the model's relative reduction, |J step|^2 + 2 lam |D step|^2
+        dstep2 = (dd * step * step).sum(axis=1)
+        prered = (la * dstep2 - (step * g[a]).sum(axis=1)) / ss[a]
+        actred = 1.0 - ss_new / ss[a]
         ratio = np.where(prered != 0.0, actred / prered, 0.0)
-        shrink = ratio <= 0.25  # shrink the trust region
-        temp = np.where(actred >= 0.0, 0.5,
-                        0.5 * dirder / (dirder + 0.5 * actred))
-        temp = np.where((0.1 * fnorm1 >= fn) | (temp < 0.1), 0.1, temp)
-        grow = ~shrink & ((pa == 0.0) | (ratio >= 0.75))
-        dl = np.where(shrink, temp * _pmin(dl, pnorm / 0.1),
-                      np.where(grow, pnorm / 0.5, dl))
-        pa = np.where(shrink, pa / temp, np.where(grow, 0.5 * pa, pa))
         ok = ratio >= 1e-4
-        xa = np.where(ok[:, None], x_new, x[a])
-        xn = np.where(ok, _norms(da * xa), xnorm[a])
-        x[a], xnorm[a], delta[a], par[a] = xa, xn, dl, pa
+        lam[a] = np.where(ok, np.maximum(0.1 * la, _LAM_MIN), 10.0 * la)
+        x[a] = xa = np.where(ok[:, None], x_new, x[a])
         f[a] = np.where(ok[:, None], f_new, f[a])
-        fnorm[a] = np.where(ok, fnorm1, fn)
-        first[a] &= ~ok
-        fresh[a] = ok
-        small = 0.5 * ratio <= 1.0
+        ss[a] = np.where(ok, ss_new, ss[a])
+        due[a] = ok
         stop[a] = np.where(
-            (np.abs(actred) <= tol) & (prered <= tol) & small
-            | (dl <= tol * xn), 1, np.where(
-                nfev[a] >= max_nfev, 2, np.where(
-                    (np.abs(actred) <= _EPSMCH) & (prered <= _EPSMCH)
-                    & small | (dl <= _EPSMCH * xn)
-                    | (gnorm[a] <= _EPSMCH), 3, -1)))
-    cost = np.array([0.5 * float(row[:e + 1] @ row[:e + 1])
-                     for row, e in zip(f, end)])
+            (np.abs(actred) <= tol) & (prered <= tol) & (ratio <= 2.0)
+            | (dstep2 <= tol * tol * (dd * xa * xa).sum(axis=1)), 1,
+            np.where(nfev[a] >= max_nfev, 2, -1))
     return LeastSquaresResult(
-        x=x, cost=cost, jac=jac(x, np.arange(count)), nfev=nfev,
+        x=x, cost=0.5 * ss, jac=jac(x, np.arange(count)), nfev=nfev,
         success=stop < 2, message=tuple(_STOPS[k] for k in stop))
 
 
 def least_squares(fun, x0, jac, tol, max_nfev):
-    """``least_squares_batch`` of one problem: fun(x) and jac(x) take x (n,).
-
-    Returns that problem's LeastSquaresResult.
-    """
+    """``least_squares_batch`` of one problem; fun and jac take x (n,)."""
     res = least_squares_batch(lambda x, rows: fun(x[0])[None], [x0],
                               lambda x, rows: jac(x[0])[None], None, tol,
                               max_nfev)

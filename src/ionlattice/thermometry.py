@@ -128,8 +128,8 @@ def _gauss(x, a, c, s, b):
     return a * np.exp(-0.5 * ((x - c) / s) ** 2) + b
 
 
-# fewest (pixel, counts) samples a 4-parameter Gaussian fit accepts
-_MIN_SAMPLES = 5
+# fewest distinct pixels a 4-parameter Gaussian fit accepts
+_MIN_PIXELS = 5
 
 
 def fit_gaussian_profile(profile, pixel_pitch=1.0):
@@ -145,8 +145,10 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
     intervals insensitive to an overall gain. This is the one-profile
     case of fit_spot_profiles.
 
-    Raises DegenerateFitError for a constant profile or a width collapsing
-    below a quarter pixel, FitConvergenceError if the solver stalls.
+    Raises DomainError for a sample that is not a finite number,
+    DegenerateFitError for fewer than 5 distinct pixels, a constant
+    profile or a width collapsing below a quarter pixel, and
+    FitConvergenceError if the solver stalls.
     """
     (fit,) = _fit_profiles([profile])
     if isinstance(fit, Exception):
@@ -165,40 +167,52 @@ def _fit_profiles(profiles):
     """Gaussian fits of profiles in pixel units, each pass one batched solve.
 
     Returns one entry per profile: ((a, c, sigma, b), ci) with ci the 95%
-    half-widths of (a, c, sigma, b), or the DegenerateFitError or
-    FitConvergenceError of a profile that cannot be fitted. Profiles of
-    unequal length are zero-padded, which least_squares_batch never reads,
-    so every entry is the one its profile gets alone.
+    half-widths of (a, c, sigma, b), or the DomainError, DegenerateFitError
+    or FitConvergenceError of a profile that cannot be fitted. The solver
+    sees each profile's counts divided by their largest magnitude, so that
+    no sum of squares leaves the float range however small the counts.
+    Profiles of unequal length are zero-padded, and every entry is the one
+    its profile gets alone.
     """
     fits = [None] * len(profiles)
     kept, x0 = [], []
     for i, profile in enumerate(profiles):
         arr = np.asarray(list(profile), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 \
-                or arr.shape[0] < _MIN_SAMPLES:
+        if arr.ndim != 2 or arr.shape[1] != 2:
             fits[i] = DegenerateFitError(
-                f"need at least {_MIN_SAMPLES} (pixel, counts) samples to "
-                "fit a Gaussian")
+                "need (pixel, counts) samples to fit a Gaussian")
+            continue
+        if not np.all(np.isfinite(arr)):
+            fits[i] = DomainError("pixel and counts must be finite numbers")
             continue
         x, y = arr[:, 0], arr[:, 1]
+        pixels = len(set(x.tolist()))
+        if pixels < _MIN_PIXELS:
+            fits[i] = DegenerateFitError(
+                f"need at least {_MIN_PIXELS} distinct pixels to fit a "
+                f"Gaussian, got {pixels}")
+            continue
         if np.ptp(y) == 0.0:
             fits[i] = DegenerateFitError("constant profile has no peak to fit")
             continue
+        peak = float(np.max(np.abs(y)))
+        y = y / peak
         b0 = float(np.min(y))
         a0 = float(np.max(y) - b0)
         c0 = float(x[np.argmax(y)])
         wsum = max(float(np.sum(y - b0)), 1e-12)
         s0 = math.sqrt(max(float(np.sum((y - b0) * (x - c0) ** 2)) / wsum,
                            0.25))
-        kept.append((i, arr))
+        kept.append((i, x, y, peak))
         x0.append([a0, c0, s0, b0])
     if not kept:
         return fits
 
-    lengths = np.array([len(arr) for _, arr in kept])
+    lengths = np.array([len(px) for _, px, _, _ in kept])
+    peaks = np.array([peak for _, _, _, peak in kept])
     x, y = np.zeros((2, len(kept), lengths.max()))
-    for k, (_, arr) in enumerate(kept):
-        x[k, :lengths[k]], y[k, :lengths[k]] = arr.T
+    for k, (_, px, counts, _) in enumerate(kept):
+        x[k, :lengths[k]], y[k, :lengths[k]] = px, counts
 
     def solve(rows, sig, start):
         xs, ys = x[rows], y[rows]
@@ -226,7 +240,8 @@ def _fit_profiles(profiles):
     if not ok.size:
         return fits
     a, c, s, b = res.x[ok].T[:, :, None]
-    sig = np.sqrt(np.maximum(_gauss(x[ok], a, c, s, b), 1.0))
+    sig = np.sqrt(np.maximum(peaks[ok, None] * _gauss(x[ok], a, c, s, b),
+                             1.0))
     res = solve(ok, sig, res.x[ok])
     for k, i in enumerate(ok):
         m = lengths[i]
@@ -248,8 +263,10 @@ def _fit_profiles(profiles):
             cov = s2 * np.linalg.inv(jtj)
         except np.linalg.LinAlgError:
             cov = s2 * np.linalg.pinv(jtj)
-        ci = 1.96 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        fits[kept[i][0]] = ((a, c, s, b), ci)
+        # a and b come back in counts; the normalization leaves c and s
+        scale = np.array([peaks[i], 1.0, 1.0, peaks[i]])
+        ci = 1.96 * np.sqrt(np.clip(np.diag(cov), 0.0, None)) * scale
+        fits[kept[i][0]] = ((a * peaks[i], c, s, b * peaks[i]), ci)
     return fits
 
 
@@ -406,7 +423,7 @@ def read_spot_profiles(path):
     wrong header or field count, a non-integer or negative ion_index, an
     unknown axis, a pixel or counts value that is not a finite number,
     negative counts, or (naming the group's first line) a group of fewer
-    than 5 rows, too few for the Gaussian fit.
+    than 5 distinct pixels, too few for the Gaussian fit.
     """
     groups = {}
     first_line = {}
@@ -451,11 +468,12 @@ def read_spot_profiles(path):
                 first_line[key] = i
             groups[key].append((pixel, counts))
     for (ion, axis), rows in groups.items():
-        if len(rows) < _MIN_SAMPLES:
+        pixels = len({pixel for pixel, _ in rows})
+        if pixels < _MIN_PIXELS:
             raise SpotParseError(
                 f"line {first_line[ion, axis]}: spot group (ion_index {ion}, "
-                f"axis {axis}) has {len(rows)} rows; the Gaussian fit needs "
-                f"at least {_MIN_SAMPLES}")
+                f"axis {axis}) has {pixels} distinct pixels in {len(rows)} "
+                f"rows; the Gaussian fit needs at least {_MIN_PIXELS}")
     return [(ion, axis, np.asarray(rows, dtype=float))
             for (ion, axis), rows in groups.items()]
 

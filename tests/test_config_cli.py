@@ -810,9 +810,12 @@ class TestThermometryCommand:
         monkeypatch.setattr(cli, "equilibrium", no_solve)
         cfg, out = ws8
         bad = tmp_path / "bad.csv"
-        # every group has the 5 rows a fit needs; the row is first on line 3
+        # every group has the 5 distinct pixels a fit needs; the row is
+        # first on line 3
+        ion = row.split(",")[0]
         bad.write_text("ion_index,axis,pixel,counts\n0,axial,1,10\n"
-                       + (row + "\n") * 5
+                       + row + "\n"
+                       + "".join(f"{ion},axial,{p},10\n" for p in range(6, 10))
                        + "".join(f"0,axial,{p},10\n" for p in range(2, 6)))
         code = main(["thermometry", "--config", str(cfg), "--out", str(out),
                      "--spots", str(bad)])
@@ -834,6 +837,24 @@ class TestThermometryCommand:
                      "--spots", str(bad)])
         assert code == EXIT_CONFIG
         assert "line 7" in capsys.readouterr().err
+
+    def test_group_on_one_pixel_is_config_error(self, ws8, tmp_path,
+                                                capsys):
+        # ion 2's axial rows all sit at pixel 7: six rows, one distinct
+        # pixel, named by the group's first line
+        cfg, out = ws8
+        spots = self._spots_csv(tmp_path)
+        lines = spots.read_text().splitlines()
+        first = next(k for k, line in enumerate(lines)
+                     if line.startswith("2,axial,"))
+        lines = [",".join(["2", "axial", "7", line.split(",")[3]])
+                 if line.startswith("2,axial,") else line for line in lines]
+        spots.write_text("\n".join(lines) + "\n")
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(spots)])
+        assert code == EXIT_CONFIG
+        assert f"line {first + 1}: spot group (ion_index 2, axis axial) " \
+            "has 1 distinct pixels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("radial, rows", [
         (False, "".join(f"0,radial,{p},10\n" for p in range(5))),

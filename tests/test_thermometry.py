@@ -2,8 +2,8 @@
 
 import dataclasses
 import math
+import warnings
 
-import lmder_oracle
 import numpy as np
 import pytest
 
@@ -65,6 +65,57 @@ class TestGaussianFit:
         prof = _gauss_profile(50.0, 0.0, 2.0, 1.0)[:4]
         with pytest.raises(DegenerateFitError):
             fit_gaussian_profile(prof)
+
+    def test_few_distinct_pixels_degenerate(self):
+        # eight samples on four pixels are four samples, too few
+        prof = _gauss_profile(50.0, 0.0, 2.0, 1.0)[8:12]
+        with pytest.raises(DegenerateFitError,
+                           match="5 distinct pixels .*got 4"):
+            fit_gaussian_profile(np.concatenate([prof, prof + [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("pixel, counts", [
+        (0.0, np.nan), (0.0, np.inf), (np.nan, 5.0), (-np.inf, 5.0)])
+    def test_non_finite_sample_refused_before_the_solve(self, pixel, counts,
+                                                        monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(thermometry, "least_squares_batch", no_solve)
+        prof = _gauss_profile(100.0, 0.3, 3.0, 5.0)
+        prof[7] = pixel, counts
+        with pytest.raises(DomainError, match="finite"):
+            fit_gaussian_profile(prof)
+
+    def test_tiny_counts_fit_as_any_below_one_count(self):
+        # below 1 count every Poisson weight is 1, so scaled-down counts
+        # are the same fit: finite intervals, no floating-point warning
+        prof = _gauss_profile(300.0, 0.4, 2.6, 20.0)
+        prof[:, 1] = np.random.default_rng(9).poisson(prof[:, 1])
+        fits = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in (1e-3, 1e-150, 1e-300):
+                fits.append(fit_gaussian_profile(prof * [1.0, k]))
+        for fit, k in zip(fits, (1e-3, 1e-150, 1e-300)):
+            assert fit.sigma == pytest.approx(fits[0].sigma, rel=1e-9)
+            assert fit.center == pytest.approx(fits[0].center, rel=1e-9)
+            assert fit.amplitude / k == pytest.approx(
+                fits[0].amplitude / 1e-3, rel=1e-9)
+            assert all(np.isfinite(fit.ci95)) and all(
+                v > 0.0 for v in fit.ci95)
+
+    def test_huge_counts_fit_as_any_above_one_count(self):
+        # where every count is above 1, each Poisson weight scales with the
+        # square root of the counts, so scaled-up counts are the same fit
+        prof = _gauss_profile(300.0, 0.4, 2.6, 20.0)
+        prof[:, 1] = np.random.default_rng(9).poisson(prof[:, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fits = [fit_gaussian_profile(prof * [1.0, k])
+                    for k in (1.0, 1e150, 1e300)]
+        for fit in fits:
+            assert fit.sigma == pytest.approx(fits[0].sigma, rel=1e-9)
+            assert fit.ci95[1] == pytest.approx(fits[0].ci95[1], rel=1e-9)
 
     def test_subpixel_spike_degenerate(self):
         px = np.arange(-10, 11, dtype=float)
@@ -414,6 +465,20 @@ class TestSpotIO:
         with pytest.raises(SpotParseError, match="line 6: counts"):
             read_spot_profiles(p)
 
+    def test_group_of_few_distinct_pixels_names_its_first_line(self,
+                                                                tmp_path):
+        # ion 1's group starts on line 3: six rows on four pixels
+        rows = ["0,axial,0,9", "1,axial,7,3"] \
+            + [f"0,axial,{k},9" for k in range(1, 5)] \
+            + [f"1,axial,{k % 4 + 7},4" for k in range(1, 6)]
+        p = tmp_path / "few.csv"
+        p.write_text("ion_index,axis,pixel,counts\n" + "\n".join(rows)
+                     + "\n")
+        with pytest.raises(SpotParseError,
+                           match=r"^line 3: .*ion_index 1, axis axial\) has 4 "
+                                 "distinct pixels in 6 rows"):
+            read_spot_profiles(p)
+
     def test_short_group_names_its_first_line(self, tmp_path):
         # ion 1's group starts on line 2 and has 4 rows among ion 0's 5
         rows = ["1,axial,0,3"] + [f"0,axial,{k},9" for k in range(5)] \
@@ -452,36 +517,6 @@ def crystal64_spots(tmp_path_factory):
 
 
 class TestBatchedFit:
-    def test_bench_spots_fit_as_the_scalar_port(self, crystal64_spots,
-                                                monkeypatch):
-        # both passes of all 64 axial profiles, solved together, against
-        # each profile's fit on the scalar MINPACK port
-        profiles, imaging = crystal64_spots
-        axial = [p for p in profiles if p[1] == "axial"]
-        passes, evaluated = [], []
-        batch = thermometry.least_squares_batch
-
-        def recorded(fun, x0, jac, lengths, tol, max_nfev):
-            def counted(x, rows):
-                evaluated.append(len(rows))
-                return fun(x, rows)
-            passes.append(batch(counted, x0, jac, lengths, tol, max_nfev))
-            return passes[-1]
-
-        monkeypatch.setattr(thermometry, "least_squares_batch", recorded)
-        spots = fit_spot_profiles(axial, imaging)
-        assert len(passes) == 2 and sum(evaluated) == 931
-        oracle_nfev = 0
-        for k, ((_, _, prof), spot) in enumerate(zip(axial, spots)):
-            first, second, params, ci = lmder_oracle.gaussian_fit(prof)
-            for res, ref in zip(passes, (first, second)):
-                assert np.array_equal(res.x[k], ref.x)
-                assert res.nfev[k] == ref.nfev
-            oracle_nfev += first.nfev + second.nfev
-            assert spot.fitted_sigma == params[2] * imaging.pixel_pitch
-            assert spot.sigma_ci95 == ci[2] * imaging.pixel_pitch
-        assert oracle_nfev == 931
-
     def test_each_profile_as_alone(self, crystal64_spots):
         # a reordered mix of both axes, lengths 27 to 33 pixels
         profiles, imaging = crystal64_spots
