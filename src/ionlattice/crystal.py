@@ -483,13 +483,6 @@ def _spectrum(scaled, u):
     return np.linalg.eigh(scaled.hessian(u))
 
 
-def _stationary(scaled, n, guess, seed):
-    """``_settle``, then the ``_spectrum`` at the point it reached:
-    (u, energy, gnorm, lam, vec)."""
-    u, energy, gnorm = _settle(scaled, n, guess, seed)
-    return (u, energy, gnorm, *_spectrum(scaled, u))
-
-
 def _modes(trap, lam, vec):
     """ModeDecomposition from the Hessian spectrum at a minimum."""
     if lam[0] < _SADDLE_TOL:
@@ -513,11 +506,11 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     lowest to 1e-12 relative, so that rounding never picks between mirror
     images. From 16 ions on, the four starts run side by side in forked
     worker processes (one BLAS thread each) where the host allows it, to
-    the same bits. With a guess (warm start): polish only, fully
-    deterministic. A converged stationary point with a direction of
-    negative curvature is returned with ``is_saddle`` set rather than
-    re-seeded, so instability of e.g. a linear chain past the zigzag
-    transition is visible to the caller.
+    the same bits. With a guess (warm start): Newton polish, and BFGS from
+    the guess first if that stalls; deterministic. A converged stationary
+    point with a direction of negative curvature is returned with
+    ``is_saddle`` set rather than re-seeded, so instability of e.g. a
+    linear chain past the zigzag transition is visible to the caller.
     """
     if N < 1:
         raise DomainError("need at least one ion")
@@ -526,7 +519,8 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     if initial_guess is not None:
         initial_guess = np.asarray(
             initial_guess, dtype=float).reshape(N, 3) / scaled.ell
-    u, energy, gnorm, lam, _ = _stationary(scaled, N, initial_guess, seed)
+    u, energy, gnorm = _settle(scaled, N, initial_guess, seed)
+    lam = _spectrum(scaled, u)[0]
     return CrystalState(
         positions=u * scaled.ell,
         potential_value=energy * scaled.energy_unit,
@@ -647,10 +641,11 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     re-settle into wells); the warm start then converges onto the saddle
     left behind. Tracking follows the physics: relax along the unstable
     direction to the adjacent minimum and continue from there. Six kicks
-    of either sign are tried and the lowest minimum reached is kept; a
-    kick whose solve stalls is skipped, and only if every kick stalls
-    does the sweep raise EquilibriumError, naming the best gradient
-    max-norm reached.
+    of either sign are tried, each a BFGS descent then Newton polish, and
+    the lowest minimum reached is kept; a kick that stalls is skipped. If
+    the kicks reach saddles only, the lowest is kicked once more the same
+    way. Only if every kick of the last round stalls does the sweep raise
+    EquilibriumError, naming the best gradient max-norm reached.
 
     From 32 ions on, on a host with at least 2 usable CPUs and an
     OpenBLAS thread setter (the one host rule, shared with the forked
@@ -683,8 +678,8 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
     frequencies rad/s in branch order, (3N, 3N) branch eigenvectors,
     (N, 3) positions m, refined) tuples. Ambiguous crossings are appended
     to ``flagged`` as they are found, each before its row is yielded; an
-    entry's "step" is the index of that row. A grid whose deepest point
-    would overflow the squared gradient norm is a DomainError.
+    entry's "step" is the index of that row. A grid too deep for ``eigh``
+    to resolve the trap-scale modes is a DomainError.
     """
     if steps < 2:
         raise DomainError("need at least two continuation steps")
@@ -699,19 +694,19 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
         grid = np.asarray(sorted(float(v) for v in nu_grid))
         if grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
-    # the lattice pulls an ion with a force of up to u0*kappa in trap
-    # units; beyond sqrt(max/3N), the squared norm of a 3N-component
-    # gradient, which BFGS forms, leaves the float range
+    # eigh resolves eigenvalues to about eps times the largest, here the
+    # lattice curvature 2|u0|kappa^2 in trap units: beyond 1e-6/eps times
+    # the softest trap curvature, the trap-scale modes are rounding noise
     scaled = _Dimensionless(trap, lattice_max, species)
     with np.errstate(over="ignore"):
         depth = abs(_signed_depth(grid[-1], lattice_max, species))
-        pull = depth / scaled.energy_unit * scaled.kappa
-    ceiling = math.sqrt(np.finfo(float).max / (3 * N))
-    if not pull <= ceiling:
+        curvature = 2.0 * depth / scaled.energy_unit * scaled.kappa ** 2
+    ceiling = 1e-6 / np.finfo(float).eps * scaled.alpha2.min()
+    if not curvature <= ceiling:
         raise DomainError(
-            f"a lattice depth of {depth:.3g} J pulls an ion with a force of "
-            f"{pull:.3g} in trap units, beyond the {ceiling:.3g} at which "
-            f"the squared gradient norm of {N} ions leaves the float range")
+            f"a lattice depth of {depth:.3g} J curves the potential by "
+            f"{curvature:.3g} in trap units, beyond the {ceiling:.3g} up to "
+            "which eigh resolves the softest trap curvature to 1e-6 relative")
     return _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged)
 
 
@@ -756,31 +751,31 @@ def _spectra(overlap):
 
 def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
     # the generator behind _sweep: its body runs only once iterated
-    def descend_from_saddle(scaled, u, vec):
-        # kicks along the most negative curvature direction; a kick that
-        # stalls or lands on a saddle again is skipped
+    def descend_from_saddle(scaled, u, vec, again=True):
+        # kicks along the most negative curvature direction, each a BFGS
+        # descent then Newton polish; a kick that stalls is skipped, and if
+        # the kicks reach saddles only, the lowest is kicked once more
         soft = _by_axis(vec)[:, :, 0].T
-        kicks = (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)
-        best, stalled = None, []
-        for eps in kicks:
-            try:
-                cand = _stationary(scaled, N, u + eps * soft, seed)
-            except EquilibriumError as exc:
-                stalled.append(exc)
-                continue
-            _, energy, _, lam, _ = cand
-            if lam[0] >= _SADDLE_TOL and (best is None or energy < best[1]):
-                best = cand
-        if best is not None:
-            return best
-        if len(stalled) == len(kicks):
-            closest = min(stalled, key=lambda exc: exc.gradient_norm)
+        found, stalled = [], []
+        for eps in (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1):
+            v, energy, gnorm, ok = _solve_from(scaled, u + eps * soft)
+            if ok:
+                found.append((v, energy, gnorm, *_spectrum(scaled, v)))
+            else:
+                stalled.append((gnorm, v))
+        minima = [c for c in found if c[3][0] >= _SADDLE_TOL]
+        if minima:  # the lowest, and the first of any that tie with it
+            return min(minima, key=lambda c: c[1])
+        if found and again:
+            v, _, _, _, vecs = min(found, key=lambda c: c[1])
+            return descend_from_saddle(scaled, v, vecs, again=False)
+        if not found:
+            gnorm, v = min(stalled, key=lambda s: s[0])
             raise EquilibriumError(
                 "tracked configuration lost stability and every kick along "
                 "the unstable direction stalled; best gradient max-norm "
-                f"{closest.gradient_norm:.3e}",
-                last_positions=closest.last_positions,
-                gradient_norm=closest.gradient_norm)
+                f"{gnorm:.3e}",
+                last_positions=v * scaled.ell, gradient_norm=float(gnorm))
         raise UnstableConfigurationError(
             "tracked configuration lost stability and no adjacent "
             "minimum was reachable along the unstable direction")

@@ -44,6 +44,14 @@ crystal:
   T0_mK: 3.6
 """
 
+# sym4: 4 ions at 120/162 kHz with round radial axes, seed 1, on the
+# 25 mK blue lattice
+SYM4_YAML = """\
+trap: {f_z_kHz: 120.0, f_radial_kHz: 162.0, asymmetry: 0}
+lattice: {detuning_THz: 0.76, depth_max_mK: 25.0}
+crystal: {n_ions: 4, seed: 1}
+"""
+
 STRING_YAML = """\
 schema_version: 1
 trap:
@@ -167,6 +175,35 @@ class TestParsing:
         cfg.write_text(text)
         assert main(["equilibrium", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("old, new, verb, message", [
+        ("n_ions: 4", "n_ions: 0", "equilibrium",
+         "crystal.n_ions must be >= 1"),
+        ("n_ions: 4", "n_ions: 2.5", "equilibrium",
+         "crystal.n_ions must be an integer, got 2.5"),
+        ("n_ions: 4", "n_ions: true", "equilibrium",
+         "crystal.n_ions must be an integer, got True"),
+        ("seed: 7", "seed: -1", "equilibrium", "crystal.seed must be >= 0"),
+        ("crystal:", "ramp: {shape: cubic}\ncrystal:", "equilibrium",
+         "ramp.shape must be 'linear' or 'smoothstep', got 'cubic'"),
+        ("crystal:", "thermometry: {include_radial: 1}\ncrystal:",
+         "equilibrium", "thermometry.include_radial must be true or false"),
+        ("detuning_THz: 0.76", "detuning_THz: 0", "scatter",
+         "lattice.detuning_THz must be nonzero for scatter"),
+    ], ids=["n_ions_0", "n_ions_2.5", "n_ions_true", "seed_-1",
+            "ramp_shape", "include_radial_1", "scatter_detuning_0"])
+    def test_refusal_names_its_key(self, tmp_path, capsys, monkeypatch, old,
+                                   new, verb, message):
+        assert old in BASE_YAML
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(BASE_YAML.replace(old, new, 1))
+        out = tmp_path / "out"
+        code, err = _refused_before_solve(
+            monkeypatch, capsys,
+            [verb, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert err == f"ionlattice: error: {message}\n"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_hash_ignores_formatting(self):
         noisy = BASE_YAML.replace("f_z_kHz: 85.0", "f_z_kHz: 85.00")
@@ -329,11 +366,17 @@ class TestModesCommand:
         ("depth_max_mK: 25.0", ["--grid", "1e100:1e100:1:lin"], "--grid"),
         ("depth_max_mK: 1.0e+200", [], "lattice.depth_max_mK"),
         ("nu_latt_max_MHz: 1.0e+80", [], "lattice.nu_latt_max_MHz"),
-    ], ids=["grid", "depth key", "frequency key"])
-    def test_depth_beyond_gradient_range_rejected_before_solve(
+        ("depth_max_mK: 25.0", ["--grid", "1e5:1e5:1:lin"], "--grid"),
+        ("depth_max_mK: 25.0", ["--grid", "1e8:1e8:1:lin"], "--grid"),
+    ], ids=["grid", "depth key", "frequency key", "1e5 MHz", "1e8 MHz"])
+    def test_depth_past_spectrum_resolution_refused(
             self, tmp_path, capsys, monkeypatch, lattice, extra, name):
-        # finite in SI, but the lattice force in trap units would overflow
-        # the squared gradient norm of the 2 ions' 6 coordinates
+        # finite in SI, but the lattice curvature in trap units is so far
+        # beyond the trap's that eigh would resolve the trap-scale modes to
+        # rounding noise only: above nu_latt/f_z of about 6.7e4 (5.7 GHz)
+        # here. 1e5 MHz used to write a 144.31314 kHz radial branch where
+        # the x block alone gives 144.312424, and 1e8 MHz read
+        # rounding-level eigenvalues as a saddle and exited 3
         cfg = tmp_path / "two.yaml"
         cfg.write_text(BASE_YAML.replace("n_ions: 4", "n_ions: 2")
                        .replace("depth_max_mK: 25.0", lattice))
@@ -343,15 +386,19 @@ class TestModesCommand:
             ["modes", "--config", str(cfg), "--out", str(out)] + extra)
         assert code == EXIT_CONFIG
         assert err.startswith(f"ionlattice: error: {name}: ")
-        assert "squared gradient norm of 2 ions" in err
+        assert "resolves the softest trap curvature to 1e-6 relative" in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("n_ions, seed, lattice, grid, nu_end", [
         (2, 1, f"nu_latt_max_MHz: {nu}", [], nu)
         for nu in (250, 300, 500, 700, 1000)
-    ] + [(4, 7, "depth_max_mK: 25.0", ["--grid", "0:200:30:lin"], 200)],
+    ] + [(4, 7, "depth_max_mK: 25.0", ["--grid", "0:200:30:lin"], 200)]
+        # just below the spectrum-resolution ceiling at 85 kHz
+        + [(n, seed, "depth_max_mK: 25.0", ["--grid", "0:5700:30:lin"], 5700)
+           for n, seed in ((2, 1), (4, 7))],
         ids=["2 ions 250 MHz", "2 ions 300 MHz", "2 ions 500 MHz",
-             "2 ions 700 MHz", "2 ions 1 GHz", "zigzag4 200 MHz"])
+             "2 ions 700 MHz", "2 ions 1 GHz", "zigzag4 200 MHz",
+             "2 ions 5.7 GHz", "zigzag4 5.7 GHz"])
     def test_deep_sweep_converges_at_the_rounding_floor(
             self, tmp_path, n_ions, seed, lattice, grid, nu_end):
         # the lattice's curvature lifts the gradient's rounding floor
@@ -368,6 +415,32 @@ class TestModesCommand:
         table = np.loadtxt(out / "modes.csv", delimiter=",", skiprows=2)
         assert table.shape[1] == 5 and np.all(np.isfinite(table))
         assert table[-1, 0] == pytest.approx(nu_end, rel=1e-8)
+
+    @pytest.mark.parametrize("config, grid", [
+        (BASE_YAML.replace("detuning_THz: 0.76", "detuning_THz: -0.76"),
+         "0:2:2:lin"),
+        (SYM4_YAML, "264:264:1:lin"),
+        (SYM4_YAML, "120:120:1:lin"),
+    ], ids=["red_zigzag4", "sym4_264MHz", "sym4_120MHz"])
+    def test_lost_stability_descends_to_a_minimum(self, tmp_path, config,
+                                                  grid):
+        # the warm state turns into a saddle, and BFGS descents kicked
+        # along its unstable mode reach a minimum: on the red zigzag4 in
+        # one round, on sym4 only from the lowest saddle that the first
+        # round reaches. All but sym4 at 120 MHz used to exit 3, and that
+        # one exits 3 without the second round
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["modes", "--config", str(cfg), "--out", str(out),
+                         "--grid", grid]) == 0
+        table = np.loadtxt(out / "modes.csv", delimiter=",", skiprows=2)
+        assert table.shape[1] == 5 and np.all(np.isfinite(table))
+        assert table[-1, 0] == pytest.approx(_parse_grid(grid)[-1],
+                                             rel=1e-8)
+        json.loads((out / "modes_warnings.json").read_text())
 
     @pytest.mark.parametrize("key", ["depth_max_mK", "nu_latt_max_MHz"])
     def test_zero_depth_needs_grid(self, tmp_path, capsys, key):
@@ -703,7 +776,7 @@ class TestScatterCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved")
 
-        monkeypatch.setattr(crystal, "_stationary", no_solve)
+        monkeypatch.setattr(crystal, "_settle", no_solve)
         cfg = tmp_path / "cold.yaml"
         cfg.write_text(BASE_YAML.replace("T0_mK: 3.6", "T0_mK: 1.0e-290")
                        .replace("depth_max_mK: 25.0", lattice))

@@ -335,28 +335,30 @@ class TestContinuation:
             crystal._sweep(2, trap_zigzag4, replace(latt, depth_U0=0.0),
                            200, ca40, 0, None, [])
 
-    def test_sweep_refuses_depths_whose_gradient_norm_overflows(
+    def test_sweep_refuses_depths_whose_spectrum_is_rounding_noise(
             self, trap_zigzag4, ca40):
-        # the lattice force on an ion reaches u0*kappa in trap units; a
-        # 3N-component gradient of that size has a squared norm beyond the
-        # float range once u0*kappa exceeds sqrt(max/3N). The sweep refuses
-        # such a grid when called, before any solve, and takes one below
+        # eigh resolves the Hessian's eigenvalues to about eps times the
+        # largest, the lattice curvature 2*u0*kappa^2 in trap units. Once
+        # that exceeds 1e-6/eps times the softest trap curvature, the sweep
+        # refuses the grid when called, before any solve, and takes one
+        # below
         n = 4
         latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
                              wavevector_k=ca40.lattice_wavevector,
                              detuning=2 * math.pi * 0.76e12)
         scaled = crystal._Dimensionless(trap_zigzag4, latt, ca40)
-        ceiling = math.sqrt(np.finfo(float).max / (3 * n))
-        for factor, overflows in ((0.99, False), (1.01, True)):
-            with np.errstate(over="ignore"):
-                norm2 = np.dot(np.full(3 * n, factor * ceiling),
-                               np.full(3 * n, factor * ceiling))
-            assert np.isinf(norm2) == overflows
-            depth = factor * ceiling / scaled.kappa * scaled.energy_unit
+        assert scaled.alpha2.min() == 1.0  # the axial curvature is softest
+        ceiling = 1e-6 / np.finfo(float).eps
+        for factor, refused in ((0.99, False), (1.01, True)):
+            depth = (factor * ceiling / (2 * scaled.kappa ** 2)
+                     * scaled.energy_unit)
             nu = latt.wavevector_k / (2 * math.pi) * math.sqrt(
                 2 * depth / ca40.mass)
-            if overflows:
-                with pytest.raises(DomainError, match="float range"):
+            assert nu / 85e3 == pytest.approx(
+                math.sqrt(factor * ceiling), rel=1e-9)
+            if refused:
+                with pytest.raises(DomainError,
+                                   match="resolves the softest trap"):
                     crystal._sweep(n, trap_zigzag4, latt, 200, ca40, 0, [nu],
                                    [])
             else:
@@ -711,19 +713,23 @@ class TestSaddleDescent:
         # the first warm solve reports a saddle; every kick from it but
         # possibly the last stalls, the k-th at gradient max-norm k
         settle, spectrum = crystal._settle, crystal._spectrum
+        solve = crystal._solve_from
         kicks, first_warm = [], []
 
-        def scripted_settle(scaled, n, guess, seed):
+        def first_warm_settle(scaled, n, guess, seed):
             out = settle(scaled, n, guess, seed)
-            if guess is None:
-                return out
-            kicks.append(guess)
-            if len(kicks) == 1:
+            if guess is not None and not first_warm:
                 first_warm.append(out[0])
+            return out
+
+        def scripted_solve(scaled, u0):
+            out = solve(scaled, u0)
+            if not first_warm:  # cold starts and the first warm settle
                 return out
-            if last_kick_converges and len(kicks) >= 7:
+            kicks.append(u0)
+            if last_kick_converges and len(kicks) == 6:
                 return out
-            raise EquilibriumError("stalled", gradient_norm=len(kicks) - 1.0)
+            return out[0], out[1], float(len(kicks)), False
 
         def scripted_spectrum(scaled, u):
             lam, vec = spectrum(scaled, u)
@@ -731,7 +737,8 @@ class TestSaddleDescent:
                 return np.r_[-1.0, lam[1:]], vec
             return lam, vec
 
-        monkeypatch.setattr(crystal, "_settle", scripted_settle)
+        monkeypatch.setattr(crystal, "_settle", first_warm_settle)
+        monkeypatch.setattr(crystal, "_solve_from", scripted_solve)
         monkeypatch.setattr(crystal, "_spectrum", scripted_spectrum)
         latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
                              wavevector_k=ca40.lattice_wavevector,
@@ -744,15 +751,15 @@ class TestSaddleDescent:
             with pytest.raises(EquilibriumError,
                                match="every kick.*max-norm 1.000e"):
                 continuation(*args, **kwargs)
-        assert len(kicks) >= 7
-
+        assert len(kicks) == 6
 
     def test_kicks_that_reach_only_saddles(self, monkeypatch, ca40,
                                            trap_zigzag4):
         # the first warm solve reports a saddle, and so does every state
-        # that a kick from it converges to
+        # that a kick from it, or from the lowest of those, converges to
         settle, spectrum = crystal._settle, crystal._spectrum
-        warm = []
+        solve = crystal._solve_from
+        warm, kicked = [], []
 
         def scripted_settle(scaled, n, guess, seed):
             out = settle(scaled, n, guess, seed)
@@ -760,13 +767,20 @@ class TestSaddleDescent:
                 warm.append(out[0])
             return out
 
+        def scripted_solve(scaled, u0):
+            out = solve(scaled, u0)
+            if warm:  # a kick: cold starts and the first warm settle
+                kicked.append(out[0])  # run before warm is filled
+            return out
+
         def scripted_spectrum(scaled, u):
             lam, vec = spectrum(scaled, u)
-            if any(u is w for w in warm):
+            if any(u is w for w in warm + kicked):
                 return np.r_[-1.0, lam[1:]], vec
             return lam, vec
 
         monkeypatch.setattr(crystal, "_settle", scripted_settle)
+        monkeypatch.setattr(crystal, "_solve_from", scripted_solve)
         monkeypatch.setattr(crystal, "_spectrum", scripted_spectrum)
         latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
                              wavevector_k=ca40.lattice_wavevector,
@@ -775,7 +789,8 @@ class TestSaddleDescent:
                            match="no adjacent minimum was reachable"):
             continuation(4, trap_zigzag4, latt, species=ca40, seed=7,
                          nu_grid=[0.1e6])
-        assert len(warm) == 7  # the tracked state and six kicks
+        # the tracked state, six kicks and the extra round's six
+        assert len(warm) + len(kicked) == 13
 
 
 class TestLookahead:
@@ -916,7 +931,7 @@ class TestLookahead:
 
 
 def _cold_start(n, seed, attempt=0):
-    # the jittered string that ``_stationary`` descends from first
+    # the jittered string that a cold ``_settle`` descends from first
     return crystal._string_guess(n, np.random.default_rng(seed + attempt),
                                  jitter=0.02 * (attempt + 1))
 
@@ -987,12 +1002,12 @@ class TestColdSolver:
         f_z, f_r, seed = self.COLD_CASES[n]
         scaled = crystal._Dimensionless(TrapConfig.from_frequencies(f_z, f_r),
                                         None, ca40)
-        u, energy = crystal._stationary(scaled, n, None, seed)[:2]
+        u, energy, _ = crystal._settle(scaled, n, None, seed)
         monkeypatch.setattr(_optim, "_rank_two_update",
                             _outer_rank_two_update)
         monkeypatch.setattr(crystal._Dimensionless, "energy_and_gradient",
                             _triu_energy_and_gradient)
-        u_old, energy_old = crystal._stationary(scaled, n, None, seed)[:2]
+        u_old, energy_old, _ = crystal._settle(scaled, n, None, seed)
         assert np.array_equal(u, u_old)
         assert energy == energy_old
 
