@@ -170,13 +170,14 @@ def cmd_modes(args, cfg, out):
             "modes without --grid sweeps up to the lattice depth, so "
             "lattice.depth_max_mK or lattice.nu_latt_max_MHz must be "
             "nonzero")
-    flagged = []
     with _refused(_depth_source(args, cfg)):  # such as a depth too deep
         rows = _sweep(cfg.n_ions, cfg.trap, lattice, 200, cfg.species,
-                      cfg.seed, nu_grid, flagged)
+                      cfg.seed, nu_grid)
+    flagged = []  # each row's flags, with its step
 
     def tables():
-        for step, (nu, freqs, b, positions, _) in enumerate(rows):
+        for step, (nu, freqs, b, positions, _, flags) in enumerate(rows):
+            flagged.extend({"step": step, **f} for f in flags)
             if step == 0:  # the zero-depth row fixes the crystal plane
                 phi = classify_structure(positions, cfg.trap,
                                          species=cfg.species).plane_angle

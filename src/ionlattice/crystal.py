@@ -389,7 +389,7 @@ def _newton_polish(scaled, u):
         if g_trial is not None and np.max(np.abs(g_trial)) < gnorm:
             u, energy, g, h = trial, e_trial, g_trial, None
             gnorm = np.max(np.abs(g))
-            mu = max(mu * 0.1, 0.0)
+            mu *= 0.1
         else:  # damp and retry
             mu = 1e-6 if mu == 0.0 else mu * 10.0
             if mu > 1e6:
@@ -641,11 +641,12 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     re-settle into wells); the warm start then converges onto the saddle
     left behind. Tracking follows the physics: relax along the unstable
     direction to the adjacent minimum and continue from there. Six kicks
-    of either sign are tried, each a BFGS descent then Newton polish, and
-    the lowest minimum reached is kept; a kick that stalls is skipped. If
-    the kicks reach saddles only, the lowest is kicked once more the same
-    way. Only if every kick of the last round stalls does the sweep raise
-    EquilibriumError, naming the best gradient max-norm reached.
+    of either sign are tried, each a BFGS descent then Newton polish
+    (forked from 16 ions on, as the cold starts are), and the lowest
+    minimum reached is kept; a kick that stalls is skipped. If the kicks
+    reach saddles only, the lowest is kicked once more the same way. Only
+    if every kick of a round stalls does the sweep raise EquilibriumError,
+    naming the best gradient max-norm reached.
 
     From 32 ions on, on a host with at least 2 usable CPUs and an
     OpenBLAS thread setter (the one host rule, shared with the forked
@@ -654,10 +655,8 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     runs OpenBLAS on one thread; the result is bit for bit the inline
     sweep's on one BLAS thread.
     """
-    flagged = []
-    rows = _sweep(N, trap, lattice_max, steps, species, seed, nu_grid,
-                  flagged)
-    nus, freqs, coords, poss, refined = zip(*rows)
+    nus, freqs, coords, poss, refined, flags = zip(
+        *_sweep(N, trap, lattice_max, steps, species, seed, nu_grid))
     species = _default_species(species)
     return ContinuationResult(
         nu_latt=np.asarray(nus),
@@ -667,19 +666,21 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
         coordinates=np.asarray(coords),
         positions=np.asarray(poss),
         refined=np.asarray(refined, dtype=bool),
-        flagged=flagged,
+        flagged=[{"step": step, **f} for step, row_flags in enumerate(flags)
+                 for f in row_flags],
     )
 
 
-def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
+def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid):
     """The rows of ``continuation``, one accepted depth at a time.
 
-    Checks the arguments now and returns a generator of (nu_latt Hz,
-    frequencies rad/s in branch order, (3N, 3N) branch eigenvectors,
-    (N, 3) positions m, refined) tuples. Ambiguous crossings are appended
-    to ``flagged`` as they are found, each before its row is yielded; an
-    entry's "step" is the index of that row. A grid too deep for ``eigh``
-    to resolve the trap-scale modes is a DomainError.
+    Checks the arguments now and returns a generator of one record per
+    row: (nu_latt Hz, frequencies rad/s in branch order, (3N, 3N) branch
+    eigenvectors, (N, 3) positions m, refined, flags). flags lists the
+    row's crossings that stayed ambiguous at the finest refinement, each
+    a dict of "nu_latt", "branches" and "overlap_gap"; the consumer, who
+    counts the rows, gives each its step. A grid too deep for ``eigh`` to
+    resolve the trap-scale modes is a DomainError.
     """
     if steps < 2:
         raise DomainError("need at least two continuation steps")
@@ -707,7 +708,7 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid, flagged):
             f"a lattice depth of {depth:.3g} J curves the potential by "
             f"{curvature:.3g} in trap units, beyond the {ceiling:.3g} up to "
             "which eigh resolves the softest trap curvature to 1e-6 relative")
-    return _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged)
+    return _tracked_rows(N, trap, lattice_max, species, seed, grid)
 
 
 def _overlaps(n_ions):
@@ -749,37 +750,37 @@ def _spectra(overlap):
         yield lambda scaled, u: worker.submit(_spectrum, scaled, u).result
 
 
-def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
-    # the generator behind _sweep: its body runs only once iterated
-    def descend_from_saddle(scaled, u, vec, again=True):
-        # kicks along the most negative curvature direction, each a BFGS
-        # descent then Newton polish; a kick that stalls is skipped, and if
-        # the kicks reach saddles only, the lowest is kicked once more
+def _descend_from_saddle(scaled, u, vec):
+    """(u, energy, gnorm, lam, vec) of the minimum next to the saddle u
+    whose Hessian eigenvectors are vec: the lowest that six kicks along
+    the softest mode reach (``_descend``; a stalled kick is skipped, and
+    the first of tied minima wins). If the kicks reach saddles only, the
+    lowest of them is kicked once more the same way.
+    """
+    for _ in range(2):
         soft = _by_axis(vec)[:, :, 0].T
-        found, stalled = [], []
-        for eps in (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1):
-            v, energy, gnorm, ok = _solve_from(scaled, u + eps * soft)
-            if ok:
-                found.append((v, energy, gnorm, *_spectrum(scaled, v)))
-            else:
-                stalled.append((gnorm, v))
+        runs = _descend(scaled, [u + eps * soft for eps in
+                                 (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)])
+        found = [(v, energy, gnorm, *_spectrum(scaled, v))
+                 for v, energy, gnorm, ok in runs if ok]
         minima = [c for c in found if c[3][0] >= _SADDLE_TOL]
-        if minima:  # the lowest, and the first of any that tie with it
+        if minima:
             return min(minima, key=lambda c: c[1])
-        if found and again:
-            v, _, _, _, vecs = min(found, key=lambda c: c[1])
-            return descend_from_saddle(scaled, v, vecs, again=False)
         if not found:
-            gnorm, v = min(stalled, key=lambda s: s[0])
+            v, _, gnorm, _ = min(runs, key=lambda r: r[2])
             raise EquilibriumError(
                 "tracked configuration lost stability and every kick along "
                 "the unstable direction stalled; best gradient max-norm "
                 f"{gnorm:.3e}",
                 last_positions=v * scaled.ell, gradient_norm=float(gnorm))
-        raise UnstableConfigurationError(
-            "tracked configuration lost stability and no adjacent "
-            "minimum was reachable along the unstable direction")
+        u, _, _, _, vec = min(found, key=lambda c: c[1])
+    raise UnstableConfigurationError(
+        "tracked configuration lost stability and no adjacent "
+        "minimum was reachable along the unstable direction")
 
+
+def _tracked_rows(N, trap, lattice_max, species, seed, grid):
+    # the generator behind _sweep: its body runs only once iterated
     def settle_at(nu, guess):
         # (scaled, u, f) at nu, settled from guess; f() is its spectrum
         depth = _signed_depth(nu, lattice_max, species)
@@ -792,12 +793,11 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
     lookahead = _overlaps(N)
     with _spectra(lookahead) as spectrum_of:
         # the target being settled, and those still to reach, nearest
-        # last: (nu_latt, halvings, refined)
-        step = (grid[0], 0, False)
+        # last: (nu_latt, halvings, refined); row 0 has no step to halve
+        step = (grid[0], _MAX_HALVINGS, False)
         pending = [(target, 0, False) for target in grid[:0:-1]]
         state = settle_at(grid[0], None)
         u = b_prev = None
-        n_rows = 0
         while True:
             target, level, refined = step
             scaled, u_new, spectrum = state
@@ -812,47 +812,42 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid, flagged):
             lam, vec = spectrum()
             as_is = lam[0] >= _SADDLE_TOL
             if not as_is:
-                u_new, _, _, lam, vec = descend_from_saddle(scaled, u_new,
-                                                            vec)
+                u_new, _, _, lam, vec = _descend_from_saddle(scaled, u_new,
+                                                             vec)
             md = _modes(trap, lam, vec)
+            # row 0 is matched to its own branches: |B^T B| is the identity
+            # to rounding, so they keep eigh's ascending order and signs
             if b_prev is None:
-                # the tracked branches start in eigh's ascending order at
-                # zero depth
-                freqs, b_new = md.frequencies, md.coordinates
-            else:
-                overlap = np.abs(b_prev.T @ md.coordinates)
-                perm = assignment(-overlap)
-                weakest = np.min(overlap[np.arange(len(perm)), perm])
-                if weakest < _OVERLAP_MIN and level < _MAX_HALVINGS:
-                    mid = 0.5 * (nu + target) if nu == 0.0 \
-                        else math.sqrt(nu * target)
-                    pending.append((target, level + 1, refined))
-                    step = mid, level + 1, True
-                    state = settle_at(mid, u)
-                    continue
-                if level == _MAX_HALVINGS:
-                    for p, row in enumerate(overlap):
-                        second, best = np.argsort(row)[-2:]
-                        gap = row[best] - row[second]
-                        if gap < _AMBIGUITY_TOL:
-                            # the branch holding the other of p's two best
-                            # columns; p itself may hold its second best
-                            other = second if perm[p] == best else best
-                            partner = int(np.nonzero(perm == other)[0][0])
-                            flagged.append({
-                                "step": n_rows,
-                                "nu_latt": target,
-                                "branches": (p, partner),
-                                "overlap_gap": float(gap),
-                            })
-                b_new = md.coordinates[:, perm]
-                # keep eigenvector signs continuous across steps
-                signs = np.sign(np.sum(b_prev * b_new, axis=0))
-                signs[signs == 0.0] = 1.0
-                freqs, b_new = md.frequencies[perm], b_new * signs
-            nu, u, b_prev = target, u_new, b_new
-            yield nu, freqs, b_prev, u * ell, refined
-            n_rows += 1
+                b_prev = md.coordinates
+            overlap = np.abs(b_prev.T @ md.coordinates)
+            perm = assignment(-overlap)
+            weakest = np.min(overlap[np.arange(len(perm)), perm])
+            if weakest < _OVERLAP_MIN and level < _MAX_HALVINGS:
+                mid = 0.5 * (nu + target) if nu == 0.0 \
+                    else math.sqrt(nu * target)
+                pending.append((target, level + 1, refined))
+                step = mid, level + 1, True
+                state = settle_at(mid, u)
+                continue
+            flags = []
+            if level == _MAX_HALVINGS:
+                for p, row in enumerate(overlap):
+                    second, best = np.argsort(row)[-2:]
+                    gap = row[best] - row[second]
+                    if gap < _AMBIGUITY_TOL:
+                        # the branch holding the other of p's two best
+                        # columns; p itself may hold its second best
+                        other = second if perm[p] == best else best
+                        partner = int(np.nonzero(perm == other)[0][0])
+                        flags.append({"nu_latt": target,
+                                      "branches": (p, partner),
+                                      "overlap_gap": float(gap)})
+            b_new = md.coordinates[:, perm]
+            # keep eigenvector signs continuous across steps
+            signs = np.sign(np.sum(b_prev * b_new, axis=0))
+            signs[signs == 0.0] = 1.0
+            nu, u, b_prev = target, u_new, b_new * signs
+            yield nu, md.frequencies[perm], b_prev, u * ell, refined, flags
             if not pending:
                 return
             step = pending.pop()  # the target settled ahead, if any

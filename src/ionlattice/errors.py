@@ -102,7 +102,6 @@ class AdiabaticityWarning(UserWarning):
 
 
 #: exit codes for the CLI
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4

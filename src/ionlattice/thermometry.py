@@ -147,7 +147,8 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
 
     Raises DomainError for a sample that is not a finite number,
     DegenerateFitError for fewer than 5 distinct pixels, a constant
-    profile or a width collapsing below a quarter pixel, and
+    profile, a fitted center off the profile's pixels, an amplitude that
+    is not positive or a width collapsing below a quarter pixel, and
     FitConvergenceError if the solver stalls.
     """
     (fit,) = _fit_profiles([profile])
@@ -172,7 +173,9 @@ def _fit_profiles(profiles):
     sees each profile's counts divided by their largest magnitude, so that
     no sum of squares leaves the float range however small the counts.
     Profiles of unequal length are zero-padded, and every entry is the one
-    its profile gets alone.
+    its profile gets alone. After each pass, a fit whose center lies off
+    the profile's pixels or whose amplitude is not positive is no spot,
+    and is refused.
     """
     fits = [None] * len(profiles)
     kept, x0 = [], []
@@ -232,11 +235,27 @@ def _fit_profiles(profiles):
         return least_squares_batch(resid, start, jac, lengths[rows],
                                    tol=1e-14, max_nfev=2000)
 
+    def no_spot(k, p):
+        # why the fit p of kept profile k is no spot, or None
+        _, px, _, peak = kept[k]
+        if not px.min() <= p[1] <= px.max():
+            return (f"fitted center {p[1]:.3g} px lies off the profile's "
+                    f"pixels {px.min():.3g} to {px.max():.3g}")
+        if not p[0] > 0.0:
+            return f"fitted amplitude {p[0] * peak:.3g} is not positive"
+        return None
+
     res = solve(np.arange(len(kept)), np.ones_like(y), x0)
-    for k in np.flatnonzero(~res.success):
-        fits[kept[k][0]] = FitConvergenceError(
-            f"Gaussian fit did not converge: {res.message[k]}")
-    ok = np.flatnonzero(res.success)
+    ok = []
+    for k in range(len(kept)):
+        if not res.success[k]:
+            fits[kept[k][0]] = FitConvergenceError(
+                f"Gaussian fit did not converge: {res.message[k]}")
+        elif why := no_spot(k, res.x[k]):
+            fits[kept[k][0]] = DegenerateFitError(why)
+        else:
+            ok.append(k)
+    ok = np.array(ok, dtype=int)
     if not ok.size:
         return fits
     a, c, s, b = res.x[ok].T[:, :, None]
@@ -248,6 +267,9 @@ def _fit_profiles(profiles):
         if not res.success[k]:
             fits[kept[i][0]] = FitConvergenceError(
                 f"weighted Gaussian fit did not converge: {res.message[k]}")
+            continue
+        if why := no_spot(i, res.x[k]):
+            fits[kept[i][0]] = DegenerateFitError(why)
             continue
         a, c, s, b = res.x[k]
         s = abs(s)

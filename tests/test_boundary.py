@@ -9,8 +9,10 @@ either returns finite profiles or raises SpotParseError. Every verb of
 from a library error.
 """
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -406,3 +408,56 @@ def test_scatter_on_extreme_grids_exits_cleanly(raw, t0_mk, grid):
                       encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh.readlines()[1:]))
             assert all(0.0 <= float(r["p_per_ion"]) <= 1.0 for r in rows)
+
+
+# modes on extreme lattice grids (MHz), from 0 and subnormal frequencies to
+# the end of the float range: each grid is swept, refused as a config
+# error, or stopped by a library error
+_EXTREME_MHZ = st.one_of(
+    st.just(0.0),
+    st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+    st.just(1.7e308),
+)
+_EXTREME_MHZ_GRIDS = st.tuples(
+    _EXTREME_MHZ, _EXTREME_MHZ, st.integers(1, 4),
+    st.sampled_from(["lin", "geom"]),
+).map(lambda g: "%r:%r:%d:%s" % g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_configs(), st.sampled_from([0.76, -0.76]), _EXTREME_MHZ_GRIDS)
+def test_modes_on_extreme_grids_exits_cleanly(raw, detuning, grid):
+    raw = dict(raw, lattice={"detuning_THz": detuning, "depth_max_mK": 25.0})
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        argv = ["modes", "--config", config, "--out", out, "--grid", grid]
+        with mock.patch.object(cli, "exit_code_for",
+                               wraps=cli.exit_code_for) as mapped, \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv
+        for call in mapped.call_args_list:  # a library error, not a crash
+            assert isinstance(call.args[0], IonLatticeError), \
+                (argv, repr(call.args[0]))
+        names = os.listdir(out) if os.path.isdir(out) else []
+        assert not [n for n in names if n.endswith(".tmp")], argv
+        for name in names:
+            _assert_finite_artifact(os.path.join(out, name))
+    # the ceiling band every drawn trap shares: sqrt(1e-6/eps) f_z
+    # min(alpha, 1) lies between about 2000 and 17000 MHz for f_z of
+    # 40-250 kHz and alpha >= 0.76
+    try:
+        top = cli._parse_grid(grid).max()
+    except ConfigError:  # a grid the parser refuses is a --grid error
+        top = math.inf
+    if top >= 1e5:
+        assert code == 2 and "--grid" in err.getvalue(), (argv, code)
+    if top <= 1000.0:
+        assert code != 2, (argv, err.getvalue())

@@ -958,10 +958,12 @@ class TestThermometryCommand:
     @staticmethod
     def _with_group(spots, path, ion, axis, counts):
         # spots' rows, without any of (ion, axis), then 20 rows of counts
+        # on pixels 0..19: one number for all, or one per pixel
         lines = spots.read_text().splitlines(keepends=True)
         path.write_text("".join(
             line for line in lines if not line.startswith(f"{ion},{axis},"))
-            + "".join(f"{ion},{axis},{p},{counts}\n" for p in range(20)))
+            + "".join(f"{ion},{axis},{p},{c}\n"
+                      for p, c in enumerate(np.broadcast_to(counts, 20))))
         return path
 
     def test_unfittable_spot_is_solver_error_naming_it(self, ws8, tmp_path,
@@ -974,6 +976,20 @@ class TestThermometryCommand:
         assert code == EXIT_SOLVER
         assert "spot (ion_index 3, axis axial): constant profile has no " \
             "peak to fit" in capsys.readouterr().err
+        assert not (out / "temperature.json").exists()
+
+    def test_spot_off_the_frame_is_solver_error_naming_it(
+            self, ws8, tmp_path, capsys):
+        # ion 5's axial spot is centred at pixel 25, off its pixels 0..19
+        cfg, out = ws8
+        flank = np.round(10 + 500 * np.exp(-(np.arange(20) - 25) ** 2 / 50))
+        off = self._with_group(self._spots_csv(tmp_path),
+                               tmp_path / "off.csv", 5, "axial", flank)
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(off)])
+        assert code == EXIT_SOLVER
+        assert "spot (ion_index 5, axis axial): fitted center 24.9 px lies " \
+            "off the profile's pixels 0 to 19" in capsys.readouterr().err
         assert not (out / "temperature.json").exists()
 
     def test_unused_axis_is_read_but_not_fitted(self, ws8, tmp_path,

@@ -123,6 +123,56 @@ class TestGaussianFit:
         with pytest.raises(DegenerateFitError):
             fit_gaussian_profile(np.column_stack([px, y]))
 
+    def test_spot_off_the_frame_is_refused(self):
+        # a spot centred at 30 px seen on pixels -20..20: its flank alone
+        # used to fit a narrow spot just past the frame's edge, with an
+        # interval that excludes the true 5 px, or a wide one far outside
+        px = np.arange(-20, 21, dtype=float)
+        counts = 10 + 500 * np.exp(-(px - 30) ** 2 / 50)
+        rng = np.random.default_rng(5)
+        raised = []
+        for _ in range(8):
+            prof = np.column_stack([px, rng.poisson(counts)])
+            with pytest.raises((DegenerateFitError,
+                                FitConvergenceError)) as info:
+                fit_gaussian_profile(prof)
+            raised.append(info.value)
+        off = [e for e in raised if isinstance(e, DegenerateFitError)]
+        assert len(off) == 5
+        for e in off:
+            assert "lies off the profile's pixels -20 to 20" in str(e)
+
+    def test_spot_near_the_frame_edge_is_fitted(self):
+        px = np.arange(-20, 21, dtype=float)
+        counts = 10 + 500 * np.exp(-(px - 18) ** 2 / 50)
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            fit = fit_gaussian_profile(
+                np.column_stack([px, rng.poisson(counts)]))
+            assert 17.5 <= fit.center <= 18.5
+            assert 4.8 <= fit.sigma <= 5.3
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_non_positive_amplitude_is_refused(self, monkeypatch,
+                                               weighted):
+        # the solver is scripted to return the fitted spot upside down
+        # from one pass
+        calls = []
+
+        def inverted(fun, x0, jac, lengths, tol, max_nfev):
+            calls.append(len(x0))
+            res = _optim.least_squares_batch(fun, x0, jac, lengths, tol,
+                                             max_nfev)
+            if (len(calls) == 2) == weighted:
+                res = res._replace(x=res.x * [-1.0, 1.0, 1.0, 1.0])
+            return res
+
+        monkeypatch.setattr(thermometry, "least_squares_batch", inverted)
+        with pytest.raises(DegenerateFitError,
+                           match="amplitude -100 is not positive"):
+            fit_gaussian_profile(_gauss_profile(100.0, 0.3, 3.0, 5.0))
+        assert len(calls) == 1 + weighted
+
     def test_poisson_ci_coverage(self):
         # the 95% interval on sigma must cover the truth in at least 93%
         # of repeated noisy fits; one batched solve, in pixel units, gives
