@@ -477,10 +477,10 @@ def _settle(scaled, n, guess, seed):
     return u, energy, float(gnorm)
 
 
-def _spectrum(scaled, u):
-    """Hessian eigenvalues at u, ascending, and one eigenvector per
+def _spectrum(h):
+    """Eigenvalues of the Hessian h, ascending, and one eigenvector per
     column."""
-    return np.linalg.eigh(scaled.hessian(u))
+    return np.linalg.eigh(h)
 
 
 def _modes(trap, lam, vec):
@@ -511,6 +511,9 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     point with a direction of negative curvature is returned with
     ``is_saddle`` set rather than re-seeded, so instability of e.g. a
     linear chain past the zigzag transition is visible to the caller.
+    The flag reads only the eigenvalues (``eigvalsh``) of the Hessian,
+    which is built on the calling thread, as every Hessian is; only a
+    sweep's ``eigh`` may run on a worker thread (``continuation``).
     """
     if N < 1:
         raise DomainError("need at least one ion")
@@ -520,7 +523,7 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
         initial_guess = np.asarray(
             initial_guess, dtype=float).reshape(N, 3) / scaled.ell
     u, energy, gnorm = _settle(scaled, N, initial_guess, seed)
-    lam = _spectrum(scaled, u)[0]
+    lam = np.linalg.eigvalsh(scaled.hessian(u))
     return CrystalState(
         positions=u * scaled.ell,
         potential_value=energy * scaled.energy_unit,
@@ -546,7 +549,7 @@ def normal_modes(state, trap, lattice=None, species=None):
             f"state is not an equilibrium of this potential "
             f"(gradient max-norm {gnorm:.3e}); re-solve before "
             "taking normal modes")
-    return _modes(trap, *_spectrum(scaled, u))
+    return _modes(trap, *_spectrum(scaled.hessian(u)))
 
 
 def gamma_parameters(modes):
@@ -650,9 +653,10 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
 
     From 32 ions on, on a host with at least 2 usable CPUs and an
     OpenBLAS thread setter (the one host rule, shared with the forked
-    cold starts of ``equilibrium``), each depth's Hessian spectrum is
-    taken on a worker thread while the next depth settles, and the sweep
-    runs OpenBLAS on one thread; the result is bit for bit the inline
+    cold starts of ``equilibrium``), the caller builds each depth's
+    Hessian and a worker thread runs only its ``eigh`` while the caller
+    settles the next depth and builds its Hessian; the sweep runs
+    OpenBLAS on one thread, and the result is bit for bit the inline
     sweep's on one BLAS thread.
     """
     nus, freqs, coords, poss, refined, flags = zip(
@@ -728,11 +732,12 @@ def _overlaps(n_ions):
 
 @contextmanager
 def _spectra(overlap):
-    """A function (scaled, u) -> f, where f() is ``_spectrum(scaled, u)``.
+    """A function h -> f, where f() is ``_spectrum(h)``.
 
-    Without overlap, f takes the spectrum when called. With overlap, the
-    spectra run in order on one worker thread (numpy's LAPACK calls
-    release the GIL, so its ``eigh`` runs alongside the caller's solves),
+    The caller builds each Hessian h; f runs only its ``eigh``. Without
+    overlap, f takes the spectrum when called. With overlap, the spectra
+    run in order on one worker thread (numpy's LAPACK calls release the
+    GIL, so its ``eigh`` runs alongside the caller's solves and Hessians),
     and every loaded OpenBLAS runs one thread until the block ends. The
     thread starts with the first call, so that a cold solve before it may
     still fork (``_fork.width`` wants no other thread). f waits for the
@@ -740,14 +745,14 @@ def _spectra(overlap):
     waited for raises nothing.
     """
     if not overlap:
-        yield lambda scaled, u: partial(_spectrum, scaled, u)
+        yield lambda h: partial(_spectrum, h)
         return
     # imported here: only a sweep that overlaps loads them
     from concurrent.futures import ThreadPoolExecutor
     from . import _fork
     with _fork.one_blas_thread(), ThreadPoolExecutor(
             1, thread_name_prefix="ionlattice-spectra") as worker:
-        yield lambda scaled, u: worker.submit(_spectrum, scaled, u).result
+        yield lambda h: worker.submit(_spectrum, h).result
 
 
 def _descend_from_saddle(scaled, u, vec):
@@ -761,7 +766,7 @@ def _descend_from_saddle(scaled, u, vec):
         soft = _by_axis(vec)[:, :, 0].T
         runs = _descend(scaled, [u + eps * soft for eps in
                                  (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)])
-        found = [(v, energy, gnorm, *_spectrum(scaled, v))
+        found = [(v, energy, gnorm, *_spectrum(scaled.hessian(v)))
                  for v, energy, gnorm, ok in runs if ok]
         minima = [c for c in found if c[3][0] >= _SADDLE_TOL]
         if minima:
@@ -782,12 +787,13 @@ def _descend_from_saddle(scaled, u, vec):
 def _tracked_rows(N, trap, lattice_max, species, seed, grid):
     # the generator behind _sweep: its body runs only once iterated
     def settle_at(nu, guess):
-        # (scaled, u, f) at nu, settled from guess; f() is its spectrum
+        # (scaled, u, f) at nu, settled from guess; f() is its spectrum,
+        # whose Hessian is built here, on the calling thread
         depth = _signed_depth(nu, lattice_max, species)
         latt = replace(lattice_max, depth_U0=depth) if depth != 0.0 else None
         scaled = _Dimensionless(trap, latt, species)
         u = _settle(scaled, N, guess, seed)[0]
-        return scaled, u, spectrum_of(scaled, u)
+        return scaled, u, spectrum_of(scaled.hessian(u))
 
     ell = length_scale(trap, species)
     lookahead = _overlaps(N)

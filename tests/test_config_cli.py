@@ -576,10 +576,10 @@ class TestModesCommand:
 
         spectrum = crystal._spectrum
 
-        def spied(scaled, u):
+        def spied(h):
             spectra.append(threading.current_thread() is not
                            threading.main_thread())
-            return spectrum(scaled, u)
+            return spectrum(h)
 
         monkeypatch.setattr(cli, "open", fake_open, raising=False)
         monkeypatch.setattr(crystal, "_spectrum", spied)

@@ -663,9 +663,9 @@ def _sweep_rows(monkeypatch, overlap, n, trap, latt, species, seed, grid):
     monkeypatch.setattr(crystal, "_overlaps", lambda n_ions: overlap)
     spectrum, threads = crystal._spectrum, set()
 
-    def spied(scaled, u):
+    def spied(h):
         threads.add(threading.current_thread().name)
-        return spectrum(scaled, u)
+        return spectrum(h)
 
     monkeypatch.setattr(crystal, "_spectrum", spied)
     with _fork.one_blas_thread():
@@ -698,6 +698,28 @@ def planar32_overlapped(ca40):
         return _sweep_rows(mp, True, *_planar32(ca40))
 
 
+def _script_saddles(monkeypatch, at):
+    """Make the spectrum of every Hessian built at a state u for which
+    at(u) holds report a saddle: its lowest eigenvalue becomes -1."""
+    hessian, spectrum, saddles = (crystal._Dimensionless.hessian,
+                                  crystal._spectrum, [])
+
+    def marking_hessian(self, u):
+        h = hessian(self, u)
+        if at(u):
+            saddles.append(h)
+        return h
+
+    def scripted_spectrum(h):
+        lam, vec = spectrum(h)
+        if any(h is s for s in saddles):
+            return np.r_[-1.0, lam[1:]], vec
+        return lam, vec
+
+    monkeypatch.setattr(crystal._Dimensionless, "hessian", marking_hessian)
+    monkeypatch.setattr(crystal, "_spectrum", scripted_spectrum)
+
+
 class TestSaddleDescent:
     def test_planar_sweep_passes_saddle(self, ca40, planar32_overlapped):
         grid = _planar32(ca40)[-1]
@@ -712,8 +734,7 @@ class TestSaddleDescent:
                                           trap_zigzag4, last_kick_converges):
         # the first warm solve reports a saddle; every kick from it but
         # possibly the last stalls, the k-th at gradient max-norm k
-        settle, spectrum = crystal._settle, crystal._spectrum
-        solve = crystal._solve_from
+        settle, solve = crystal._settle, crystal._solve_from
         kicks, first_warm = [], []
 
         def first_warm_settle(scaled, n, guess, seed):
@@ -731,15 +752,10 @@ class TestSaddleDescent:
                 return out
             return out[0], out[1], float(len(kicks)), False
 
-        def scripted_spectrum(scaled, u):
-            lam, vec = spectrum(scaled, u)
-            if first_warm and u is first_warm[0]:
-                return np.r_[-1.0, lam[1:]], vec
-            return lam, vec
-
         monkeypatch.setattr(crystal, "_settle", first_warm_settle)
         monkeypatch.setattr(crystal, "_solve_from", scripted_solve)
-        monkeypatch.setattr(crystal, "_spectrum", scripted_spectrum)
+        _script_saddles(monkeypatch,
+                        lambda u: bool(first_warm) and u is first_warm[0])
         latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
                              wavevector_k=ca40.lattice_wavevector,
                              detuning=2 * math.pi * 0.76e12)
@@ -757,8 +773,7 @@ class TestSaddleDescent:
                                            trap_zigzag4):
         # the first warm solve reports a saddle, and so does every state
         # that a kick from it, or from the lowest of those, converges to
-        settle, spectrum = crystal._settle, crystal._spectrum
-        solve = crystal._solve_from
+        settle, solve = crystal._settle, crystal._solve_from
         warm, kicked = [], []
 
         def scripted_settle(scaled, n, guess, seed):
@@ -773,15 +788,10 @@ class TestSaddleDescent:
                 kicked.append(out[0])  # run before warm is filled
             return out
 
-        def scripted_spectrum(scaled, u):
-            lam, vec = spectrum(scaled, u)
-            if any(u is w for w in warm + kicked):
-                return np.r_[-1.0, lam[1:]], vec
-            return lam, vec
-
         monkeypatch.setattr(crystal, "_settle", scripted_settle)
         monkeypatch.setattr(crystal, "_solve_from", scripted_solve)
-        monkeypatch.setattr(crystal, "_spectrum", scripted_spectrum)
+        _script_saddles(monkeypatch,
+                        lambda u: any(u is w for w in warm + kicked))
         latt = LatticeConfig(depth_U0=cn.KB * 1e-3,
                              wavevector_k=ca40.lattice_wavevector,
                              detuning=2 * math.pi * 0.76e12)
@@ -844,6 +854,30 @@ class TestLookahead:
         assert threads - here and here == {threading.main_thread().name}
         assert any(refined for *_, refined in inline[0])  # steps halved
         self._assert_same_rows(overlapped, inline)
+
+    def test_caller_builds_every_hessian(self, ca40, monkeypatch):
+        # the caller builds every Hessian, of its Newton steps and of its
+        # rows alike, while the worker thread runs only each row's eigh
+        hessian, eigh = crystal._Dimensionless.hessian, np.linalg.eigh
+        built, solved = [], []
+
+        def spied_hessian(self, u):
+            built.append(threading.current_thread().name)
+            return hessian(self, u)
+
+        def spied_eigh(h):
+            solved.append(threading.current_thread().name)
+            return eigh(h)
+
+        monkeypatch.setattr(crystal._Dimensionless, "hessian", spied_hessian)
+        monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+        rows, _, _ = _sweep_rows(monkeypatch, True,
+                                 *self._ions16_sweep(ca40))
+        assert any(refined for *_, refined in rows)  # steps halved
+        assert len(built) > len(solved) >= len(rows)
+        assert set(built) == {threading.main_thread().name}
+        assert threading.main_thread().name not in solved
+        assert len(set(solved)) == 1
 
     def test_unused_look_ahead_does_not_raise(self, monkeypatch):
         # every step halves once, so the state first settled at the first
@@ -915,11 +949,11 @@ class TestLookahead:
         monkeypatch.setattr(crystal, "_overlaps", lambda n_ions: True)
         spectrum, threads = crystal._spectrum, []
 
-        def raises_on_row_0(scaled, u):
+        def raises_on_row_0(h):
             threads.append(threading.current_thread().name)
             if len(threads) == 1:
                 raise np.linalg.LinAlgError("scripted")
-            return spectrum(scaled, u)
+            return spectrum(h)
 
         monkeypatch.setattr(crystal, "_spectrum", raises_on_row_0)
         rows = crystal._sweep(4, cfg.trap, cfg.lattice, 200, cfg.species, 7,
