@@ -322,7 +322,9 @@ class LeastSquaresResult(NamedTuple):
 
 _STOPS = ("gtol termination condition is satisfied",
           "ftol or xtol termination condition is satisfied",
-          "the maximum number of function evaluations is exceeded")  # fails
+          # the last two fail
+          "the maximum number of function evaluations is exceeded",
+          "the solution ran away")
 # Marquardt's first damping, and a floor that keeps it positive
 _LAM0 = 1e-3
 _LAM_MIN = float(np.finfo(float).tiny)
@@ -347,7 +349,8 @@ def _solve(lhs, rhs):
 
 # trial steps may leave fun's float range: floating-point warnings are off
 @np.errstate(all="ignore")
-def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
+def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev,
+                        ran_away=None):
     """Levenberg-Marquardt minima of many |fun(x)|^2 at once.
 
     Each step solves (J^T J + lam D^2) step = -J^T f with Marquardt's
@@ -358,7 +361,9 @@ def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
     gtol = tol, a problem stops when each column of J is orthogonal to f
     to tol, when the actual and predicted relative reductions are both
     below tol, or when |D step| < tol |D x|; it fails after max_nfev
-    evaluations of fun.
+    evaluations of fun. If given, ``ran_away(x, rows)`` flags the problems
+    ``rows`` whose x (L, n) has left the region where a minimum could mean
+    anything; each stops there after its step, unsuccessful.
 
     x0 is (P, n). ``fun(x, rows)`` and ``jac(x, rows)`` return the (L, M)
     residuals and (L, M, n) Jacobians of problems ``rows`` at x (L, n);
@@ -422,6 +427,8 @@ def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev):
             (np.abs(actred) <= tol) & (prered <= tol) & (ratio <= 2.0)
             | (dstep2 <= tol * tol * (dd * xa * xa).sum(axis=1)), 1,
             np.where(nfev[a] >= max_nfev, 2, -1))
+        if ran_away is not None:
+            stop[a] = np.where(ran_away(xa, a), 3, stop[a])
     return LeastSquaresResult(
         x=x, cost=0.5 * ss, jac=jac(x, np.arange(count)), nfev=nfev,
         success=stop < 2, message=tuple(_STOPS[k] for k in stop))

@@ -55,6 +55,11 @@ from .thermometry import (
 
 __all__ = ["main"]
 
+# the most points a --grid may ask for: a 4-ion scatter's peak RSS grows by
+# about 6.4 MiB per 1000 points, so 1e5 points take about 0.7 GB and ten
+# times that would not fit a small host
+_MAX_GRID_POINTS = 100_000
+
 
 def _parse_grid(spec):
     """Parse 'start:stop:count:{lin|geom}' into an ascending array."""
@@ -67,8 +72,9 @@ def _parse_grid(spec):
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from None
-    if count < 1:
-        raise ConfigError("--grid count must be >= 1")
+    if not 1 <= count <= _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--grid count must lie in [1, {_MAX_GRID_POINTS}], got {count}")
     if not (0 <= start < math.inf and 0 <= stop < math.inf):  # NaN fails
         raise ConfigError(
             "--grid start and stop must be finite and non-negative")

@@ -19,13 +19,10 @@ it is stored as an angular frequency internally. Its sign selects the
 lattice color: positive = blue (ions localize at intensity nodes).
 """
 
-import difflib
 import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
 
 from . import constants as cn
 from .crystal import TrapConfig
@@ -87,7 +84,6 @@ _SCHEMA = {
 _REQUIRED_BLOCKS = ("trap", "crystal")
 
 
-@dataclass(frozen=True, eq=False)
 class RunConfig:
     """Parsed, SI-normalized run parameters plus built model objects.
 
@@ -95,22 +91,30 @@ class RunConfig:
     need them raise ConfigError naming the missing key.
     """
 
-    species: IonSpecies
-    trap: TrapConfig
-    lattice: Optional[LatticeConfig]
-    ramp: Optional[RampProfile]
-    beam: Optional[BeamProfile]
-    imaging: ImagingConfig
-    include_radial: bool
-    n_ions: int
-    seed: int
-    T0: Optional[float]  # K
-    output_dir: str
-    config_hash: str
-    normalized: dict  # canonical SI values, hashed
+    __slots__ = ("species", "trap", "lattice", "ramp", "beam", "imaging",
+                 "include_radial", "n_ions", "seed", "T0", "output_dir",
+                 "config_hash", "normalized")
+
+    def __init__(self, species, trap, lattice, ramp, beam, imaging,
+                 include_radial, n_ions, seed, T0, output_dir, config_hash,
+                 normalized):
+        self.species = species
+        self.trap = trap
+        self.lattice = lattice
+        self.ramp = ramp
+        self.beam = beam
+        self.imaging = imaging
+        self.include_radial = include_radial
+        self.n_ions = n_ions
+        self.seed = seed
+        self.T0 = T0  # K
+        self.output_dir = output_dir
+        self.config_hash = config_hash
+        self.normalized = normalized  # canonical SI values, hashed
 
 
 def _suggest(key, options):
+    import difflib  # here, so that only a misspelled key pays its import
     close = difflib.get_close_matches(str(key), options, n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
 

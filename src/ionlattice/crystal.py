@@ -28,9 +28,7 @@ r is exactly symmetric.
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Optional
 
 import numpy as np
 # every cold solve draws its starts from numpy.random, which numpy loads
@@ -48,7 +46,7 @@ from .errors import (
     SoftModeError,
     UnstableConfigurationError,
 )
-from .pendulum import _default_species, _depth_for_nu
+from .pendulum import LatticeConfig, _default_species, _depth_for_nu
 
 __all__ = [
     "TrapConfig",
@@ -75,7 +73,6 @@ def _by_axis(coordinates):
     return coordinates.reshape(*lead, 3, rows // 3, modes)
 
 
-@dataclass(frozen=True)
 class TrapConfig:
     """Secular frequencies and rf-drive parameters of the linear trap.
 
@@ -86,14 +83,17 @@ class TrapConfig:
     axial micromotion.
     """
 
-    omega_z: float  # rad/s
-    omega_x: float  # rad/s
-    omega_y: float  # rad/s
-    omega_rf: float = 2.0 * math.pi * 3.98e6  # rad/s
-    q_radial: Optional[float] = None
-    q_axial: float = 0.0
+    __slots__ = ("omega_z", "omega_x", "omega_y", "omega_rf", "q_radial",
+                 "q_axial")
 
-    def __post_init__(self):
+    def __init__(self, omega_z, omega_x, omega_y,
+                 omega_rf=2.0 * math.pi * 3.98e6, q_radial=None, q_axial=0.0):
+        self.omega_z = omega_z  # rad/s
+        self.omega_x = omega_x  # rad/s
+        self.omega_y = omega_y  # rad/s
+        self.omega_rf = omega_rf  # rad/s
+        self.q_radial = q_radial
+        self.q_axial = q_axial
         if not all(0 < w < math.inf for w in (  # NaN fails too
                 self.omega_z, self.omega_x, self.omega_y, self.omega_rf)):
             raise DomainError(
@@ -138,7 +138,6 @@ class TrapConfig:
         return 2.0 * math.sqrt(2.0) * self.omega_radial_mean / self.omega_rf
 
 
-@dataclass(frozen=True, eq=False)
 class CrystalState:
     """A converged stationary configuration.
 
@@ -147,14 +146,18 @@ class CrystalState:
     negative eigenvalue beyond tolerance (reported, never re-seeded).
     """
 
-    positions: np.ndarray  # (N, 3), m
-    potential_value: float  # J
-    lattice_depth: float  # J, signed; 0 when no lattice
-    gradient_norm: float
-    is_saddle: bool = False
+    __slots__ = ("positions", "potential_value", "lattice_depth",
+                 "gradient_norm", "is_saddle")
+
+    def __init__(self, positions, potential_value, lattice_depth,
+                 gradient_norm, is_saddle=False):
+        self.positions = positions  # (N, 3), m
+        self.potential_value = potential_value  # J
+        self.lattice_depth = lattice_depth  # J, signed; 0 when no lattice
+        self.gradient_norm = gradient_norm
+        self.is_saddle = is_saddle
 
 
-@dataclass(frozen=True, eq=False)
 class ModeDecomposition:
     """3N normal modes at one configuration.
 
@@ -164,9 +167,12 @@ class ModeDecomposition:
     with the x/y/z block stacking.
     """
 
-    eigenvalues: np.ndarray  # (3N,)
-    frequencies: np.ndarray  # (3N,), rad/s
-    coordinates: np.ndarray  # (3N, 3N)
+    __slots__ = ("eigenvalues", "frequencies", "coordinates")
+
+    def __init__(self, eigenvalues, frequencies, coordinates):
+        self.eigenvalues = eigenvalues  # (3N,)
+        self.frequencies = frequencies  # (3N,), rad/s
+        self.coordinates = coordinates  # (3N, 3N)
 
     @property
     def n_ions(self):
@@ -183,7 +189,6 @@ class ModeDecomposition:
         return np.sum(rows * rows, axis=0)
 
 
-@dataclass(frozen=True, eq=False)
 class GammaTable:
     """Per-ion thermal-excursion factors.
 
@@ -193,15 +198,17 @@ class GammaTable:
     projection of the two radial axes.
     """
 
-    gamma: np.ndarray  # (N, 3)
-    gamma_radial_projected: np.ndarray  # (N,)
+    __slots__ = ("gamma", "gamma_radial_projected")
+
+    def __init__(self, gamma, gamma_radial_projected):
+        self.gamma = gamma  # (N, 3)
+        self.gamma_radial_projected = gamma_radial_projected  # (N,)
 
     @property
     def axial(self):
         return self.gamma[:, 2]
 
 
-@dataclass(frozen=True, eq=False)
 class StructureReport:
     """Geometric classification of a crystal.
 
@@ -210,9 +217,13 @@ class StructureReport:
     the most ions; out_of_plane_count counts the ions off that plane.
     """
 
-    kind: str
-    out_of_plane_count: int
-    plane_angle: float  # rad, orientation of the reference plane, y=soft
+    __slots__ = ("kind", "out_of_plane_count", "plane_angle")
+
+    def __init__(self, kind, out_of_plane_count, plane_angle):
+        self.kind = kind
+        self.out_of_plane_count = out_of_plane_count
+        # rad, orientation of the reference plane, y=soft
+        self.plane_angle = plane_angle
 
 
 def length_scale(trap, species):
@@ -579,7 +590,6 @@ def gamma_parameters(modes):
 # depth continuation
 
 
-@dataclass(frozen=True, eq=False)
 class ContinuationResult:
     """Mode branches tracked along a lattice-depth sweep.
 
@@ -593,13 +603,18 @@ class ContinuationResult:
     is the swap of those two branches.
     """
 
-    nu_latt: np.ndarray  # (n,), Hz
-    depths: np.ndarray  # (n,), J
-    frequencies: np.ndarray  # (3N, n), Hz
-    coordinates: np.ndarray  # (n, 3N, 3N)
-    positions: np.ndarray  # (n, N, 3), m
-    refined: np.ndarray  # (n,), bool
-    flagged: list = field(default_factory=list)
+    __slots__ = ("nu_latt", "depths", "frequencies", "coordinates",
+                 "positions", "refined", "flagged")
+
+    def __init__(self, nu_latt, depths, frequencies, coordinates, positions,
+                 refined, flagged=None):
+        self.nu_latt = nu_latt  # (n,), Hz
+        self.depths = depths  # (n,), J
+        self.frequencies = frequencies  # (3N, n), Hz
+        self.coordinates = coordinates  # (n, 3N, 3N)
+        self.positions = positions  # (n, N, 3), m
+        self.refined = refined  # (n,), bool
+        self.flagged = [] if flagged is None else flagged
 
     @property
     def by_axis(self):
@@ -790,7 +805,9 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid):
         # (scaled, u, f) at nu, settled from guess; f() is its spectrum,
         # whose Hessian is built here, on the calling thread
         depth = _signed_depth(nu, lattice_max, species)
-        latt = replace(lattice_max, depth_U0=depth) if depth != 0.0 else None
+        latt = (LatticeConfig(depth, lattice_max.wavevector_k,
+                              lattice_max.detuning)
+                if depth != 0.0 else None)
         scaled = _Dimensionless(trap, latt, species)
         u = _settle(scaled, N, guess, seed)[0]
         return scaled, u, spectrum_of(scaled.hessian(u))

@@ -15,7 +15,6 @@ which is the experimentally visible contamination of "fresh" events.
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from . import constants as cn
 from .errors import DomainError
 # bench/tracer.py reads bunching and scattering_probability in this module
 from .pendulum import (  # noqa: F401
-    IonSpecies,
     _bunching_vec,
     _check_t0_u0,
     _scattering_probabilities,
@@ -43,13 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BeamProfile:
     """Gaussian lattice beam along the trap z axis."""
 
-    waist_radius: float  # m, 1/e^2 intensity radius
+    __slots__ = ("waist_radius",)
 
-    def __post_init__(self):
+    def __init__(self, waist_radius):
+        self.waist_radius = waist_radius  # m, 1/e^2 intensity radius
         if not self.waist_radius > 0:  # NaN fails too
             raise DomainError("waist_radius must be positive")
 
@@ -60,7 +58,6 @@ class BeamProfile:
         return np.exp(-2.0 * r2 / self.waist_radius ** 2)
 
 
-@dataclass(frozen=True, eq=False)
 class ScatteringScenario:
     """Everything one detection sequence needs.
 
@@ -70,14 +67,17 @@ class ScatteringScenario:
     occupancy of the lattice-coupled state.
     """
 
-    crystal: object
-    species: IonSpecies
-    lattice: object
-    ramp: object
-    T0: float  # K
-    pumping_efficiency_per_ion: float = 1.0
+    __slots__ = ("crystal", "species", "lattice", "ramp", "T0",
+                 "pumping_efficiency_per_ion")
 
-    def __post_init__(self):
+    def __init__(self, crystal, species, lattice, ramp, T0,
+                 pumping_efficiency_per_ion=1.0):
+        self.crystal = crystal
+        self.species = species
+        self.lattice = lattice
+        self.ramp = ramp
+        self.T0 = T0  # K
+        self.pumping_efficiency_per_ion = pumping_efficiency_per_ion
         if not self.T0 > 0:  # NaN fails too
             raise DomainError("T0 must be positive")
         if not 0.0 <= self.pumping_efficiency_per_ion <= 1.0:

@@ -15,7 +15,6 @@ q'_z = (q_radial / 4)^2 stands in for it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class MicromotionReport:
     """Per-ion, per-axis micromotion amplitudes and energies.
 
@@ -42,12 +40,17 @@ class MicromotionReport:
     seen by time-averaged imaging (1 + q^2/8).
     """
 
-    amplitude: np.ndarray  # m
-    kinetic_energy: np.ndarray  # J
-    equivalent_temperature: np.ndarray  # K
-    q_radial: float
-    effective_q_axial: float
-    variance_broadening_factor: float
+    __slots__ = ("amplitude", "kinetic_energy", "equivalent_temperature",
+                 "q_radial", "effective_q_axial", "variance_broadening_factor")
+
+    def __init__(self, amplitude, kinetic_energy, equivalent_temperature,
+                 q_radial, effective_q_axial, variance_broadening_factor):
+        self.amplitude = amplitude  # m
+        self.kinetic_energy = kinetic_energy  # J
+        self.equivalent_temperature = equivalent_temperature  # K
+        self.q_radial = q_radial
+        self.effective_q_axial = effective_q_axial
+        self.variance_broadening_factor = variance_broadening_factor
 
 
 def q_from_secular_frequency(omega_sec, omega_rf):

@@ -24,7 +24,6 @@ Conventions
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +72,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # parameter bundles
 
 
-@dataclass(frozen=True)
 class IonSpecies:
     """Atomic constants of the trapped species.
 
@@ -82,13 +80,19 @@ class IonSpecies:
     partial P1/2 -> S1/2 rate (the detected 397 nm photons).
     """
 
-    mass: float  # kg
-    lattice_transition_wavelength: float = cn.CA40_LATTICE_WAVELENGTH
-    detection_wavelength: float = cn.CA40_DETECTION_WAVELENGTH
-    gamma_p_total: float = cn.CA40_GAMMA_P
-    gamma_397: float = cn.CA40_BRANCHING_397 * cn.CA40_GAMMA_P
+    __slots__ = ("mass", "lattice_transition_wavelength",
+                 "detection_wavelength", "gamma_p_total", "gamma_397")
 
-    def __post_init__(self):
+    def __init__(self, mass,
+                 lattice_transition_wavelength=cn.CA40_LATTICE_WAVELENGTH,
+                 detection_wavelength=cn.CA40_DETECTION_WAVELENGTH,
+                 gamma_p_total=cn.CA40_GAMMA_P,
+                 gamma_397=cn.CA40_BRANCHING_397 * cn.CA40_GAMMA_P):
+        self.mass = mass  # kg
+        self.lattice_transition_wavelength = lattice_transition_wavelength
+        self.detection_wavelength = detection_wavelength
+        self.gamma_p_total = gamma_p_total
+        self.gamma_397 = gamma_397
         if not self.mass > 0:  # NaN fails too
             raise DomainError("ion mass must be positive")
         if not (self.lattice_transition_wavelength > 0
@@ -111,7 +115,6 @@ def _default_species(species):
     return species if species is not None else IonSpecies.ca40()
 
 
-@dataclass(frozen=True)
 class LatticeConfig:
     """Standing-wave parameters.
 
@@ -120,11 +123,12 @@ class LatticeConfig:
     detuning from the coupled transition and must carry the same sign.
     """
 
-    depth_U0: float  # J, signed
-    wavevector_k: float  # 1/m
-    detuning: float = 0.0  # rad/s, sign = blue/red
+    __slots__ = ("depth_U0", "wavevector_k", "detuning")
 
-    def __post_init__(self):
+    def __init__(self, depth_U0, wavevector_k, detuning=0.0):
+        self.depth_U0 = depth_U0  # J, signed
+        self.wavevector_k = wavevector_k  # 1/m
+        self.detuning = detuning  # rad/s, sign = blue/red
         if not 0 < self.wavevector_k < math.inf:  # NaN fails too
             raise DomainError("wavevector_k must be positive and finite")
         if not (math.isfinite(self.depth_U0) and math.isfinite(self.detuning)):
@@ -160,18 +164,18 @@ class LatticeConfig:
         return lattice_frequency(self.t_latt, species, self.wavevector_k)
 
 
-@dataclass(frozen=True)
 class RampProfile:
     """Depth schedule |U0|(t): a ramp over [0, ramp_duration] followed by a
     hold at u0_max for hold_duration. Shape "linear" is linear in depth;
     "smoothstep" uses 3x^2-2x^3 for a differentiable turn-on."""
 
-    u0_max: float  # J, depth magnitude at the end of the ramp
-    ramp_duration: float  # s
-    hold_duration: float  # s
-    shape: str = "linear"
+    __slots__ = ("u0_max", "ramp_duration", "hold_duration", "shape")
 
-    def __post_init__(self):
+    def __init__(self, u0_max, ramp_duration, hold_duration, shape="linear"):
+        self.u0_max = u0_max  # J, depth magnitude at the end of the ramp
+        self.ramp_duration = ramp_duration  # s
+        self.hold_duration = hold_duration  # s
+        self.shape = shape
         if not self.u0_max >= 0:  # NaN fails too
             raise DomainError("u0_max is a depth magnitude, must be >= 0")
         if not (self.ramp_duration >= 0 and self.hold_duration >= 0):

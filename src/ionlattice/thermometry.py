@@ -19,9 +19,7 @@ axes) is available behind a flag because its gamma values are sensitive to
 the radial-asymmetry bias.
 """
 
-import csv
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,15 +59,15 @@ __all__ = [
 _AXES = ("axial", "radial")
 
 
-@dataclass(frozen=True)
 class ImagingConfig:
     """Imaging-chain constants: per-axis resolution (std dev) and pixel pitch."""
 
-    sigma_res_axial: float  # m
-    sigma_res_radial: float  # m
-    pixel_pitch: float  # m per pixel
+    __slots__ = ("sigma_res_axial", "sigma_res_radial", "pixel_pitch")
 
-    def __post_init__(self):
+    def __init__(self, sigma_res_axial, sigma_res_radial, pixel_pitch):
+        self.sigma_res_axial = sigma_res_axial  # m
+        self.sigma_res_radial = sigma_res_radial  # m
+        self.pixel_pitch = pixel_pitch  # m per pixel
         if not all(v > 0 for v in (  # NaN fails too
                 self.sigma_res_axial, self.sigma_res_radial,
                 self.pixel_pitch)):
@@ -80,7 +78,6 @@ class ImagingConfig:
             else self.sigma_res_radial
 
 
-@dataclass(frozen=True, eq=False)
 class SpotMeasurement:
     """One fitted 1-D spot profile.
 
@@ -89,19 +86,26 @@ class SpotMeasurement:
     of another ion's center on the same projection axis.
     """
 
-    ion_index: int
-    axis: str  # "axial" or "radial"
-    profile: np.ndarray  # (n, 2): pixel coordinate, counts
-    fitted_sigma: float  # m
-    sigma_ci95: float  # m, half-width
-    overlapping: bool = False
+    __slots__ = ("ion_index", "axis", "profile", "fitted_sigma", "sigma_ci95",
+                 "overlapping")
+
+    def __init__(self, ion_index, axis, profile, fitted_sigma, sigma_ci95,
+                 overlapping=False):
+        self.ion_index = ion_index
+        self.axis = axis  # "axial" or "radial"
+        self.profile = profile  # (n, 2): pixel coordinate, counts
+        self.fitted_sigma = fitted_sigma  # m
+        self.sigma_ci95 = sigma_ci95  # m, half-width
+        self.overlapping = overlapping
 
 
-@dataclass(frozen=True, eq=False)
 class TemperatureEstimate:
-    T: float  # K
-    ci95: float  # K, half-width
-    per_ion_residuals: np.ndarray  # m^2, one per spot used
+    __slots__ = ("T", "ci95", "per_ion_residuals")
+
+    def __init__(self, T, ci95, per_ion_residuals):
+        self.T = T  # K
+        self.ci95 = ci95  # K, half-width
+        self.per_ion_residuals = per_ion_residuals  # m^2, one per spot used
 
 
 class GaussianFit(NamedTuple):
@@ -148,7 +152,9 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
     Raises DomainError for a sample that is not a finite number,
     DegenerateFitError for fewer than 5 distinct pixels, a constant
     profile, a fitted center off the profile's pixels, an amplitude that
-    is not positive or a width collapsing below a quarter pixel, and
+    is not positive, a width collapsing below a quarter pixel or a fit
+    that runs away (a width beyond the pixel span, or a center more than
+    a span off the pixels, stops the solver at once), and
     FitConvergenceError if the solver stalls.
     """
     (fit,) = _fit_profiles([profile])
@@ -173,9 +179,9 @@ def _fit_profiles(profiles):
     sees each profile's counts divided by their largest magnitude, so that
     no sum of squares leaves the float range however small the counts.
     Profiles of unequal length are zero-padded, and every entry is the one
-    its profile gets alone. After each pass, a fit whose center lies off
-    the profile's pixels or whose amplitude is not positive is no spot,
-    and is refused.
+    its profile gets alone. A fit that runs away is stopped during the
+    pass, and after each pass, a fit whose center lies off the profile's
+    pixels or whose amplitude is not positive is no spot, and is refused.
     """
     fits = [None] * len(profiles)
     kept, x0 = [], []
@@ -213,6 +219,8 @@ def _fit_profiles(profiles):
 
     lengths = np.array([len(px) for _, px, _, _ in kept])
     peaks = np.array([peak for _, _, _, peak in kept])
+    lo = np.array([px.min() for _, px, _, _ in kept])
+    hi = np.array([px.max() for _, px, _, _ in kept])
     x, y = np.zeros((2, len(kept), lengths.max()))
     for k, (_, px, counts, _) in enumerate(kept):
         x[k, :lengths[k]], y[k, :lengths[k]] = px, counts
@@ -233,24 +241,44 @@ def _fit_profiles(profiles):
                              np.ones_like(px)], axis=-1) \
                 / sig[lanes][..., None]
         return least_squares_batch(resid, start, jac, lengths[rows],
-                                   tol=1e-14, max_nfev=2000)
+                                   tol=1e-14, max_nfev=2000,
+                                   ran_away=lambda p, lanes: ran_away(
+                                       p, rows[lanes]))
+
+    def ran_away(p, rows):
+        # a fit p (L, 4) of kept profiles rows has run away once its width
+        # exceeds their pixel span, or its center lies more than one span
+        # off their pixels: no spot lies out there, and the solver stops
+        _, c, s, _ = np.transpose(p)
+        span = hi[rows] - lo[rows]
+        return (np.abs(s) > span) | (c < lo[rows] - span) \
+            | (c > hi[rows] + span)
+
+    def failed(k, p, message, what):
+        # the error of kept profile k, whose fit stopped unsuccessful at p
+        if ran_away(p[None], [k])[0]:
+            return DegenerateFitError(
+                f"{what} ran away from the profile's pixels {lo[k]:.3g} to "
+                f"{hi[k]:.3g} (width {abs(p[2]):.3g} px, center "
+                f"{p[1]:.3g} px): a fit whose width exceeds their span, or "
+                "whose center lies more than a span off them, is no spot")
+        return FitConvergenceError(f"{what} did not converge: {message}")
 
     def no_spot(k, p):
         # why the fit p of kept profile k is no spot, or None
-        _, px, _, peak = kept[k]
-        if not px.min() <= p[1] <= px.max():
+        if not lo[k] <= p[1] <= hi[k]:
             return (f"fitted center {p[1]:.3g} px lies off the profile's "
-                    f"pixels {px.min():.3g} to {px.max():.3g}")
+                    f"pixels {lo[k]:.3g} to {hi[k]:.3g}")
         if not p[0] > 0.0:
-            return f"fitted amplitude {p[0] * peak:.3g} is not positive"
+            return f"fitted amplitude {p[0] * peaks[k]:.3g} is not positive"
         return None
 
     res = solve(np.arange(len(kept)), np.ones_like(y), x0)
     ok = []
     for k in range(len(kept)):
         if not res.success[k]:
-            fits[kept[k][0]] = FitConvergenceError(
-                f"Gaussian fit did not converge: {res.message[k]}")
+            fits[kept[k][0]] = failed(k, res.x[k], res.message[k],
+                                      "Gaussian fit")
         elif why := no_spot(k, res.x[k]):
             fits[kept[k][0]] = DegenerateFitError(why)
         else:
@@ -265,8 +293,8 @@ def _fit_profiles(profiles):
     for k, i in enumerate(ok):
         m = lengths[i]
         if not res.success[k]:
-            fits[kept[i][0]] = FitConvergenceError(
-                f"weighted Gaussian fit did not converge: {res.message[k]}")
+            fits[kept[i][0]] = failed(i, res.x[k], res.message[k],
+                                      "weighted Gaussian fit")
             continue
         if why := no_spot(i, res.x[k]):
             fits[kept[i][0]] = DegenerateFitError(why)
@@ -410,8 +438,10 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
             expected = _gauss(px * pitch, amp, c, s, background)
             counts = rng.poisson(expected).astype(float) if noise else expected
             profiles.append((m, axis, np.column_stack([px, counts])))
-    return [replace(spot, overlapping=flag) for spot, flag
-            in zip(fit_spot_profiles(profiles, imaging), overlapping)]
+    return [SpotMeasurement(spot.ion_index, spot.axis, spot.profile,
+                            spot.fitted_sigma, spot.sigma_ci95, flag)
+            for spot, flag in zip(fit_spot_profiles(profiles, imaging),
+                                  overlapping)]
 
 
 def ion_temperature_from_mode_temperatures(modes, mode_temperatures):
@@ -447,6 +477,7 @@ def read_spot_profiles(path):
     negative counts, or (naming the group's first line) a group of fewer
     than 5 distinct pixels, too few for the Gaussian fit.
     """
+    import csv  # here, so that only the spots CSV pays its import
     groups = {}
     first_line = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -502,6 +533,7 @@ def read_spot_profiles(path):
 
 def write_spot_profiles(spots, path):
     """Write the raw profiles of SpotMeasurements to CSV."""
+    import csv  # here, so that only the spots CSV pays its import
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)

@@ -194,9 +194,10 @@ _BOUNDS = st.one_of(
                      "1e400", "", "x", " 2 "]),
     st.floats().map(repr),
 )
-# counts stay small: a grid of a billion points is a valid request
+# valid counts stay small; one past the cap is refused before numpy
 _COUNTS = st.one_of(st.integers(-3, 40).map(str),
-                    st.sampled_from(["", "2.5", "1e3", "x", " 3"]))
+                    st.sampled_from(["", "2.5", "1e3", "x", " 3", "100001",
+                                     "1000000000000000"]))
 _KINDS = st.sampled_from(["lin", "geom", "log", "", "LIN"])
 _GRIDS = st.one_of(
     st.tuples(_BOUNDS, _BOUNDS, _COUNTS, _KINDS).map(":".join),
@@ -207,6 +208,7 @@ _GRIDS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(_GRIDS)
 @example("1.7976931348622103e+308:1.7976931348622103e+308:3:geom")
+@example("0:1:1000000000000000:lin")
 def test_parse_grid_returns_or_raises_config_error(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

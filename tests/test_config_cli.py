@@ -992,6 +992,21 @@ class TestThermometryCommand:
             "off the profile's pixels 0 to 19" in capsys.readouterr().err
         assert not (out / "temperature.json").exists()
 
+    def test_runaway_spot_is_solver_error_naming_it(self, ws8, tmp_path,
+                                                    capsys):
+        # ion 2's axial profile is the ramp 30 + x on pixels 0..19: its
+        # fit widens past their span and stops there
+        cfg, out = ws8
+        ramp = self._with_group(self._spots_csv(tmp_path),
+                                tmp_path / "ramp.csv", 2, "axial",
+                                30 + np.arange(20))
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(ramp)])
+        assert code == EXIT_SOLVER
+        assert "spot (ion_index 2, axis axial): Gaussian fit ran away from " \
+            "the profile's pixels 0 to 19" in capsys.readouterr().err
+        assert not (out / "temperature.json").exists()
+
     def test_unused_axis_is_read_but_not_fitted(self, ws8, tmp_path,
                                                 capsys):
         # a constant radial group is no error while radial spots are
@@ -1112,6 +1127,22 @@ class TestCliPlumbing:
         assert main(["equilibrium", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["modes", "scatter"])
+    def test_grid_count_past_the_cap_refused(self, ws, capsys, verb):
+        # 1e15 points used to reach numpy, which could not allocate the
+        # 7.11 PiB and exited 3
+        cfg, out = ws
+        assert main([verb, "--config", str(cfg), "--out", str(out),
+                     "--grid", "0:1:1000000000000000:lin"]) == EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_grid_count_at_the_cap_parses(self):
+        cap = cli._MAX_GRID_POINTS
+        assert _parse_grid(f"0:1:{cap}:lin").size == cap == 100_000
+        with pytest.raises(ConfigError, match="--grid count"):
+            _parse_grid(f"0:1:{cap + 1}:lin")
 
     @pytest.mark.parametrize("key", ["depth_max_mK", "nu_latt_max_MHz"])
     def test_negative_lattice_depth(self, tmp_path, capsys, key):

@@ -44,3 +44,20 @@ def test_cli_import_skips_scipy_stats():
          "import sys, ionlattice.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_generates_no_code_and_defers_one_path_modules():
+    # every verb pays its start-up: no @dataclass writes methods at import,
+    # and difflib (the unknown-key hint) and csv (the spots CSV) load only
+    # on the path that uses them
+    src = os.path.dirname(os.path.dirname(ionlattice.__file__))
+    script = (
+        "import sys, ionlattice.cli\n"
+        "print([m for m in ('difflib', 'csv') if m in sys.modules])\n"
+        "import dataclasses, ionlattice\n"
+        "print([n for n in ionlattice.__all__\n"
+        "       if dataclasses.is_dataclass(getattr(ionlattice, n))])\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]

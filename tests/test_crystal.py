@@ -4,7 +4,6 @@ import json
 import math
 import os
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,9 +330,9 @@ class TestContinuation:
                              detuning=2 * math.pi * 0.76e12)
         with pytest.raises(DomainError, match="two continuation steps"):
             crystal._sweep(2, trap_zigzag4, latt, 1, ca40, 0, None)
+        flat = LatticeConfig(0.0, latt.wavevector_k, latt.detuning)
         with pytest.raises(DomainError, match="nonzero depth"):
-            crystal._sweep(2, trap_zigzag4, replace(latt, depth_U0=0.0),
-                           200, ca40, 0, None)
+            crystal._sweep(2, trap_zigzag4, flat, 200, ca40, 0, None)
 
     def test_sweep_refuses_depths_whose_spectrum_is_rounding_noise(
             self, trap_zigzag4, ca40):
@@ -644,7 +643,8 @@ class TestOneSpectrumPerDepth:
         assert counts["solves"] >= len(res.nu_latt)
         assert counts["hessian"] <= counts["solve"] + counts["solves"]
         for i, depth in enumerate(res.depths):
-            row_latt = None if depth == 0.0 else replace(latt, depth_U0=depth)
+            row_latt = None if depth == 0.0 else LatticeConfig(
+                depth, latt.wavevector_k, latt.detuning)
             state = CrystalState(positions=res.positions[i],
                                  potential_value=0.0, lattice_depth=depth,
                                  gradient_norm=0.0)

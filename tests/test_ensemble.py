@@ -1,6 +1,5 @@
 """Beam-weighted per-ion depths and crystal scattering statistics."""
 
-import dataclasses
 import math
 import warnings
 
@@ -166,7 +165,8 @@ class TestMeanProbability:
             p_mean = mean_scattering_probability_per_ion(scen, BEAM)
             p_ions = [scattering_probability(
                 RAMP.t_end, 3.6e-3,
-                dataclasses.replace(RAMP, u0_max=U0 * f),
+                RampProfile(U0 * f, RAMP.ramp_duration, RAMP.hold_duration,
+                            RAMP.shape),
                 _blue(ca40, U0 * f), ca40) for f in factors]
         assert p_mean == pytest.approx(np.mean(p_ions), rel=0, abs=1e-9)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ionlattice import (
+    CrystalState,
     DomainError,
     TrapConfig,
     effective_axial_q,
@@ -71,10 +72,10 @@ class TestReport:
 
     def test_amplitude_scales_with_position(self, zigzag4, trap_zigzag4,
                                             ca40):
-        import dataclasses
         rep1 = excess_micromotion(zigzag4, trap_zigzag4, species=ca40)
-        doubled = dataclasses.replace(zigzag4,
-                                      positions=2.0 * zigzag4.positions)
+        doubled = CrystalState(2.0 * zigzag4.positions,
+                               zigzag4.potential_value, zigzag4.lattice_depth,
+                               zigzag4.gradient_norm, zigzag4.is_saddle)
         rep2 = excess_micromotion(doubled, trap_zigzag4, species=ca40)
         np.testing.assert_allclose(rep2.amplitude, 2.0 * rep1.amplitude,
                                    rtol=1e-12)

@@ -185,9 +185,9 @@ def test_least_squares_matches_scipy_lm(weighted):
 
 
 def test_fit_raises_when_the_solver_gives_up(monkeypatch):
-    def give_up(fun, x0, jac, lengths, tol, max_nfev):
+    def give_up(fun, x0, jac, lengths, tol, max_nfev, ran_away):
         res = _optim.least_squares_batch(fun, x0, jac, lengths, tol,
-                                         max_nfev=2)
+                                         max_nfev=2, ran_away=ran_away)
         assert res.nfev == 2
         return res
 
@@ -310,6 +310,32 @@ def test_rank_deficient_jacobian_reaches_the_least_squares_cost(
     best = np.linalg.lstsq(a, y, rcond=None)[0]
     assert res.cost[1] == pytest.approx(0.5 * np.sum((a @ best - y) ** 2),
                                         rel=1e-12)
+
+
+def test_a_problem_that_runs_away_stops_while_others_converge():
+    # problem 1 is flagged at its first step and stops there, failed; the
+    # rest get the bits they get alone
+    rng = np.random.default_rng(23)
+    problems = [_profile_problem(rng, k % 2 == 1) for k in range(3)]
+    fun, jac, lengths = _batch(problems)
+    flagged = []
+
+    def ran_away(x, rows):
+        flagged.append(rows.tolist())
+        return rows == 1
+
+    res = _optim.least_squares_batch(fun, [x0 for _, _, x0 in problems],
+                                     jac, lengths, tol=1e-14, max_nfev=2000,
+                                     ran_away=ran_away)
+    assert flagged[0] == [0, 1, 2] and all(1 not in f for f in flagged[1:])
+    assert (res.nfev[1], res.success[1], res.message[1]) == (
+        2, False, "the solution ran away")
+    for k in (0, 2):
+        fun_k, jac_k, x0 = problems[k]
+        ref = _optim.least_squares(fun_k, x0, jac_k, tol=1e-14,
+                                   max_nfev=2000)
+        assert np.array_equal(res.x[k], ref.x)
+        assert (res.nfev[k], res.success[k]) == (ref.nfev, True)
 
 
 def test_one_problem_runs_out_of_evaluations_while_others_converge():

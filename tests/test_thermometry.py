@@ -1,6 +1,5 @@
 """Spot synthesis, Gaussian fitting, and temperature recovery."""
 
-import dataclasses
 import math
 import warnings
 
@@ -126,21 +125,42 @@ class TestGaussianFit:
     def test_spot_off_the_frame_is_refused(self):
         # a spot centred at 30 px seen on pixels -20..20: its flank alone
         # used to fit a narrow spot just past the frame's edge, with an
-        # interval that excludes the true 5 px, or a wide one far outside
+        # interval that excludes the true 5 px, or a wide one far outside.
+        # A fit whose center passes 60 px, a span off the pixels, stops
+        # there; three of these used to run all 2000 evaluations
         px = np.arange(-20, 21, dtype=float)
         counts = 10 + 500 * np.exp(-(px - 30) ** 2 / 50)
         rng = np.random.default_rng(5)
         raised = []
         for _ in range(8):
             prof = np.column_stack([px, rng.poisson(counts)])
-            with pytest.raises((DegenerateFitError,
-                                FitConvergenceError)) as info:
+            with pytest.raises(DegenerateFitError) as info:
                 fit_gaussian_profile(prof)
-            raised.append(info.value)
-        off = [e for e in raised if isinstance(e, DegenerateFitError)]
-        assert len(off) == 5
-        for e in off:
-            assert "lies off the profile's pixels -20 to 20" in str(e)
+            raised.append(str(info.value))
+        off = [e for e in raised
+               if "lies off the profile's pixels -20 to 20" in e]
+        away = [e for e in raised
+                if "ran away from the profile's pixels -20 to 20" in e]
+        assert (len(off), len(away)) == (2, 6)
+
+    def test_ramp_stops_once_it_runs_away(self, monkeypatch):
+        # a noiseless ramp has no spot: its fit widens without bound, and
+        # used to run all 2000 evaluations of the pass before
+        # FitConvergenceError
+        nfev = []
+
+        def counted(*args, **kwargs):
+            res = _optim.least_squares_batch(*args, **kwargs)
+            nfev.extend(res.nfev.tolist())
+            return res
+
+        monkeypatch.setattr(thermometry, "least_squares_batch", counted)
+        px = np.arange(-20, 21, dtype=float)
+        with pytest.raises(DegenerateFitError,
+                           match=r"ran away from the profile's pixels -20 "
+                                 r"to 20 \(width 51\.2 px"):
+            fit_gaussian_profile(np.column_stack([px, px + 30.0]))
+        assert len(nfev) == 1 and nfev[0] <= 10
 
     def test_spot_near_the_frame_edge_is_fitted(self):
         px = np.arange(-20, 21, dtype=float)
@@ -159,10 +179,10 @@ class TestGaussianFit:
         # from one pass
         calls = []
 
-        def inverted(fun, x0, jac, lengths, tol, max_nfev):
+        def inverted(fun, x0, jac, lengths, tol, max_nfev, ran_away):
             calls.append(len(x0))
             res = _optim.least_squares_batch(fun, x0, jac, lengths, tol,
-                                             max_nfev)
+                                             max_nfev, ran_away)
             if (len(calls) == 2) == weighted:
                 res = res._replace(x=res.x * [-1.0, 1.0, 1.0, 1.0])
             return res
@@ -298,15 +318,16 @@ class TestEstimateTemperature:
 
     def test_infinite_ci_spot_is_ignored(self, string8, string8_gamma,
                                          trap_string8, ca40, imaging):
-        import dataclasses
         spots = synthesize_spots(3.5e-3, string8, string8_gamma, imaging,
                                  photon_budget=2e4, seed=4,
                                  trap=trap_string8, species=ca40,
                                  axes=("axial",))
         base = estimate_temperature(spots, string8_gamma, trap_string8,
                                     ca40, imaging)
-        junk = dataclasses.replace(spots[0], fitted_sigma=50e-6,
-                                   sigma_ci95=math.inf)
+        junk = SpotMeasurement(spots[0].ion_index, spots[0].axis,
+                               spots[0].profile, fitted_sigma=50e-6,
+                               sigma_ci95=math.inf,
+                               overlapping=spots[0].overlapping)
         padded = estimate_temperature(spots + [junk], string8_gamma,
                                       trap_string8, ca40, imaging)
         assert padded.T == pytest.approx(base.T, rel=1e-12)
@@ -329,7 +350,10 @@ class TestEstimateTemperature:
         assert est.T == pytest.approx(np.mean(t) * scale, rel=1e-12)
         assert math.isfinite(est.ci95) and est.ci95 > 0
         assert np.all(np.isfinite(est.per_ion_residuals))
-        both_zero = [spots[0], dataclasses.replace(spots[1], sigma_ci95=0.0)]
+        both_zero = [spots[0], SpotMeasurement(
+            spots[1].ion_index, spots[1].axis, spots[1].profile,
+            spots[1].fitted_sigma, sigma_ci95=0.0,
+            overlapping=spots[1].overlapping)]
         same = estimate_temperature(both_zero, unit, trap_string8, ca40,
                                     imaging)
         assert (est.T, est.ci95) == (same.T, same.ci95)
@@ -366,12 +390,13 @@ class TestEstimateTemperature:
     def test_ion_index_outside_crystal(self, ion, string8, string8_gamma,
                                        trap_string8, ca40, imaging):
         # -1 must not wrap round to the last ion's gamma
-        import dataclasses
         spots = synthesize_spots(3.5e-3, string8, string8_gamma, imaging,
                                  photon_budget=2e4, seed=4,
                                  trap=trap_string8, species=ca40,
                                  axes=("axial",))
-        stray = dataclasses.replace(spots[0], ion_index=ion)
+        stray = SpotMeasurement(ion, spots[0].axis, spots[0].profile,
+                                spots[0].fitted_sigma, spots[0].sigma_ci95,
+                                spots[0].overlapping)
         with pytest.raises(DomainError, match=f"ion_index {ion} "):
             estimate_temperature(spots + [stray], string8_gamma,
                                  trap_string8, ca40, imaging)
@@ -600,11 +625,13 @@ class TestBatchedFit:
         # evaluations
         calls = []
 
-        def weighted_gives_up(fun, x0, jac, lengths, tol, max_nfev):
+        def weighted_gives_up(fun, x0, jac, lengths, tol, max_nfev,
+                              ran_away):
             calls.append(len(x0))
             return _optim.least_squares_batch(
                 fun, x0, jac, lengths, tol,
-                max_nfev=max_nfev if len(calls) == 1 else 1)
+                max_nfev=max_nfev if len(calls) == 1 else 1,
+                ran_away=ran_away)
 
         monkeypatch.setattr(thermometry, "least_squares_batch",
                             weighted_gives_up)
@@ -642,9 +669,9 @@ class TestBatchedFit:
         np.testing.assert_allclose(got.ci95, want.ci95, rtol=1e-9)
 
     def test_convergence_error_names_the_spot(self, imaging, monkeypatch):
-        def give_up(fun, x0, jac, lengths, tol, max_nfev):
+        def give_up(fun, x0, jac, lengths, tol, max_nfev, ran_away):
             return _optim.least_squares_batch(fun, x0, jac, lengths, tol,
-                                              max_nfev=2)
+                                              max_nfev=2, ran_away=ran_away)
 
         monkeypatch.setattr(thermometry, "least_squares_batch", give_up)
         triples = [(4, "axial", _gauss_profile(50.0, 0.4, 2.0, 3.0)),
