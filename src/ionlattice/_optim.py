@@ -159,7 +159,7 @@ def line_search(fun, xk, pk, f0, g0, old_f0):
     stmin, stmax = 0, stp + 4.0 * stp
     # dcsrch's first call (task START) takes one of its 100 iterations
     for _ in range(_LS_MAXITER - 1):
-        if not np.isfinite(stp):
+        if not math.isfinite(stp):
             return None
         f, g = fun(xk + stp * pk)
         dg = np.dot(g, pk)
@@ -199,7 +199,8 @@ def line_search(fun, xk, pk, f0, g0, old_f0):
         else:
             stmin = stp + 1.1 * (stp - stx)
             stmax = stp + 4.0 * (stp - stx)
-        stp = np.clip(stp, _STPMIN, _STPMAX)
+        # np.clip's bits (a NaN stays NaN) for a fraction of its dispatch
+        stp = np.float64(min(max(stp, _STPMIN), _STPMAX))
         if brackt and (stp <= stmin or stp >= stmax
                        or stmax - stmin <= _XTOL * stmax):
             stp = stx
@@ -228,7 +229,8 @@ def minimize(fun, x0, gtol, maxiter):
     sa, as_ = np.empty_like(h), np.empty_like(h)  # s a^T and a s^T
     old_f = f + np.linalg.norm(g) / 2
     k = 0
-    while np.max(np.abs(g)) > gtol and k < maxiter:
+    gnorm = np.abs(g).max()
+    while gnorm > gtol and k < maxiter:
         p = -(h @ g)
         step = line_search(fun, x, p, f, g, old_f)
         if step is None:
@@ -240,12 +242,15 @@ def minimize(fun, x0, gtol, maxiter):
         y = g_new - g
         g = g_new
         k += 1
-        if np.max(np.abs(g)) <= gtol or not np.isfinite(f):
+        gnorm = np.abs(g).max()
+        if gnorm <= gtol or not math.isfinite(f):
             break
-        ys = np.dot(y, s)
+        # Python floats from here: the one division is guarded, and float
+        # arithmetic rounds as numpy's scalars do
+        ys = float(np.dot(y, s))
         rho = 1000.0 if ys == 0.0 else 1.0 / ys
         hy = h @ y
-        a = 0.5 * (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
+        a = 0.5 * (rho * rho * float(np.dot(y, hy)) + rho) * s - rho * hy
         _rank_two_update(h, s, a, sa, as_)
     return BFGSResult(x=x, nit=k)
 

@@ -263,10 +263,9 @@ class _Dimensionless:
         finite there)."""
         ut = np.ascontiguousarray(u.T)
         d = ut[:, None, :] - ut[:, :, None]
-        r2 = d[0] * d[0]
-        sq = d[1] * d[1]
-        r2 += sq
-        r2 += np.multiply(d[2], d[2], out=sq)
+        sq = d * d
+        r2 = np.add(sq[0], sq[1], out=sq[0])
+        r2 += sq[2]
         r2.flat[::len(u) + 1] = 1.0
         return d, np.sqrt(r2, out=r2)
 
@@ -277,8 +276,7 @@ class _Dimensionless:
         if r.min() < 1e-14:  # the diagonal of r is 1
             raise SingularConfigurationError(
                 "two ions coincide; Coulomb energy is singular")
-        w = np.divide(1.0, r)
-        w *= _strict_upper(n)
+        w = np.divide(_strict_upper(n), r)  # 1/r above the diagonal
         coul = w.sum()
         g = self.alpha2 * u
         harm = 0.5 * (g * u).sum()
@@ -377,7 +375,7 @@ def _newton_polish(scaled, u):
     # returns (u, energy, gnorm, converged)
     u = u.copy()
     energy, g = scaled.energy_and_gradient(u)
-    gnorm = np.max(np.abs(g))
+    gnorm = np.abs(g).max()
     floor = _FLOOR * abs(scaled.u0) * scaled.kappa ** 2  # per unit of max|z|
     h = None  # Hessian at u, kept while damped retries stay there
     mu = 0.0
@@ -395,11 +393,12 @@ def _newton_polish(scaled, u):
         trial = u - step.reshape(u.shape, order="F")
         try:
             e_trial, g_trial = scaled.energy_and_gradient(trial)
+            gnorm_trial = np.abs(g_trial).max()
         except SingularConfigurationError:  # the step merged two ions
-            g_trial = None
-        if g_trial is not None and np.max(np.abs(g_trial)) < gnorm:
+            gnorm_trial = math.inf
+        if gnorm_trial < gnorm:
             u, energy, g, h = trial, e_trial, g_trial, None
-            gnorm = np.max(np.abs(g))
+            gnorm = gnorm_trial
             mu *= 0.1
         else:  # damp and retry
             mu = 1e-6 if mu == 0.0 else mu * 10.0

@@ -118,10 +118,12 @@ def _mean_probabilities(scenario, beam, peaks, T0):
     first = np.concatenate([[True], np.diff(f) > 1e-12 * f[1:]])
     factors = f[first]
     counts = np.diff(np.append(np.flatnonzero(first), len(f)))
+    # warnings name the line that called the public function calling this
     p = _scattering_probabilities(
         scenario.ramp.t_end, T0, scenario.ramp,
         np.multiply.outer(peaks, factors), scenario.lattice,
-        scenario.species, p0=scenario.pumping_efficiency_per_ion)
+        scenario.species, p0=scenario.pumping_efficiency_per_ion,
+        stacklevel=4)
     return p @ counts / counts.sum()
 
 

@@ -505,7 +505,8 @@ def delocalized_scattering_probability(t0, ramp, config, species, p0=1.0):
         t0, None, ramp, ramp.u0_max, config, species, p0))
 
 
-def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0):
+def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0,
+                              *, stacklevel=3):
     """scattering_probability for every peak depth of the array u0 (J).
 
     Each entry follows ramp's schedule up to its own peak instead of
@@ -513,7 +514,9 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0):
     them, its nested half-step rule estimates the error of the dose I,
     which reaches p as p0 e^(-I) dI. At most one AdiabaticityWarning
     (shallowest depth) and one RuntimeWarning (largest error in p above
-    1e-8) per call. T0=None pins <sin^2> at 1/2 (delocalized).
+    1e-8) per call, each at ``stacklevel`` as ``warnings.warn`` counts it
+    from here: 3 names the caller of a public function that calls this
+    one. T0=None pins <sin^2> at 1/2 (delocalized).
     """
     if not t0 >= 0:  # NaN fails this and the checks below
         raise DomainError("t0 must be non-negative")
@@ -533,7 +536,7 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0):
                     f"ramp_duration {ramp.ramp_duration:.3g} s is shorter "
                     f"than ten lattice periods ({10.0 / nu_final:.3g} s); "
                     "the adiabatic model may be unreliable",
-                    AdiabaticityWarning, stacklevel=3)
+                    AdiabaticityWarning, stacklevel=stacklevel)
 
     t_up = min(t0, ramp.t_end)
     if t_up <= 0.0 or not np.any(live):
@@ -553,5 +556,5 @@ def _scattering_probabilities(t0, T0, ramp, u0, config, species, p0=1.0):
         rate[:, :-1] @ (t_ramp * (_TS_W - _TS_W2))))
     if err > 1e-8:
         warnings.warn(f"scattering probability only reached an error bound "
-                      f"of {err:.3g}", RuntimeWarning, stacklevel=3)
+                      f"of {err:.3g}", RuntimeWarning, stacklevel=stacklevel)
     return p0 * -np.expm1(-dose)

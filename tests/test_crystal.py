@@ -995,6 +995,82 @@ def _triu_energy_and_gradient(self, u):
     return harm + coul + latt, g
 
 
+def _numpy_scalar_minimize(fun, x0, gtol, maxiter):
+    # _optim.minimize as it ran on numpy scalars, with two max-norms per
+    # iteration; its line search is _optim's, which
+    # test_optim.py::test_line_search_equals_scipy_wolfe1 pins to scipy
+    x = x0
+    f, g = fun(x)
+    h = np.eye(len(x))
+    sa, as_ = np.empty_like(h), np.empty_like(h)
+    old_f = f + np.linalg.norm(g) / 2
+    k = 0
+    while np.max(np.abs(g)) > gtol and k < maxiter:
+        p = -(h @ g)
+        step = _optim.line_search(fun, x, p, f, g, old_f)
+        if step is None:
+            break
+        alpha, f_new, g_new = step
+        old_f, f = f, f_new
+        s = alpha * p
+        x = x + s
+        y = g_new - g
+        g = g_new
+        k += 1
+        if np.max(np.abs(g)) <= gtol or not np.isfinite(f):
+            break
+        ys = np.dot(y, s)
+        rho = 1000.0 if ys == 0.0 else 1.0 / ys
+        hy = h @ y
+        a = 0.5 * (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
+        _optim._rank_two_update(h, s, a, sa, as_)
+    return _optim.BFGSResult(x=x, nit=k)
+
+
+def _twice_normed_polish(scaled, u):
+    # crystal._newton_polish as it took an accepted trial's max-norm twice
+    u = u.copy()
+    energy, g = scaled.energy_and_gradient(u)
+    gnorm = np.max(np.abs(g))
+    floor = crystal._FLOOR * abs(scaled.u0) * scaled.kappa ** 2
+    h = None
+    mu = 0.0
+    for _ in range(crystal._NEWTON_MAX_ITER):
+        if gnorm <= max(crystal._GTOL, floor * np.max(np.abs(u[:, 2]))):
+            return u, energy, gnorm, True
+        if h is None:
+            h = scaled.hessian(u)
+        gflat = g.reshape(-1, order="F")
+        try:
+            damped = h if mu == 0.0 else h + mu * np.eye(len(h))
+            step = np.linalg.solve(damped, gflat)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(h, gflat, rcond=None)
+        trial = u - step.reshape(u.shape, order="F")
+        try:
+            e_trial, g_trial = scaled.energy_and_gradient(trial)
+        except SingularConfigurationError:
+            g_trial = None
+        if g_trial is not None and np.max(np.abs(g_trial)) < gnorm:
+            u, energy, g, h = trial, e_trial, g_trial, None
+            gnorm = np.max(np.abs(g))
+            mu *= 0.1
+        else:
+            mu = 1e-6 if mu == 0.0 else mu * 10.0
+            if mu > 1e6:
+                return u, energy, gnorm, False
+    return u, energy, gnorm, False
+
+
+def _swap_in_reference_loops(monkeypatch):
+    # the four reference copies above in place of the library's own
+    monkeypatch.setattr(_optim, "_rank_two_update", _outer_rank_two_update)
+    monkeypatch.setattr(crystal._Dimensionless, "energy_and_gradient",
+                        _triu_energy_and_gradient)
+    monkeypatch.setattr(crystal, "minimize", _numpy_scalar_minimize)
+    monkeypatch.setattr(crystal, "_newton_polish", _twice_normed_polish)
+
+
 @pytest.mark.xfail(strict=True, raises=EquilibriumError,
                    reason="the damped Newton polish stalls by a nearly free "
                           "rotation (CHANGES.md, FOUND line on the 3-ion "
@@ -1045,18 +1121,30 @@ class TestColdSolver:
     @pytest.mark.parametrize("n", sorted(COLD_CASES))
     def test_positions_equal_outer_and_triu_code(self, ca40, monkeypatch,
                                                  n):
-        # einsum products and the cached upper mask keep every bit
+        # einsum products, the cached upper mask and the BFGS and Newton
+        # loops' Python-float scalars keep every bit
         f_z, f_r, seed = self.COLD_CASES[n]
         scaled = crystal._Dimensionless(TrapConfig.from_frequencies(f_z, f_r),
                                         None, ca40)
         u, energy, _ = crystal._settle(scaled, n, None, seed)
-        monkeypatch.setattr(_optim, "_rank_two_update",
-                            _outer_rank_two_update)
-        monkeypatch.setattr(crystal._Dimensionless, "energy_and_gradient",
-                            _triu_energy_and_gradient)
+        _swap_in_reference_loops(monkeypatch)
         u_old, energy_old, _ = crystal._settle(scaled, n, None, seed)
         assert np.array_equal(u, u_old)
         assert energy == energy_old
+
+    def test_sweep_rows_equal_reference_loops(self, ca40, trap_zigzag4,
+                                              monkeypatch):
+        # zigzag4's default 200-step sweep on the blue lattice: every warm
+        # polish, and the cold solve of row 0, keeps its bits
+        args = (4, trap_zigzag4, _blue_lattice(ca40), 200, ca40, 7, None)
+        rows = list(crystal._sweep(*args))
+        _swap_in_reference_loops(monkeypatch)
+        rows_old = list(crystal._sweep(*args))
+        assert len(rows) == len(rows_old) > 199
+        for row, old in zip(rows, rows_old):
+            assert row[0] == old[0]
+            for got, want in zip(row[1:4], old[1:4]):  # freqs, b, positions
+                assert np.array_equal(got, want)
 
     def test_first_of_tied_starts_wins(self, ca40):
         # 14 ions, seed 3: starts 0 and 2 reach mirror images whose

@@ -24,6 +24,7 @@ from ionlattice import (
     subsequent_fraction,
 )
 from ionlattice import constants as cn
+from ionlattice import pendulum
 
 U0 = cn.KB * 25e-3
 
@@ -265,3 +266,28 @@ class TestScanDepth:
                 scan_depth(scen8, BEAM, [-1e-25])
         with pytest.raises(DomainError):
             scan_depth(scen8, BEAM, [math.nan])
+
+
+# the three public routes to the ramp integral, each on the paper's 2 us
+# ramp, which is shorter than ten lattice periods at 25 mK
+WARNING_CALLS = {
+    "scattering_probability": lambda scen: scattering_probability(
+        RAMP.t_end, scen.T0, RAMP, scen.lattice, scen.species),
+    "mean_scattering_probability_per_ion":
+        lambda scen: mean_scattering_probability_per_ion(scen, BEAM),
+    "scan_depth": lambda scen: scan_depth(scen, BEAM, [0.5 * U0, U0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARNING_CALLS))
+def test_warnings_name_the_callers_line(scen8, monkeypatch, name):
+    # a nested rule far from the main one makes the dose's error bound
+    # large, so both warnings are raised; each names this file, not a
+    # line of the library
+    monkeypatch.setattr(pendulum, "_TS_W2", 0.5 * pendulum._TS_W2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        WARNING_CALLS[name](scen8)
+    assert sorted(w.category.__name__ for w in caught) == [
+        "AdiabaticityWarning", "RuntimeWarning"]
+    assert [w.filename for w in caught] == [__file__] * 2
