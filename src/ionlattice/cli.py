@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -357,8 +358,17 @@ def _build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    # a shown warning names its category, not a source line of the package
+    return f"ionlattice: warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # the format, not ``showwarning``: a caller's ``catch_warnings(record=
+    # True)`` (``pytest.warns``) still records, and the filters (``-W
+    # error``) are left alone
+    form, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if args.out == "":
             raise ConfigError("--out must name a directory, not ''")
@@ -369,6 +379,8 @@ def main(argv=None):
     except Exception as exc:  # uniform diagnostic + exit-code mapping
         print(f"ionlattice: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    finally:
+        warnings.formatwarning = form
 
 
 if __name__ == "__main__":

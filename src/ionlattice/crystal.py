@@ -428,62 +428,66 @@ _FANOUT_MIN_IONS = 16
 _LOOKAHEAD_MIN_IONS = 32
 
 
-def _descend(scaled, starts):
-    """``_solve_from`` from each start, in start order.
+def _descend(scaled, starts, what):
+    """(u, energy, gnorm) of each converged ``_solve_from``, in start order.
 
     The starts are independent, so from ``_FANOUT_MIN_IONS`` ions on they
     run side by side in ``_fork.width(len(starts))`` forked workers
     (``_fork.fork_map``) if that is at least 2; every run is bit for bit
     the one the in-process loop gives, and so is the exception raised.
+    If no start converges, raises EquilibriumError naming ``what`` and the
+    best gradient max-norm among the runs, with that run's positions.
     """
+    width = 0
     if len(starts[0]) >= _FANOUT_MIN_IONS:
         # imported here, so that a run with no large crystal never pays
         from . import _fork
         width = _fork.width(len(starts))
-        if width >= 2:
-            return _fork.fork_map(partial(_solve_from, scaled), starts,
-                                  width)
-    return [_solve_from(scaled, u0) for u0 in starts]
+    runs = (_fork.fork_map(partial(_solve_from, scaled), starts, width)
+            if width >= 2 else [_solve_from(scaled, u0) for u0 in starts])
+    found = [(u, energy, gnorm) for u, energy, gnorm, ok in runs if ok]
+    if not found:
+        u, _, gnorm, _ = min(runs, key=lambda r: r[2])
+        raise EquilibriumError(
+            f"{what} stalled; best gradient max-norm {gnorm:.3e}",
+            last_positions=u * scaled.ell, gradient_norm=float(gnorm))
+    return found
 
 
 # a stationary point whose lowest Hessian eigenvalue is below this is a
-# saddle (dimensionless curvature); cold starts whose energies agree to
+# saddle (dimensionless curvature); descents whose energies agree to
 # _TIE_RTOL relative are tied
 _SADDLE_TOL = -1e-8
 _TIE_RTOL = 1e-12
 
 
+def _lowest(found):
+    """The first of the (u, energy, ...) entries whose energy ties with the
+    lowest to ``_TIE_RTOL`` relative: mirror images of one minimum differ
+    in energy by rounding only, so rounding never picks between them."""
+    lowest = min(c[1] for c in found)
+    return next(c for c in found if c[1] - lowest <= _TIE_RTOL * abs(lowest))
+
+
 def _settle(scaled, n, guess, seed):
     """Converged stationary point: (u, energy, gnorm), dimensionless.
 
-    With an (n, 3) guess: Newton polish, BFGS first if the polish stalls.
-    Without: ``_RESTARTS`` descents from jittered strings (``_descend``),
-    each BFGS (``minimize``, O(n^2) per iteration) then Newton polish; the
-    lowest energy wins, and of starts tied with it to ``_TIE_RTOL``
-    relative (mirror images) the first. Raises EquilibriumError if no
-    start converges.
+    With an (n, 3) guess: Newton polish, and if that stalls one descent
+    from the guess (``_descend``). Without: ``_RESTARTS`` descents from
+    jittered strings, each BFGS (``minimize``, O(n^2) per iteration) then
+    Newton polish, and of those that converge the ``_lowest``. Raises
+    EquilibriumError if no descent converges.
     """
     if guess is not None:
         u, energy, gnorm, ok = _newton_polish(scaled, guess)
-        if not ok:  # long way from quadratic: descend first, then polish
-            u, energy, gnorm, ok = _solve_from(scaled, guess)
-        runs = [(u, energy, gnorm, ok)]
+        if ok:
+            return u, energy, float(gnorm)
+        starts = [guess]  # long way from quadratic: descend first
     else:
-        runs = _descend(scaled, [
-            _string_guess(n, default_rng(seed + attempt),
-                          jitter=0.02 * (attempt + 1))
-            for attempt in range(_RESTARTS)])
-    converged = [(u, energy, gnorm) for u, energy, gnorm, ok in runs if ok]
-    if not converged:
-        u, _, gnorm, _ = runs[-1]
-        raise EquilibriumError(
-            f"equilibrium search stalled at gradient max-norm {gnorm:.3e}",
-            last_positions=u * scaled.ell, gradient_norm=float(gnorm))
-    # mirror images of one minimum differ in energy by rounding only: take
-    # the first start that ties with the lowest, not whichever rounds low
-    lowest = min(c[1] for c in converged)
-    u, energy, gnorm = next(c for c in converged
-                            if c[1] - lowest <= _TIE_RTOL * abs(lowest))
+        starts = [_string_guess(n, default_rng(seed + attempt),
+                                jitter=0.02 * (attempt + 1))
+                  for attempt in range(_RESTARTS)]
+    u, energy, gnorm = _lowest(_descend(scaled, starts, "equilibrium search"))
     return u, energy, float(gnorm)
 
 
@@ -514,12 +518,13 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     (deterministic in ``seed``), then Newton polish; best of four starts
     by energy, and the first of the starts whose energies tie with the
     lowest to 1e-12 relative, so that rounding never picks between mirror
-    images. From 16 ions on, the four starts run side by side in forked
-    worker processes (one BLAS thread each) where the host allows it, to
-    the same bits. With a guess (warm start): Newton polish, and BFGS from
-    the guess first if that stalls; deterministic. A converged stationary
-    point with a direction of negative curvature is returned with
-    ``is_saddle`` set rather than re-seeded, so instability of e.g. a
+    images; if none converges, EquilibriumError names the best gradient
+    max-norm among them. From 16 ions on, the four starts run side by side
+    in forked worker processes (one BLAS thread each) where the host allows
+    it, to the same bits. With a guess (warm start): Newton polish, and
+    BFGS from the guess first if that stalls; deterministic. A converged
+    stationary point with a direction of negative curvature is returned
+    with ``is_saddle`` set rather than re-seeded, so instability of e.g. a
     linear chain past the zigzag transition is visible to the caller.
     The flag reads only the eigenvalues (``eigvalsh``) of the Hessian,
     which is built on the calling thread, as every Hessian is; only a
@@ -659,11 +664,11 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     left behind. Tracking follows the physics: relax along the unstable
     direction to the adjacent minimum and continue from there. Six kicks
     of either sign are tried, each a BFGS descent then Newton polish
-    (forked from 16 ions on, as the cold starts are), and the lowest
-    minimum reached is kept; a kick that stalls is skipped. If the kicks
-    reach saddles only, the lowest is kicked once more the same way. Only
-    if every kick of a round stalls does the sweep raise EquilibriumError,
-    naming the best gradient max-norm reached.
+    (forked from 16 ions on, as the cold starts are); a stalled kick is
+    skipped. The lowest minimum reached is kept, the first kick's on ties
+    to 1e-12 relative (mirror images); with saddles only, the saddle so
+    picked is kicked once more. Only if every kick of a round stalls
+    does the sweep raise EquilibriumError with the best gradient max-norm.
 
     From 32 ions on, on a host with at least 2 usable CPUs and an
     OpenBLAS thread setter (the one host rule, shared with the forked
@@ -771,28 +776,23 @@ def _spectra(overlap):
 
 def _descend_from_saddle(scaled, u, vec):
     """(u, energy, gnorm, lam, vec) of the minimum next to the saddle u
-    whose Hessian eigenvectors are vec: the lowest that six kicks along
-    the softest mode reach (``_descend``; a stalled kick is skipped, and
-    the first of tied minima wins). If the kicks reach saddles only, the
-    lowest of them is kicked once more the same way.
+    whose Hessian eigenvectors are vec: the ``_lowest`` that six kicks
+    along the softest mode reach (``_descend``; a stalled kick is
+    skipped). If the kicks reach saddles only, the ``_lowest`` of them is
+    kicked once more the same way.
     """
     for _ in range(2):
         soft = _by_axis(vec)[:, :, 0].T
         runs = _descend(scaled, [u + eps * soft for eps in
-                                 (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)])
+                                 (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)],
+                        "tracked configuration lost stability and every "
+                        "kick along the unstable direction")
         found = [(v, energy, gnorm, *_spectrum(scaled.hessian(v)))
-                 for v, energy, gnorm, ok in runs if ok]
+                 for v, energy, gnorm in runs]
         minima = [c for c in found if c[3][0] >= _SADDLE_TOL]
         if minima:
-            return min(minima, key=lambda c: c[1])
-        if not found:
-            v, _, gnorm, _ = min(runs, key=lambda r: r[2])
-            raise EquilibriumError(
-                "tracked configuration lost stability and every kick along "
-                "the unstable direction stalled; best gradient max-norm "
-                f"{gnorm:.3e}",
-                last_positions=v * scaled.ell, gradient_norm=float(gnorm))
-        u, _, _, _, vec = min(found, key=lambda c: c[1])
+            return _lowest(minima)
+        u, _, _, _, vec = _lowest(found)
     raise UnstableConfigurationError(
         "tracked configuration lost stability and no adjacent "
         "minimum was reachable along the unstable direction")

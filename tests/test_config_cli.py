@@ -659,6 +659,32 @@ class TestScatterCommand:
                      "--grid=-5:5:3:lin"]) == EXIT_CONFIG
         assert "--grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, code, head", [
+        ([], 0, "ionlattice: warning: AdiabaticityWarning: ramp_duration"),
+        (["-W", "error"], EXIT_SOLVER, "ionlattice: error: ramp_duration")],
+        ids=["shown", "error"])
+    def test_warning_is_one_line(self, ws, flags, code, head):
+        # in a fresh process: the shown warning is one stderr line naming
+        # its category and no source line, main restores the format, and
+        # -W error still turns the warning into exit 3
+        cfg, out = ws
+        script = (
+            "import sys, warnings\n"
+            "from ionlattice.cli import main\n"
+            "form = warnings.formatwarning\n"
+            "code = main(['scatter', '--config', sys.argv[1], '--out',\n"
+            "             sys.argv[2], '--grid', '0:25:3:lin'])\n"
+            "assert warnings.formatwarning is form\n"
+            "sys.exit(code)\n")
+        src = os.path.dirname(os.path.dirname(ionlattice.__file__))
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", script, str(cfg), str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert run.returncode == code, run.stderr
+        assert run.stderr.startswith(head)
+        assert run.stderr.count("\n") == 1 and ".py:" not in run.stderr
+
     @pytest.mark.parametrize("spec", ["nan:5:3:lin", "0:inf:3:lin"])
     def test_non_finite_grid_rejected(self, ws, capsys, spec):
         cfg, out = ws

@@ -802,6 +802,25 @@ class TestSaddleDescent:
         # the tracked state, six kicks and the extra round's six
         assert len(warm) + len(kicked) == 13
 
+    def test_first_of_tied_kicks_wins(self):
+        # 1 ion on a red 25 mK lattice (the yardstick's draw012): the warm
+        # state lands on the saddle at a lattice node, and the six kicks
+        # reach the mirror wells at z = +-0.009655 l, whose energies differ
+        # in the last bits only. The +1e-3 kick, the first tied with the
+        # lowest, reaches the + well; the +0.1 kick overshoots into the -
+        # well, whose energy rounds lower
+        cfg = parse_config(json.dumps({
+            "trap": {"f_z_kHz": 131.63527474973614,
+                     "f_radial_kHz": 179.84527336403508, "asymmetry": 0.0},
+            "lattice": {"detuning_THz": -0.76, "depth_max_mK": 25.0},
+            "crystal": {"n_ions": 1, "seed": 70}}))
+        grid = _parse_grid("0.0011301877032433932:0.24979787732233313:2:lin")
+        res = continuation(cfg.n_ions, cfg.trap, cfg.lattice,
+                           species=cfg.species, seed=cfg.seed,
+                           nu_grid=grid * 1e6)
+        z = res.positions[-1, 0, 2] / length_scale(cfg.trap, cfg.species)
+        assert z == pytest.approx(0.009655, abs=1e-6)
+
 
 class TestLookahead:
     """An overlapped sweep takes each depth's spectrum on a worker thread
@@ -1163,6 +1182,25 @@ class TestColdSolver:
         assert np.max(np.abs(tied[0] - tied[1])) > 1e-3  # not one structure
         state = equilibrium(n, self.TRAP, species=ca40, seed=seed)
         np.testing.assert_array_equal(state.positions, tied[0] * scaled.ell)
+
+    def test_stall_reports_the_best_start(self, ca40):
+        # 3 ions at 214.770/226.198 kHz, asymmetry 0.1, seed 3 (a
+        # near-isotropic stall, ROADMAP item 6): the four starts stall at
+        # gradient max-norms 1.070e-10, 3.256e-10, 3.478e-09 and 1.160e-09,
+        # and the error reports start 0, the best, not the last
+        n, seed = 3, 3
+        trap = TrapConfig.from_frequencies(214.770e3, 226.198e3,
+                                           asymmetry=0.1)
+        with pytest.raises(EquilibriumError,
+                           match="equilibrium search stalled") as info:
+            equilibrium(n, trap, species=ca40, seed=seed)
+        scaled = crystal._Dimensionless(trap, None, ca40)
+        u, _, gnorm, ok = crystal._solve_from(scaled, _cold_start(n, seed))
+        assert not ok
+        assert info.value.gradient_norm == gnorm
+        assert gnorm == pytest.approx(1.070e-10, rel=1e-3)
+        np.testing.assert_array_equal(info.value.last_positions,
+                                      u * scaled.ell)
 
 
 class TestNewtonPolish:
