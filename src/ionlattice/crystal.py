@@ -420,26 +420,25 @@ def _solve_from(scaled, u0):
     return _newton_polish(scaled, u)
 
 
-# cold solves of at least _FANOUT_MIN_IONS ions fork their starts, and
-# sweeps of at least _LOOKAHEAD_MIN_IONS ions overlap spectra with solves;
-# below each, the hand-off costs more than it saves (measured crossovers,
-# CHANGES.md)
-_FANOUT_MIN_IONS = 16
-_LOOKAHEAD_MIN_IONS = 32
+# from _PARALLEL_MIN_IONS ions on, cold starts fork and sweeps overlap
+# spectra with solves, where the host allows it; below it, neither pays
+# clearly end to end (measured, CHANGES.md). Kicks never fork: the sweep's
+# spectrum thread is alive whenever they run (``_fork.width``)
+_PARALLEL_MIN_IONS = 32
 
 
 def _descend(scaled, starts, what):
     """(u, energy, gnorm) of each converged ``_solve_from``, in start order.
 
-    The starts are independent, so from ``_FANOUT_MIN_IONS`` ions on they
-    run side by side in ``_fork.width(len(starts))`` forked workers
-    (``_fork.fork_map``) if that is at least 2; every run is bit for bit
-    the one the in-process loop gives, and so is the exception raised.
+    The starts are independent, so from ``_PARALLEL_MIN_IONS`` ions on
+    they run in ``_fork.width(len(starts))`` forked workers (cold starts
+    only: see the gate's comment); every run is bit for bit the one the
+    in-process loop gives, and so is the exception raised.
     If no start converges, raises EquilibriumError naming ``what`` and the
     best gradient max-norm among the runs, with that run's positions.
     """
     width = 0
-    if len(starts[0]) >= _FANOUT_MIN_IONS:
+    if len(starts[0]) >= _PARALLEL_MIN_IONS:
         # imported here, so that a run with no large crystal never pays
         from . import _fork
         width = _fork.width(len(starts))
@@ -519,13 +518,14 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     by energy, and the first of the starts whose energies tie with the
     lowest to 1e-12 relative, so that rounding never picks between mirror
     images; if none converges, EquilibriumError names the best gradient
-    max-norm among them. From 16 ions on, the four starts run side by side
+    max-norm among them. From 32 ions on, the four starts run side by side
     in forked worker processes (one BLAS thread each) where the host allows
-    it, to the same bits. With a guess (warm start): Newton polish, and
-    BFGS from the guess first if that stalls; deterministic. A converged
-    stationary point with a direction of negative curvature is returned
-    with ``is_saddle`` set rather than re-seeded, so instability of e.g. a
-    linear chain past the zigzag transition is visible to the caller.
+    it, to the same bits; below 32 ions, in process. With a guess (warm
+    start): Newton polish, and BFGS from the guess first if that stalls;
+    deterministic. A converged stationary point with a direction of
+    negative curvature is returned with ``is_saddle`` set rather than
+    re-seeded, so instability of e.g. a linear chain past the zigzag
+    transition is visible to the caller.
     The flag reads only the eigenvalues (``eigvalsh``) of the Hessian,
     which is built on the calling thread, as every Hessian is; only a
     sweep's ``eigh`` may run on a worker thread (``continuation``).
@@ -663,20 +663,20 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     re-settle into wells); the warm start then converges onto the saddle
     left behind. Tracking follows the physics: relax along the unstable
     direction to the adjacent minimum and continue from there. Six kicks
-    of either sign are tried, each a BFGS descent then Newton polish
-    (forked from 16 ions on, as the cold starts are); a stalled kick is
-    skipped. The lowest minimum reached is kept, the first kick's on ties
-    to 1e-12 relative (mirror images); with saddles only, the saddle so
-    picked is kicked once more. Only if every kick of a round stalls
-    does the sweep raise EquilibriumError with the best gradient max-norm.
+    of either sign are tried, each a BFGS descent then Newton polish, in
+    process at every size; a stalled kick is skipped. The lowest minimum
+    reached is kept, the first kick's on ties to 1e-12 relative (mirror
+    images); with saddles only, the saddle so picked is kicked once more.
+    Only if every kick of a round stalls does the sweep raise
+    EquilibriumError with the best gradient max-norm.
 
     From 32 ions on, on a host with at least 2 usable CPUs and an
-    OpenBLAS thread setter (the one host rule, shared with the forked
-    cold starts of ``equilibrium``), the caller builds each depth's
-    Hessian and a worker thread runs only its ``eigh`` while the caller
-    settles the next depth and builds its Hessian; the sweep runs
-    OpenBLAS on one thread, and the result is bit for bit the inline
-    sweep's on one BLAS thread.
+    OpenBLAS thread setter (the size gate and host rule of the forked cold
+    starts of ``equilibrium``), the caller builds each depth's Hessian and
+    a worker thread runs only its ``eigh`` while the caller settles the
+    next depth and builds its Hessian; the sweep runs OpenBLAS on one
+    thread, and the result is bit for bit the inline sweep's on one BLAS
+    thread.
     """
     nus, freqs, coords, poss, refined, flags = zip(
         *_sweep(N, trap, lattice_max, steps, species, seed, nu_grid))
@@ -742,7 +742,7 @@ def _overlaps(n_ions):
     needs the OpenBLAS thread setter to run it on one thread
     (``_spectra``).
     """
-    if n_ions < _LOOKAHEAD_MIN_IONS:
+    if n_ions < _PARALLEL_MIN_IONS:
         return False
     # imported here, so that a run with no large sweep never pays for it
     from . import _fork

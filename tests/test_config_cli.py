@@ -1269,8 +1269,8 @@ class TestCliPlumbing:
         assert run.stdout.strip() == ""
 
     def test_small_runs_load_no_worker_machinery(self, ws, ws8):
-        # below both size gates (16 ions for forked cold starts, 32 for
-        # the overlapped sweep) a run never imports what they use
+        # below the one size gate (32 ions, for the forked cold starts and
+        # the overlapped sweep alike) a run never imports what they use
         (cfg4, out4), (cfg8, out8) = ws, ws8
         script = (
             "import sys\n"

@@ -692,10 +692,38 @@ def _planar32(ca40):
     return 32, TrapConfig.from_frequencies(40e3, 300e3), latt, ca40, 7, grid
 
 
+def _calls(monkeypatch, owner, name, pick=lambda *args: None):
+    """A list that gets pick(*args) of every call of ``owner.name`` from
+    now on, in order (None each, to count the calls)."""
+    calls, fn = [], getattr(owner, name)
+
+    def spied(*args):
+        calls.append(pick(*args))
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, spied)
+    return calls
+
+
+def _fork_widths(monkeypatch):
+    # the width of every _fork.fork_map call from now on
+    return _calls(monkeypatch, _fork, "fork_map",
+                  lambda fn, items, width: width)
+
+
 @pytest.fixture(scope="module")
-def planar32_overlapped(ca40):
+def planar32_sweep(ca40):
+    # planar32's overlapped _sweep_rows, the widths of its fork_map calls,
+    # and the number of its saddle descents
     with pytest.MonkeyPatch.context() as mp:
-        return _sweep_rows(mp, True, *_planar32(ca40))
+        widths = _fork_widths(mp)
+        descents = _calls(mp, crystal, "_descend_from_saddle")
+        return _sweep_rows(mp, True, *_planar32(ca40)), widths, len(descents)
+
+
+@pytest.fixture(scope="module")
+def planar32_overlapped(planar32_sweep):
+    return planar32_sweep[0]
 
 
 def _script_saddles(monkeypatch, at):
@@ -1290,37 +1318,25 @@ class TestHostRule:
                                                            monkeypatch):
         # numpy on another BLAS: no setter, so neither fans out
         monkeypatch.setattr(_fork, "openblas_functions", lambda name: [])
-        widths, fork_map = [], _fork.fork_map
-
-        def spy(fn, items, width):
-            widths.append(width)
-            return fork_map(fn, items, width)
-
-        monkeypatch.setattr(_fork, "fork_map", spy)
+        widths = _fork_widths(monkeypatch)
         assert _fork.cpus() == 0
         assert _fork.width(4) == 0
         assert crystal._overlaps(64) is False
-        equilibrium(crystal._FANOUT_MIN_IONS,
+        equilibrium(crystal._PARALLEL_MIN_IONS,
                     TrapConfig.from_frequencies(85e3, 300e3), species=ca40,
                     seed=7)
         assert widths == []
 
     def test_size_gates(self, ca40, monkeypatch):
-        # each speed-up starts at its own size, where the host rule allows
-        lookahead = crystal._LOOKAHEAD_MIN_IONS
-        assert crystal._overlaps(lookahead - 1) is False
-        assert crystal._overlaps(lookahead) is (_fork.cpus() >= 2)
-        widths, fork_map = [], _fork.fork_map
-
-        def spy(fn, items, width):
-            widths.append(width)
-            return fork_map(fn, items, width)
-
-        monkeypatch.setattr(_fork, "fork_map", spy)
+        # both speed-ups start at the one gate, where the host rule allows
+        gate = crystal._PARALLEL_MIN_IONS
+        assert crystal._overlaps(gate - 1) is False
+        assert crystal._overlaps(gate) is (_fork.cpus() >= 2)
+        widths = _fork_widths(monkeypatch)
         trap = TrapConfig.from_frequencies(85e3, 300e3)
-        equilibrium(crystal._FANOUT_MIN_IONS - 1, trap, species=ca40, seed=7)
+        equilibrium(gate - 1, trap, species=ca40, seed=7)
         assert widths == []
-        equilibrium(crystal._FANOUT_MIN_IONS, trap, species=ca40, seed=7)
+        equilibrium(gate, trap, species=ca40, seed=7)
         width = _fork.width(crystal._RESTARTS)
         assert widths == ([width] if width >= 2 else [])
 
@@ -1338,27 +1354,20 @@ class _TwoArgumentError(Exception):
 
 
 def _run_in_process(monkeypatch):
-    monkeypatch.setattr(crystal, "_FANOUT_MIN_IONS", math.inf)
+    # no crystal reaches the gate: nothing forks, and no sweep overlaps
+    monkeypatch.setattr(crystal, "_PARALLEL_MIN_IONS", math.inf)
 
 
 @pytest.mark.skipif(_fork.width(crystal._RESTARTS) < 2,
                     reason="cold starts do not fan out on this host")
 class TestForkedStarts:
     TRAP = TrapConfig.from_frequencies(85e3, 300e3)
-    N = crystal._FANOUT_MIN_IONS
+    N = crystal._PARALLEL_MIN_IONS
 
     @pytest.fixture
     def fanned_out(self, monkeypatch):
         # the widths of the fork_map calls the next solves make
-        widths = []
-        fork_map = _fork.fork_map
-
-        def spy(fn, items, width):
-            widths.append(width)
-            return fork_map(fn, items, width)
-
-        monkeypatch.setattr(_fork, "fork_map", spy)
-        return widths
+        return _fork_widths(monkeypatch)
 
     @pytest.mark.parametrize("case", ["crystal64", "fanout_min"])
     def test_forked_starts_keep_every_bit(self, ca40, monkeypatch,
@@ -1378,23 +1387,20 @@ class TestForkedStarts:
         assert forked.potential_value.hex() == local.potential_value.hex()
         assert forked.is_saddle == local.is_saddle
 
-    def test_forked_kicks_keep_every_bit(self, ca40, monkeypatch,
-                                         fanned_out):
-        # 24 ions on the default grid: one tracked state turns into a
-        # saddle, and its six kicks descend in forked workers like the
-        # cold starts of row 0
-        args = (24, self.TRAP, _blue_lattice(ca40), 200, ca40, 7, None)
-        forked = list(crystal._sweep(*args))
-        fan_outs = [_fork.width(crystal._RESTARTS), _fork.width(6)]
-        assert fanned_out == fan_outs
-        _run_in_process(monkeypatch)
-        local = list(crystal._sweep(*args))
-        assert fanned_out == fan_outs
-        assert len(forked) == len(local) == 201
-        for row, want in zip(forked, local):
-            assert row[0] == want[0] and row[4:] == want[4:]
-            for array, expected in zip(row[1:4], want[1:4]):
-                assert np.array_equal(array, expected)
+    def test_sweeps_fork_only_cold_starts(self, ca40, monkeypatch,
+                                          planar32_sweep, fanned_out):
+        # 24 ions on the default grid, below the gate: one tracked state
+        # turns into a saddle, and neither its kicks nor row 0's cold
+        # starts fork
+        descents = _calls(monkeypatch, crystal, "_descend_from_saddle")
+        rows = list(crystal._sweep(24, self.TRAP, _blue_lattice(ca40), 200,
+                                   ca40, 7, None))
+        assert len(rows) == 201 and descents
+        assert fanned_out == []
+        # planar32, at the gate: row 0's cold starts fork, and its kicks
+        # run in process, as the sweep's spectrum thread is alive by then
+        _, widths, n_descents = planar32_sweep
+        assert n_descents and widths == [_fork.width(crystal._RESTARTS)]
 
     def test_worker_exception_reaches_caller(self, ca40, monkeypatch,
                                              fanned_out):
