@@ -5,7 +5,12 @@ than any single call to it saves, so these are written on numpy alone:
 
 - ``minimize``: BFGS with the Moré–Thuente line search (MINPACK-2
   ``dcsrch``/``dcstep``, as in scipy's ``line_search_wolfe1``), for the
-  cold crystal solve;
+  cold crystal solve. It takes one start or a stack of them: each start
+  is a lane, the loop it runs alone written as a generator, and the lanes
+  advance in lockstep, with one call of the objective per round for every
+  lane that needs a point. Small crystals' starts share each
+  energy/gradient pass that way, each to the bits it gets alone; the
+  caller decides which starts to stack (``crystal``'s size gate);
 - ``assignment``: minimum-cost perfect matching of a square matrix by
   Jonker–Volgenant shortest augmenting paths, for mode-branch tracking;
 - ``least_squares_batch``: Levenberg–Marquardt, damped Gauss–Newton steps
@@ -128,16 +133,17 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def line_search(fun, xk, pk, f0, g0, old_f0):
-    """Strong-Wolfe step along pk from xk: (alpha, f, g) or None.
+def line_search(xk, pk, f0, g0, old_f0):
+    """Strong-Wolfe step along pk from xk, as a generator.
 
-    A port of scipy's ``line_search_wolfe1`` with c1 1e-4, c2 0.9, xtol
-    1e-14 and steps in [1e-100, 1e100]: the first trial step is
-    min(1, 2.02 (f0 - old_f0) / phi'(0)), then MINPACK-2 ``dcsrch`` (Moré
-    and Thuente, ACM TOMS 20, 1994) for at most 100 trial steps, with the
-    same arithmetic in the same order. ``fun(x)`` returns (f, gradient),
-    called once per trial step. None when the search ends without a step
-    that satisfies both conditions.
+    It yields each trial point x and is sent (f, gradient) at it, once per
+    trial step; it returns (alpha, f, g), or None when the search ends
+    without a step that satisfies both conditions. A port of scipy's
+    ``line_search_wolfe1`` with c1 1e-4, c2 0.9, xtol 1e-14 and steps in
+    [1e-100, 1e100]: the first trial step is min(1, 2.02 (f0 - old_f0) /
+    phi'(0)), then MINPACK-2 ``dcsrch`` (Moré and Thuente, ACM TOMS 20,
+    1994) for at most 100 trial steps, with the same arithmetic in the same
+    order.
     """
     ginit = np.dot(g0, pk)
     if ginit != 0:
@@ -161,7 +167,7 @@ def line_search(fun, xk, pk, f0, g0, old_f0):
     for _ in range(_LS_MAXITER - 1):
         if not math.isfinite(stp):
             return None
-        f, g = fun(xk + stp * pk)
+        f, g = yield xk + stp * pk
         dg = np.dot(g, pk)
         ftest = finit + stp * gtest
         if stage == 1 and f <= ftest and dg >= 0:
@@ -208,23 +214,85 @@ def line_search(fun, xk, pk, f0, g0, old_f0):
 
 
 class BFGSResult(NamedTuple):
-    x: np.ndarray
-    nit: int
+    x: np.ndarray  # (n,), or (L, n) for a stack of L starts
+    nits: tuple  # the iterations of each lane
+    errors: tuple  # the exception that ended each lane, or None
+
+    @property
+    def nit(self):
+        """Iterations, summed over the lanes."""
+        return sum(self.nits)
 
 
 def minimize(fun, x0, gtol, maxiter):
-    """BFGS descent from x0 to gradient max-norm gtol; ``fun(x)`` -> (f, g).
+    """BFGS descents to gradient max-norm gtol from x0, one start or many.
 
-    scipy's BFGS loop (first step of about unit length, rho = 1000 when
-    y^T s = 0, stop on a non-finite value) with ``line_search`` and the
-    inverse-Hessian update (I - rho s y^T) H (I - rho y s^T) + rho s s^T
-    in its rank-two form H + s a^T + a s^T, a = (rho^2 y^T H y + rho) s/2
-    - rho H y: O(n^2) per iteration instead of two dense O(n^3) products,
-    with its (n, n) arrays allocated once per descent. Stops where the
-    line search fails. Returns x and the iteration count.
+    x0 is one start (n,), and ``fun(x)`` returns (f, g) at x (n,); or x0
+    is a stack (L, n) of starts, each a lane, and ``fun(x)`` returns the
+    (k,) values and (k, n) gradients at a stack x (k, n) of points. The
+    lanes advance in lockstep: each round, one call of fun evaluates every
+    lane that needs a point, so lanes share each pass's numpy dispatch,
+    and each lane is ``_bfgs``, the loop a start runs alone, to the bit. A
+    call that raises is repeated lane by lane, and a lane whose point
+    raises ends there with that exception in ``errors`` (x holds the
+    point) while the others go on; with no lane axis, the exception is
+    raised. Returns x in x0's shape, each lane's iteration count and
+    errors.
     """
-    x = x0
-    f, g = fun(x)
+    one = x0.ndim == 1
+    lanes = [_bfgs(x, gtol, maxiter) for x in (x0[None] if one else x0)]
+    xs = [None] * len(lanes)
+    nits, errors = [0] * len(lanes), [None] * len(lanes)
+    live = list(range(len(lanes)))
+    points = [next(lane) for lane in lanes]
+    while live:
+        going, ahead = [], []
+        for i, point, value in zip(live, points,
+                                   _evaluate(fun, points, one)):
+            if isinstance(value, Exception):
+                xs[i], errors[i] = point, value
+                continue
+            try:
+                ahead.append(lanes[i].send(value))
+                going.append(i)
+            except StopIteration as done:
+                xs[i], nits[i] = done.value
+        live, points = going, ahead
+    if one:
+        return BFGSResult(x=xs[0], nits=(nits[0],), errors=(None,))
+    return BFGSResult(x=np.stack(xs), nits=tuple(nits),
+                      errors=tuple(errors))
+
+
+def _evaluate(fun, points, one):
+    """fun's (f, g) at each point, or the exception raised there; with no
+    lane axis (one), fun's exception is raised."""
+    if one:
+        return [fun(points[0])]
+    try:
+        f, g = fun(np.array(points))  # np.stack's copy, at less dispatch
+        return list(zip(f, g))
+    except Exception as exc:  # it ends the lane whose point raised
+        if len(points) == 1:
+            return [exc]
+        # each point alone gets the bits it gets in the stack
+        return [value for point in points
+                for value in _evaluate(fun, [point], False)]
+
+
+def _bfgs(x, gtol, maxiter):
+    """One lane of ``minimize``: BFGS from x, as a generator.
+
+    It yields each point it needs (f, g) at and is sent them; it returns
+    (x, iterations). scipy's BFGS loop (first step of about unit length,
+    rho = 1000 when y^T s = 0, stop on a non-finite value) with
+    ``line_search`` and the inverse-Hessian update (I - rho s y^T) H (I -
+    rho y s^T) + rho s s^T in its rank-two form H + s a^T + a s^T, a =
+    (rho^2 y^T H y + rho) s/2 - rho H y: O(n^2) per iteration instead of
+    two dense O(n^3) products, with its (n, n) arrays allocated once per
+    descent. Stops where the line search fails.
+    """
+    f, g = yield x
     h = np.eye(len(x))
     sa, as_ = np.empty_like(h), np.empty_like(h)  # s a^T and a s^T
     old_f = f + np.linalg.norm(g) / 2
@@ -232,7 +300,7 @@ def minimize(fun, x0, gtol, maxiter):
     gnorm = np.abs(g).max()
     while gnorm > gtol and k < maxiter:
         p = -(h @ g)
-        step = line_search(fun, x, p, f, g, old_f)
+        step = yield from line_search(x, p, f, g, old_f)
         if step is None:
             break
         alpha, f_new, g_new = step
@@ -252,7 +320,7 @@ def minimize(fun, x0, gtol, maxiter):
         hy = h @ y
         a = 0.5 * (rho * rho * float(np.dot(y, hy)) + rho) * s - rho * hy
         _rank_two_update(h, s, a, sa, as_)
-    return BFGSResult(x=x, nit=k)
+    return x, k
 
 
 def _rank_two_update(h, s, a, sa, as_):

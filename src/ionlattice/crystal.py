@@ -258,41 +258,49 @@ class _Dimensionless:
             self.u0 = lattice.depth_U0 / self.energy_unit
 
     def _pairs(self, u):
-        """Differences d[a, j, i] = u_i - u_j, (3, N, N), and the distances
-        r, exactly symmetric with a unit diagonal (so that 1/r^3 stays
-        finite there)."""
-        ut = np.ascontiguousarray(u.T)
-        d = ut[:, None, :] - ut[:, :, None]
+        """Differences d[a, ..., j, i] = u_i - u_j, (3, ..., N, N), of the
+        (..., N, 3) positions u, and the distances r, (..., N, N), exactly
+        symmetric with a unit diagonal (so that 1/r^3 stays finite there)."""
+        n = u.shape[-2]
+        ut = np.ascontiguousarray(u.transpose(-1, *range(u.ndim - 1)))
+        d = ut[..., None, :] - ut[..., :, None]
         sq = d * d
         r2 = np.add(sq[0], sq[1], out=sq[0])
         r2 += sq[2]
-        r2.flat[::len(u) + 1] = 1.0
+        r2.reshape(-1, n * n)[:, ::n + 1] = 1.0
         return d, np.sqrt(r2, out=r2)
 
     def energy_and_gradient(self, u):
-        """Potential and its (N, 3) gradient from one pair pass."""
-        n = len(u)
+        """Potential and its gradient from one pair pass.
+
+        u is one configuration (N, 3), or a stack (L, N, 3) of lanes; the
+        energy is () or (L,), the gradient has u's shape, and each lane
+        gets the bits it gets alone (every sum runs within a lane, in the
+        same order).
+        """
+        n = u.shape[-2]
         d, r = self._pairs(u)
         if r.min() < 1e-14:  # the diagonal of r is 1
             raise SingularConfigurationError(
                 "two ions coincide; Coulomb energy is singular")
         w = np.divide(_strict_upper(n), r)  # 1/r above the diagonal
-        coul = w.sum()
+        coul = w.sum(axis=(-2, -1))
         g = self.alpha2 * u
-        harm = 0.5 * (g * u).sum()
+        harm = 0.5 * (g * u).sum(axis=(-2, -1))
         latt = 0.0
         if self.u0 != 0.0:
-            s = np.sin(self.kappa * u[:, 2])
-            latt = self.u0 * (s * s).sum()
+            s = np.sin(self.kappa * u[..., 2])
+            latt = self.u0 * (s * s).sum(axis=-1)
         inv3 = np.multiply(r, r, out=w)
         inv3 *= r
         np.divide(1.0, inv3, out=inv3)
-        inv3.flat[::n + 1] = 0.0
+        inv3.reshape(-1, n * n)[:, ::n + 1] = 0.0
         # per-ion sums over partners j, added in index order
         d *= inv3
-        g -= d.sum(axis=1).T
+        g -= d.sum(axis=-2).transpose(*range(1, u.ndim), 0)
         if self.u0 != 0.0:
-            g[:, 2] += self.u0 * self.kappa * np.sin(2.0 * self.kappa * u[:, 2])
+            g[..., 2] += self.u0 * self.kappa * np.sin(
+                2.0 * self.kappa * u[..., 2])
         return harm + coul + latt, g
 
     def hessian(self, u):
@@ -407,43 +415,64 @@ def _newton_polish(scaled, u):
     return u, energy, gnorm, False
 
 
-def _solve_from(scaled, u0):
-    n = len(u0)
+def _solve_from(scaled, starts):
+    """BFGS descent then ``_newton_polish``: (u, energy, gnorm, converged).
+
+    starts is one (N, 3) start, or a stack (L, N, 3) of them, which descend
+    as the lanes of one ``minimize`` and give a list of runs in start
+    order. A lane whose descent raised raises after the earlier lanes'
+    polishes, so the exception is the one a loop over the starts raises.
+    """
+    shape = starts.shape[-2:]
 
     def energy_and_gradient(v):
-        e, g = scaled.energy_and_gradient(v.reshape(n, 3))
-        return e, g.reshape(-1)
+        e, g = scaled.energy_and_gradient(v.reshape(*v.shape[:-1], *shape))
+        return e, g.reshape(v.shape)
 
-    res = minimize(energy_and_gradient, u0.reshape(-1), gtol=1e-8,
+    res = minimize(energy_and_gradient,
+                   starts.reshape(*starts.shape[:-2], -1), gtol=1e-8,
                    maxiter=4000)
-    u = res.x.reshape(n, 3)
-    return _newton_polish(scaled, u)
+    if starts.ndim == 2:
+        return _newton_polish(scaled, res.x.reshape(shape))
+    runs = []
+    for x, error in zip(res.x, res.errors):
+        if error is not None:
+            raise error
+        runs.append(_newton_polish(scaled, x.reshape(shape)))
+    return runs
 
 
 # from _PARALLEL_MIN_IONS ions on, cold starts fork and sweeps overlap
-# spectra with solves, where the host allows it; below it, neither pays
-# clearly end to end (measured, CHANGES.md). Kicks never fork: the sweep's
-# spectrum thread is alive whenever they run (``_fork.width``)
+# spectra with solves, where the host allows it; below it, the starts of a
+# descent run as lanes of one BFGS instead, which pays there and not above
+# (measured, CHANGES.md). Kicks never fork: the sweep's spectrum thread is
+# alive whenever they run (``_fork.width``)
 _PARALLEL_MIN_IONS = 32
 
 
 def _descend(scaled, starts, what):
     """(u, energy, gnorm) of each converged ``_solve_from``, in start order.
 
-    The starts are independent, so from ``_PARALLEL_MIN_IONS`` ions on
-    they run in ``_fork.width(len(starts))`` forked workers (cold starts
-    only: see the gate's comment); every run is bit for bit the one the
-    in-process loop gives, and so is the exception raised.
+    The starts are independent. Below ``_PARALLEL_MIN_IONS`` ions they run
+    as the lanes of one ``_solve_from`` call, which shares each
+    energy/gradient pass among them (4 cold starts, 6 kicks, or the one
+    start of a stalled warm polish). From the gate on, each call takes one
+    start, in ``_fork.width(len(starts))`` forked workers (cold starts
+    only: see the gate's comment) or else in a loop. Either way every run
+    is bit for bit the one the loop gives, and so is the exception raised:
+    that of the lowest-index start that raised.
     If no start converges, raises EquilibriumError naming ``what`` and the
     best gradient max-norm among the runs, with that run's positions.
     """
-    width = 0
-    if len(starts[0]) >= _PARALLEL_MIN_IONS:
+    if len(starts[0]) < _PARALLEL_MIN_IONS:
+        runs = _solve_from(scaled, np.stack(starts))
+    else:
         # imported here, so that a run with no large crystal never pays
         from . import _fork
         width = _fork.width(len(starts))
-    runs = (_fork.fork_map(partial(_solve_from, scaled), starts, width)
-            if width >= 2 else [_solve_from(scaled, u0) for u0 in starts])
+        solve = partial(_solve_from, scaled)
+        runs = (_fork.fork_map(solve, starts, width) if width >= 2
+                else [solve(u0) for u0 in starts])
     found = [(u, energy, gnorm) for u, energy, gnorm, ok in runs if ok]
     if not found:
         u, _, gnorm, _ = min(runs, key=lambda r: r[2])
@@ -518,14 +547,15 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     by energy, and the first of the starts whose energies tie with the
     lowest to 1e-12 relative, so that rounding never picks between mirror
     images; if none converges, EquilibriumError names the best gradient
-    max-norm among them. From 32 ions on, the four starts run side by side
-    in forked worker processes (one BLAS thread each) where the host allows
-    it, to the same bits; below 32 ions, in process. With a guess (warm
-    start): Newton polish, and BFGS from the guess first if that stalls;
-    deterministic. A converged stationary point with a direction of
-    negative curvature is returned with ``is_saddle`` set rather than
-    re-seeded, so instability of e.g. a linear chain past the zigzag
-    transition is visible to the caller.
+    max-norm among them. Below 32 ions the four starts descend as lanes of
+    one BFGS that share each energy/gradient pass; from 32 ions on they
+    run side by side in forked worker processes (one BLAS thread each)
+    where the host allows it, and one after another otherwise. Every way
+    gives the same bits. With a guess (warm start): Newton polish, and
+    BFGS from the guess first if that stalls; deterministic. A converged
+    stationary point with a direction of negative curvature is returned
+    with ``is_saddle`` set rather than re-seeded, so instability of e.g. a
+    linear chain past the zigzag transition is visible to the caller.
     The flag reads only the eigenvalues (``eigvalsh``) of the Hessian,
     which is built on the calling thread, as every Hessian is; only a
     sweep's ``eigh`` may run on a worker thread (``continuation``).
@@ -664,7 +694,8 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     left behind. Tracking follows the physics: relax along the unstable
     direction to the adjacent minimum and continue from there. Six kicks
     of either sign are tried, each a BFGS descent then Newton polish, in
-    process at every size; a stalled kick is skipped. The lowest minimum
+    process at every size (below 32 ions as six lanes of one BFGS, the
+    cold starts' way); a stalled kick is skipped. The lowest minimum
     reached is kept, the first kick's on ties to 1e-12 relative (mirror
     images); with saddles only, the saddle so picked is kicked once more.
     Only if every kick of a round stalls does the sweep raise

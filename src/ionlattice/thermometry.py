@@ -134,6 +134,9 @@ def _gauss(x, a, c, s, b):
 
 # fewest distinct pixels a 4-parameter Gaussian fit accepts
 _MIN_PIXELS = 5
+# a fit is a spot only if the nested-model F test refuses the line a + b x
+# in its favour at this probability of refusing a true spot
+_F_TEST_P = 1e-6
 
 
 def fit_gaussian_profile(profile, pixel_pitch=1.0):
@@ -154,8 +157,9 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
     profile, a fitted center off the profile's pixels, an amplitude that
     is not positive, a width collapsing below a quarter pixel or a fit
     that runs away (a width beyond the pixel span, or a center more than
-    a span off the pixels, stops the solver at once), and
-    FitConvergenceError if the solver stalls.
+    a span off the pixels, stops the solver at once) or a fit that the
+    line a + b x matches nearly as well (the nested-model F test, at p =
+    1e-6), and FitConvergenceError if the solver stalls.
     """
     (fit,) = _fit_profiles([profile])
     if isinstance(fit, Exception):
@@ -181,7 +185,8 @@ def _fit_profiles(profiles):
     Profiles of unequal length are zero-padded, and every entry is the one
     its profile gets alone. A fit that runs away is stopped during the
     pass, and after each pass, a fit whose center lies off the profile's
-    pixels or whose amplitude is not positive is no spot, and is refused.
+    pixels or whose amplitude is not positive is no spot, and is refused,
+    and so, after the weighted pass, is one that does not beat a line.
     """
     fits = [None] * len(profiles)
     kept, x0 = [], []
@@ -273,6 +278,27 @@ def _fit_profiles(profiles):
             return f"fitted amplitude {p[0] * peaks[k]:.3g} is not positive"
         return None
 
+    def no_peak(k, sig, rss):
+        # why kept profile k, weighted by sig, is no spot by the F test on
+        # the residual sums rss of the Gaussian and of the line a + b x, or
+        # None. F = ((rss_line - rss)/2)/(rss/nu), nu = m - 4 (Bevington
+        # and Robinson, Data Reduction and Error Analysis, ch. 11), is a
+        # ratio of sums, so an overall gain leaves it. F(2, nu)'s
+        # upper p quantile is (nu/2)(p^(-2/nu) - 1) in closed form
+        m = lengths[k]
+        nu = m - 4
+        px, counts = x[k, :m], y[k, :m]
+        line = np.column_stack([1.0 / sig, px / sig])
+        fit, *_ = np.linalg.lstsq(line, counts / sig, rcond=None)
+        rss_line = float(np.sum((line @ fit - counts / sig) ** 2))
+        quantile = 0.5 * nu * (_F_TEST_P ** (-2.0 / nu) - 1.0)
+        if (rss_line - rss) * nu >= 2.0 * quantile * rss:
+            return None
+        f = 0.5 * (rss_line - rss) / (rss / nu)
+        return (f"the Gaussian does not beat the line a + b*x: nested-model "
+                f"F {f:.3g} is below {quantile:.3g}, the F(2, {nu}) "
+                f"quantile at p = {_F_TEST_P:g}")
+
     res = solve(np.arange(len(kept)), np.ones_like(y), x0)
     ok = []
     for k in range(len(kept)):
@@ -304,6 +330,9 @@ def _fit_profiles(profiles):
         if s < 0.25:  # below a quarter pixel the model is unresolvable
             fits[kept[i][0]] = DegenerateFitError(
                 f"fitted width {s:.3g} px is below pixel_pitch/4")
+            continue
+        if why := no_peak(i, sig[k, :m], 2.0 * res.cost[k]):
+            fits[kept[i][0]] = DegenerateFitError(why)
             continue
         dof = max(m - 4, 1)
         s2 = 2.0 * res.cost[k] / dof

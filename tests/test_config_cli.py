@@ -1033,6 +1033,25 @@ class TestThermometryCommand:
             "the profile's pixels 0 to 19" in capsys.readouterr().err
         assert not (out / "temperature.json").exists()
 
+    def test_inverted_spot_is_solver_error_naming_it(self, ws8, tmp_path,
+                                                     capsys):
+        # ion 4's axial profile is a Poisson draw (seed 0, the fourth) of
+        # the inverted Gaussian 100 - 50 exp(-(x - 9.5)^2/18) on pixels
+        # 0..19: a Gaussian fits it only as a bump on the dip's flank, and
+        # beats the line a + b*x by too little to be a spot
+        cfg, out = ws8
+        dip = self._with_group(
+            self._spots_csv(tmp_path), tmp_path / "dip.csv", 4, "axial",
+            [82, 92, 118, 108, 87, 92, 69, 76, 52, 60, 63, 65, 55, 80, 81,
+             92, 85, 98, 94, 105])
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(dip)])
+        assert code == EXIT_SOLVER
+        assert "spot (ion_index 4, axis axial): the Gaussian does not beat " \
+            "the line a + b*x: nested-model F 3.61 is below 37, the " \
+            "F(2, 16) quantile at p = 1e-06" in capsys.readouterr().err
+        assert not (out / "temperature.json").exists()
+
     def test_unused_axis_is_read_but_not_fitted(self, ws8, tmp_path,
                                                 capsys):
         # a constant radial group is no error while radial spots are

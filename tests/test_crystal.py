@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, minimize
 
 from ionlattice import (
@@ -771,14 +773,20 @@ class TestSaddleDescent:
                 first_warm.append(out[0])
             return out
 
-        def scripted_solve(scaled, u0):
-            out = solve(scaled, u0)
+        def scripted_solve(scaled, starts):
+            # below the gate every start of a descent is a lane of one call
+            runs = solve(scaled, starts)
             if not first_warm:  # cold starts and the first warm settle
-                return out
-            kicks.append(u0)
-            if last_kick_converges and len(kicks) == 6:
-                return out
-            return out[0], out[1], float(len(kicks)), False
+                return runs
+            scripted = []
+            for u0, out in zip(starts, runs):
+                kicks.append(u0)
+                if last_kick_converges and len(kicks) == 6:
+                    scripted.append(out)
+                else:
+                    scripted.append((out[0], out[1], float(len(kicks)),
+                                     False))
+            return scripted
 
         monkeypatch.setattr(crystal, "_settle", first_warm_settle)
         monkeypatch.setattr(crystal, "_solve_from", scripted_solve)
@@ -810,11 +818,11 @@ class TestSaddleDescent:
                 warm.append(out[0])
             return out
 
-        def scripted_solve(scaled, u0):
-            out = solve(scaled, u0)
-            if warm:  # a kick: cold starts and the first warm settle
-                kicked.append(out[0])  # run before warm is filled
-            return out
+        def scripted_solve(scaled, starts):
+            runs = solve(scaled, starts)  # a lane per start, below the gate
+            if warm:  # kicks: cold starts and the first warm settle
+                kicked.extend(out[0] for out in runs)  # run before warm
+            return runs
 
         monkeypatch.setattr(crystal, "_settle", scripted_settle)
         monkeypatch.setattr(crystal, "_solve_from", scripted_solve)
@@ -1042,9 +1050,20 @@ def _triu_energy_and_gradient(self, u):
     return harm + coul + latt, g
 
 
+def _line_search(fun, xk, pk, f0, g0, old_f0):
+    # _optim.line_search driven by fun alone, one trial point per call
+    search = _optim.line_search(xk, pk, f0, g0, old_f0)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fun(x))
+    except StopIteration as done:
+        return done.value
+
+
 def _numpy_scalar_minimize(fun, x0, gtol, maxiter):
-    # _optim.minimize as it ran on numpy scalars, with two max-norms per
-    # iteration; its line search is _optim's, which
+    # _optim.minimize as it ran one start on numpy scalars, with two
+    # max-norms per iteration; its line search is _optim's, which
     # test_optim.py::test_line_search_equals_scipy_wolfe1 pins to scipy
     x = x0
     f, g = fun(x)
@@ -1054,7 +1073,7 @@ def _numpy_scalar_minimize(fun, x0, gtol, maxiter):
     k = 0
     while np.max(np.abs(g)) > gtol and k < maxiter:
         p = -(h @ g)
-        step = _optim.line_search(fun, x, p, f, g, old_f)
+        step = _line_search(fun, x, p, f, g, old_f)
         if step is None:
             break
         alpha, f_new, g_new = step
@@ -1071,7 +1090,7 @@ def _numpy_scalar_minimize(fun, x0, gtol, maxiter):
         hy = h @ y
         a = 0.5 * (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
         _optim._rank_two_update(h, s, a, sa, as_)
-    return _optim.BFGSResult(x=x, nit=k)
+    return x
 
 
 def _twice_normed_polish(scaled, u):
@@ -1109,12 +1128,28 @@ def _twice_normed_polish(scaled, u):
     return u, energy, gnorm, False
 
 
+def _per_start_solve_from(scaled, starts):
+    # crystal._solve_from as it descended one start per call, each a lane
+    # of the stack in turn, through the reference copies above
+    runs = []
+    for u0 in np.reshape(starts, (-1, *starts.shape[-2:])):
+        def energy_and_gradient(v):
+            e, g = scaled.energy_and_gradient(v.reshape(u0.shape))
+            return e, g.reshape(-1)
+
+        x = _numpy_scalar_minimize(energy_and_gradient, u0.reshape(-1),
+                                   gtol=1e-8, maxiter=4000)
+        runs.append(crystal._newton_polish(scaled, x.reshape(u0.shape)))
+    return runs if starts.ndim == 3 else runs[0]
+
+
 def _swap_in_reference_loops(monkeypatch):
-    # the four reference copies above in place of the library's own
+    # the reference copies above in place of the library's own: the
+    # per-start loop against the lanes below the gate
     monkeypatch.setattr(_optim, "_rank_two_update", _outer_rank_two_update)
     monkeypatch.setattr(crystal._Dimensionless, "energy_and_gradient",
                         _triu_energy_and_gradient)
-    monkeypatch.setattr(crystal, "minimize", _numpy_scalar_minimize)
+    monkeypatch.setattr(crystal, "_solve_from", _per_start_solve_from)
     monkeypatch.setattr(crystal, "_newton_polish", _twice_normed_polish)
 
 
@@ -1229,6 +1264,120 @@ class TestColdSolver:
         assert gnorm == pytest.approx(1.070e-10, rel=1e-3)
         np.testing.assert_array_equal(info.value.last_positions,
                                       u * scaled.ell)
+
+
+def _lane_potential(ca40, lattice):
+    # 85/300 kHz, with no lattice or a 0.3 MHz blue or red one
+    latt = None
+    if lattice != "none":
+        sign = 1.0 if lattice == "blue" else -1.0
+        k = ca40.lattice_wavevector
+        latt = LatticeConfig(
+            depth_U0=sign * ca40.mass * (2 * math.pi * 0.3e6) ** 2
+            / (2.0 * k * k),
+            wavevector_k=k, detuning=sign * 2 * math.pi * 0.76e12)
+    return crystal._Dimensionless(TrapConfig.from_frequencies(85e3, 300e3),
+                                  latt, ca40)
+
+
+class _MarkedPotential(crystal._Dimensionless):
+    # raises ValueError("mark m") for a configuration whose first ion sits
+    # at x = 1000 + m, lane by lane as the library's own errors do
+    def energy_and_gradient(self, u):
+        marks = u[..., 0, 0] - 1000.0
+        if np.any(marks >= 0.0):
+            raise ValueError(f"mark {int(np.min(marks[marks >= 0.0]))}")
+        return super().energy_and_gradient(u)
+
+
+@st.composite
+def _lane_cases(draw):
+    # (n ions, lattice, starts (L, n, 3), the lane whose ions 0 and 1
+    # coincide or None)
+    n = draw(st.integers(1, 31))
+    lanes = draw(st.integers(1, 6))
+    lattice = draw(st.sampled_from(["none", "blue", "red"]))
+    seed = draw(st.integers(0, 2 ** 16))
+    merged = draw(st.none() | st.integers(0, lanes - 1)) if n >= 2 else None
+    rng = np.random.default_rng(seed)
+    starts = np.stack([crystal._string_guess(n, rng, 0.02 * (lane + 1))
+                       for lane in range(lanes)])
+    if merged is not None:
+        starts[merged, 1] = starts[merged, 0]
+    return n, lattice, starts, merged
+
+
+class TestLanes:
+    """Below the gate the starts of a descent are lanes of one BFGS: each
+    must get the bits, the iteration count and the exception it gets
+    alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_lane_cases())
+    def test_each_lane_as_alone(self, ca40, case):
+        n, lattice, starts, merged = case
+        scaled = _lane_potential(ca40, lattice)
+        kept = [u for lane, u in enumerate(starts) if lane != merged]
+        if kept:
+            energy, grad = scaled.energy_and_gradient(np.stack(kept))
+            for lane, u in enumerate(kept):
+                e_one, g_one = scaled.energy_and_gradient(u)
+                assert energy[lane] == e_one
+                assert np.array_equal(grad[lane], g_one)
+
+        def lanes_fun(v):
+            e, g = scaled.energy_and_gradient(v.reshape(len(v), n, 3))
+            return e, g.reshape(len(v), -1)
+
+        def one_fun(v):
+            e, g = scaled.energy_and_gradient(v.reshape(n, 3))
+            return e, g.reshape(-1)
+
+        res = _optim.minimize(lanes_fun, starts.reshape(len(starts), -1),
+                              gtol=1e-8, maxiter=4000)
+        assert res.nit == sum(res.nits)
+        for lane, u0 in enumerate(starts):
+            if lane == merged:
+                assert isinstance(res.errors[lane], SingularConfigurationError)
+                with pytest.raises(SingularConfigurationError):
+                    _optim.minimize(one_fun, u0.reshape(-1), gtol=1e-8,
+                                    maxiter=4000)
+                continue
+            alone = _optim.minimize(one_fun, u0.reshape(-1), gtol=1e-8,
+                                    maxiter=4000)
+            assert res.errors[lane] is None
+            assert np.array_equal(res.x[lane], alone.x)
+            assert res.nits[lane] == alone.nit
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 12),
+           marks=st.lists(st.none() | st.integers(0, 9), min_size=1,
+                          max_size=6))
+    def test_descend_raises_as_the_loop(self, ca40, n, marks):
+        # lanes whose first ion sits at 1000 + m raise "mark m" at their
+        # first point; the loop over the starts raises the first such
+        # lane's, whatever the marks' order, and so must the lanes
+        scaled = _MarkedPotential(TrapConfig.from_frequencies(85e3, 300e3),
+                                  None, ca40)
+        starts = [_cold_start(n, 7, lane) for lane in range(len(marks))]
+        for u, mark in zip(starts, marks):
+            if mark is not None:
+                u[0, 0] = 1000.0 + mark
+        assert len(starts[0]) < crystal._PARALLEL_MIN_IONS  # lanes
+        raised = [m for m in marks if m is not None]
+        if not raised:
+            found = crystal._descend(scaled, starts, "scripted")
+            loop = [crystal._solve_from(scaled, u) for u in starts]
+            loop = [run for run in loop if run[3]]
+            assert len(found) == len(loop)
+            for (u, energy, _), run in zip(found, loop):
+                assert np.array_equal(u, run[0]) and energy == run[1]
+            return
+        with pytest.raises(ValueError, match=f"^mark {raised[0]}$"):
+            crystal._descend(scaled, starts, "scripted")
+        with pytest.raises(ValueError, match=f"^mark {raised[0]}$"):
+            for u in starts:
+                crystal._solve_from(scaled, u)
 
 
 class TestNewtonPolish:
@@ -1418,6 +1567,8 @@ class TestForkedStarts:
         solve = crystal._solve_from
 
         def spied(scaled, u0):
+            # one start per call: forked, or in the loop of a host that
+            # cannot fork
             if os.getpid() == parent:
                 ran_here.append(u0)
             return solve(scaled, u0)
@@ -1427,7 +1578,7 @@ class TestForkedStarts:
         with pytest.raises(SingularConfigurationError) as forked:
             equilibrium(self.N, self.TRAP, species=ca40, seed=7)
         assert fanned_out and not ran_here  # raised in a worker
-        _run_in_process(monkeypatch)
+        monkeypatch.setattr(_fork, "width", lambda n_items: 0)
         with pytest.raises(SingularConfigurationError) as local:
             equilibrium(self.N, self.TRAP, species=ca40, seed=7)
         assert len(ran_here) == 3  # starts 0 and 1 ran, 2 raised
@@ -1444,12 +1595,14 @@ class TestForkedStarts:
         parent, ran_here = os.getpid(), []
         solve = crystal._solve_from
 
-        def raises_on_start_2(scaled, u0):
+        def raises_on_start_2(scaled, starts):
+            # one start per forked call, all four as lanes in process
+            lanes = np.reshape(starts, (-1, n, 3))
             if os.getpid() == parent:
-                ran_here.append(u0)
-            if np.array_equal(u0, start_2):
+                ran_here.extend(lanes)
+            if any(np.array_equal(u0, start_2) for u0 in lanes):
                 raise _TwoArgumentError("scripted", "start 2")
-            return solve(scaled, u0)
+            return solve(scaled, starts)
 
         monkeypatch.setattr(crystal, "_solve_from", raises_on_start_2)
         with pytest.raises(_TwoArgumentError) as forked:

@@ -162,6 +162,28 @@ class TestGaussianFit:
             fit_gaussian_profile(np.column_stack([px, px + 30.0]))
         assert len(nfev) == 1 and nfev[0] <= 10
 
+    def test_inverted_spot_is_refused_by_the_f_test(self):
+        # 20 Poisson draws of the inverted Gaussian 100 - 50 exp(-x^2/18)
+        # on pixels -20..20: none is a spot. Draws 2 and 8 used to fit a
+        # bump at the frame's edge (center 14.5 and -13.8 px, width 4.4
+        # and 5.0 px); a Gaussian beats the line a + b*x there by F of
+        # about 2.9, far below F(2, 37)'s 1e-6 quantile
+        from scipy.stats import f as f_distribution
+        px = np.arange(-20, 21, dtype=float)
+        rng = np.random.default_rng(1)
+        raised = []
+        for _ in range(20):
+            counts = rng.poisson(100 - 50 * np.exp(-px ** 2 / 18))
+            with pytest.raises(DegenerateFitError) as info:
+                fit_gaussian_profile(np.column_stack([px, counts]))
+            raised.append(str(info.value))
+        by_f_test = [k for k, e in enumerate(raised) if "nested-model F" in e]
+        assert by_f_test == [2, 8]
+        quantile = f_distribution.isf(1e-6, 2, 37)  # the closed form's
+        for k in by_f_test:
+            assert (f"is below {quantile:.3g}, the F(2, 37) quantile at "
+                    "p = 1e-06") in raised[k]
+
     def test_spot_near_the_frame_edge_is_fitted(self):
         px = np.arange(-20, 21, dtype=float)
         counts = 10 + 500 * np.exp(-(px - 18) ** 2 / 50)
