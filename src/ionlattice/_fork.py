@@ -1,12 +1,20 @@
 """Independent calls side by side in forked worker processes.
 
-``fork_map(fn, items, width)`` is ``[fn(x) for x in items]`` with the
-calls spread over ``width`` forked workers: worker k takes items k,
-k + width, .... Each worker runs its OpenBLAS on one thread, so that the
-workers do not compete with each other's BLAS threads for the same
-cores. The parent's BLAS setting is never changed, and finding the
-library loads nothing. The parent only waits and reads, and the result
-is the one the in-process loop gives:
+``fork_map(fn, items)`` is ``[fn(x) for x in items]``, with the calls
+spread over ``width(len(items))`` forked workers: worker k takes items
+k, k + width, .... Whether to fork is decided here alone. A call forks
+only where ``os.fork`` exists, this process runs no other Python thread
+(a lock held by one would stay held in the child), and both ``cpus()``
+and the number of items are at least 2. Otherwise the width is 0 and
+every item runs in the caller's process, in item order. ``cpus()`` is 0
+where no loaded OpenBLAS has both a thread setter and a getter: without
+them no caller could be kept on one BLAS thread.
+
+Each worker runs its OpenBLAS on one thread, so that the workers do not
+compete with each other's BLAS threads for the same cores. The parent's
+BLAS setting is never changed, and finding the library loads nothing.
+The parent only waits and reads, and the result is the one the
+in-process loop gives:
 
 - the values come back in item order;
 - if calls raise, the exception of the lowest-index failing item is
@@ -18,11 +26,6 @@ is the one the in-process loop gives:
 
 If anything interrupts the parent while it waits, KeyboardInterrupt
 included, every worker is killed and reaped and every pipe is closed.
-
-``cpus()`` is the host rule every caller reads: the CPUs this process
-may run on, or 0 where no OpenBLAS thread setter is found. ``width``
-says how many workers pay here: 0 where the process cannot fork safely
-or ``cpus()`` is below 2, so that the caller runs in process.
 
 ``one_blas_thread()`` is the same BLAS setting for the caller's own
 process: every loaded OpenBLAS on one thread for the span of a ``with``
@@ -38,24 +41,22 @@ import warnings
 from contextlib import contextmanager, suppress
 from functools import lru_cache
 
-# OpenBLAS's exported names carry one of these prefixes and suffixes,
-# depending on how it was built (scipy-openblas: scipy_, 64_)
-_PREFIXES = ("", "scipy_")
-_SUFFIXES = ("", "64_", "_64")
-# name -> (argtypes, restype) of the functions looked up here
-_SIGNATURES = {
-    "set_num_threads": ([ctypes.c_int], None),
-    "get_num_threads": ([], ctypes.c_int),
-}
+# the names the thread setter and getter may have: OpenBLAS's exports
+# carry one of these prefixes and suffixes, depending on how it was built
+# (scipy-openblas: scipy_, 64_)
+_SYMBOLS = [[f"{prefix}openblas_{name}{suffix}" for prefix in ("", "scipy_")
+             for suffix in ("", "64_", "_64")]
+            for name in ("set_num_threads", "get_num_threads")]
 
 
 @lru_cache(maxsize=1)
-def _openblas_libraries():
-    """Each OpenBLAS loaded in this process when first asked, as a CDLL.
+def openblas_threads():
+    """(set_num_threads, get_num_threads, library) of each OpenBLAS
+    loaded in this process when first asked that has both functions.
 
-    Found by its path in /proc/self/maps and opened with RTLD_NOLOAD, as
-    threadpoolctl finds it, so nothing is loaded or initialised; empty
-    where there is no /proc or no OpenBLAS.
+    Each library is found by its path in /proc/self/maps and opened with
+    RTLD_NOLOAD, as threadpoolctl finds it, so nothing is loaded or
+    initialised; empty where there is no /proc or no such OpenBLAS.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -64,31 +65,20 @@ def _openblas_libraries():
                             and ".so" in line})
     except OSError:
         return ()
-    libraries = []
+    table = []
     for path in paths:
         try:
-            libraries.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:
-            pass
-    return tuple(libraries)
-
-
-def _openblas_function(lib, name):
-    # function openblas_<name> of one library, or None
-    symbol = next((f"{p}openblas_{name}{s}" for p in _PREFIXES
-                   for s in _SUFFIXES
-                   if hasattr(lib, f"{p}openblas_{name}{s}")), None)
-    if symbol is None:
-        return None
-    fn = getattr(lib, symbol)
-    fn.argtypes, fn.restype = _SIGNATURES[name]
-    return fn
-
-
-def openblas_functions(name):
-    """Function ``openblas_<name>`` of each loaded OpenBLAS that has it."""
-    return [fn for lib in _openblas_libraries()
-            if (fn := _openblas_function(lib, name)) is not None]
+            continue
+        set_threads, get_threads = (
+            next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
+            for symbols in _SYMBOLS)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            table.append((set_threads, get_threads, lib))
+    return tuple(table)
 
 
 @contextmanager
@@ -96,12 +86,8 @@ def one_blas_thread():
     """Every loaded OpenBLAS that can say its thread count runs one
     thread inside the block; each one's count before it is restored
     however the block ends."""
-    counts = []  # (setter, count before)
-    for lib in _openblas_libraries():
-        set_threads = _openblas_function(lib, "set_num_threads")
-        get_threads = _openblas_function(lib, "get_num_threads")
-        if set_threads is not None and get_threads is not None:
-            counts.append((set_threads, get_threads()))
+    counts = [(set_threads, get_threads())
+              for set_threads, get_threads, _ in openblas_threads()]
     try:
         for set_threads, _ in counts:
             set_threads(1)
@@ -111,27 +97,10 @@ def one_blas_thread():
             set_threads(count)
 
 
-def _one_blas_thread():
-    # Every OpenBLAS here runs on one thread. OpenBLAS's fork handler shut
-    # its thread pool down, and the setter starts it again; the new pool
-    # thread then busy-waits for work for about 0.1 s (OpenBLAS's default
-    # THREAD_TIMEOUT, 2^28 cycles) and takes a core from the worker.
-    # blas_thread_shutdown_, the function that fork handler calls, stops
-    # it, and on one thread no BLAS call starts it again.
-    for set_threads in openblas_functions("set_num_threads"):
-        set_threads(1)
-    for lib in _openblas_libraries():
-        if hasattr(lib, "blas_thread_shutdown_"):
-            shutdown = lib.blas_thread_shutdown_
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-            shutdown()
-
-
 def cpus():
-    """CPUs this process may run on, or 0 where no OpenBLAS thread setter
-    is found: without it, callers cannot keep each BLAS caller on one
-    thread, and run in process instead."""
-    if not openblas_functions("set_num_threads"):
+    """CPUs this process may run on, or 0 where ``openblas_threads()`` is
+    empty (the module's host rule)."""
+    if not openblas_threads():
         return 0
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -139,13 +108,10 @@ def cpus():
 
 
 def width(n_items):
-    """Workers for ``n_items`` calls; fewer than 2 runs them in process.
-
-    Fan out only where ``os.fork`` exists, this process runs no other
-    Python thread (a lock held by one would stay held in the child) and
-    ``cpus()`` is at least 2.
-    """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
+    """Workers for ``n_items`` calls by the module's host rule; 0 runs
+    them in process."""
+    if (n_items < 2 or not hasattr(os, "fork")
+            or threading.active_count() != 1):
         return 0
     n_cpus = cpus()
     return min(n_items, n_cpus) if n_cpus >= 2 else 0
@@ -157,7 +123,19 @@ def _work(fn, items, mine, read_fd, write_fd, mask):
     try:
         os.close(read_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        _one_blas_thread()
+        # Every OpenBLAS here runs on one thread. OpenBLAS's fork handler
+        # shut its thread pool down, and the setter starts it again; the
+        # new pool thread then busy-waits for work for about 0.1 s
+        # (OpenBLAS's default THREAD_TIMEOUT, 2^28 cycles) and takes a core
+        # from the worker. blas_thread_shutdown_, the function that fork
+        # handler calls, stops it, and on one thread no BLAS call starts
+        # it again.
+        for set_threads, _, lib in openblas_threads():
+            set_threads(1)
+            if hasattr(lib, "blas_thread_shutdown_"):
+                shutdown = lib.blas_thread_shutdown_
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                shutdown()
         got = []  # (item index, value or exception)
         for i in mine:
             try:
@@ -194,12 +172,14 @@ def _read_all(fd):
         chunks.append(chunk)
 
 
-def fork_map(fn, items, width):
-    """``[fn(x) for x in items]`` over ``width`` forked workers."""
+def fork_map(fn, items):
+    """``[fn(x) for x in items]`` over ``width(len(items))`` forked
+    workers, or in process where that is 0."""
+    n_workers = width(len(items))
     workers = {}  # live pid -> read end of its pipe, None once closed
     got = {}
     try:
-        for k in range(width):
+        for k in range(n_workers):
             # signals wait until the worker is registered (parent) or
             # inside its os._exit guard (worker)
             mask = signal.pthread_sigmask(signal.SIG_BLOCK,
@@ -209,7 +189,7 @@ def fork_map(fn, items, width):
                 try:
                     pid = _fork()
                     if pid == 0:
-                        _work(fn, items, range(k, len(items), width),
+                        _work(fn, items, range(k, len(items), n_workers),
                               read_fd, write_fd, mask)
                     workers[pid] = read_fd
                 except OSError:

@@ -442,11 +442,10 @@ def _solve_from(scaled, starts):
     return runs
 
 
-# from _PARALLEL_MIN_IONS ions on, cold starts fork and sweeps overlap
-# spectra with solves, where the host allows it; below it, the starts of a
-# descent run as lanes of one BFGS instead, which pays there and not above
-# (measured, CHANGES.md). Kicks never fork: the sweep's spectrum thread is
-# alive whenever they run (``_fork.width``)
+# from _PARALLEL_MIN_IONS ions on, descents go through ``_fork.fork_map``
+# and sweeps overlap spectra with solves, where its host rule allows; below
+# it, the starts of a descent run as lanes of one BFGS instead, which pays
+# there and not above (measured, CHANGES.md)
 _PARALLEL_MIN_IONS = 32
 
 
@@ -456,11 +455,10 @@ def _descend(scaled, starts, what):
     The starts are independent. Below ``_PARALLEL_MIN_IONS`` ions they run
     as the lanes of one ``_solve_from`` call, which shares each
     energy/gradient pass among them (4 cold starts, 6 kicks, or the one
-    start of a stalled warm polish). From the gate on, each call takes one
-    start, in ``_fork.width(len(starts))`` forked workers (cold starts
-    only: see the gate's comment) or else in a loop. Either way every run
-    is bit for bit the one the loop gives, and so is the exception raised:
-    that of the lowest-index start that raised.
+    start of a stalled warm polish). From the gate on, ``_fork.fork_map``
+    makes one call per start, in forked workers or in process. Either way
+    every run is bit for bit the one a loop over the starts gives, and so
+    is the exception raised: that of the lowest-index start that raised.
     If no start converges, raises EquilibriumError naming ``what`` and the
     best gradient max-norm among the runs, with that run's positions.
     """
@@ -469,10 +467,7 @@ def _descend(scaled, starts, what):
     else:
         # imported here, so that a run with no large crystal never pays
         from . import _fork
-        width = _fork.width(len(starts))
-        solve = partial(_solve_from, scaled)
-        runs = (_fork.fork_map(solve, starts, width) if width >= 2
-                else [solve(u0) for u0 in starts])
+        runs = _fork.fork_map(partial(_solve_from, scaled), starts)
     found = [(u, energy, gnorm) for u, energy, gnorm, ok in runs if ok]
     if not found:
         u, _, gnorm, _ = min(runs, key=lambda r: r[2])
@@ -549,13 +544,13 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     images; if none converges, EquilibriumError names the best gradient
     max-norm among them. Below 32 ions the four starts descend as lanes of
     one BFGS that share each energy/gradient pass; from 32 ions on they
-    run side by side in forked worker processes (one BLAS thread each)
-    where the host allows it, and one after another otherwise. Every way
-    gives the same bits. With a guess (warm start): Newton polish, and
-    BFGS from the guess first if that stalls; deterministic. A converged
-    stationary point with a direction of negative curvature is returned
-    with ``is_saddle`` set rather than re-seeded, so instability of e.g. a
-    linear chain past the zigzag transition is visible to the caller.
+    run through ``_fork.fork_map``, in forked workers (one BLAS thread
+    each) or in process. Every way gives the same bits. With a guess
+    (warm start): Newton polish, and BFGS from the guess first if that
+    stalls; deterministic. A converged stationary point with a direction
+    of negative curvature is returned with ``is_saddle`` set rather than
+    re-seeded, so instability of e.g. a linear chain past the zigzag
+    transition is visible to the caller.
     The flag reads only the eigenvalues (``eigvalsh``) of the Hessian,
     which is built on the calling thread, as every Hessian is; only a
     sweep's ``eigh`` may run on a worker thread (``continuation``).
@@ -695,19 +690,26 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     direction to the adjacent minimum and continue from there. Six kicks
     of either sign are tried, each a BFGS descent then Newton polish, in
     process at every size (below 32 ions as six lanes of one BFGS, the
-    cold starts' way); a stalled kick is skipped. The lowest minimum
-    reached is kept, the first kick's on ties to 1e-12 relative (mirror
-    images); with saddles only, the saddle so picked is kicked once more.
-    Only if every kick of a round stalls does the sweep raise
+    cold starts' way; from 32 on the sweep's spectrum thread is alive, so
+    ``_fork.fork_map`` forks none); a stalled kick is skipped. The lowest
+    minimum reached is kept, the first kick's on ties to 1e-12 relative
+    (mirror images); with saddles only, the saddle so picked is kicked
+    once more. Only if every kick of a round stalls does the sweep raise
     EquilibriumError with the best gradient max-norm.
 
-    From 32 ions on, on a host with at least 2 usable CPUs and an
-    OpenBLAS thread setter (the size gate and host rule of the forked cold
-    starts of ``equilibrium``), the caller builds each depth's Hessian and
-    a worker thread runs only its ``eigh`` while the caller settles the
-    next depth and builds its Hessian; the sweep runs OpenBLAS on one
-    thread, and the result is bit for bit the inline sweep's on one BLAS
-    thread.
+    From 32 ions on, where ``_fork.cpus()`` is at least 2, the caller
+    builds each depth's Hessian and a worker thread runs only its ``eigh``
+    while the caller settles the next depth and builds its Hessian; the
+    sweep runs OpenBLAS on one thread, and the result is bit for bit the
+    inline sweep's on one BLAS thread.
+
+    Each solve stops at a gradient max-norm of 1e-10 in trap units,
+    whatever the curvature lam of its softest mode, so a position may be
+    off by about 1e-10 / lam. Near a pitchfork, where lam goes to 0, a
+    frequency is then good to about kappa r |sin 2x| 1e-10 / lam^2
+    relative, not to 1e-10 (kappa the lattice wavevector in Coulomb
+    lengths, r the lattice curvature over the trap's, x the phase k z):
+    2.7e-7 at 101.8 kHz for one ion in a 100 kHz trap on a red lattice.
     """
     nus, freqs, coords, poss, refined, flags = zip(
         *_sweep(N, trap, lattice_max, steps, species, seed, nu_grid))
@@ -790,9 +792,9 @@ def _spectra(overlap):
     GIL, so its ``eigh`` runs alongside the caller's solves and Hessians),
     and every loaded OpenBLAS runs one thread until the block ends. The
     thread starts with the first call, so that a cold solve before it may
-    still fork (``_fork.width`` wants no other thread). f waits for the
-    spectrum and returns it or raises its exception; a spectrum never
-    waited for raises nothing.
+    still fork (``_fork``'s host rule). f waits for the spectrum and
+    returns it or raises its exception; a spectrum never waited for
+    raises nothing.
     """
     if not overlap:
         yield lambda h: partial(_spectrum, h)

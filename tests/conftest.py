@@ -27,7 +27,7 @@ def nothing_left_behind():
     # every OpenBLAS runs the thread count it ran before
     threads = set(threading.enumerate())
     fds = _open_descriptors()
-    getters = _fork.openblas_functions("get_num_threads")
+    getters = [get for _, get, _ in _fork.openblas_threads()]
     blas = [get() for get in getters]
     yield
     assert set(threading.enumerate()) <= threads

@@ -556,7 +556,7 @@ class TestModesCommand:
         cfg, out = ws
         monkeypatch.setattr(crystal, "_overlaps", lambda n_ions: True)
         threads = threading.active_count()
-        getters = _fork.openblas_functions("get_num_threads")
+        getters = [get for _, get, _ in _fork.openblas_threads()]
         blas = [get() for get in getters]
         raised, spectra = [], []
 

@@ -708,9 +708,16 @@ def _calls(monkeypatch, owner, name, pick=lambda *args: None):
 
 
 def _fork_widths(monkeypatch):
-    # the width of every _fork.fork_map call from now on
-    return _calls(monkeypatch, _fork, "fork_map",
-                  lambda fn, items, width: width)
+    # the width of every _fork.fork_map call that forks, from now on
+    widths, fork_map = [], _fork.fork_map
+
+    def spied(fn, items):
+        if n_workers := _fork.width(len(items)):
+            widths.append(n_workers)
+        return fork_map(fn, items)
+
+    monkeypatch.setattr(_fork, "fork_map", spied)
+    return widths
 
 
 @pytest.fixture(scope="module")
@@ -1466,7 +1473,7 @@ class TestHostRule:
     def test_no_openblas_setter_runs_everything_in_process(self, ca40,
                                                            monkeypatch):
         # numpy on another BLAS: no setter, so neither fans out
-        monkeypatch.setattr(_fork, "openblas_functions", lambda name: [])
+        monkeypatch.setattr(_fork, "openblas_threads", lambda: ())
         widths = _fork_widths(monkeypatch)
         assert _fork.cpus() == 0
         assert _fork.width(4) == 0
@@ -1490,8 +1497,9 @@ class TestHostRule:
         assert widths == ([width] if width >= 2 else [])
 
     def test_no_affinity_counts_every_cpu(self, monkeypatch):
-        monkeypatch.setattr(_fork, "openblas_functions",
-                            lambda name: [lambda *args: None])
+        # one OpenBLAS with a thread setter and getter
+        monkeypatch.setattr(_fork, "openblas_threads",
+                            lambda: ((lambda n: None, lambda: 1, None),))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _fork.cpus() == (os.cpu_count() or 1)
 
@@ -1676,7 +1684,7 @@ class TestForkedStarts:
         assert fanned_out
 
     def test_parent_blas_threads_unchanged(self, ca40, fanned_out):
-        getters = _fork.openblas_functions("get_num_threads")
+        getters = [get for _, get, _ in _fork.openblas_threads()]
         assert getters
         before = [get() for get in getters]
         equilibrium(self.N, self.TRAP, species=ca40, seed=7)
