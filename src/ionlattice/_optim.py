@@ -5,12 +5,13 @@ than any single call to it saves, so these are written on numpy alone:
 
 - ``minimize``: BFGS with the Moré–Thuente line search (MINPACK-2
   ``dcsrch``/``dcstep``, as in scipy's ``line_search_wolfe1``), for the
-  cold crystal solve. It takes one start or a stack of them: each start
+  cold crystal solve. It takes one shape, a stack of starts: each start
   is a lane, the loop it runs alone written as a generator, and the lanes
-  advance in lockstep, with one call of the objective per round for every
-  lane that needs a point. Small crystals' starts share each
-  energy/gradient pass that way, each to the bits it gets alone; the
-  caller decides which starts to stack (``crystal``'s size gate);
+  advance in lockstep, with one call of the objective per round for the
+  lanes that need a point, or a call at the lane's own point when one
+  lane is left. Small crystals' starts share each energy/gradient pass
+  that way, each to the bits it gets alone; the caller decides which
+  starts to stack (``crystal``'s size gate);
 - ``assignment``: minimum-cost perfect matching of a square matrix by
   Jonker–Volgenant shortest augmenting paths, for mode-branch tracking;
 - ``least_squares_batch``: Levenberg–Marquardt, damped Gauss–Newton steps
@@ -214,7 +215,7 @@ def line_search(xk, pk, f0, g0, old_f0):
 
 
 class BFGSResult(NamedTuple):
-    x: np.ndarray  # (n,), or (L, n) for a stack of L starts
+    x: np.ndarray  # (L, n), one row per start
     nits: tuple  # the iterations of each lane
     errors: tuple  # the exception that ended each lane, or None
 
@@ -225,30 +226,27 @@ class BFGSResult(NamedTuple):
 
 
 def minimize(fun, x0, gtol, maxiter):
-    """BFGS descents to gradient max-norm gtol from x0, one start or many.
+    """BFGS descents to gradient max-norm gtol from a stack x0 (L, n).
 
-    x0 is one start (n,), and ``fun(x)`` returns (f, g) at x (n,); or x0
-    is a stack (L, n) of starts, each a lane, and ``fun(x)`` returns the
-    (k,) values and (k, n) gradients at a stack x (k, n) of points. The
-    lanes advance in lockstep: each round, one call of fun evaluates every
-    lane that needs a point, so lanes share each pass's numpy dispatch,
-    and each lane is ``_bfgs``, the loop a start runs alone, to the bit. A
-    call that raises is repeated lane by lane, and a lane whose point
-    raises ends there with that exception in ``errors`` (x holds the
-    point) while the others go on; with no lane axis, the exception is
-    raised. Returns x in x0's shape, each lane's iteration count and
-    errors.
+    Each start is a lane, and ``fun(x)`` returns the (k,) values and (k, n)
+    gradients at a stack x (k, n) of points, or (f, g) at one point x
+    (n,). The lanes advance in lockstep: each round, one call of fun
+    evaluates every lane that needs a point, so lanes share each pass's
+    numpy dispatch, and a round with one such lane evaluates it at its own
+    (n,) point. Each lane is ``_bfgs``, the loop a start runs alone, to
+    the bit. A call that raises is repeated lane by lane, and a lane whose
+    point raises ends there with that exception in ``errors`` (x holds the
+    point) while the others go on. Returns x (L, n), each lane's iteration
+    count and errors.
     """
-    one = x0.ndim == 1
-    lanes = [_bfgs(x, gtol, maxiter) for x in (x0[None] if one else x0)]
+    lanes = [_bfgs(x, gtol, maxiter) for x in x0]
     xs = [None] * len(lanes)
     nits, errors = [0] * len(lanes), [None] * len(lanes)
     live = list(range(len(lanes)))
     points = [next(lane) for lane in lanes]
     while live:
         going, ahead = [], []
-        for i, point, value in zip(live, points,
-                                   _evaluate(fun, points, one)):
+        for i, point, value in zip(live, points, _evaluate(fun, points)):
             if isinstance(value, Exception):
                 xs[i], errors[i] = point, value
                 continue
@@ -258,18 +256,16 @@ def minimize(fun, x0, gtol, maxiter):
             except StopIteration as done:
                 xs[i], nits[i] = done.value
         live, points = going, ahead
-    if one:
-        return BFGSResult(x=xs[0], nits=(nits[0],), errors=(None,))
     return BFGSResult(x=np.stack(xs), nits=tuple(nits),
                       errors=tuple(errors))
 
 
-def _evaluate(fun, points, one):
-    """fun's (f, g) at each point, or the exception raised there; with no
-    lane axis (one), fun's exception is raised."""
-    if one:
-        return [fun(points[0])]
+def _evaluate(fun, points):
+    """fun's (f, g) at each point, or the exception raised there; one
+    point is evaluated alone, at its (n,) shape."""
     try:
+        if len(points) == 1:
+            return [fun(points[0])]
         f, g = fun(np.array(points))  # np.stack's copy, at less dispatch
         return list(zip(f, g))
     except Exception as exc:  # it ends the lane whose point raised
@@ -277,7 +273,7 @@ def _evaluate(fun, points, one):
             return [exc]
         # each point alone gets the bits it gets in the stack
         return [value for point in points
-                for value in _evaluate(fun, [point], False)]
+                for value in _evaluate(fun, [point])]
 
 
 def _bfgs(x, gtol, maxiter):

@@ -416,24 +416,23 @@ def _newton_polish(scaled, u):
 
 
 def _solve_from(scaled, starts):
-    """BFGS descent then ``_newton_polish``: (u, energy, gnorm, converged).
+    """BFGS descent then ``_newton_polish`` from each start: a list of
+    (u, energy, gnorm, converged), in start order.
 
-    starts is one (N, 3) start, or a stack (L, N, 3) of them, which descend
-    as the lanes of one ``minimize`` and give a list of runs in start
-    order. A lane whose descent raised raises after the earlier lanes'
-    polishes, so the exception is the one a loop over the starts raises.
+    starts is a stack (L, N, 3), whose starts descend as the lanes of one
+    ``minimize``; a round with one live lane evaluates that lane at its own
+    (N, 3) point. A lane whose descent raised raises after the earlier
+    lanes' polishes, so the exception is the one a loop over the starts
+    raises.
     """
-    shape = starts.shape[-2:]
+    shape = starts.shape[1:]
 
     def energy_and_gradient(v):
         e, g = scaled.energy_and_gradient(v.reshape(*v.shape[:-1], *shape))
         return e, g.reshape(v.shape)
 
-    res = minimize(energy_and_gradient,
-                   starts.reshape(*starts.shape[:-2], -1), gtol=1e-8,
-                   maxiter=4000)
-    if starts.ndim == 2:
-        return _newton_polish(scaled, res.x.reshape(shape))
+    res = minimize(energy_and_gradient, starts.reshape(len(starts), -1),
+                   gtol=1e-8, maxiter=4000)
     runs = []
     for x, error in zip(res.x, res.errors):
         if error is not None:
@@ -452,22 +451,24 @@ _PARALLEL_MIN_IONS = 32
 def _descend(scaled, starts, what):
     """(u, energy, gnorm) of each converged ``_solve_from``, in start order.
 
-    The starts are independent. Below ``_PARALLEL_MIN_IONS`` ions they run
-    as the lanes of one ``_solve_from`` call, which shares each
-    energy/gradient pass among them (4 cold starts, 6 kicks, or the one
-    start of a stalled warm polish). From the gate on, ``_fork.fork_map``
-    makes one call per start, in forked workers or in process. Either way
-    every run is bit for bit the one a loop over the starts gives, and so
-    is the exception raised: that of the lowest-index start that raised.
-    If no start converges, raises EquilibriumError naming ``what`` and the
-    best gradient max-norm among the runs, with that run's positions.
+    starts is a stack (L, N, 3) of independent starts. Below
+    ``_PARALLEL_MIN_IONS`` ions the whole stack is one ``_solve_from``
+    call, which shares each energy/gradient pass among its lanes (4 cold
+    starts, 6 kicks, or the one start of a stalled warm polish). From the
+    gate on, ``_fork.fork_map`` makes one call per one-start stack
+    (1, N, 3), in forked workers or in process. Either way every run is
+    bit for bit the one a loop over the starts gives, and so is the
+    exception raised: that of the lowest-index start that raised. If no
+    start converges, raises EquilibriumError naming ``what`` and the best
+    gradient max-norm among the runs, with that run's positions.
     """
-    if len(starts[0]) < _PARALLEL_MIN_IONS:
-        runs = _solve_from(scaled, np.stack(starts))
+    if starts.shape[1] < _PARALLEL_MIN_IONS:
+        runs = _solve_from(scaled, starts)
     else:
         # imported here, so that a run with no large crystal never pays
         from . import _fork
-        runs = _fork.fork_map(partial(_solve_from, scaled), starts)
+        runs = [run for run, in _fork.fork_map(partial(_solve_from, scaled),
+                                               starts[:, None])]
     found = [(u, energy, gnorm) for u, energy, gnorm, ok in runs if ok]
     if not found:
         u, _, gnorm, _ = min(runs, key=lambda r: r[2])
@@ -505,11 +506,11 @@ def _settle(scaled, n, guess, seed):
         u, energy, gnorm, ok = _newton_polish(scaled, guess)
         if ok:
             return u, energy, float(gnorm)
-        starts = [guess]  # long way from quadratic: descend first
+        starts = guess[None]  # long way from quadratic: descend first
     else:
-        starts = [_string_guess(n, default_rng(seed + attempt),
-                                jitter=0.02 * (attempt + 1))
-                  for attempt in range(_RESTARTS)]
+        starts = np.stack([_string_guess(n, default_rng(seed + attempt),
+                                         jitter=0.02 * (attempt + 1))
+                           for attempt in range(_RESTARTS)])
     u, energy, gnorm = _lowest(_descend(scaled, starts, "equilibrium search"))
     return u, energy, float(gnorm)
 
@@ -814,10 +815,10 @@ def _descend_from_saddle(scaled, u, vec):
     skipped). If the kicks reach saddles only, the ``_lowest`` of them is
     kicked once more the same way.
     """
+    kicks = np.array([1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1])[:, None, None]
     for _ in range(2):
         soft = _by_axis(vec)[:, :, 0].T
-        runs = _descend(scaled, [u + eps * soft for eps in
-                                 (1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)],
+        runs = _descend(scaled, u + kicks * soft,
                         "tracked configuration lost stability and every "
                         "kick along the unstable direction")
         found = [(v, energy, gnorm, *_spectrum(scaled.hessian(v)))

@@ -59,9 +59,9 @@ def q_from_secular_frequency(omega_sec, omega_rf):
     Valid only well inside the stability region: omega_sec must sit below
     Omega_rf / 2, otherwise the expansion is meaningless and this raises.
     """
-    if omega_rf <= 0:
-        raise DomainError("omega_rf must be positive")
-    if omega_sec < 0:
+    if not 0 < omega_rf < math.inf:  # NaN fails too
+        raise DomainError("omega_rf must be positive and finite")
+    if not 0 <= omega_sec <= math.inf:
         raise DomainError("omega_sec must be non-negative")
     if omega_sec >= omega_rf / 2.0:
         raise DomainError(
@@ -73,15 +73,15 @@ def q_from_secular_frequency(omega_sec, omega_rf):
 
 def effective_axial_q(q_radial):
     """Second-order axial drive parameter q'_z = (q_radial / 4)^2."""
-    if q_radial < 0:
-        raise DomainError("q_radial must be non-negative")
+    if not 0 <= q_radial < math.inf:  # NaN fails too
+        raise DomainError("q_radial must be non-negative and finite")
     return (q_radial / 4.0) ** 2
 
 
 def variance_broadening(q):
     """Apparent position-variance inflation 1 + q^2/8 from micromotion."""
-    if q < 0:
-        raise DomainError("q must be non-negative")
+    if not 0 <= q < math.inf:  # NaN fails too
+        raise DomainError("q must be non-negative and finite")
     return 1.0 + q * q / 8.0
 
 

@@ -189,7 +189,7 @@ class RampProfile:
 
     def depth(self, t):
         """|U0| at time t; t must lie in [0, t_end]."""
-        if t < 0 or t > self.t_end:
+        if not 0 <= t <= self.t_end:  # NaN fails too
             raise DomainError(f"t={t!r} outside ramp domain [0, {self.t_end}]")
         if t >= self.ramp_duration:
             return self.u0_max
@@ -250,8 +250,8 @@ def normalized_period(E, U0):
 def _energy_ratio(E, U0):
     if not U0 > 0:  # NaN fails too
         raise DomainError("U0 must be positive")
-    if not E >= 0:
-        raise DomainError("E must be non-negative")
+    if not 0 <= E < math.inf:  # U0 = inf is the exact limit, E = inf not
+        raise DomainError("E must be non-negative and finite")
     return E / U0
 
 
@@ -271,7 +271,7 @@ def action_density(s, T0, U0):
     theta = kB T0/U0. Conserved under adiabatic depth changes.
     """
     theta = _check_t0_u0(T0, U0)
-    if s < 0:
+    if not 0 <= s <= math.inf:  # NaN fails too
         raise DomainError("dimensionless action must be non-negative")
     return math.exp(-s * s / (4.0 * theta)) / math.sqrt(math.pi * theta)
 
@@ -419,8 +419,8 @@ def scattering_rate(kz, rabi, config, species):
     with Delta = config.detuning. The position dependence enters through
     the local Rabi frequency Omega*sin(kz) of the standing wave.
     """
-    if rabi < 0:
-        raise DomainError("rabi must be non-negative")
+    if not 0 <= rabi < math.inf:  # NaN fails too
+        raise DomainError("rabi must be non-negative and finite")
     half_o2 = 0.5 * (rabi * math.sin(kz)) ** 2
     denom = 0.25 * species.gamma_p_total ** 2 + half_o2 + config.detuning ** 2
     return 0.5 * species.gamma_397 * half_o2 / denom

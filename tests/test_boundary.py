@@ -1,8 +1,9 @@
 """Input boundary: non-finite model parameters, fuzzed configs, grids,
 spot CSVs and whole command-line runs.
 
-Every parameter bundle rejects NaN with DomainError instead of carrying
-it into a result. parse_config and the --grid parser either return a
+Every parameter bundle, and every checked argument of the public scalar
+functions, rejects NaN with DomainError instead of carrying it into a
+result. parse_config and the --grid parser either return a
 value or raise ConfigError, whatever the input; the spot-CSV reader
 either returns finite profiles or raises SpotParseError. Every verb of
 ``cli.main`` either writes finite artifacts or exits with a defined code
@@ -39,14 +40,18 @@ from ionlattice import (
     SpotParseError,
     TrapConfig,
     action_density,
+    effective_axial_q,
     lattice_frequency,
+    mean_scattering_rate,
     parse_config,
+    q_from_secular_frequency,
     read_spot_profiles,
     scatter_count_pmf,
     scattering_probability,
     scattering_rate,
     spot_variance_model,
     subsequent_fraction,
+    variance_broadening,
 )
 from ionlattice import constants as cn
 from ionlattice import cli
@@ -88,6 +93,17 @@ NON_FINITE_CALLS = {
     "lattice_frequency": lambda: lattice_frequency(NAN, CA40, K),
     "spot_variance_model": lambda: spot_variance_model(
         NAN, 1.0, TRAP, CA40, 2.23e-6),
+    "RampProfile.depth": lambda: RampProfile(
+        u0_max=1e-25, ramp_duration=2e-6, hold_duration=1e-6).depth(NAN),
+    "action_density": lambda: action_density(NAN, 1e-3, 1e-25),
+    "scattering_rate": lambda: scattering_rate(
+        0.3, NAN, LatticeConfig(depth_U0=1e-25, wavevector_k=K), CA40),
+    "q_from_secular_frequency omega_sec": lambda: q_from_secular_frequency(
+        NAN, 2 * math.pi * 3.98e6),
+    "q_from_secular_frequency omega_rf": lambda: q_from_secular_frequency(
+        2 * math.pi * 170e3, NAN),
+    "effective_axial_q": lambda: effective_axial_q(NAN),
+    "variance_broadening": lambda: variance_broadening(NAN),
 }
 
 
@@ -122,6 +138,9 @@ DOMAIN_ERROR_CALLS = {
         2e-5, 1e-3, _RAMP, _BLUE, CA40, p0=1.5), "p0 must lie in"),
     "p0 below 0": (lambda: scattering_probability(
         2e-5, 1e-3, _RAMP, _BLUE, CA40, p0=-0.5), "p0 must lie in"),
+    # the ramp names the time, not the depth it would make of it
+    "mean_scattering_rate t": (lambda: mean_scattering_rate(
+        NAN, 1e-3, _RAMP, _BLUE, CA40), "t=nan outside ramp domain"),
 }
 
 

@@ -1139,7 +1139,7 @@ def _per_start_solve_from(scaled, starts):
     # crystal._solve_from as it descended one start per call, each a lane
     # of the stack in turn, through the reference copies above
     runs = []
-    for u0 in np.reshape(starts, (-1, *starts.shape[-2:])):
+    for u0 in starts:
         def energy_and_gradient(v):
             e, g = scaled.energy_and_gradient(v.reshape(u0.shape))
             return e, g.reshape(-1)
@@ -1147,7 +1147,7 @@ def _per_start_solve_from(scaled, starts):
         x = _numpy_scalar_minimize(energy_and_gradient, u0.reshape(-1),
                                    gtol=1e-8, maxiter=4000)
         runs.append(crystal._newton_polish(scaled, x.reshape(u0.shape)))
-    return runs if starts.ndim == 3 else runs[0]
+    return runs
 
 
 def _swap_in_reference_loops(monkeypatch):
@@ -1190,8 +1190,8 @@ class TestColdSolver:
         for res in (minimize(energy_and_gradient, u0, jac=True,
                              method="BFGS",
                              options={"gtol": 1e-8, "maxiter": 4000}),
-                    crystal.minimize(energy_and_gradient, u0, gtol=1e-8,
-                                     maxiter=4000)):
+                    crystal.minimize(energy_and_gradient, u0[None],
+                                     gtol=1e-8, maxiter=4000)):
             assert res.nit > 0
             u, energy, _, ok = crystal._newton_polish(scaled,
                                                       res.x.reshape(n, 3))
@@ -1242,8 +1242,8 @@ class TestColdSolver:
         scaled = crystal._Dimensionless(self.TRAP, None, ca40)
         starts = []
         for attempt in range(crystal._RESTARTS):
-            u, energy, _, ok = crystal._solve_from(
-                scaled, _cold_start(n, seed, attempt))
+            (u, energy, _, ok), = crystal._solve_from(
+                scaled, _cold_start(n, seed, attempt)[None])
             assert ok
             starts.append((energy, u))
         lowest = min(e for e, _ in starts)
@@ -1265,7 +1265,8 @@ class TestColdSolver:
                            match="equilibrium search stalled") as info:
             equilibrium(n, trap, species=ca40, seed=seed)
         scaled = crystal._Dimensionless(trap, None, ca40)
-        u, _, gnorm, ok = crystal._solve_from(scaled, _cold_start(n, seed))
+        (u, _, gnorm, ok), = crystal._solve_from(scaled,
+                                                 _cold_start(n, seed)[None])
         assert not ok
         assert info.value.gradient_norm == gnorm
         assert gnorm == pytest.approx(1.070e-10, rel=1e-3)
@@ -1333,8 +1334,9 @@ class TestLanes:
                 assert np.array_equal(grad[lane], g_one)
 
         def lanes_fun(v):
-            e, g = scaled.energy_and_gradient(v.reshape(len(v), n, 3))
-            return e, g.reshape(len(v), -1)
+            # a stack of points, or one point once one lane is left
+            e, g = scaled.energy_and_gradient(v.reshape(*v.shape[:-1], n, 3))
+            return e, g.reshape(v.shape)
 
         def one_fun(v):
             e, g = scaled.energy_and_gradient(v.reshape(n, 3))
@@ -1346,15 +1348,59 @@ class TestLanes:
         for lane, u0 in enumerate(starts):
             if lane == merged:
                 assert isinstance(res.errors[lane], SingularConfigurationError)
-                with pytest.raises(SingularConfigurationError):
-                    _optim.minimize(one_fun, u0.reshape(-1), gtol=1e-8,
-                                    maxiter=4000)
+                alone = _optim.minimize(one_fun, u0.reshape(1, -1), gtol=1e-8,
+                                        maxiter=4000)
+                assert isinstance(alone.errors[0], SingularConfigurationError)
                 continue
-            alone = _optim.minimize(one_fun, u0.reshape(-1), gtol=1e-8,
+            alone = _optim.minimize(one_fun, u0.reshape(1, -1), gtol=1e-8,
                                     maxiter=4000)
             assert res.errors[lane] is None
-            assert np.array_equal(res.x[lane], alone.x)
+            assert np.array_equal(res.x[lane], alone.x[0])
             assert res.nits[lane] == alone.nit
+
+    def test_lone_lane_runs_at_its_own_point(self, ca40, monkeypatch):
+        # string8's cold solve: the four starts share (4, N, 3) passes
+        # until lanes finish, no pass is a (1, N, 3) stack, and the last
+        # lane's rounds are (N, 3) points
+        shapes = []
+        kernel = crystal._Dimensionless.energy_and_gradient
+        polish = crystal._newton_polish
+
+        def spied(scaled, u):
+            shapes.append(u.shape)
+            return kernel(scaled, u)
+
+        def marked(scaled, u):
+            shapes.append("polish")
+            return polish(scaled, u)
+
+        monkeypatch.setattr(crystal._Dimensionless, "energy_and_gradient",
+                            spied)
+        monkeypatch.setattr(crystal, "_newton_polish", marked)
+        trap = TrapConfig.from_frequencies(70e3, 350e3)
+        equilibrium(8, trap, species=ca40, seed=3)
+        rounds = shapes[:shapes.index("polish")]  # the BFGS's calls
+        assert rounds[0] == (crystal._RESTARTS, 8, 3)
+        assert (1, 8, 3) not in shapes
+        lone = rounds.index((8, 3))
+        assert lone > 0 and set(rounds[lone:]) == {(8, 3)}
+        assert len(rounds) - lone > 1
+
+    @pytest.mark.parametrize("n", [4, 12, 64])
+    def test_one_row_stack_equals_scalar_loop(self, ca40, n):
+        scaled = _lane_potential(ca40, "none")
+
+        def energy_and_gradient(v):
+            e, g = scaled.energy_and_gradient(v.reshape(n, 3))
+            return e, g.reshape(-1)
+
+        u0 = _cold_start(n, 7).reshape(1, -1)
+        res = _optim.minimize(energy_and_gradient, u0, gtol=1e-8,
+                              maxiter=4000)
+        assert res.x.shape == u0.shape and res.errors == (None,)
+        want = _numpy_scalar_minimize(energy_and_gradient, u0[0], gtol=1e-8,
+                                      maxiter=4000)
+        assert np.array_equal(res.x[0], want)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 12),
@@ -1366,7 +1412,8 @@ class TestLanes:
         # lane's, whatever the marks' order, and so must the lanes
         scaled = _MarkedPotential(TrapConfig.from_frequencies(85e3, 300e3),
                                   None, ca40)
-        starts = [_cold_start(n, 7, lane) for lane in range(len(marks))]
+        starts = np.stack([_cold_start(n, 7, lane)
+                           for lane in range(len(marks))])
         for u, mark in zip(starts, marks):
             if mark is not None:
                 u[0, 0] = 1000.0 + mark
@@ -1374,7 +1421,8 @@ class TestLanes:
         raised = [m for m in marks if m is not None]
         if not raised:
             found = crystal._descend(scaled, starts, "scripted")
-            loop = [crystal._solve_from(scaled, u) for u in starts]
+            loop = [run for u in starts
+                    for run in crystal._solve_from(scaled, u[None])]
             loop = [run for run in loop if run[3]]
             assert len(found) == len(loop)
             for (u, energy, _), run in zip(found, loop):
@@ -1384,7 +1432,7 @@ class TestLanes:
             crystal._descend(scaled, starts, "scripted")
         with pytest.raises(ValueError, match=f"^mark {raised[0]}$"):
             for u in starts:
-                crystal._solve_from(scaled, u)
+                crystal._solve_from(scaled, u[None])
 
 
 class TestNewtonPolish:
@@ -1575,8 +1623,8 @@ class TestForkedStarts:
         solve = crystal._solve_from
 
         def spied(scaled, u0):
-            # one start per call: forked, or in the loop of a host that
-            # cannot fork
+            # one one-start stack per call: forked, or in the loop of a
+            # host that cannot fork
             if os.getpid() == parent:
                 ran_here.append(u0)
             return solve(scaled, u0)
@@ -1604,11 +1652,11 @@ class TestForkedStarts:
         solve = crystal._solve_from
 
         def raises_on_start_2(scaled, starts):
-            # one start per forked call, all four as lanes in process
-            lanes = np.reshape(starts, (-1, n, 3))
+            # a one-start stack per forked call, all four as lanes in
+            # process
             if os.getpid() == parent:
-                ran_here.extend(lanes)
-            if any(np.array_equal(u0, start_2) for u0 in lanes):
+                ran_here.extend(starts)
+            if any(np.array_equal(u0, start_2) for u0 in starts):
                 raise _TwoArgumentError("scripted", "start 2")
             return solve(scaled, starts)
 
@@ -1634,10 +1682,10 @@ class TestForkedStarts:
         solve = crystal._solve_from
 
         def dies_on_start_1(scaled, u0):
-            if os.getpid() != parent and np.array_equal(u0, start_1):
+            if os.getpid() != parent and np.array_equal(u0, start_1[None]):
                 os._exit(1)
             if os.getpid() == parent:
-                ran_here.append(u0)
+                ran_here.append(u0[0])
             return solve(scaled, u0)
 
         monkeypatch.setattr(crystal, "_solve_from", dies_on_start_1)

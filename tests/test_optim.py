@@ -57,7 +57,7 @@ def test_line_search_equals_scipy_wolfe1(ca40, monkeypatch, n):
 
     monkeypatch.setattr(_optim, "line_search", recorded)
     u0 = crystal._string_guess(n, np.random.default_rng(7), jitter=0.02)
-    _optim.minimize(energy_and_gradient, u0.reshape(-1), gtol=1e-8,
+    _optim.minimize(energy_and_gradient, u0.reshape(1, -1), gtol=1e-8,
                     maxiter=4000)
     assert len(searches) > 50
     for (xk, pk, f0, g0, old_f0), step in searches:

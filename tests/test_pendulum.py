@@ -566,6 +566,34 @@ def test_non_finite_t0_u0_rejected(name, case):
             T0_U0_CALLS[name](*BAD_T0_U0[case])
 
 
+# the functions of one orbit energy E, each at E = inf
+E_INF_CALLS = {
+    "dimensionless_action": lambda: dimensionless_action(math.inf, U0),
+    "normalized_period": lambda: normalized_period(math.inf, U0),
+    "energy_density": lambda: energy_density(math.inf, 1e-3, U0),
+    "position_density_given_energy": lambda: position_density_given_energy(
+        0.3, math.inf, U0),
+    "bunching_given_energy": lambda: bunching_given_energy(math.inf, U0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(E_INF_CALLS))
+def test_infinite_energy_rejected(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="E must be"):
+            E_INF_CALLS[name]()
+
+
+def test_infinite_depth_is_the_well_bottom_limit():
+    # E/U0 = 0: no action, the small-oscillation period, no bunching
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert dimensionless_action(1e-3 * U0, math.inf) == 0.0
+        assert normalized_period(1e-3 * U0, math.inf) == 1.0
+        assert bunching_given_energy(1e-3 * U0, math.inf) == 0.0
+
+
 def test_tiny_positive_theta_accepted():
     # a subnormal theta is still > 0, and B ~ sqrt(theta/pi) there
     with warnings.catch_warnings():
