@@ -12,7 +12,10 @@ them no caller could be kept on one BLAS thread.
 
 Each worker runs its OpenBLAS on one thread, so that the workers do not
 compete with each other's BLAS threads for the same cores. The parent's
-BLAS setting is never changed, and finding the library loads nothing.
+BLAS setting is never changed, and finding the library loads nothing. A
+CLI parent loaded OpenBLAS on one thread (see ``cli``), so it has no pool
+to shut down and its workers inherit that one thread; the worker's setting
+below is for library callers, whose OpenBLAS keeps its own count.
 The parent only waits and reads, and the result is the one the
 in-process loop gives:
 

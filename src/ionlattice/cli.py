@@ -12,7 +12,8 @@ and writing fixed-format artifacts into --out:
 All CSV numbers carry 9 significant digits with LF line endings, every
 artifact embeds the SHA-256 hash of its canonical config, and identical
 config + seed reproduce outputs byte for byte. Exit codes: 0 success,
-2 config/parse error, 3 solver error, 4 I/O error.
+2 config/parse error, 3 solver error, 4 I/O error, 5 a bug (any other
+exception); --debug prints the traceback of an error.
 
 Every artifact appears only once complete: a failed run leaves no partial
 file and any earlier artifact of the same name untouched. In modes.csv a
@@ -23,13 +24,31 @@ digits depend on the BLAS build, and a genuine weight is far larger.
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
 import sys
 import warnings
 
-import numpy as np
+# A CLI process loads OpenBLAS on one thread unless its caller set a thread
+# count. Its heavy BLAS work runs on one thread anyway (the forked cold
+# starts and the overlapped sweep), while the pool thread that a threaded
+# OpenBLAS starts as numpy loads it busy-waits for about 0.1 s: on a host
+# with no core to spare for it, that doubles the wall time of the import.
+# OpenBLAS reads the variable only as it loads, so it is removed again and
+# the environment stays the caller's.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
+    name in os.environ for name in _BLAS_THREAD_VARIABLES)
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from . import constants as cn
@@ -44,7 +63,13 @@ from .crystal import (
     normal_modes,
 )
 from .ensemble import ScatteringScenario, scan_depth
-from .errors import ConfigError, DomainError, SpotParseError, exit_code_for
+from .errors import (
+    EXIT_BUG,
+    ConfigError,
+    DomainError,
+    SpotParseError,
+    exit_code_for,
+)
 from .micromotion import excess_micromotion
 from .pendulum import _check_rate, _check_t0_u0
 from .thermometry import (
@@ -323,6 +348,8 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="output directory (default: output.dir "
                             "from the config, else '.')")
+        p.add_argument("--debug", action="store_true",
+                       help="print the traceback of an error")
 
     p = sub.add_parser("equilibrium",
                        help="solve the lattice-free crystal structure")
@@ -377,11 +404,25 @@ def main(argv=None):
         os.makedirs(out, exist_ok=True)
         return args.func(args, cfg, out)
     except Exception as exc:  # uniform diagnostic + exit-code mapping
-        print(f"ionlattice: error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        code = exit_code_for(exc)
+        if args.debug:
+            import traceback
+            traceback.print_exc()
+        if code == EXIT_BUG:
+            hint = "" if args.debug else "; --debug prints the traceback"
+            print(f"ionlattice: error: this is a bug in ionlattice, not a "
+                  f"failure of the input or the solver: "
+                  f"{type(exc).__name__}: {exc}{hint}", file=sys.stderr)
+        else:
+            print(f"ionlattice: error: {exc}", file=sys.stderr)
+        return code
     finally:
         warnings.formatwarning = form
 
+
+# The import graph lives until the process exits, so it is frozen: no
+# collection traverses it again, during the run or at exit.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -2,7 +2,9 @@
 
 Exit-code mapping used by the CLI: configuration and input-parsing problems
 are "user errors" (exit 2), numerical failures are "solver errors" (exit 3),
-filesystem problems are I/O errors (exit 4).
+filesystem problems are I/O errors (exit 4). Any other exception is a bug in
+the program (exit 5); a warning of the package's own that the warning
+filters turn into an error stays a solver error.
 """
 
 
@@ -105,14 +107,15 @@ class AdiabaticityWarning(UserWarning):
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+EXIT_BUG = 5
 
 
 def exit_code_for(exc):
     """Map an exception to the CLI exit code."""
     if isinstance(exc, (ConfigError, SpotParseError)):
         return EXIT_CONFIG
-    if isinstance(exc, IonLatticeError):
+    if isinstance(exc, (IonLatticeError, AdiabaticityWarning)):
         return EXIT_SOLVER
     if isinstance(exc, OSError):
         return EXIT_IO
-    return EXIT_SOLVER
+    return EXIT_BUG

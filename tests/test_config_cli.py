@@ -27,7 +27,13 @@ from ionlattice import (
 from ionlattice import _fork, cli, crystal
 from ionlattice import constants as cn
 from ionlattice.cli import _parse_grid, main
-from ionlattice.errors import EXIT_CONFIG, EXIT_IO, EXIT_SOLVER
+from ionlattice.errors import (
+    EXIT_BUG,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_SOLVER,
+    exit_code_for,
+)
 
 BASE_YAML = """\
 schema_version: 1
@@ -299,6 +305,65 @@ class TestEquilibriumCommand:
                          float(r["z_um"])] for r in rows]) * 1e-6
         np.testing.assert_allclose(got, st.positions, rtol=1e-8,
                                    atol=1e-14)
+
+
+class TestExitCodes:
+    # an exception that is no library error, no OSError and no warning of
+    # the package's own is a bug, not a failure of the input or the solver
+
+    @pytest.fixture
+    def broken(self, ws, monkeypatch):
+        def typo(*args, **kwargs):
+            raise TypeError("equilibrium() got an unexpected keyword 'sed'")
+
+        monkeypatch.setattr(cli, "equilibrium", typo)
+        cfg, out = ws
+        return ["equilibrium", "--config", str(cfg), "--out", str(out)]
+
+    def test_bug_exits_5_in_one_line(self, broken, capsys):
+        assert EXIT_BUG == 5
+        assert main(broken) == EXIT_BUG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ionlattice: error: this is a bug in ")
+        assert "TypeError: equilibrium() got an unexpected keyword 'sed'; " \
+            "--debug prints the traceback" in err
+
+    def test_debug_prints_the_traceback(self, broken, capsys):
+        assert main(broken + ["--debug"]) == EXIT_BUG
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in typo" in err
+        last = err.splitlines()[-1]
+        assert last.startswith("ionlattice: error: this is a bug in ")
+        assert last.endswith("unexpected keyword 'sed'")
+
+    def test_debug_keeps_a_library_error_code(self, ws, monkeypatch,
+                                              capsys):
+        def stalls(*args, **kwargs):
+            raise EquilibriumError("stalled", gradient_norm=1.0)
+
+        monkeypatch.setattr(cli, "equilibrium", stalls)
+        cfg, out = ws
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(out),
+                     "--debug"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.splitlines()[-1] == "ionlattice: error: stalled"
+
+    @pytest.mark.parametrize("exc, code", [
+        (ConfigError("key"), EXIT_CONFIG),
+        (EquilibriumError("stalled"), EXIT_SOLVER),
+        (DomainError("m"), EXIT_SOLVER),
+        (AdiabaticityWarning("ramp"), EXIT_SOLVER),  # under -W error
+        (FileNotFoundError("spots"), EXIT_IO),
+        (RuntimeWarning("overflow"), EXIT_BUG),  # numpy's, under -W error
+        (TypeError("x"), EXIT_BUG),
+        (ValueError("x"), EXIT_BUG),
+    ], ids=lambda v: (type(v).__name__ if isinstance(v, Exception)
+                      else str(v)))
+    def test_mapping(self, exc, code):
+        assert exit_code_for(exc) == code
 
 
 class TestModesCommand:

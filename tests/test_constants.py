@@ -61,3 +61,124 @@ def test_cli_import_generates_no_code_and_defers_one_path_modules():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+# the package's public names: the 73 it exports from its submodules, and
+# the 9 submodules themselves
+PUBLIC_NAMES = """
+    AdiabaticityWarning BeamProfile ConfigError ContinuationResult
+    CrystalState DegenerateFitError DomainError EllipticDivergenceError
+    EquilibriumError FitConvergenceError GammaTable GaussianFit
+    ImagingConfig IonLatticeError IonSpecies LatticeConfig
+    MicromotionReport ModeDecomposition NegativeThermalVarianceError
+    QuadratureConvergenceError RampProfile RunConfig ScatteringScenario
+    SeparatrixError SingularConfigurationError SoftModeError
+    SpotMeasurement SpotParseError StructureReport TemperatureEstimate
+    TrapConfig TurningPointError UnstableConfigurationError
+    action_density bunching bunching_given_energy classify_structure
+    config constants continuation crystal
+    delocalized_scattering_probability dimensionless_action
+    effective_axial_q elliptic_e elliptic_k energy_density ensemble
+    equilibrium errors estimate_temperature excess_micromotion
+    fit_gaussian_profile fit_spot_profiles gamma_parameters
+    ion_temperature_from_mode_temperatures lattice_frequency
+    length_scale load_config mean_scattering_probability_per_ion
+    mean_scattering_rate micromotion normal_modes normalized_period
+    parse_config pendulum per_ion_depths position_density_given_energy
+    q_from_secular_frequency read_spot_profiles scan_depth
+    scatter_count_pmf scattering_probability scattering_rate specfun
+    spot_variance_model subsequent_fraction synthesize_spots thermometry
+    total_potential variance_broadening write_spot_profiles
+""".split()
+
+# the variables through which OpenBLAS takes a thread count as it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
+
+
+def _fresh(script, **env):
+    # the script's stdout lines in a new interpreter, with no BLAS thread
+    # variable but those given
+    src = os.path.dirname(os.path.dirname(ionlattice.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in BLAS_THREAD_VARIABLES}
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(base, PYTHONPATH=src, **env),
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split("\n")
+
+
+def test_package_import_loads_no_numpy_and_changes_nothing():
+    # the names resolve on first use: the library import alone loads none
+    # of its submodules, sets no variable and freezes no object
+    lines = _fresh(
+        "import gc, os, sys\n"
+        "env, frozen = dict(os.environ), gc.get_freeze_count()\n"
+        "import ionlattice\n"
+        "print('numpy' in sys.modules, dict(os.environ) == env,\n"
+        "      gc.get_freeze_count() == frozen)\n")
+    assert lines[0] == "False True True"
+
+
+def test_every_public_name_resolves():
+    assert ionlattice.__all__ == PUBLIC_NAMES
+    lines = _fresh(
+        "import ionlattice\n"
+        "print(sorted(set(ionlattice.__all__) - set(dir(ionlattice))))\n"
+        "print([n for n in ionlattice.__all__\n"
+        "       if getattr(ionlattice, n, None) is None])\n"
+        "print(hasattr(ionlattice, 'no_such_name'))\n"
+        "from ionlattice import *\n"
+        "from ionlattice import RunConfig, errors\n"
+        "print(RunConfig is ionlattice.config.RunConfig,\n"
+        "      errors is ionlattice.errors)\n")
+    assert lines[:4] == ["[]", "[]", "False", "True True"]
+
+
+def test_import_time_reports_every_module():
+    # the benchmark reads each module's import time from -X importtime, which
+    # sees only imports made through the import statement's machinery, so
+    # the package's lazy names must import their submodules that way
+    src = os.path.dirname(os.path.dirname(ionlattice.__file__))
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import ionlattice.cli"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    reported = {line.rsplit("|", 1)[1].strip()
+                for line in out.stderr.splitlines()
+                if line.startswith("import time:")}
+    modules = ("constants", "specfun", "pendulum", "crystal", "ensemble",
+               "thermometry", "micromotion", "config", "cli")
+    assert {"ionlattice", *(f"ionlattice.{m}" for m in modules)} <= reported
+
+
+_CLI_IMPORT = (
+    "import gc, os\n"
+    "env = dict(os.environ)\n"
+    "import ionlattice.cli\n"
+    "from ionlattice import _fork\n"
+    "print([get() for _, get, _ in _fork.openblas_threads()])\n"
+    "print(dict(os.environ) == env, 'OPENBLAS_NUM_THREADS' in os.environ,\n"
+    "      gc.get_freeze_count() > 0)\n")
+
+
+def test_cli_import_starts_one_blas_thread_and_freezes_the_import():
+    # with no thread count given, OpenBLAS loads on one thread, so it never
+    # starts its pool; the variable that said so is gone again, and the
+    # import graph is frozen for the exit
+    threads, rest = _fresh(_CLI_IMPORT)[:2]
+    if threads == "[]":
+        pytest.skip("numpy's BLAS is no OpenBLAS with a thread getter")
+    assert set(threads.strip("[]").split(", ")) == {"1"}
+    assert rest == "True False True"
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+def test_cli_import_defers_to_a_given_thread_count(name):
+    # the caller's setting wins, and the environment stays as it was
+    threads, rest = _fresh(_CLI_IMPORT, **{name: "2"})[:2]
+    given = name == "OPENBLAS_NUM_THREADS"
+    assert rest == f"True {given} True"
+    if threads != "[]":  # OpenBLAS takes no more threads than CPUs
+        want = str(min(2, len(os.sched_getaffinity(0))))
+        assert set(threads.strip("[]").split(", ")) == {want}
