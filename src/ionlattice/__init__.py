@@ -12,7 +12,8 @@ cli's first lines before numpy loads.
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it exports through the package
+# submodule -> the public names it exports through the package, which
+# are also its __all__
 _EXPORTS = {
     "config": ("RunConfig", "load_config", "parse_config"),
     "constants": (),

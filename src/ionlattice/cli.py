@@ -106,7 +106,10 @@ def _parse_grid(spec):
             "--grid start and stop must be finite and non-negative")
     kind = parts[3]
     if kind == "lin":
-        return np.linspace(start, stop, count)
+        # near 1.8e308 the last point's step product overflows to inf
+        # before numpy sets that endpoint exactly
+        with np.errstate(over="ignore"):
+            return np.linspace(start, stop, count)
     if kind == "geom":
         if start <= 0 or stop <= 0:
             raise ConfigError("--grid geom needs positive start and stop")

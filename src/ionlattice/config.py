@@ -24,14 +24,14 @@ import json
 import math
 from contextlib import contextmanager
 
-from . import constants as cn
+from . import _EXPORTS, constants as cn
 from .crystal import TrapConfig
 from .ensemble import BeamProfile
 from .errors import ConfigError
 from .pendulum import IonSpecies, LatticeConfig, RampProfile, _depth_for_nu
 from .thermometry import ImagingConfig
 
-__all__ = ["RunConfig", "load_config", "parse_config", "config_hash"]
+__all__ = [*_EXPORTS["config"], "config_hash"]
 
 _SCHEMA_VERSION = 1
 
@@ -82,6 +82,11 @@ _SCHEMA = {
 }
 
 _REQUIRED_BLOCKS = ("trap", "crystal")
+
+# the most ions a crystal may have: a cold start holds three (3N)^2 float64
+# BFGS matrices, 216*N^2 bytes, so 1000 ions take about 0.2 GB per start
+# and thirty times as many would not fit any host
+_MAX_IONS = 1000
 
 
 class RunConfig:
@@ -179,17 +184,69 @@ def config_hash(normalized):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def parse_config(text):
-    """Parse JSON or YAML config text into a RunConfig."""
+class _Repeated(str):
+    """Dotted path of a key that a JSON object gives twice."""
+
+
+def _json_object(pairs):
+    # object_pairs_hook: the object as a dict, or the _Repeated path of its
+    # first repeated key, which the enclosing objects prefix with theirs
+    out = {}
+    for key, value in pairs:
+        if isinstance(value, _Repeated):
+            return _Repeated(f"{key}.{value}")
+        if key in out:
+            return _Repeated(key)
+        out[key] = value
+    return out
+
+
+def _load_yaml(text):
+    """yaml.safe_load that refuses a mapping key given twice."""
+    import yaml  # here, so that a JSON config never pays its import
+
+    class Loader(yaml.SafeLoader):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.paths = {}  # value node -> dotted path of its key
+
+        def construct_mapping(self, node, deep=False):
+            # an enclosing mapping is constructed first, so it has named
+            # this one; merged keys (<<) may be given again on purpose
+            prefix = self.paths.get(node)
+            seen = set()
+            for key_node, value_node in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=True)
+                try:
+                    repeated = key in seen
+                except TypeError:  # unhashable: the constructor names it
+                    continue
+                path = key if prefix is None else f"{prefix}.{key}"
+                if repeated:
+                    raise ConfigError(f"duplicate key {path}")
+                seen.add(key)
+                self.paths[value_node] = path
+            return super().construct_mapping(node, deep)
+
     try:
-        raw = json.loads(text)
+        return yaml.load(text, Loader=Loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config is not valid YAML/JSON: {exc}") from None
+
+
+def parse_config(text):
+    """Parse JSON or YAML config text into a RunConfig.
+
+    A key given twice in one mapping is refused, naming its dotted path.
+    """
+    try:
+        raw = json.loads(text, object_pairs_hook=_json_object)
     except ValueError:  # not JSON, so YAML
-        import yaml  # here, so that a JSON config never pays its import
-        try:
-            raw = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(
-                f"config is not valid YAML/JSON: {exc}") from None
+        raw = _load_yaml(text)
+    if isinstance(raw, _Repeated):
+        raise ConfigError(f"duplicate key {raw}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of blocks")
 
@@ -213,6 +270,9 @@ def parse_config(text):
 
     crystal = norm["crystal"]
     n_ions = _validate_int("crystal", "n_ions", crystal["n_ions"], minimum=1)
+    if n_ions > _MAX_IONS:
+        raise ConfigError(f"crystal.n_ions must be <= {_MAX_IONS}, "
+                          f"got {n_ions}")
     seed = _validate_int("crystal", "seed", crystal["seed"])
 
     ramp_shape = norm["ramp"]["shape"]
@@ -290,6 +350,13 @@ def parse_config(text):
 
 
 def load_config(path):
-    """Read and parse a config file. File-system errors propagate."""
+    """Read and parse a UTF-8 config file. File-system errors propagate."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # read() decodes the whole file
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(
+                f"config is not UTF-8 text: line {line} holds byte "
+                f"0x{exc.object[exc.start]:02x}") from None
+    return parse_config(text)

@@ -35,7 +35,7 @@ import numpy as np
 # lazily: importing it here keeps its load in start-up, out of the solve
 from numpy.random import default_rng
 
-from . import constants as cn
+from . import _EXPORTS, constants as cn
 # bench/tracer.py wraps ``minimize`` here, so _solve_from calls it through
 # this module's namespace
 from ._optim import assignment, minimize
@@ -48,21 +48,7 @@ from .errors import (
 )
 from .pendulum import LatticeConfig, _default_species, _depth_for_nu
 
-__all__ = [
-    "TrapConfig",
-    "CrystalState",
-    "ModeDecomposition",
-    "GammaTable",
-    "ContinuationResult",
-    "StructureReport",
-    "length_scale",
-    "total_potential",
-    "equilibrium",
-    "normal_modes",
-    "gamma_parameters",
-    "continuation",
-    "classify_structure",
-]
+__all__ = list(_EXPORTS["crystal"])
 
 _BLOCKS = {"x": 0, "y": 1, "z": 2}
 

@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from . import constants as cn
+from . import _EXPORTS, constants as cn
 from .errors import DomainError
 # bench/tracer.py reads bunching and scattering_probability in this module
 from .pendulum import (  # noqa: F401
@@ -30,15 +30,7 @@ from .pendulum import (  # noqa: F401
     scattering_probability,
 )
 
-__all__ = [
-    "BeamProfile",
-    "ScatteringScenario",
-    "per_ion_depths",
-    "mean_scattering_probability_per_ion",
-    "scatter_count_pmf",
-    "subsequent_fraction",
-    "scan_depth",
-]
+__all__ = list(_EXPORTS["ensemble"])
 
 
 class BeamProfile:

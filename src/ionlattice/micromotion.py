@@ -18,17 +18,11 @@ import math
 
 import numpy as np
 
-from . import constants as cn
+from . import _EXPORTS, constants as cn
 from .errors import DomainError
 from .pendulum import _default_species
 
-__all__ = [
-    "MicromotionReport",
-    "excess_micromotion",
-    "effective_axial_q",
-    "variance_broadening",
-    "q_from_secular_frequency",
-]
+__all__ = list(_EXPORTS["micromotion"])
 
 
 class MicromotionReport:

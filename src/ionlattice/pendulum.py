@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from . import constants as cn
+from . import _EXPORTS, constants as cn
 from .errors import (
     AdiabaticityWarning,
     DomainError,
@@ -46,23 +46,7 @@ from .specfun import (  # noqa: F401
     integrate_with_endpoint_singularity,
 )
 
-__all__ = [
-    "IonSpecies",
-    "LatticeConfig",
-    "RampProfile",
-    "lattice_frequency",
-    "action_density",
-    "dimensionless_action",
-    "normalized_period",
-    "energy_density",
-    "position_density_given_energy",
-    "bunching_given_energy",
-    "bunching",
-    "scattering_rate",
-    "mean_scattering_rate",
-    "scattering_probability",
-    "delocalized_scattering_probability",
-]
+__all__ = list(_EXPORTS["pendulum"])
 
 _4_OVER_PI = 4.0 / math.pi
 _SQRT_PI = math.sqrt(math.pi)

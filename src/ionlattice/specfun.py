@@ -19,13 +19,14 @@ import math
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DomainError,
     EllipticDivergenceError,
     QuadratureConvergenceError,
 )
 
-__all__ = ["elliptic_k", "elliptic_e"]
+__all__ = list(_EXPORTS["specfun"])
 
 # convergence tolerance for the AGM loops; must sit safely above machine
 # epsilon or the iteration can cycle at the last ulp and never terminate

@@ -19,12 +19,13 @@ axes) is available behind a flag because its gamma values are sensitive to
 the radial-asymmetry bias.
 """
 
+import io
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from . import constants as cn
+from . import _EXPORTS, constants as cn
 # the fit calls least_squares_batch through this module's namespace, where
 # tests patch it; bench/tracer.py wraps least_squares here
 from ._optim import (  # noqa: F401
@@ -41,20 +42,7 @@ from .errors import (
 )
 from .pendulum import _default_species
 
-__all__ = [
-    "ImagingConfig",
-    "SpotMeasurement",
-    "TemperatureEstimate",
-    "GaussianFit",
-    "spot_variance_model",
-    "fit_gaussian_profile",
-    "estimate_temperature",
-    "synthesize_spots",
-    "ion_temperature_from_mode_temperatures",
-    "read_spot_profiles",
-    "write_spot_profiles",
-    "fit_spot_profiles",
-]
+__all__ = list(_EXPORTS["thermometry"])
 
 _AXES = ("axial", "radial")
 
@@ -134,6 +122,10 @@ def _gauss(x, a, c, s, b):
 
 # fewest distinct pixels a 4-parameter Gaussian fit accepts
 _MIN_PIXELS = 5
+# widest pixel span (largest minus smallest pixel) a fit accepts: the fit
+# squares pixel offsets, which this leaves below 1e300, while a span past
+# about 1.3e154 px has squares beyond the float range's 1.8e308
+_MAX_SPAN = 1e150
 # a fit is a spot only if the nested-model F test refuses the line a + b x
 # in its favour at this probability of refusing a true spot
 _F_TEST_P = 1e-6
@@ -154,12 +146,13 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
 
     Raises DomainError for a sample that is not a finite number,
     DegenerateFitError for fewer than 5 distinct pixels, a constant
-    profile, a fitted center off the profile's pixels, an amplitude that
-    is not positive, a width collapsing below a quarter pixel or a fit
-    that runs away (a width beyond the pixel span, or a center more than
-    a span off the pixels, stops the solver at once) or a fit that the
-    line a + b x matches nearly as well (the nested-model F test, at p =
-    1e-6), and FitConvergenceError if the solver stalls.
+    profile, a pixel span wider than 1e150 px, a fitted center off the
+    profile's pixels, an amplitude that is not positive, a width
+    collapsing below a quarter pixel or a fit that runs away (a width
+    beyond the pixel span, or a center more than a span off the pixels,
+    stops the solver at once) or a fit that the line a + b x matches
+    nearly as well (the nested-model F test, at p = 1e-6), and
+    FitConvergenceError if the solver stalls.
     """
     (fit,) = _fit_profiles([profile])
     if isinstance(fit, Exception):
@@ -208,6 +201,14 @@ def _fit_profiles(profiles):
             continue
         if np.ptp(y) == 0.0:
             fits[i] = DegenerateFitError("constant profile has no peak to fit")
+            continue
+        # in Python floats, whose overflow to inf warns of nothing
+        span = float(x.max()) - float(x.min())
+        if not span <= _MAX_SPAN:
+            fits[i] = DegenerateFitError(
+                f"pixel span {span:.3g} px is wider than {_MAX_SPAN:.0e} "
+                "px, past which the fit's squared pixel offsets near the "
+                "end of the float range")
             continue
         peak = float(np.max(np.abs(y)))
         y = y / peak
@@ -500,17 +501,25 @@ def read_spot_profiles(path):
     """Parse a spot CSV into [(ion_index, axis, (n,2) array), ...].
 
     Rows are grouped by (ion_index, axis) in order of first appearance.
-    Malformed content raises SpotParseError naming the offending line: a
-    wrong header or field count, a non-integer or negative ion_index, an
-    unknown axis, a pixel or counts value that is not a finite number,
-    negative counts, or (naming the group's first line) a group of fewer
-    than 5 distinct pixels, too few for the Gaussian fit.
+    Malformed content raises SpotParseError naming the offending line:
+    bytes that are not UTF-8, a wrong header or field count, a non-integer
+    or negative ion_index, an unknown axis, a pixel or counts value that is
+    not a finite number, negative counts, or (naming the group's first
+    line) a group of fewer than 5 distinct pixels, too few for the
+    Gaussian fit.
     """
     import csv  # here, so that only the spots CSV pays its import
     groups = {}
     first_line = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # read() decodes the whole file
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise SpotParseError(
+                f"line {line}: not UTF-8 text, byte "
+                f"0x{exc.object[exc.start]:02x}") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             header = next(reader)
         except StopIteration:

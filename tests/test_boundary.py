@@ -228,6 +228,7 @@ _GRIDS = st.one_of(
 @given(_GRIDS)
 @example("1.7976931348622103e+308:1.7976931348622103e+308:3:geom")
 @example("0:1:1000000000000000:lin")
+@example("0:1.7976931348623157e+308:4:lin")
 def test_parse_grid_returns_or_raises_config_error(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -196,8 +196,18 @@ class TestParsing:
          "equilibrium", "thermometry.include_radial must be true or false"),
         ("detuning_THz: 0.76", "detuning_THz: 0", "scatter",
          "lattice.detuning_THz must be nonzero for scatter"),
+        # 30000 ions used to reach a (3, N, N) pair array, past the memory
+        # of the host or into a MemoryError that exited 5
+        ("n_ions: 4", "n_ions: 1001", "equilibrium",
+         "crystal.n_ions must be <= 1000, got 1001"),
+        # a key given twice used to keep its last value silently
+        ("crystal:", "trap: {f_z_kHz: 95.0, f_radial_kHz: 170.0}\ncrystal:",
+         "equilibrium", "duplicate key trap"),
+        ("seed: 7", "seed: 7\n  seed: 8", "equilibrium",
+         "duplicate key crystal.seed"),
     ], ids=["n_ions_0", "n_ions_2.5", "n_ions_true", "seed_-1",
-            "ramp_shape", "include_radial_1", "scatter_detuning_0"])
+            "ramp_shape", "include_radial_1", "scatter_detuning_0",
+            "n_ions_past_the_cap", "duplicate_block", "duplicate_key"])
     def test_refusal_names_its_key(self, tmp_path, capsys, monkeypatch, old,
                                    new, verb, message):
         assert old in BASE_YAML
@@ -210,6 +220,23 @@ class TestParsing:
         assert code == EXIT_CONFIG
         assert err == f"ionlattice: error: {message}\n"
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_duplicate_json_key_refused(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "dup.json"
+        cfg.write_text('{"trap": {"f_z_kHz": 85.0, "f_radial_kHz": 170.0, '
+                       '"f_z_kHz": 95.0}, "crystal": {"n_ions": 2, "seed": 1}}')
+        code, err = _refused_before_solve(
+            monkeypatch, capsys, ["equilibrium", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert err == "ionlattice: error: duplicate key trap.f_z_kHz\n"
+
+    def test_yaml_merge_key_is_no_duplicate(self):
+        # a key given again over a merged mapping (<<) overrides it
+        merged = BASE_YAML.replace(
+            "trap:\n", "trap:\n  <<: {f_z_kHz: 60.0, asymmetry: 0.03}\n")
+        assert parse_config(merged).config_hash == \
+            parse_config(BASE_YAML).config_hash
 
     def test_hash_ignores_formatting(self):
         noisy = BASE_YAML.replace("f_z_kHz: 85.0", "f_z_kHz: 85.00")
@@ -1155,6 +1182,43 @@ class TestThermometryCommand:
         assert code == EXIT_CONFIG
         assert "counts must be non-negative" in capsys.readouterr().err
 
+    def test_spots_that_are_not_utf8_are_config_error(
+            self, ws8, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the crystal was solved before the check")
+
+        monkeypatch.setattr(cli, "equilibrium", no_solve)
+        cfg, out = ws8
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"ion_index,axis,pixel,counts\n0,axial,1,10\n"
+                        b"0,axial,2,\xff\n")
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(bad)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "ionlattice: error: line 3: not UTF-8 text, byte 0xff\n"
+
+    @pytest.mark.parametrize("far, message", [
+        ("1e100", "fitted width 0.122 px is below"),
+        ("1e200", "pixel span 1e+200 px is wider than 1e+150"),
+        ("1e308", "pixel span 1e+308 px is wider than 1e+150"),
+    ], ids=["1e100", "1e200", "1e308"])
+    def test_far_pixel_spot_is_refused_without_warning(
+            self, ws8, tmp_path, capsys, far, message):
+        # 1e200 used to overflow the start width into NaN, burn the fit's
+        # 2000 evaluations and, with RuntimeWarnings as errors, exit 5
+        cfg, out = ws8
+        spots = tmp_path / "far.csv"
+        spots.write_text("ion_index,axis,pixel,counts\n0,axial,1,5\n"
+                         "0,axial,2,5\n0,axial,3,9\n0,axial,4,5\n"
+                         f"0,axial,{far},5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["thermometry", "--config", str(cfg), "--out",
+                         str(out), "--spots", str(spots)]) == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith(
+            f"ionlattice: error: spot (ion_index 0, axis axial): {message}")
+
     def test_negative_variance_is_solver_error(self, ws8, tmp_path, capsys):
         from ionlattice import (ImagingConfig, equilibrium,
                                 gamma_parameters, normal_modes,
@@ -1247,6 +1311,27 @@ class TestCliPlumbing:
                      "--grid", "0:1:1000000000000000:lin"]) == EXIT_CONFIG
         assert "--grid" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_config_that_is_not_utf8_is_config_error(
+            self, tmp_path, capsys, monkeypatch, where):
+        # its UnicodeDecodeError used to exit 5, as a bug
+        cfg = tmp_path / "latin1.yaml"
+        lines = BASE_YAML.encode().splitlines(keepends=True)
+        lines[where] = b"\xff\xfe" + lines[where]
+        cfg.write_bytes(b"".join(lines))
+        code, err = _refused_before_solve(
+            monkeypatch, capsys, ["equilibrium", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        line = len(lines) if where else 1
+        assert err == ("ionlattice: error: config is not UTF-8 text: "
+                       f"line {line} holds byte 0xff\n")
+
+    def test_ion_count_at_the_cap_parses(self):
+        cap = ionlattice.config._MAX_IONS
+        assert parse_config(BASE_YAML.replace(
+            "n_ions: 4", f"n_ions: {cap}")).n_ions == cap == 1000
 
     def test_grid_count_at_the_cap_parses(self):
         cap = cli._MAX_GRID_POINTS

@@ -1,6 +1,7 @@
 """The literal constants match scipy's exactly, the Student-t quantile to
 1e-13 relative."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -133,6 +134,23 @@ def test_every_public_name_resolves():
         "print(RunConfig is ionlattice.config.RunConfig,\n"
         "      errors is ionlattice.errors)\n")
     assert lines[:4] == ["[]", "[]", "False", "True True"]
+
+
+@pytest.mark.parametrize("module", [
+    "config", "crystal", "ensemble", "micromotion", "pendulum", "specfun",
+    "thermometry"])
+def test_submodule_exports_its_table_entry(module):
+    # the package's one table is each submodule's __all__; config alone
+    # exports a name, config_hash, that the package does not
+    mod = importlib.import_module(f"ionlattice.{module}")
+    names = ionlattice._EXPORTS[module]
+    extra = ["config_hash"] if module == "config" else []
+    assert mod.__all__ == [*names, *extra]
+    star = {}
+    exec(f"from ionlattice.{module} import *", star)
+    assert all(star[name] is getattr(mod, name) for name in mod.__all__)
+    assert all(getattr(ionlattice, name) is getattr(mod, name)
+               for name in names)
 
 
 def test_import_time_reports_every_module():

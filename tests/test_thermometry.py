@@ -85,6 +85,33 @@ class TestGaussianFit:
         with pytest.raises(DomainError, match="finite"):
             fit_gaussian_profile(prof)
 
+    @pytest.mark.parametrize("far", [1e200, 1e308, -1e308])
+    def test_pixel_span_past_the_float_range_refused_before_the_solve(
+            self, far, monkeypatch):
+        # the start width squared the far pixel's offset to inf, 0 * inf
+        # made it NaN, and the fit spent its 2000 evaluations on warnings
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(thermometry, "least_squares_batch", no_solve)
+        prof = [(1, 5), (2, 5), (3, 9), (4, 5), (far, 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateFitError, match=r"pixel span "
+                               r"\S+ px is wider than 1e\+150 px"):
+                fit_gaussian_profile(prof)
+
+    def test_pixel_span_at_the_cap_is_fitted(self):
+        # a spot 1e150 px wide is the same fit as one 1 px wide, scaled
+        x = np.arange(-6.0, 7.0)
+        y = 5.0 + 100.0 * np.exp(-0.5 * (x / 1.5) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            unit = fit_gaussian_profile(np.column_stack([x, y]))
+            wide = fit_gaussian_profile(np.column_stack([x * 1e150 / 12, y]))
+        assert wide.sigma == pytest.approx(unit.sigma * 1e150 / 12,
+                                           rel=1e-9)
+
     def test_tiny_counts_fit_as_any_below_one_count(self):
         # below 1 count every Poisson weight is 1, so scaled-down counts
         # are the same fit: finite intervals, no floating-point warning
