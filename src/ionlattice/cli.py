@@ -66,12 +66,12 @@ from .ensemble import ScatteringScenario, scan_depth
 from .errors import (
     EXIT_BUG,
     ConfigError,
-    DomainError,
     SpotParseError,
     exit_code_for,
+    refused,
 )
 from .micromotion import excess_micromotion
-from .pendulum import _check_rate, _check_t0_u0
+from .pendulum import _check_rate, _check_t0_u0, _rate_prefactor
 from .thermometry import (
     _used_axes,
     estimate_temperature,
@@ -164,15 +164,6 @@ def cmd_equilibrium(args, cfg, out):
     return 0
 
 
-@contextlib.contextmanager
-def _refused(name):
-    # the model refusing an input, as a config error that names it
-    try:
-        yield
-    except DomainError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-
 def _depth_source(args, cfg):
     # what sets a verb's deepest grid point: --grid, else the lattice key
     if args.grid is not None:
@@ -205,7 +196,7 @@ def cmd_modes(args, cfg, out):
             "modes without --grid sweeps up to the lattice depth, so "
             "lattice.depth_max_mK or lattice.nu_latt_max_MHz must be "
             "nonzero")
-    with _refused(_depth_source(args, cfg)):  # such as a depth too deep
+    with refused(_depth_source(args, cfg)):  # such as a depth too deep
         rows = _sweep(cfg.n_ions, cfg.trap, lattice, 200, cfg.species,
                       cfg.seed, nu_grid)
     flagged = []  # each row's flags, with its step
@@ -256,10 +247,12 @@ def cmd_scatter(args, cfg, out):
         depths = _parse_grid(args.grid) * 1e-3 * cn.KB  # mK -> J
     else:
         depths = np.linspace(0.0, abs(lattice.depth_U0), 26)
-    # the model's T0 and rate rules, before the reference solve
-    with _refused("crystal.T0_mK with this depth grid"):
+    # the model's rate, T0 and depth rules, before the reference solve
+    with refused("lattice.detuning_THz"):
+        _rate_prefactor(lattice, cfg.species)
+    with refused("crystal.T0_mK with this depth grid"):
         _check_t0_u0(t0, depths[depths > 0.0])
-    with _refused(_depth_source(args, cfg)):
+    with refused(_depth_source(args, cfg)):
         _check_rate(depths, ramp.t_end, lattice, cfg.species)
 
     state = _solve_reference(cfg)

@@ -22,12 +22,11 @@ lattice color: positive = blue (ions localize at intensity nodes).
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 
 from . import _EXPORTS, constants as cn
 from .crystal import TrapConfig
 from .ensemble import BeamProfile
-from .errors import ConfigError
+from .errors import ConfigError, refused
 from .pendulum import IonSpecies, LatticeConfig, RampProfile, _depth_for_nu
 from .thermometry import ImagingConfig
 
@@ -164,19 +163,6 @@ def _validate_int(block, key, value, minimum=0):
     return value
 
 
-@contextmanager
-def _block_errors(name):
-    # a value the model objects reject, or one that overflows on the way
-    # to them, is a config error of its block
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-    except ArithmeticError as exc:  # such as (2 pi nu)^2 beyond 1.8e308
-        raise ConfigError(f"{name}: a derived value leaves the float "
-                          f"range ({exc})") from None
-
-
 def config_hash(normalized):
     """SHA-256 hex digest of the canonical JSON form."""
     canonical = json.dumps(normalized, sort_keys=True,
@@ -287,14 +273,14 @@ def parse_config(text):
         raise ConfigError("output.dir must be a non-empty string")
 
     species_n = norm["species"]
-    with _block_errors("species"):
+    with refused("species"):
         species = IonSpecies(
             mass=species_n["mass_amu"],
             lattice_transition_wavelength=species_n["lattice_wavelength_nm"],
             detection_wavelength=species_n["detection_wavelength_nm"],
         )
     trap_n = norm["trap"]
-    with _block_errors("trap"):
+    with refused("trap"):
         trap = TrapConfig.from_frequencies(
             trap_n["f_z_kHz"], trap_n["f_radial_kHz"],
             asymmetry=trap_n["asymmetry"], f_rf=trap_n["f_rf_MHz"],
@@ -312,7 +298,7 @@ def parse_config(text):
         key = "depth_max_mK" if has_depth else "nu_latt_max_MHz"
         if lat[key] < 0:
             raise ConfigError(f"lattice.{key} must be >= 0")
-        with _block_errors("lattice"):
+        with refused("lattice"):
             k = species.lattice_wavevector
             u0 = (cn.KB * lat[key] if has_depth
                   else _depth_for_nu(lat[key], species, k))
@@ -320,18 +306,19 @@ def parse_config(text):
             signed = -u0 if detuning < 0 else u0
             lattice = LatticeConfig(depth_U0=signed, wavevector_k=k,
                                     detuning=detuning)
+        with refused("lattice.waist_um"):
             beam = BeamProfile(waist_radius=lat["waist_um"])
 
     ramp = None
     if lattice is not None:
-        with _block_errors("ramp"):
+        with refused("ramp"):
             ramp = RampProfile(u0_max=abs(lattice.depth_U0),
                                ramp_duration=norm["ramp"]["ramp_us"],
                                hold_duration=norm["ramp"]["hold_us"],
                                shape=ramp_shape)
 
     therm = norm["thermometry"]
-    with _block_errors("thermometry"):
+    with refused("thermometry"):
         imaging = ImagingConfig(
             sigma_res_axial=therm["sigma_res_axial_um"],
             sigma_res_radial=therm["sigma_res_radial_um"],

@@ -52,6 +52,11 @@ __all__ = list(_EXPORTS["crystal"])
 
 _BLOCKS = {"x": 0, "y": 1, "z": 2}
 
+# eigh resolves eigenvalues to about eps times the largest: beyond 1e-6/eps
+# times the softest curvature, the softest modes are rounding noise at
+# 1e-6 relative, so no curvature of a crystal may span more than this
+_EIGH_SPAN = 1e-6 / np.finfo(float).eps
+
 
 def _by_axis(coordinates):
     """(..., 3, N, modes) view of (..., 3N, modes) block-stacked vectors."""
@@ -80,10 +85,20 @@ class TrapConfig:
         self.omega_rf = omega_rf  # rad/s
         self.q_radial = q_radial
         self.q_axial = q_axial
-        if not all(0 < w < math.inf for w in (  # NaN fails too
-                self.omega_z, self.omega_x, self.omega_y, self.omega_rf)):
+        # the model forms each frequency's square: the trap curvatures, and
+        # M Omega_rf^2 in the micromotion energy
+        squares = [w * w for w in (
+            self.omega_x, self.omega_y, self.omega_z, self.omega_rf)]
+        if not all(0 < w2 < math.inf for w2 in squares):  # NaN fails too
             raise DomainError(
-                "secular and rf frequencies must be positive and finite")
+                "secular and rf frequencies must be positive and finite, "
+                "and so must their squares")
+        span = max(squares[:3]) / min(squares[:3])
+        if not span <= _EIGH_SPAN:
+            raise DomainError(
+                f"the secular curvatures omega^2 span a ratio of {span:.3g}, "
+                f"beyond the {_EIGH_SPAN:.3g} within which eigh resolves the "
+                "softest trap curvature to 1e-6 relative")
         # an unset q_radial is derived from the frequencies: check that too
         derived = "derived " if self.q_radial is None else ""
         for name, q in ((derived + "q_radial", self.q_radial_effective),
@@ -738,14 +753,12 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid):
         grid = np.asarray(sorted(float(v) for v in nu_grid))
         if grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
-    # eigh resolves eigenvalues to about eps times the largest, here the
-    # lattice curvature 2|u0|kappa^2 in trap units: beyond 1e-6/eps times
-    # the softest trap curvature, the trap-scale modes are rounding noise
+    # the largest curvature is the lattice's, 2|u0|kappa^2 in trap units
     scaled = _Dimensionless(trap, lattice_max, species)
     with np.errstate(over="ignore"):
         depth = abs(_signed_depth(grid[-1], lattice_max, species))
         curvature = 2.0 * depth / scaled.energy_unit * scaled.kappa ** 2
-    ceiling = 1e-6 / np.finfo(float).eps * scaled.alpha2.min()
+    ceiling = _EIGH_SPAN * scaled.alpha2.min()
     if not curvature <= ceiling:
         raise DomainError(
             f"a lattice depth of {depth:.3g} J curves the potential by "

@@ -40,8 +40,11 @@ class BeamProfile:
 
     def __init__(self, waist_radius):
         self.waist_radius = waist_radius  # m, 1/e^2 intensity radius
-        if not self.waist_radius > 0:  # NaN fails too
-            raise DomainError("waist_radius must be positive")
+        # depth_factor divides by its square
+        if not 0 < self.waist_radius * self.waist_radius < math.inf:
+            raise DomainError(
+                "waist_radius must be positive, and its square inside the "
+                "float range")
 
     def depth_factor(self, positions):
         """Per-ion relative depth from the radial offsets (N,) in [0, 1]."""

@@ -7,6 +7,8 @@ the program (exit 5); a warning of the package's own that the warning
 filters turn into an error stays a solver error.
 """
 
+from contextlib import contextmanager
+
 
 class IonLatticeError(Exception):
     """Base class for all library errors."""
@@ -108,6 +110,19 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_BUG = 5
+
+
+@contextmanager
+def refused(name):
+    """A DomainError, or an ArithmeticError from a derived value leaving the
+    float range, as a ConfigError naming the key, block or flag given."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    except ArithmeticError as exc:  # such as (2 pi nu)^2 beyond 1.8e308
+        raise ConfigError(f"{name}: a derived value leaves the float "
+                          f"range ({exc})") from None
 
 
 def exit_code_for(exc):

@@ -82,6 +82,12 @@ class IonSpecies:
         if not (self.lattice_transition_wavelength > 0
                 and self.detection_wavelength > 0):
             raise DomainError("wavelengths must be positive")
+        k = self.lattice_wavevector
+        if not 0 < k * k < math.inf:  # the model forms k^2 and (k l)^2
+            raise DomainError(
+                f"lattice wavelength {lattice_transition_wavelength!r} m: "
+                "the square of its wavevector 2 pi/lambda leaves the float "
+                "range")
         if not 0 < self.gamma_397 <= self.gamma_p_total:
             raise DomainError("need 0 < gamma_397 <= gamma_p_total")
 
@@ -410,16 +416,25 @@ def scattering_rate(kz, rabi, config, species):
     return 0.5 * species.gamma_397 * half_o2 / denom
 
 
+def _rate_prefactor(config, species):
+    """pref = gamma_397/(hbar |Delta|) (1/(J s)) of the far-detuned rate
+    pref * |U0| * X, which must be finite."""
+    hbar_delta = cn.HBAR * abs(config.detuning)
+    pref = species.gamma_397 / hbar_delta if hbar_delta > 0.0 else math.inf
+    if pref == math.inf:
+        raise DomainError(
+            "far-detuned mean rate needs a detuning large enough that "
+            "gamma_397/(hbar |Delta|) is finite, got "
+            f"{config.detuning!r} rad/s")
+    return pref
+
+
 def _check_rate(u0, t_up, config, species):
     """pref (1/(J s)) of the far-detuned rate pref * |U0| * X, X <= 1, by
     the model's one rule for peak depths u0 (J, float or array) of a ramp
     lasting t_up (s): the rate at each peak, and the dose over t_up (the
     ramp rule's weights add up to t_up), stay finite."""
-    delta = config.detuning
-    if delta == 0.0:
-        raise DomainError(
-            "far-detuned mean rate needs a nonzero lattice detuning")
-    pref = species.gamma_397 / (cn.HBAR * abs(delta))
+    pref = _rate_prefactor(config, species)
     u0 = np.asarray(u0, dtype=float)
     with np.errstate(over="ignore"):  # the larger of rate and dose bound
         top = pref * u0 * max(1.0, t_up)

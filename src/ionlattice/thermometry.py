@@ -56,10 +56,14 @@ class ImagingConfig:
         self.sigma_res_axial = sigma_res_axial  # m
         self.sigma_res_radial = sigma_res_radial  # m
         self.pixel_pitch = pixel_pitch  # m per pixel
-        if not all(v > 0 for v in (  # NaN fails too
+        # the temperature fit weighs each spot by the inverse variance of
+        # its fitted sigma^2, which scales as the fourth power of a length
+        if not all(0 < v and v * v * v * v < math.inf for v in (  # NaN too
                 self.sigma_res_axial, self.sigma_res_radial,
                 self.pixel_pitch)):
-            raise DomainError("imaging constants must be positive")
+            raise DomainError(
+                "imaging constants must be positive, and their fourth "
+                "powers finite")
 
     def sigma_res(self, axis):
         return self.sigma_res_axial if axis == "axial" \
@@ -199,7 +203,7 @@ def _fit_profiles(profiles):
                 f"need at least {_MIN_PIXELS} distinct pixels to fit a "
                 f"Gaussian, got {pixels}")
             continue
-        if np.ptp(y) == 0.0:
+        if y.min() == y.max():  # forms no difference, which may overflow
             fits[i] = DegenerateFitError("constant profile has no peak to fit")
             continue
         # in Python floats, whose overflow to inf warns of nothing

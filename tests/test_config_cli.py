@@ -1463,6 +1463,124 @@ class TestCliPlumbing:
         assert (out8 / "positions.csv").exists()
 
 
+# 2 ions at 85/170 kHz on the blue 25 mK lattice, the float-range table's
+# base; each case sets one key of it
+RANGE_BASE = {"schema_version": 1,
+              "trap": {"f_z_kHz": 85.0, "f_radial_kHz": 170.0},
+              "lattice": {"detuning_THz": 0.76, "depth_max_mK": 25.0},
+              "crystal": {"n_ions": 2, "seed": 1, "T0_mK": 3.6}}
+VERBS = ("equilibrium", "modes", "scatter", "thermometry", "micromotion")
+
+# block, key, value, the name its refusal gives, and the verbs that
+# refuse it (the others run to finite artifacts)
+FLOAT_RANGE_CASES = [
+    # omega_z^2 underflows, and the Coulomb length divides by it
+    ("trap", "f_z_kHz", 1e-160, "trap", VERBS),
+    ("trap", "f_z_kHz", 1e160, "trap", VERBS),
+    # M Omega_rf^2 of the micromotion energy
+    ("trap", "f_rf_MHz", 1e160, "trap", VERBS),
+    # a curvature span of 3e204: the cold BFGS overflowed in dot
+    ("trap", "f_z_kHz", 1e-100, "trap", VERBS),
+    ("lattice", "waist_um", 1e300, "lattice.waist_um", VERBS),
+    ("lattice", "waist_um", 1e-300, "lattice.waist_um", VERBS),
+    # the rate prefactor gamma/(hbar |Delta|) is inf, or hbar |Delta| 0
+    ("lattice", "detuning_THz", 1e-300, "lattice.detuning_THz",
+     ("scatter",)),
+    ("lattice", "detuning_THz", 1e-310, "lattice.detuning_THz",
+     ("scatter",)),
+    # the wavevector's square: kappa^2 overflowed in the sweep
+    ("species", "lattice_wavelength_nm", 1e-200,
+     "species: lattice wavelength", VERBS),
+    ("species", "lattice_wavelength_nm", 1e200,
+     "species: lattice wavelength", VERBS),
+    # sigma_res^2, and the pitch^4 of a fitted variance's variance
+    ("thermometry", "sigma_res_axial_um", 1e200, "thermometry", VERBS),
+    ("thermometry", "pixel_pitch_um", 1e100, "thermometry", VERBS),
+]
+
+
+class TestFloatRange:
+    # finite keys from which the model derives a value past the float
+    # range; each used to exit 5 or leak a RuntimeWarning in some verb
+
+    @pytest.fixture(scope="class")
+    def spots(self, tmp_path_factory):
+        from ionlattice import (equilibrium, gamma_parameters, normal_modes,
+                                synthesize_spots, write_spot_profiles)
+        parsed = parse_config(json.dumps(RANGE_BASE))
+        st = equilibrium(2, parsed.trap, species=parsed.species, seed=1)
+        g = gamma_parameters(normal_modes(st, parsed.trap,
+                                          species=parsed.species))
+        path = tmp_path_factory.mktemp("spots") / "spots.csv"
+        write_spot_profiles(synthesize_spots(
+            3.5e-3, st, g, parsed.imaging, 1e4, 1, trap=parsed.trap,
+            species=parsed.species), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "block, key, value, name, refusing", FLOAT_RANGE_CASES,
+        ids=[f"{case[1]}={case[2]:g}" for case in FLOAT_RANGE_CASES])
+    def test_refused_by_name_or_finite(self, tmp_path, capsys, spots, block,
+                                       key, value, name, refusing):
+        raw = {**RANGE_BASE, block: {**RANGE_BASE.get(block, {}),
+                                     key: value}}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(raw))
+        extra = {"modes": ["--grid", "0:0.5:3:lin"],
+                 "thermometry": ["--spots", str(spots)]}
+        for verb in VERBS:
+            out = tmp_path / verb
+            argv = [verb, "--config", str(cfg), "--out", str(out),
+                    *extra.get(verb, [])]
+            if verb in refusing:
+                with pytest.MonkeyPatch.context() as mp:
+                    code, err = _refused_before_solve(mp, capsys, argv)
+                assert code == EXIT_CONFIG, (verb, err)
+                assert err.startswith(f"ionlattice: error: {name}"), verb
+                assert err.count("\n") == 1
+                assert not out.exists() or list(out.iterdir()) == []
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv) == 0, (verb, capsys.readouterr().err)
+            artifacts = list(out.iterdir())
+            assert artifacts, verb
+            for artifact in artifacts:
+                text = artifact.read_text()
+                if artifact.suffix == ".csv":  # hash line, header, rows
+                    values = [float(v) for line in text.splitlines()[2:]
+                              for v in line.split(",")]
+                    assert np.all(np.isfinite(values)), artifact.name
+                else:  # the JSON writer refuses NaN and inf
+                    json.loads(text)
+
+    @pytest.mark.parametrize("verb, check, name, exc", [
+        ("scatter", "_rate_prefactor", "lattice.detuning_THz",
+         ZeroDivisionError("float division by zero")),
+        ("scatter", "_check_t0_u0", "crystal.T0_mK with this depth grid",
+         OverflowError("(34, 'Numerical result out of range')")),
+        ("scatter", "_check_rate", "lattice.depth_max_mK",
+         ZeroDivisionError("float division by zero")),
+        ("modes", "_sweep", "lattice.depth_max_mK",
+         OverflowError("(34, 'Numerical result out of range')")),
+    ], ids=["detuning", "T0", "rate", "sweep"])
+    def test_arithmetic_error_before_the_solve_exits_2(
+            self, ws, capsys, monkeypatch, verb, check, name, exc):
+        # it used to pass the pre-solve refusal, which caught DomainError
+        # only, and exit 5 as a bug
+        def leaves_the_float_range(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, check, leaves_the_float_range)
+        cfg, out = ws
+        code, err = _refused_before_solve(
+            monkeypatch, capsys, [verb, "--config", str(cfg), "--out",
+                                  str(out)])
+        assert code == EXIT_CONFIG
+        assert err == (f"ionlattice: error: {name}: a derived value leaves "
+                       f"the float range ({exc})\n")
+
+
 def _oracle_csv(cfg_hash, header, rows):
     # the per-value CSV formatting of the writer the table writer replaced,
     # frozen here as the oracle its bytes must match

@@ -60,6 +60,16 @@ class TestGaussianFit:
         with pytest.raises(DegenerateFitError):
             fit_gaussian_profile(np.column_stack([px, np.full(30, 7.0)]))
 
+    @pytest.mark.parametrize("peak", [1e308, 1.7e308])
+    def test_counts_spanning_past_the_float_range_degenerate(self, peak):
+        # the constant-profile check took np.ptp(y), whose difference
+        # overflowed with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateFitError):
+                fit_gaussian_profile(
+                    [(1, -peak), (2, peak), (3, 0), (4, 0), (5, 0)])
+
     def test_too_few_samples(self):
         prof = _gauss_profile(50.0, 0.0, 2.0, 1.0)[:4]
         with pytest.raises(DegenerateFitError):
