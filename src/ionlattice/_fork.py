@@ -10,14 +10,16 @@ every item runs in the caller's process, in item order. ``cpus()`` is 0
 where no loaded OpenBLAS has both a thread setter and a getter: without
 them no caller could be kept on one BLAS thread.
 
-Each worker runs its OpenBLAS on one thread, so that the workers do not
-compete with each other's BLAS threads for the same cores. The parent's
-BLAS setting is never changed, and finding the library loads nothing. A
-CLI parent loaded OpenBLAS on one thread (see ``cli``), so it has no pool
-to shut down and its workers inherit that one thread; the worker's setting
-below is for library callers, whose OpenBLAS keeps its own count.
-The parent only waits and reads, and the result is the one the
-in-process loop gives:
+``one_blas_thread()`` is the library's one writer of OpenBLAS's thread
+count: every loaded OpenBLAS on one thread for the span of a ``with``
+block, and each library's own count back when the block ends. Its two
+parallel regions hold it, so that their BLAS calls do not compete for
+the same cores: the overlapped sweep (``crystal._spectra``) and
+``fork_map``, from before its first fork until its last worker is
+reaped. OpenBLAS shuts its thread pool down at each fork, so a worker
+inherits one thread and no pool thread, and makes no OpenBLAS call of
+its own; finding the library loads nothing. The parent only waits and
+reads, and the result is the one the in-process loop gives:
 
 - the values come back in item order;
 - if calls raise, the exception of the lowest-index failing item is
@@ -25,14 +27,10 @@ in-process loop gives:
 - a worker's results arrive whole or not at all: it runs its items up to
   the first that raises and sends what it got as one pickle. Every item
   of a worker that died or could not be started, or whose pickle does
-  not load, is run again in the parent.
+  not load, is run again in the parent, with its thread count restored.
 
 If anything interrupts the parent while it waits, KeyboardInterrupt
 included, every worker is killed and reaped and every pipe is closed.
-
-``one_blas_thread()`` is the same BLAS setting for the caller's own
-process: every loaded OpenBLAS on one thread for the span of a ``with``
-block, and each library's own count back when the block ends.
 """
 
 import ctypes
@@ -54,8 +52,8 @@ _SYMBOLS = [[f"{prefix}openblas_{name}{suffix}" for prefix in ("", "scipy_")
 
 @lru_cache(maxsize=1)
 def openblas_threads():
-    """(set_num_threads, get_num_threads, library) of each OpenBLAS
-    loaded in this process when first asked that has both functions.
+    """(set_num_threads, get_num_threads) of each OpenBLAS loaded in
+    this process when first asked that has both functions.
 
     Each library is found by its path in /proc/self/maps and opened with
     RTLD_NOLOAD, as threadpoolctl finds it, so nothing is loaded or
@@ -80,7 +78,7 @@ def openblas_threads():
         if set_threads is not None and get_threads is not None:
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            table.append((set_threads, get_threads, lib))
+            table.append((set_threads, get_threads))
     return tuple(table)
 
 
@@ -90,7 +88,7 @@ def one_blas_thread():
     thread inside the block; each one's count before it is restored
     however the block ends."""
     counts = [(set_threads, get_threads())
-              for set_threads, get_threads, _ in openblas_threads()]
+              for set_threads, get_threads in openblas_threads()]
     try:
         for set_threads, _ in counts:
             set_threads(1)
@@ -126,19 +124,6 @@ def _work(fn, items, mine, read_fd, write_fd, mask):
     try:
         os.close(read_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        # Every OpenBLAS here runs on one thread. OpenBLAS's fork handler
-        # shut its thread pool down, and the setter starts it again; the
-        # new pool thread then busy-waits for work for about 0.1 s
-        # (OpenBLAS's default THREAD_TIMEOUT, 2^28 cycles) and takes a core
-        # from the worker. blas_thread_shutdown_, the function that fork
-        # handler calls, stops it, and on one thread no BLAS call starts
-        # it again.
-        for set_threads, _, lib in openblas_threads():
-            set_threads(1)
-            if hasattr(lib, "blas_thread_shutdown_"):
-                shutdown = lib.blas_thread_shutdown_
-                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                shutdown()
         got = []  # (item index, value or exception)
         for i in mine:
             try:
@@ -175,52 +160,62 @@ def _read_all(fd):
         chunks.append(chunk)
 
 
-def fork_map(fn, items):
-    """``[fn(x) for x in items]`` over ``width(len(items))`` forked
-    workers, or in process where that is 0."""
-    n_workers = width(len(items))
+def _gather(fn, items, n_workers):
+    # {item index: value or exception} of what the workers sent, with
+    # every OpenBLAS on one thread from the first fork to the last reaping
     workers = {}  # live pid -> read end of its pipe, None once closed
     got = {}
-    try:
-        for k in range(n_workers):
-            # signals wait until the worker is registered (parent) or
-            # inside its os._exit guard (worker)
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK,
-                                          signal.valid_signals())
-            try:
-                read_fd, write_fd = os.pipe()
+    with one_blas_thread():
+        try:
+            for k in range(n_workers):
+                # signals wait until the worker is registered (parent) or
+                # inside its os._exit guard (worker)
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                              signal.valid_signals())
                 try:
-                    pid = _fork()
-                    if pid == 0:
-                        _work(fn, items, range(k, len(items), n_workers),
-                              read_fd, write_fd, mask)
-                    workers[pid] = read_fd
-                except OSError:
-                    os.close(read_fd)
-                    raise
+                    read_fd, write_fd = os.pipe()
+                    try:
+                        pid = _fork()
+                        if pid == 0:
+                            _work(fn, items, range(k, len(items), n_workers),
+                                  read_fd, write_fd, mask)
+                        workers[pid] = read_fd
+                    except OSError:
+                        os.close(read_fd)
+                        raise
+                    finally:
+                        os.close(write_fd)
+                except OSError:  # no pipe or no fork: the rest run here
+                    break
                 finally:
-                    os.close(write_fd)
-            except OSError:  # no pipe or no fork: the rest run here
-                break
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for pid, read_fd in list(workers.items()):
-            data = _read_all(read_fd)
-            os.close(read_fd)
-            workers[pid] = None
-            with suppress(Exception):  # empty from a dead worker, or
-                # holding what the parent cannot rebuild: its items run here
-                got.update(pickle.loads(data))
-            os.waitpid(pid, 0)
-            del workers[pid]
-    finally:
-        for pid, read_fd in workers.items():
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-            if read_fd is not None:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for pid, read_fd in list(workers.items()):
+                data = _read_all(read_fd)
                 os.close(read_fd)
+                workers[pid] = None
+                with suppress(Exception):  # empty from a dead worker, or
+                    # holding what the parent cannot rebuild: its items
+                    # run here
+                    got.update(pickle.loads(data))
+                os.waitpid(pid, 0)
+                del workers[pid]
+        finally:
+            for pid, read_fd in workers.items():
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+                if read_fd is not None:
+                    os.close(read_fd)
+    return got
+
+
+def fork_map(fn, items):
+    """``[fn(x) for x in items]`` over ``width(len(items))`` forked
+    workers, or in process where that is 0; the module docstring gives
+    the rule."""
+    n_workers = width(len(items))
+    got = _gather(fn, items, n_workers) if n_workers else {}
     values = []
     for i, item in enumerate(items):
         if i not in got:  # its worker sent nothing that loads

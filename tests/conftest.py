@@ -27,7 +27,7 @@ def nothing_left_behind():
     # every OpenBLAS runs the thread count it ran before
     threads = set(threading.enumerate())
     fds = _open_descriptors()
-    getters = [get for _, get, _ in _fork.openblas_threads()]
+    getters = [get for _, get in _fork.openblas_threads()]
     blas = [get() for get in getters]
     yield
     assert set(threading.enumerate()) <= threads

@@ -648,7 +648,7 @@ class TestModesCommand:
         cfg, out = ws
         monkeypatch.setattr(crystal, "_overlaps", lambda n_ions: True)
         threads = threading.active_count()
-        getters = [get for _, get, _ in _fork.openblas_threads()]
+        getters = [get for _, get in _fork.openblas_threads()]
         blas = [get() for get in getters]
         raised, spectra = [], []
 

@@ -175,7 +175,7 @@ _CLI_IMPORT = (
     "env = dict(os.environ)\n"
     "import ionlattice.cli\n"
     "from ionlattice import _fork\n"
-    "print([get() for _, get, _ in _fork.openblas_threads()])\n"
+    "print([get() for _, get in _fork.openblas_threads()])\n"
     "print(dict(os.environ) == env, 'OPENBLAS_NUM_THREADS' in os.environ,\n"
     "      gc.get_freeze_count() > 0)\n")
 

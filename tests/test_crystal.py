@@ -1547,7 +1547,7 @@ class TestHostRule:
     def test_no_affinity_counts_every_cpu(self, monkeypatch):
         # one OpenBLAS with a thread setter and getter
         monkeypatch.setattr(_fork, "openblas_threads",
-                            lambda: ((lambda n: None, lambda: 1, None),))
+                            lambda: ((lambda n: None, lambda: 1),))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _fork.cpus() == (os.cpu_count() or 1)
 
@@ -1732,7 +1732,7 @@ class TestForkedStarts:
         assert fanned_out
 
     def test_parent_blas_threads_unchanged(self, ca40, fanned_out):
-        getters = [get for _, get, _ in _fork.openblas_threads()]
+        getters = [get for _, get in _fork.openblas_threads()]
         assert getters
         before = [get() for get in getters]
         equilibrium(self.N, self.TRAP, species=ca40, seed=7)

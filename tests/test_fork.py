@@ -4,6 +4,7 @@ that sent nothing back."""
 
 import os
 
+import numpy as np
 import pytest
 
 from ionlattice import _fork
@@ -58,3 +59,45 @@ def test_one_item_never_forks(monkeypatch):
     monkeypatch.setattr(_fork, "cpus", lambda: 4)
     assert _fork.width(1) == 0
     assert _fork.width(0) == 0
+
+
+def _blas_getters():
+    return [get for _, get in _fork.openblas_threads()]
+
+
+def _worker_threads(_):
+    # a BLAS call, then what the worker's OpenBLAS and kernel report
+    a = np.ones((200, 200))
+    a @ a
+    return (os.getpid(), [get() for get in _blas_getters()],
+            len(os.listdir("/proc/self/task")))
+
+
+@pytest.mark.skipif(_fork.width(2) < 2 or not os.path.isdir("/proc/self/task")
+                    or all(get() == 1 for get in _blas_getters()),
+                    reason="no forked workers, no /proc/self/task, or "
+                           "OpenBLAS already runs one thread")
+def test_workers_inherit_one_blas_thread(monkeypatch):
+    # the parent's OpenBLAS runs 2 or more threads; each worker inherits
+    # one thread and no pool thread from fork_map's parent, and sets no
+    # count of its own: a setter called in a worker raises there, and the
+    # worker's items would then run in the parent
+    parent = os.getpid()
+    pairs = _fork.openblas_threads()
+    before = [get() for _, get in pairs]
+
+    def parent_only(set_threads):
+        def guarded(n):
+            if os.getpid() != parent:
+                raise AssertionError("a worker set OpenBLAS's thread count")
+            set_threads(n)
+        return guarded
+
+    monkeypatch.setattr(_fork, "openblas_threads", lambda: tuple(
+        (parent_only(set_threads), get) for set_threads, get in pairs))
+    reports = _fork.fork_map(_worker_threads, range(_fork.width(2)))
+    for pid, counts, tasks in reports:
+        assert pid != parent
+        assert counts == [1] * len(pairs)
+        assert tasks == 1
+    assert [get() for _, get in pairs] == before
