@@ -58,6 +58,21 @@ _BLOCKS = {"x": 0, "y": 1, "z": 2}
 _EIGH_SPAN = 1e-6 / np.finfo(float).eps
 
 
+def _positions(values, name="positions", n_ions=None):
+    """(N, 3) float array of the ion positions a caller passed in, which
+    must be finite and hold 3N numbers, N = n_ions where given, else at
+    least 1; a DomainError naming them otherwise."""
+    pos = np.asarray(values, dtype=float)
+    n = pos.size // 3 if n_ions is None else n_ions
+    if not 0 < 3 * n == pos.size:
+        want = ("3N numbers, N >= 1" if n_ions is None
+                else f"3N = {3 * n} numbers")
+        raise DomainError(f"{name} must hold {want}, got {pos.size}")
+    if not np.all(np.isfinite(pos)):
+        raise DomainError(f"{name} must be finite")
+    return pos.reshape(n, 3)
+
+
 def _by_axis(coordinates):
     """(..., 3, N, modes) view of (..., 3N, modes) block-stacked vectors."""
     *lead, rows, modes = coordinates.shape
@@ -350,7 +365,7 @@ def total_potential(positions, trap, lattice=None, species=None):
     lengths of each other.
     """
     species = _default_species(species)
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
+    pos = _positions(positions)
     scaled = _Dimensionless(trap, lattice, species)
     energy, _ = scaled.energy_and_gradient(pos / scaled.ell)
     return energy * scaled.energy_unit
@@ -562,8 +577,8 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     species = _default_species(species)
     scaled = _Dimensionless(trap, lattice, species)
     if initial_guess is not None:
-        initial_guess = np.asarray(
-            initial_guess, dtype=float).reshape(N, 3) / scaled.ell
+        initial_guess = _positions(
+            initial_guess, "initial_guess", N) / scaled.ell
     u, energy, gnorm = _settle(scaled, N, initial_guess, seed)
     lam = np.linalg.eigvalsh(scaled.hessian(u))
     return CrystalState(
@@ -584,7 +599,7 @@ def normal_modes(state, trap, lattice=None, species=None):
     """
     species = _default_species(species)
     scaled = _Dimensionless(trap, lattice, species)
-    u = np.asarray(state.positions, dtype=float) / scaled.ell
+    u = _positions(state.positions, "state.positions") / scaled.ell
     gnorm = np.max(np.abs(scaled.energy_and_gradient(u)[1]))
     if gnorm > 1e-6:
         raise EquilibriumError(
@@ -930,8 +945,8 @@ def classify_structure(positions, trap, species=None):
     plane but a tilted fit can graze them all. An ion counts as on the
     axis, or in a plane, within 1e-3 Coulomb lengths.
     """
+    pos = _positions(positions)
     tol = 1e-3 * length_scale(trap, _default_species(species))
-    pos = np.asarray(positions, dtype=float)
     radial = np.hypot(pos[:, 0], pos[:, 1])
     off = radial > tol
     if not np.any(off):

@@ -19,6 +19,7 @@ import operator
 import numpy as np
 
 from . import _EXPORTS, constants as cn
+from .crystal import _positions
 from .errors import DomainError
 # bench/tracer.py reads bunching and scattering_probability in this module
 from .pendulum import (  # noqa: F401
@@ -48,7 +49,7 @@ class BeamProfile:
 
     def depth_factor(self, positions):
         """Per-ion relative depth from the radial offsets (N,) in [0, 1]."""
-        pos = np.asarray(positions, dtype=float)
+        pos = _positions(positions)
         r2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
         return np.exp(-2.0 * r2 / self.waist_radius ** 2)
 

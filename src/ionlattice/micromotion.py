@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import _EXPORTS, constants as cn
+from .crystal import _positions
 from .errors import DomainError
 from .pendulum import _default_species
 
@@ -67,15 +68,16 @@ def q_from_secular_frequency(omega_sec, omega_rf):
 
 def effective_axial_q(q_radial):
     """Second-order axial drive parameter q'_z = (q_radial / 4)^2."""
-    if not 0 <= q_radial < math.inf:  # NaN fails too
-        raise DomainError("q_radial must be non-negative and finite")
+    if not (q_radial >= 0 and q_radial * q_radial < math.inf):  # NaN too
+        raise DomainError("q_radial must be non-negative, with a finite "
+                          "square")
     return (q_radial / 4.0) ** 2
 
 
 def variance_broadening(q):
     """Apparent position-variance inflation 1 + q^2/8 from micromotion."""
-    if not 0 <= q < math.inf:  # NaN fails too
-        raise DomainError("q must be non-negative and finite")
+    if not (q >= 0 and q * q < math.inf):  # NaN fails too
+        raise DomainError("q must be non-negative, with a finite square")
     return 1.0 + q * q / 8.0
 
 
@@ -91,7 +93,7 @@ def excess_micromotion(state, trap, species=None):
     q_ax = trap.q_axial if trap.q_axial > 0 else effective_axial_q(q_rad)
     q_vec = np.array([q_rad, q_rad, q_ax])
 
-    pos = np.asarray(state.positions, dtype=float)
+    pos = _positions(state.positions, "state.positions")
     amp = np.abs(pos) * (q_vec[None, :] / 2.0)
     ekin = 0.25 * species.mass * trap.omega_rf ** 2 * amp ** 2
     return MicromotionReport(

@@ -204,7 +204,10 @@ def lattice_frequency(T_latt, species, k):
     """
     if not T_latt >= 0:  # NaN fails too
         raise DomainError("T_latt must be non-negative")
-    return k / (2.0 * math.pi) * math.sqrt(2.0 * cn.KB * T_latt / species.mass)
+    nu = k / (2.0 * math.pi) * math.sqrt(2.0 * cn.KB * T_latt / species.mass)
+    if not nu < math.inf:
+        raise DomainError(f"T_latt = {T_latt!r} K gives no finite nu_latt")
+    return nu
 
 
 def _depth_for_nu(nu, species, k):
@@ -409,8 +412,10 @@ def scattering_rate(kz, rabi, config, species):
     with Delta = config.detuning. The position dependence enters through
     the local Rabi frequency Omega*sin(kz) of the standing wave.
     """
-    if not 0 <= rabi < math.inf:  # NaN fails too
-        raise DomainError("rabi must be non-negative and finite")
+    if not (rabi >= 0 and rabi * rabi < math.inf):  # NaN fails too
+        raise DomainError("rabi must be non-negative, with a finite square")
+    if not math.isfinite(kz):
+        raise DomainError("kz must be finite")
     half_o2 = 0.5 * (rabi * math.sin(kz)) ** 2
     denom = 0.25 * species.gamma_p_total ** 2 + half_o2 + config.detuning ** 2
     return 0.5 * species.gamma_397 * half_o2 / denom

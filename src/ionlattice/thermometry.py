@@ -115,9 +115,12 @@ def spot_variance_model(T, gamma, trap, species, sigma_res):
     gamma.
     """
     if not T >= 0:  # NaN fails too
-        raise DomainError("temperature must be non-negative")
-    return cn.KB * T / (species.mass * trap.omega_z ** 2) * gamma ** 2 \
-        + sigma_res ** 2
+        raise DomainError("temperature T must be non-negative")
+    scale = cn.KB * T / (species.mass * trap.omega_z ** 2)  # m^2
+    if scale == math.inf:
+        raise DomainError(
+            f"temperature T = {T!r} K gives no finite kB T/(M omega_z^2)")
+    return scale * gamma ** 2 + sigma_res ** 2
 
 
 def _gauss(x, a, c, s, b):

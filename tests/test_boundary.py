@@ -3,7 +3,8 @@ spot CSVs and whole command-line runs.
 
 Every parameter bundle, and every checked argument of the public scalar
 functions, rejects NaN with DomainError instead of carrying it into a
-result. parse_config and the --grid parser either return a
+result, and so does every entry that takes ion positions: they must be
+finite and hold 3N numbers. parse_config and the --grid parser either return a
 value or raise ConfigError, whatever the input; the spot-CSV reader
 either returns finite profiles or raises SpotParseError. Every verb of
 ``cli.main`` either writes finite artifacts or exits with a defined code
@@ -19,6 +20,7 @@ import math
 import os
 import tempfile
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 from ionlattice import (
     BeamProfile,
     ConfigError,
+    CrystalState,
     DomainError,
     ImagingConfig,
     IonLatticeError,
@@ -40,9 +43,13 @@ from ionlattice import (
     SpotParseError,
     TrapConfig,
     action_density,
+    classify_structure,
     effective_axial_q,
+    equilibrium,
+    excess_micromotion,
     lattice_frequency,
     mean_scattering_rate,
+    normal_modes,
     parse_config,
     q_from_secular_frequency,
     read_spot_profiles,
@@ -51,6 +58,7 @@ from ionlattice import (
     scattering_rate,
     spot_variance_model,
     subsequent_fraction,
+    total_potential,
     variance_broadening,
 )
 from ionlattice import constants as cn
@@ -62,6 +70,31 @@ NAN = math.nan
 K = 2.0 * math.pi / cn.CA40_LATTICE_WAVELENGTH
 TRAP = TrapConfig.from_frequencies(85e3, 170e3)
 CA40 = IonSpecies.ca40()
+
+
+def _pair(x0):
+    # two ions on the trap axis, the first one's x coordinate set to x0
+    return np.array([[x0, 0.0, -1e-5], [0.0, 0.0, 1e-5]])
+
+
+def _state(positions):
+    return CrystalState(positions, potential_value=0.0, lattice_depth=0.0,
+                        gradient_norm=0.0)
+
+
+# each entry that takes ion positions, and positions it must refuse
+_POSITION_ENTRIES = {
+    "normal_modes": lambda pos: normal_modes(_state(pos), TRAP),
+    "classify_structure": lambda pos: classify_structure(pos, TRAP),
+    "excess_micromotion": lambda pos: excess_micromotion(_state(pos), TRAP),
+    "total_potential": lambda pos: total_potential(pos, TRAP),
+    "equilibrium initial_guess": lambda pos: equilibrium(
+        2, TRAP, initial_guess=pos),
+    "BeamProfile.depth_factor": lambda pos: BeamProfile(
+        30e-6).depth_factor(pos),
+}
+_BAD_POSITIONS = {"NaN": _pair(NAN), "infinite": _pair(math.inf),
+                  "5-number": np.zeros(5)}
 
 NON_FINITE_CALLS = {
     "TrapConfig f_z": lambda: TrapConfig.from_frequencies(NAN, 170e3),
@@ -104,6 +137,9 @@ NON_FINITE_CALLS = {
         2 * math.pi * 170e3, NAN),
     "effective_axial_q": lambda: effective_axial_q(NAN),
     "variance_broadening": lambda: variance_broadening(NAN),
+    **{f"{entry} {bad} positions": partial(call, pos)
+       for entry, call in _POSITION_ENTRIES.items()
+       for bad, pos in _BAD_POSITIONS.items()},
 }
 
 
@@ -141,6 +177,24 @@ DOMAIN_ERROR_CALLS = {
     # the ramp names the time, not the depth it would make of it
     "mean_scattering_rate t": (lambda: mean_scattering_rate(
         NAN, 1e-3, _RAMP, _BLUE, CA40), "t=nan outside ramp domain"),
+    # a non-finite argument, or one whose square or result leaves the
+    # float range, is named
+    "scattering_rate NaN kz": (lambda: scattering_rate(
+        NAN, 1e7, _BLUE, CA40), "kz must be finite"),
+    "scattering_rate infinite kz": (lambda: scattering_rate(
+        math.inf, 1e7, _BLUE, CA40), "kz must be finite"),
+    "scattering_rate huge rabi": (lambda: scattering_rate(
+        0.3, 1e200, _BLUE, CA40), "rabi must be non-negative"),
+    "effective_axial_q huge": (lambda: effective_axial_q(1e200),
+                               "q_radial must be non-negative"),
+    "variance_broadening huge": (lambda: variance_broadening(1e200),
+                                 "q must be non-negative"),
+    "lattice_frequency infinite T": (lambda: lattice_frequency(
+        math.inf, CA40, K), "T_latt = inf K"),
+    "lattice_frequency huge T": (lambda: lattice_frequency(1e308, CA40, K),
+                                 r"T_latt = 1e\+308 K"),
+    "spot_variance_model infinite T": (lambda: spot_variance_model(
+        math.inf, 1.0, TRAP, CA40, 2.23e-6), "temperature T = inf K"),
 }
 
 
