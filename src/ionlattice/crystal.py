@@ -561,10 +561,10 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     images; if none converges, EquilibriumError names the best gradient
     max-norm among them. Below 32 ions the four starts descend as lanes of
     one BFGS that share each energy/gradient pass; from 32 ions on they
-    run through ``_fork.fork_map``, in forked workers (one BLAS thread
-    each) or in process. Every way gives the same bits. With a guess
-    (warm start): Newton polish, and BFGS from the guess first if that
-    stalls; deterministic. A converged stationary point with a direction
+    run through ``_fork.fork_map``, in forked workers (each inherits the
+    parent's one BLAS thread) or in process. Every way gives the same
+    bits. With a guess (warm start, finite, 3N numbers): Newton polish,
+    and BFGS from the guess first if that stalls; deterministic. A converged stationary point with a direction
     of negative curvature is returned with ``is_saddle`` set rather than
     re-seeded, so instability of e.g. a linear chain past the zigzag
     transition is visible to the caller.
