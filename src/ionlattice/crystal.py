@@ -564,10 +564,11 @@ def equilibrium(N, trap, lattice=None, initial_guess=None, species=None,
     run through ``_fork.fork_map``, in forked workers (each inherits the
     parent's one BLAS thread) or in process. Every way gives the same
     bits. With a guess (warm start, finite, 3N numbers): Newton polish,
-    and BFGS from the guess first if that stalls; deterministic. A converged stationary point with a direction
-    of negative curvature is returned with ``is_saddle`` set rather than
-    re-seeded, so instability of e.g. a linear chain past the zigzag
-    transition is visible to the caller.
+    and BFGS from the guess first if that stalls; deterministic. A
+    converged stationary point with a direction of negative curvature is
+    returned with ``is_saddle`` set rather than re-seeded, so instability
+    of e.g. a linear chain past the zigzag transition is visible to the
+    caller.
     The flag reads only the eigenvalues (``eigvalsh``) of the Hessian,
     which is built on the calling thread, as every Hessian is; only a
     sweep's ``eigh`` may run on a worker thread (``continuation``).

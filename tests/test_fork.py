@@ -1,6 +1,7 @@
 """``_fork.fork_map`` on a host that cannot fork: every item runs in the
 caller's process, through the same loop that runs the items of a worker
-that sent nothing back."""
+that sent nothing back. On a host that forks, each worker inherits the
+parent's one OpenBLAS thread."""
 
 import os
 
