@@ -46,7 +46,12 @@ from .errors import (
     SoftModeError,
     UnstableConfigurationError,
 )
-from .pendulum import LatticeConfig, _default_species, _depth_for_nu
+from .pendulum import (
+    LatticeConfig,
+    _default_species,
+    _depth_for_nu,
+    _square,
+)
 
 __all__ = list(_EXPORTS["crystal"])
 
@@ -102,7 +107,7 @@ class TrapConfig:
         self.q_axial = q_axial
         # the model forms each frequency's square: the trap curvatures, and
         # M Omega_rf^2 in the micromotion energy
-        squares = [w * w for w in (
+        squares = [_square(w) for w in (
             self.omega_x, self.omega_y, self.omega_z, self.omega_rf)]
         if not all(0 < w2 < math.inf for w2 in squares):  # NaN fails too
             raise DomainError(
@@ -715,11 +720,16 @@ def continuation(N, trap, lattice_max, steps=200, species=None, seed=0,
     once more. Only if every kick of a round stalls does the sweep raise
     EquilibriumError with the best gradient max-norm.
 
-    From 32 ions on, where ``_fork.cpus()`` is at least 2, the caller
-    builds each depth's Hessian and a worker thread runs only its ``eigh``
-    while the caller settles the next depth and builds its Hessian; the
-    sweep runs OpenBLAS on one thread, and the result is bit for bit the
-    inline sweep's on one BLAS thread.
+    Every sweep settles the next depth, warm-started from the state just
+    settled, before it reads the current depth's spectrum. That settle is
+    used, or what it raised raised, only if the depth is accepted as it
+    stands (no step halving, no saddle descent); otherwise the next depth
+    settles again from the accepted state. The host picks only where each
+    ``eigh`` runs, never what runs: from 32 ions on, where
+    ``_fork.cpus()`` is at least 2, a worker thread runs it while the
+    caller settles ahead and builds every Hessian, and the sweep runs
+    OpenBLAS on one thread; elsewhere the caller runs it. On one BLAS
+    thread the rows are bit for bit the same either way.
 
     Each solve stops at a gradient max-norm of 1e-10 in trap units,
     whatever the curvature lam of its softest mode, so a position may be
@@ -784,12 +794,14 @@ def _sweep(N, trap, lattice_max, steps, species, seed, nu_grid):
 
 
 def _overlaps(n_ions):
-    """Whether a sweep of n_ions ions overlaps spectra with solves.
+    """Whether a sweep of n_ions ions runs each ``eigh`` on a worker
+    thread rather than on the caller (``_spectra``).
 
-    Only where ``_fork.cpus()`` is at least 2: two callers of a
-    multi-threaded OpenBLAS have no bit-for-bit guarantee, so the sweep
-    needs the OpenBLAS thread setter to run it on one thread
-    (``_spectra``).
+    That is all the host picks; what the sweep runs does not depend on
+    it. From ``_PARALLEL_MIN_IONS`` ions on, and only where
+    ``_fork.cpus()`` is at least 2: two callers of a multi-threaded
+    OpenBLAS have no bit-for-bit guarantee, so the sweep needs the
+    OpenBLAS thread setter to run it on one thread.
     """
     if n_ions < _PARALLEL_MIN_IONS:
         return False
@@ -802,15 +814,16 @@ def _overlaps(n_ions):
 def _spectra(overlap):
     """A function h -> f, where f() is ``_spectrum(h)``.
 
-    The caller builds each Hessian h; f runs only its ``eigh``. Without
-    overlap, f takes the spectrum when called. With overlap, the spectra
-    run in order on one worker thread (numpy's LAPACK calls release the
-    GIL, so its ``eigh`` runs alongside the caller's solves and Hessians),
-    and every loaded OpenBLAS runs one thread until the block ends. The
-    thread starts with the first call, so that a cold solve before it may
-    still fork (``_fork``'s host rule). f waits for the spectrum and
-    returns it or raises its exception; a spectrum never waited for
-    raises nothing.
+    The caller builds each Hessian h; f runs only its ``eigh``, and
+    ``overlap`` picks only the thread that runs it. Without overlap, f
+    takes the spectrum on the caller when called. With overlap, the
+    spectra run in order on one worker thread (numpy's LAPACK calls
+    release the GIL, so its ``eigh`` runs alongside the caller's solves and
+    Hessians), and every loaded OpenBLAS runs one thread until the block
+    ends. The thread starts with the first call, so that a cold solve
+    before it may still fork (``_fork``'s host rule). f waits for the
+    spectrum and returns it or raises its exception; a spectrum never
+    waited for raises nothing.
     """
     if not overlap:
         yield lambda h: partial(_spectrum, h)
@@ -861,8 +874,7 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid):
         return scaled, u, spectrum_of(scaled.hessian(u))
 
     ell = length_scale(trap, species)
-    lookahead = _overlaps(N)
-    with _spectra(lookahead) as spectrum_of:
+    with _spectra(_overlaps(N)) as spectrum_of:
         # the target being settled, and those still to reach, nearest
         # last: (nu_latt, halvings, refined); row 0 has no step to halve
         step = (grid[0], _MAX_HALVINGS, False)
@@ -872,10 +884,11 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid):
         while True:
             target, level, refined = step
             scaled, u_new, spectrum = state
-            # settle the next target while this one's spectrum is taken;
+            # settle the next target before this one's spectrum is read;
             # used (or what it raised raised) only if this row is accepted
+            # as it stands
             ahead = None
-            if lookahead and pending:
+            if pending:
                 try:
                     ahead = settle_at(pending[-1][0], u_new)
                 except Exception as exc:
@@ -921,8 +934,8 @@ def _tracked_rows(N, trap, lattice_max, species, seed, grid):
             yield nu, md.frequencies[perm], b_prev, u * ell, refined, flags
             if not pending:
                 return
-            step = pending.pop()  # the target settled ahead, if any
-            if as_is and ahead is not None:
+            step = pending.pop()  # the target settled ahead
+            if as_is:
                 if isinstance(ahead, Exception):
                     raise ahead
                 state = ahead

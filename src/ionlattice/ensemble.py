@@ -26,6 +26,7 @@ from .pendulum import (  # noqa: F401
     _bunching_vec,
     _check_t0_u0,
     _scattering_probabilities,
+    _square,
     bunching,
     lattice_frequency,
     scattering_probability,
@@ -42,7 +43,7 @@ class BeamProfile:
     def __init__(self, waist_radius):
         self.waist_radius = waist_radius  # m, 1/e^2 intensity radius
         # depth_factor divides by its square
-        if not 0 < self.waist_radius * self.waist_radius < math.inf:
+        if not 0 < _square(self.waist_radius) < math.inf:
             raise DomainError(
                 "waist_radius must be positive, and its square inside the "
                 "float range")

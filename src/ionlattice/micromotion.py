@@ -21,7 +21,7 @@ import numpy as np
 from . import _EXPORTS, constants as cn
 from .crystal import _positions
 from .errors import DomainError
-from .pendulum import _default_species
+from .pendulum import _default_species, _square
 
 __all__ = list(_EXPORTS["micromotion"])
 
@@ -68,7 +68,7 @@ def q_from_secular_frequency(omega_sec, omega_rf):
 
 def effective_axial_q(q_radial):
     """Second-order axial drive parameter q'_z = (q_radial / 4)^2."""
-    if not (q_radial >= 0 and q_radial * q_radial < math.inf):  # NaN too
+    if not (q_radial >= 0 and _square(q_radial) < math.inf):  # NaN too
         raise DomainError("q_radial must be non-negative, with a finite "
                           "square")
     return (q_radial / 4.0) ** 2
@@ -76,7 +76,7 @@ def effective_axial_q(q_radial):
 
 def variance_broadening(q):
     """Apparent position-variance inflation 1 + q^2/8 from micromotion."""
-    if not (q >= 0 and q * q < math.inf):  # NaN fails too
+    if not (q >= 0 and _square(q) < math.inf):  # NaN fails too
         raise DomainError("q must be non-negative, with a finite square")
     return 1.0 + q * q / 8.0
 

@@ -97,12 +97,21 @@ class IonSpecies:
 
     @property
     def lattice_wavevector(self):
-        return 2.0 * math.pi / self.lattice_transition_wavelength
+        # a float quotient: a numpy scalar's would warn where it overflows
+        return 2.0 * math.pi / float(self.lattice_transition_wavelength)
 
 
 def _default_species(species):
     """species, or Ca-40 when it is None."""
     return species if species is not None else IonSpecies.ca40()
+
+
+def _square(x):
+    """x * x as a Python float: inf where it leaves the float range, where
+    a numpy scalar's product would warn. A str raises TypeError, as in
+    x * x."""
+    x = math.fabs(x)
+    return x * x
 
 
 class LatticeConfig:
@@ -123,7 +132,7 @@ class LatticeConfig:
             raise DomainError("wavevector_k must be positive and finite")
         if not (math.isfinite(self.depth_U0) and math.isfinite(self.detuning)):
             raise DomainError("depth_U0 and detuning must be finite")
-        if self.depth_U0 * self.detuning < 0:
+        if float(self.depth_U0) * float(self.detuning) < 0:
             raise DomainError(
                 "depth_U0 and detuning must carry the same sign "
                 "(U0 = hbar*Omega^2/(4*Delta))")
@@ -204,7 +213,8 @@ def lattice_frequency(T_latt, species, k):
     """
     if not T_latt >= 0:  # NaN fails too
         raise DomainError("T_latt must be non-negative")
-    nu = k / (2.0 * math.pi) * math.sqrt(2.0 * cn.KB * T_latt / species.mass)
+    nu = k / (2.0 * math.pi) * math.sqrt(
+        2.0 * cn.KB * float(T_latt) / species.mass)
     if not nu < math.inf:
         raise DomainError(f"T_latt = {T_latt!r} K gives no finite nu_latt")
     return nu
@@ -222,10 +232,7 @@ def dimensionless_action(E, U0):
     Below the barrier s = (4/pi)[E(m) - (1-m)K(m)], m = E/U0; above it
     s = (4/pi)sqrt(E/U0) E(U0/E).
     """
-    x = _energy_ratio(E, U0)
-    if x == 1.0:
-        return _4_OVER_PI
-    return float(_orbit(x, abs(x - 1.0))[0])
+    return _orbit_at(E, U0)[0]
 
 
 def normalized_period(E, U0):
@@ -237,24 +244,28 @@ def normalized_period(E, U0):
     alternative) by requiring tau = ds/d(E/U0), which holds analytically,
     and by the free-flight limit tau -> sqrt(U0/E).
     """
-    return float(_off_separatrix_orbit(E, U0)[1])
+    return _orbit_at(E, U0, period=True)[1]
 
 
-def _energy_ratio(E, U0):
+def _orbit_at(E, U0, period=False):
+    """s, tau and <sin^2> (floats) on the trajectory with energy E at depth
+    U0. At the separatrix E = U0 they are 4/pi, inf and 1, or, where the
+    caller needs the period, a SeparatrixError. E/U0 must be finite.
+    """
     if not U0 > 0:  # NaN fails too
         raise DomainError("U0 must be positive")
     if not 0 <= E < math.inf:  # U0 = inf is the exact limit, E = inf not
         raise DomainError("E must be non-negative and finite")
-    return E / U0
-
-
-def _off_separatrix_orbit(E, U0):
-    # s, tau and <sin^2> at one energy where tau is finite
-    x = _energy_ratio(E, U0)
+    x = float(E) / float(U0)  # a numpy scalar's quotient would warn
+    if not x < math.inf:
+        raise DomainError(
+            f"E/U0 leaves the float range at E = {E!r} J, U0 = {U0!r} J")
     if x == 1.0:
-        raise SeparatrixError(
-            "trajectory period diverges at the separatrix E = U0")
-    return _orbit(x, abs(x - 1.0))
+        if period:
+            raise SeparatrixError(
+                "trajectory period diverges at the separatrix E = U0")
+        return _4_OVER_PI, math.inf, 1.0
+    return tuple(map(float, _orbit(x, abs(x - 1.0))))
 
 
 def action_density(s, T0, U0):
@@ -266,7 +277,7 @@ def action_density(s, T0, U0):
     theta = _check_t0_u0(T0, U0)
     if not 0 <= s <= math.inf:  # NaN fails too
         raise DomainError("dimensionless action must be non-negative")
-    return math.exp(-s * s / (4.0 * theta)) / math.sqrt(math.pi * theta)
+    return math.exp(-_square(s) / (4.0 * theta)) / math.sqrt(math.pi * theta)
 
 
 def energy_density(E, T0, U0):
@@ -277,7 +288,7 @@ def energy_density(E, T0, U0):
     with the singular point declared.
     """
     theta = _check_t0_u0(T0, U0)
-    s, tau, _ = map(float, _off_separatrix_orbit(E, U0))
+    s, tau, _ = _orbit_at(E, U0, period=True)
     return math.exp(-s * s / (4.0 * theta)) / (U0 * math.sqrt(math.pi * theta)) * tau
 
 
@@ -305,10 +316,7 @@ def bunching_given_energy(E, U0):
     (E/U0)(1 - E(m)/K(m)) with m = U0/E. Rises from 0 (well bottom)
     through 1 at the separatrix and relaxes to 1/2 (delocalized).
     """
-    x = _energy_ratio(E, U0)
-    if x == 1.0:
-        return 1.0
-    return float(_orbit(x, abs(x - 1.0))[2])
+    return _orbit_at(E, U0)[2]
 
 
 def bunching(T0, U0):
@@ -412,7 +420,7 @@ def scattering_rate(kz, rabi, config, species):
     with Delta = config.detuning. The position dependence enters through
     the local Rabi frequency Omega*sin(kz) of the standing wave.
     """
-    if not (rabi >= 0 and rabi * rabi < math.inf):  # NaN fails too
+    if not (rabi >= 0 and _square(rabi) < math.inf):  # NaN fails too
         raise DomainError("rabi must be non-negative, with a finite square")
     if not math.isfinite(kz):
         raise DomainError("kz must be finite")

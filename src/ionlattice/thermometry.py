@@ -40,7 +40,7 @@ from .errors import (
     NegativeThermalVarianceError,
     SpotParseError,
 )
-from .pendulum import _default_species
+from .pendulum import _default_species, _square
 
 __all__ = list(_EXPORTS["thermometry"])
 
@@ -57,8 +57,9 @@ class ImagingConfig:
         self.sigma_res_radial = sigma_res_radial  # m
         self.pixel_pitch = pixel_pitch  # m per pixel
         # the temperature fit weighs each spot by the inverse variance of
-        # its fitted sigma^2, which scales as the fourth power of a length
-        if not all(0 < v and v * v * v * v < math.inf for v in (  # NaN too
+        # its fitted sigma^2, which scales as the fourth power of a length;
+        # NaN fails too
+        if not all(0 < v and _square(_square(v)) < math.inf for v in (
                 self.sigma_res_axial, self.sigma_res_radial,
                 self.pixel_pitch)):
             raise DomainError(

@@ -4,7 +4,8 @@ spot CSVs and whole command-line runs.
 Every parameter bundle, and every checked argument of the public scalar
 functions, rejects NaN with DomainError instead of carrying it into a
 result, and so does every entry that takes ion positions: they must be
-finite and hold 3N numbers. parse_config and the --grid parser either return a
+finite and hold 3N numbers. A numpy float64 argument gives what the equal
+Python float gives. parse_config and the --grid parser either return a
 value or raise ConfigError, whatever the input; the spot-CSV reader
 either returns finite profiles or raises SpotParseError. Every verb of
 ``cli.main`` either writes finite artifacts or exits with a defined code
@@ -43,14 +44,19 @@ from ionlattice import (
     SpotParseError,
     TrapConfig,
     action_density,
+    bunching_given_energy,
     classify_structure,
+    dimensionless_action,
     effective_axial_q,
+    energy_density,
     equilibrium,
     excess_micromotion,
     lattice_frequency,
     mean_scattering_rate,
     normal_modes,
+    normalized_period,
     parse_config,
+    position_density_given_energy,
     q_from_secular_frequency,
     read_spot_profiles,
     scatter_count_pmf,
@@ -195,7 +201,62 @@ DOMAIN_ERROR_CALLS = {
                                  r"T_latt = 1e\+308 K"),
     "spot_variance_model infinite T": (lambda: spot_variance_model(
         math.inf, 1.0, TRAP, CA40, 2.23e-6), "temperature T = inf K"),
+    # an energy ratio E/U0 that leaves the float range is named
+    "dimensionless_action huge E/U0": (lambda: dimensionless_action(
+        1e308, 1e-25), "E/U0 leaves the float range"),
+    "dimensionless_action tiny U0": (lambda: dimensionless_action(
+        1.0, 5e-324), "E/U0 leaves the float range"),
+    "normalized_period huge E/U0": (lambda: normalized_period(
+        1e308, 1e-25), "E/U0 leaves the float range"),
+    "bunching_given_energy huge E/U0": (lambda: bunching_given_energy(
+        1e308, 1e-25), "E/U0 leaves the float range"),
+    "energy_density huge E/U0": (lambda: energy_density(
+        1e308, 1e-3, 1e-25), "E/U0 leaves the float range"),
+    "position_density_given_energy huge E/U0": (
+        lambda: position_density_given_energy(0.3, 1e308, 1e-25),
+        "E/U0 leaves the float range"),
 }
+
+_TRAP_SQUARES = "secular and rf frequencies must be positive and finite"
+# entries that square, multiply or divide one real argument, each with
+# values whose results leave the float range and the start of the
+# DomainError that the Python float gives: the equal numpy float64 gives
+# it too, with no RuntimeWarning from numpy's scalar arithmetic
+_REAL_ARGUMENT_CALLS = {
+    "IonSpecies wavelength": (lambda v: IonSpecies(
+        mass=cn.CA40_MASS, lattice_transition_wavelength=v),
+        {1e-200: "lattice wavelength", 5e-324: "lattice wavelength"}),
+    "LatticeConfig depth": (lambda v: LatticeConfig(
+        depth_U0=v, wavevector_k=K, detuning=_BLUE.detuning),
+        {-1e308: "depth_U0 and detuning must carry the same sign"}),
+    "TrapConfig omega_z": (lambda v: TrapConfig(v, 1.0, 1.0),
+                           dict.fromkeys([1e200, 1e308, -1e308],
+                                         _TRAP_SQUARES)),
+    "TrapConfig omega_rf": (lambda v: TrapConfig(1.0, 1.0, 1.0, omega_rf=v),
+                            dict.fromkeys([1e200, 1e308, -1e308],
+                                          _TRAP_SQUARES)),
+    "TrapConfig.from_frequencies f_z": (
+        lambda v: TrapConfig.from_frequencies(v, 170e3),
+        {1e200: _TRAP_SQUARES}),
+    "BeamProfile": (BeamProfile, {1e200: "waist_radius must be positive"}),
+    "ImagingConfig": (lambda v: ImagingConfig(v, 2.09e-6, 0.92e-6),
+                      {1e200: "imaging constants must be positive"}),
+    "variance_broadening": (variance_broadening,
+                            {1e200: "q must be non-negative"}),
+    "effective_axial_q": (effective_axial_q,
+                          {1e200: "q_radial must be non-negative"}),
+    "scattering_rate rabi": (lambda v: scattering_rate(0.3, v, _BLUE, CA40),
+                             {1e200: "rabi must be non-negative"}),
+    "lattice_frequency": (lambda v: lattice_frequency(v, CA40, K),
+                          {1e308: "T_latt = "}),
+    "dimensionless_action": (lambda v: dimensionless_action(v, 1e-25),
+                             {1e308: "E/U0 leaves the float range"}),
+}
+DOMAIN_ERROR_CALLS.update({
+    f"{entry} np.float64 {value!r}": (partial(call, np.float64(value)),
+                                      message)
+    for entry, (call, refused) in _REAL_ARGUMENT_CALLS.items()
+    for value, message in refused.items()})
 
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CALLS))
@@ -203,6 +264,23 @@ def test_domain_error_raised(name):
     call, message = DOMAIN_ERROR_CALLS[name]
     with pytest.raises(DomainError, match="^" + message):
         call()
+
+
+def test_numpy_float64_gives_the_float_value():
+    # as for a Python float: accepted, where depth_U0 * detuning overflows
+    # to inf, and 0.0, where s^2 does
+    latt = LatticeConfig(depth_U0=np.float64(1e308), wavevector_k=K,
+                         detuning=_BLUE.detuning)
+    assert latt.depth_U0 == 1e308
+    assert action_density(np.float64(1e200), 1e-3, 1e-25) == 0.0 \
+        == action_density(1e200, 1e-3, 1e-25)
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_ARGUMENT_CALLS))
+def test_str_argument_still_raises_type_error(name):
+    # taking float() of an argument must not make its str a number
+    with pytest.raises(TypeError):
+        _REAL_ARGUMENT_CALLS[name][0]("1e200")
 
 
 # ----------------------------------------------------------------------

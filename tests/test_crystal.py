@@ -943,9 +943,9 @@ class TestLookahead:
 
     def test_unused_look_ahead_does_not_raise(self, monkeypatch):
         # every step halves once, so the state first settled at the first
-        # warm target is rejected. The overlapped sweep has settled the
-        # next target from it already, and that settle raises here; the
-        # inline sweep never settles from the rejected state
+        # warm target is rejected. Either sweep has settled the next target
+        # from it already, before reading its spectrum, and that settle
+        # raises here; the state is never used, so neither sweep raises
         cfg = parse_config(ZIGZAG4_YAML)
         monkeypatch.setattr(crystal, "_OVERLAP_MIN", 1.1)
         monkeypatch.setattr(crystal, "_MAX_HALVINGS", 1)
@@ -966,9 +966,27 @@ class TestLookahead:
         assert len(raised) == 1
         first_warm.clear()
         inline = _sweep_rows(monkeypatch, False, *args)
-        assert len(raised) == 1
+        assert len(raised) == 2
         assert [r[4] for r in inline[0]] == [False, True, False, True, False]
         self._assert_same_rows(overlapped, inline)
+
+    def test_inline_and_overlapped_settle_alike(self, ca40, monkeypatch):
+        # the host picks only the thread that runs eigh: both sweeps settle
+        # the same depths from the same guesses, in the same order
+        calls = _calls(monkeypatch, crystal, "_settle",
+                       lambda scaled, n, guess, seed: (
+                           scaled.u0,
+                           None if guess is None else guess.tobytes()))
+        settles = {}
+        for overlap in (True, False):
+            calls.clear()
+            rows, _, _ = _sweep_rows(monkeypatch, overlap,
+                                     *self._ions16_sweep(ca40))
+            assert any(refined for *_, refined in rows)  # steps halved
+            settles[overlap] = list(calls)
+        assert len(settles[True]) > len(rows)  # settled ahead
+        assert len(settles[True]) == len(settles[False])
+        assert settles[True] == settles[False]
 
     def test_used_look_ahead_raises_as_inline(self, monkeypatch):
         # the second warm settle raises. The overlapped sweep settles that
