@@ -50,7 +50,7 @@ from .pendulum import (
     LatticeConfig,
     _default_species,
     _depth_for_nu,
-    _square,
+    _real,
 )
 
 __all__ = list(_EXPORTS["crystal"])
@@ -99,21 +99,20 @@ class TrapConfig:
 
     def __init__(self, omega_z, omega_x, omega_y,
                  omega_rf=2.0 * math.pi * 3.98e6, q_radial=None, q_axial=0.0):
-        self.omega_z = omega_z  # rad/s
-        self.omega_x = omega_x  # rad/s
-        self.omega_y = omega_y  # rad/s
-        self.omega_rf = omega_rf  # rad/s
-        self.q_radial = q_radial
-        self.q_axial = q_axial
+        self.omega_z = _real(omega_z)  # rad/s
+        self.omega_x = _real(omega_x)  # rad/s
+        self.omega_y = _real(omega_y)  # rad/s
+        self.omega_rf = _real(omega_rf)  # rad/s
+        self.q_radial = None if q_radial is None else _real(q_radial)
+        self.q_axial = _real(q_axial)
         # the model forms each frequency's square: the trap curvatures, and
         # M Omega_rf^2 in the micromotion energy
-        squares = [_square(w) for w in (
-            self.omega_x, self.omega_y, self.omega_z, self.omega_rf)]
-        if not all(0 < w2 < math.inf for w2 in squares):  # NaN fails too
+        omegas = (self.omega_x, self.omega_y, self.omega_z, self.omega_rf)
+        if not all(0 < w and 0 < w * w < math.inf for w in omegas):  # NaN too
             raise DomainError(
                 "secular and rf frequencies must be positive and finite, "
                 "and so must their squares")
-        span = max(squares[:3]) / min(squares[:3])
+        span = max(omegas[:3]) ** 2 / min(omegas[:3]) ** 2
         if not span <= _EIGH_SPAN:
             raise DomainError(
                 f"the secular curvatures omega^2 span a ratio of {span:.3g}, "
@@ -136,6 +135,7 @@ class TrapConfig:
         The radial asymmetry splits omega_x/omega_y by +-asymmetry/2
         about the mean; the softer y axis then fixes the orientation of
         planar structures (default 3%, matching typical bias fields).
+        Both stay positive only for |asymmetry| < 2, the accepted range.
         """
         two_pi = 2.0 * math.pi
         return cls(

@@ -25,8 +25,8 @@ from .errors import DomainError
 from .pendulum import (  # noqa: F401
     _bunching_vec,
     _check_t0_u0,
+    _real,
     _scattering_probabilities,
-    _square,
     bunching,
     lattice_frequency,
     scattering_probability,
@@ -41,9 +41,9 @@ class BeamProfile:
     __slots__ = ("waist_radius",)
 
     def __init__(self, waist_radius):
-        self.waist_radius = waist_radius  # m, 1/e^2 intensity radius
-        # depth_factor divides by its square
-        if not 0 < _square(self.waist_radius) < math.inf:
+        # m, 1/e^2 intensity radius; depth_factor divides by its square
+        self.waist_radius = w = _real(waist_radius)
+        if not (0 < w and 0 < w * w < math.inf):
             raise DomainError(
                 "waist_radius must be positive, and its square inside the "
                 "float range")
@@ -73,8 +73,8 @@ class ScatteringScenario:
         self.species = species
         self.lattice = lattice
         self.ramp = ramp
-        self.T0 = T0  # K
-        self.pumping_efficiency_per_ion = pumping_efficiency_per_ion
+        self.T0 = _real(T0)  # K
+        self.pumping_efficiency_per_ion = _real(pumping_efficiency_per_ion)
         if not self.T0 > 0:  # NaN fails too
             raise DomainError("T0 must be positive")
         if not 0.0 <= self.pumping_efficiency_per_ion <= 1.0:

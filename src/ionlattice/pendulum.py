@@ -56,6 +56,12 @@ _SQRT_PI = math.sqrt(math.pi)
 # parameter bundles
 
 
+def _real(x):
+    """x as a Python float, whose * and / overflow to inf where a numpy
+    scalar's warn. A str raises TypeError, as arithmetic does."""
+    return float(+x)
+
+
 class IonSpecies:
     """Atomic constants of the trapped species.
 
@@ -72,11 +78,12 @@ class IonSpecies:
                  detection_wavelength=cn.CA40_DETECTION_WAVELENGTH,
                  gamma_p_total=cn.CA40_GAMMA_P,
                  gamma_397=cn.CA40_BRANCHING_397 * cn.CA40_GAMMA_P):
-        self.mass = mass  # kg
-        self.lattice_transition_wavelength = lattice_transition_wavelength
-        self.detection_wavelength = detection_wavelength
-        self.gamma_p_total = gamma_p_total
-        self.gamma_397 = gamma_397
+        self.mass = _real(mass)  # kg
+        self.lattice_transition_wavelength = _real(
+            lattice_transition_wavelength)
+        self.detection_wavelength = _real(detection_wavelength)
+        self.gamma_p_total = _real(gamma_p_total)
+        self.gamma_397 = _real(gamma_397)
         if not self.mass > 0:  # NaN fails too
             raise DomainError("ion mass must be positive")
         if not (self.lattice_transition_wavelength > 0
@@ -97,21 +104,12 @@ class IonSpecies:
 
     @property
     def lattice_wavevector(self):
-        # a float quotient: a numpy scalar's would warn where it overflows
-        return 2.0 * math.pi / float(self.lattice_transition_wavelength)
+        return 2.0 * math.pi / self.lattice_transition_wavelength
 
 
 def _default_species(species):
     """species, or Ca-40 when it is None."""
     return species if species is not None else IonSpecies.ca40()
-
-
-def _square(x):
-    """x * x as a Python float: inf where it leaves the float range, where
-    a numpy scalar's product would warn. A str raises TypeError, as in
-    x * x."""
-    x = math.fabs(x)
-    return x * x
 
 
 class LatticeConfig:
@@ -125,14 +123,14 @@ class LatticeConfig:
     __slots__ = ("depth_U0", "wavevector_k", "detuning")
 
     def __init__(self, depth_U0, wavevector_k, detuning=0.0):
-        self.depth_U0 = depth_U0  # J, signed
-        self.wavevector_k = wavevector_k  # 1/m
-        self.detuning = detuning  # rad/s, sign = blue/red
+        self.depth_U0 = _real(depth_U0)  # J, signed
+        self.wavevector_k = _real(wavevector_k)  # 1/m
+        self.detuning = _real(detuning)  # rad/s, sign = blue/red
         if not 0 < self.wavevector_k < math.inf:  # NaN fails too
             raise DomainError("wavevector_k must be positive and finite")
         if not (math.isfinite(self.depth_U0) and math.isfinite(self.detuning)):
             raise DomainError("depth_U0 and detuning must be finite")
-        if float(self.depth_U0) * float(self.detuning) < 0:
+        if self.depth_U0 * self.detuning < 0:
             raise DomainError(
                 "depth_U0 and detuning must carry the same sign "
                 "(U0 = hbar*Omega^2/(4*Delta))")
@@ -155,8 +153,7 @@ class LatticeConfig:
     @property
     def rabi(self):
         """Antinode Rabi frequency Omega = sqrt(4 Delta U0 / hbar)."""
-        prod = 4.0 * self.detuning * self.depth_U0
-        return math.sqrt(prod / cn.HBAR)
+        return math.sqrt(4.0 * self.detuning * self.depth_U0 / cn.HBAR)
 
     def vibrational_frequency(self, species):
         """nu_latt (Hz) for the given species at this depth."""
@@ -171,9 +168,9 @@ class RampProfile:
     __slots__ = ("u0_max", "ramp_duration", "hold_duration", "shape")
 
     def __init__(self, u0_max, ramp_duration, hold_duration, shape="linear"):
-        self.u0_max = u0_max  # J, depth magnitude at the end of the ramp
-        self.ramp_duration = ramp_duration  # s
-        self.hold_duration = hold_duration  # s
+        self.u0_max = _real(u0_max)  # J, depth at the end of the ramp
+        self.ramp_duration = _real(ramp_duration)  # s
+        self.hold_duration = _real(hold_duration)  # s
         self.shape = shape
         if not self.u0_max >= 0:  # NaN fails too
             raise DomainError("u0_max is a depth magnitude, must be >= 0")
@@ -211,10 +208,10 @@ def lattice_frequency(T_latt, species, k):
     nu_latt = (k/2pi)*sqrt(2 kB T_latt / M): expanding U0 sin^2(kz) about
     a well bottom gives an angular frequency k*sqrt(2 U0/M).
     """
+    T_latt = _real(T_latt)
     if not T_latt >= 0:  # NaN fails too
         raise DomainError("T_latt must be non-negative")
-    nu = k / (2.0 * math.pi) * math.sqrt(
-        2.0 * cn.KB * float(T_latt) / species.mass)
+    nu = k / (2.0 * math.pi) * math.sqrt(2.0 * cn.KB * T_latt / species.mass)
     if not nu < math.inf:
         raise DomainError(f"T_latt = {T_latt!r} K gives no finite nu_latt")
     return nu
@@ -256,7 +253,7 @@ def _orbit_at(E, U0, period=False):
         raise DomainError("U0 must be positive")
     if not 0 <= E < math.inf:  # U0 = inf is the exact limit, E = inf not
         raise DomainError("E must be non-negative and finite")
-    x = float(E) / float(U0)  # a numpy scalar's quotient would warn
+    x = _real(E) / _real(U0)
     if not x < math.inf:
         raise DomainError(
             f"E/U0 leaves the float range at E = {E!r} J, U0 = {U0!r} J")
@@ -275,9 +272,10 @@ def action_density(s, T0, U0):
     theta = kB T0/U0. Conserved under adiabatic depth changes.
     """
     theta = _check_t0_u0(T0, U0)
+    s = _real(s)
     if not 0 <= s <= math.inf:  # NaN fails too
         raise DomainError("dimensionless action must be non-negative")
-    return math.exp(-_square(s) / (4.0 * theta)) / math.sqrt(math.pi * theta)
+    return math.exp(-s * s / (4.0 * theta)) / math.sqrt(math.pi * theta)
 
 
 def energy_density(E, T0, U0):
@@ -420,7 +418,8 @@ def scattering_rate(kz, rabi, config, species):
     with Delta = config.detuning. The position dependence enters through
     the local Rabi frequency Omega*sin(kz) of the standing wave.
     """
-    if not (rabi >= 0 and _square(rabi) < math.inf):  # NaN fails too
+    rabi = _real(rabi)
+    if not (rabi >= 0 and rabi * rabi < math.inf):  # NaN fails too
         raise DomainError("rabi must be non-negative, with a finite square")
     if not math.isfinite(kz):
         raise DomainError("kz must be finite")

@@ -40,7 +40,7 @@ from .errors import (
     NegativeThermalVarianceError,
     SpotParseError,
 )
-from .pendulum import _default_species, _square
+from .pendulum import _default_species, _real
 
 __all__ = list(_EXPORTS["thermometry"])
 
@@ -53,13 +53,13 @@ class ImagingConfig:
     __slots__ = ("sigma_res_axial", "sigma_res_radial", "pixel_pitch")
 
     def __init__(self, sigma_res_axial, sigma_res_radial, pixel_pitch):
-        self.sigma_res_axial = sigma_res_axial  # m
-        self.sigma_res_radial = sigma_res_radial  # m
-        self.pixel_pitch = pixel_pitch  # m per pixel
+        self.sigma_res_axial = _real(sigma_res_axial)  # m
+        self.sigma_res_radial = _real(sigma_res_radial)  # m
+        self.pixel_pitch = _real(pixel_pitch)  # m per pixel
         # the temperature fit weighs each spot by the inverse variance of
         # its fitted sigma^2, which scales as the fourth power of a length;
         # NaN fails too
-        if not all(0 < v and _square(_square(v)) < math.inf for v in (
+        if not all(0 < v and v * v * v * v < math.inf for v in (
                 self.sigma_res_axial, self.sigma_res_radial,
                 self.pixel_pitch)):
             raise DomainError(

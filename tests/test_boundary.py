@@ -4,12 +4,13 @@ spot CSVs and whole command-line runs.
 Every parameter bundle, and every checked argument of the public scalar
 functions, rejects NaN with DomainError instead of carrying it into a
 result, and so does every entry that takes ion positions: they must be
-finite and hold 3N numbers. A numpy float64 argument gives what the equal
-Python float gives. parse_config and the --grid parser either return a
-value or raise ConfigError, whatever the input; the spot-CSV reader
-either returns finite profiles or raises SpotParseError. Every verb of
-``cli.main`` either writes finite artifacts or exits with a defined code
-from a library error.
+finite and hold 3N numbers. A bundle holds its numbers as Python floats
+and checks their signs, not only their squares, so a numpy float64
+argument gives what the equal Python float gives. parse_config and the
+--grid parser either return a value or raise ConfigError, whatever the
+input; the spot-CSV reader either returns finite profiles or raises
+SpotParseError. Every verb of ``cli.main`` either writes finite artifacts
+or exits with a defined code from a library error.
 """
 
 import contextlib
@@ -41,6 +42,7 @@ from ionlattice import (
     LatticeConfig,
     RampProfile,
     RunConfig,
+    ScatteringScenario,
     SpotParseError,
     TrapConfig,
     action_density,
@@ -219,9 +221,10 @@ DOMAIN_ERROR_CALLS = {
 
 _TRAP_SQUARES = "secular and rf frequencies must be positive and finite"
 # entries that square, multiply or divide one real argument, each with
-# values whose results leave the float range and the start of the
-# DomainError that the Python float gives: the equal numpy float64 gives
-# it too, with no RuntimeWarning from numpy's scalar arithmetic
+# values of the wrong sign or whose results leave the float range, and the
+# start of the DomainError that the Python float gives: the equal numpy
+# float64 gives it too, with no RuntimeWarning from numpy's scalar
+# arithmetic
 _REAL_ARGUMENT_CALLS = {
     "IonSpecies wavelength": (lambda v: IonSpecies(
         mass=cn.CA40_MASS, lattice_transition_wavelength=v),
@@ -230,15 +233,28 @@ _REAL_ARGUMENT_CALLS = {
         depth_U0=v, wavevector_k=K, detuning=_BLUE.detuning),
         {-1e308: "depth_U0 and detuning must carry the same sign"}),
     "TrapConfig omega_z": (lambda v: TrapConfig(v, 1.0, 1.0),
-                           dict.fromkeys([1e200, 1e308, -1e308],
+                           dict.fromkeys([1e200, 1e308, -1e308, -1.0],
                                          _TRAP_SQUARES)),
+    # a negative frequency whose square is fine, with q_radial given so
+    # that no negative q is derived from it
+    "TrapConfig omega_x": (lambda v: TrapConfig(1.0, v, 1.0, q_radial=0.1),
+                           {-1.0: _TRAP_SQUARES}),
+    "TrapConfig omega_rf, q_radial given": (
+        lambda v: TrapConfig(1.0, 1.0, 1.0, omega_rf=v, q_radial=0.1),
+        {-1.0: _TRAP_SQUARES}),
+    # |asymmetry| >= 2 makes one radial frequency zero or negative
+    "TrapConfig.from_frequencies asymmetry": (
+        lambda v: TrapConfig.from_frequencies(85e3, 170e3, asymmetry=v),
+        dict.fromkeys([3.0, -3.0], _TRAP_SQUARES)),
     "TrapConfig omega_rf": (lambda v: TrapConfig(1.0, 1.0, 1.0, omega_rf=v),
                             dict.fromkeys([1e200, 1e308, -1e308],
                                           _TRAP_SQUARES)),
     "TrapConfig.from_frequencies f_z": (
         lambda v: TrapConfig.from_frequencies(v, 170e3),
         {1e200: _TRAP_SQUARES}),
-    "BeamProfile": (BeamProfile, {1e200: "waist_radius must be positive"}),
+    "BeamProfile": (BeamProfile,
+                    dict.fromkeys([1e200, -37e-6],
+                                  "waist_radius must be positive")),
     "ImagingConfig": (lambda v: ImagingConfig(v, 2.09e-6, 0.92e-6),
                       {1e200: "imaging constants must be positive"}),
     "variance_broadening": (variance_broadening,
@@ -253,10 +269,10 @@ _REAL_ARGUMENT_CALLS = {
                              {1e308: "E/U0 leaves the float range"}),
 }
 DOMAIN_ERROR_CALLS.update({
-    f"{entry} np.float64 {value!r}": (partial(call, np.float64(value)),
-                                      message)
+    f"{entry}{kind} {value!r}": (partial(call, real(value)), message)
     for entry, (call, refused) in _REAL_ARGUMENT_CALLS.items()
-    for value, message in refused.items()})
+    for value, message in refused.items()
+    for kind, real in (("", float), (" np.float64", np.float64))})
 
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CALLS))
@@ -268,12 +284,40 @@ def test_domain_error_raised(name):
 
 def test_numpy_float64_gives_the_float_value():
     # as for a Python float: accepted, where depth_U0 * detuning overflows
-    # to inf, and 0.0, where s^2 does
+    # to inf, and 0.0, where s^2 does. The lattice's derived values are
+    # the float's too: inf, and the DomainError of an infinite T_latt
     latt = LatticeConfig(depth_U0=np.float64(1e308), wavevector_k=K,
                          detuning=_BLUE.detuning)
     assert latt.depth_U0 == 1e308
+    assert latt.rabi == math.inf
+    with pytest.raises(DomainError, match="^T_latt = inf K gives no finite"):
+        latt.vibrational_frequency(CA40)
     assert action_density(np.float64(1e200), 1e-3, 1e-25) == 0.0 \
         == action_density(1e200, 1e-3, 1e-25)
+
+
+# each bundle with numpy float64 arguments, and the fields it holds
+_BUNDLES = {
+    "IonSpecies": lambda: IonSpecies(*map(np.float64, (
+        cn.CA40_MASS, 866e-9, 397e-9, 1.3e8, 1.2e8))),
+    "TrapConfig": lambda: TrapConfig(*map(np.float64, (
+        1e6, 2e6, 2e6, 2e7, 0.1, 0.01))),
+    "LatticeConfig": lambda: LatticeConfig(*map(np.float64, (1e-25, K, 1e12))),
+    "RampProfile": lambda: RampProfile(*map(np.float64, (1e-25, 2e-6, 1e-6))),
+    "BeamProfile": lambda: BeamProfile(np.float64(37e-6)),
+    "ImagingConfig": lambda: ImagingConfig(*map(np.float64, (
+        2.23e-6, 2.09e-6, 0.92e-6))),
+    "ScatteringScenario": lambda: ScatteringScenario(
+        None, CA40, _BLUE, _RAMP, np.float64(3.6e-3), np.float64(0.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLES))
+def test_bundle_holds_python_floats(name):
+    bundle = _BUNDLES[name]()
+    fields = [getattr(bundle, name) for name in type(bundle).__slots__]
+    numbers = [v for v in fields if isinstance(v, (int, float))]
+    assert numbers and all(type(v) is float for v in numbers)
 
 
 @pytest.mark.parametrize("name", sorted(_REAL_ARGUMENT_CALLS))

@@ -50,6 +50,9 @@ crystal:
   T0_mK: 3.6
 """
 
+TRAP_SIGN = ("trap: secular and rf frequencies must be positive and finite, "
+             "and so must their squares")
+
 # sym4: 4 ions at 120/162 kHz with round radial axes, seed 1, on the
 # 25 mK blue lattice
 SYM4_YAML = """\
@@ -205,9 +208,23 @@ class TestParsing:
          "equilibrium", "duplicate key trap"),
         ("seed: 7", "seed: 7\n  seed: 8", "equilibrium",
          "duplicate key crystal.seed"),
+        # a frequency or waist of the wrong sign has a finite square, and
+        # used to write modes of negative frequency with exit 0
+        ("f_z_kHz: 85.0", "f_z_kHz: -85", "modes", TRAP_SIGN),
+        ("q_axial: 5.0e-4", "q_axial: 5.0e-4\n  asymmetry: 3", "modes",
+         TRAP_SIGN),
+        ("q_axial: 5.0e-4", "q_axial: 5.0e-4\n  asymmetry: -3", "modes",
+         TRAP_SIGN),
+        ("depth_max_mK: 25.0", "depth_max_mK: 25.0\n  waist_um: -37",
+         "modes", "lattice.waist_um: waist_radius must be positive, and "
+         "its square inside the float range"),
+        ("f_radial_kHz: 170.0", "f_radial_kHz: -170\n  q_radial: 0.1",
+         "modes", TRAP_SIGN),
     ], ids=["n_ions_0", "n_ions_2.5", "n_ions_true", "seed_-1",
             "ramp_shape", "include_radial_1", "scatter_detuning_0",
-            "n_ions_past_the_cap", "duplicate_block", "duplicate_key"])
+            "n_ions_past_the_cap", "duplicate_block", "duplicate_key",
+            "f_z_-85", "asymmetry_3", "asymmetry_-3", "waist_-37",
+            "f_radial_-170"])
     def test_refusal_names_its_key(self, tmp_path, capsys, monkeypatch, old,
                                    new, verb, message):
         assert old in BASE_YAML

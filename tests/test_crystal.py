@@ -989,10 +989,10 @@ class TestLookahead:
         assert settles[True] == settles[False]
 
     def test_used_look_ahead_raises_as_inline(self, monkeypatch):
-        # the second warm settle raises. The overlapped sweep settles that
-        # target ahead, while row 1's spectrum is taken, and raises once
-        # row 1 is accepted as it stands; the inline sweep raises from the
-        # settle itself. Both yield rows 0 and 1 first
+        # the second warm settle raises. Whichever thread runs eigh, the
+        # sweep settles that target ahead, while row 1's spectrum is taken,
+        # and raises once row 1 is accepted as it stands. Both hosts yield
+        # rows 0 and 1 first
         cfg = parse_config(ZIGZAG4_YAML)
         settle, warm = crystal._settle, []
 
