@@ -389,11 +389,13 @@ class LeastSquaresResult(NamedTuple):
     message: str
 
 
+# the stop of a problem that least_squares_batch's ran_away flags
+RAN_AWAY = "the solution ran away"
 _STOPS = ("gtol termination condition is satisfied",
           "ftol or xtol termination condition is satisfied",
           # the last two fail
           "the maximum number of function evaluations is exceeded",
-          "the solution ran away")
+          RAN_AWAY)
 # Marquardt's first damping, and a floor that keeps it positive
 _LAM0 = 1e-3
 _LAM_MIN = float(np.finfo(float).tiny)
@@ -432,7 +434,8 @@ def least_squares_batch(fun, x0, jac, lengths, tol, max_nfev,
     below tol, or when |D step| < tol |D x|; it fails after max_nfev
     evaluations of fun. If given, ``ran_away(x, rows)`` flags the problems
     ``rows`` whose x (L, n) has left the region where a minimum could mean
-    anything; each stops there after its step, unsuccessful.
+    anything; each stops there after its step, unsuccessful, with the
+    message RAN_AWAY, which overrides any other stop of that step.
 
     x0 is (P, n). ``fun(x, rows)`` and ``jac(x, rows)`` return the (L, M)
     residuals and (L, M, n) Jacobians of problems ``rows`` at x (L, n);

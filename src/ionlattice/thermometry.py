@@ -29,6 +29,7 @@ from . import _EXPORTS, constants as cn
 # the fit calls least_squares_batch through this module's namespace, where
 # tests patch it; bench/tracer.py wraps least_squares here
 from ._optim import (  # noqa: F401
+    RAN_AWAY,
     least_squares,
     least_squares_batch,
     student_t_975,
@@ -144,7 +145,8 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
 
     profile is a sequence of (pixel, counts) pairs; results are scaled by
     pixel_pitch so they come back in meters when the pitch is given (and
-    in pixel units for the default pitch of 1). Confidence intervals are
+    in pixel units for the default pitch of 1). The pitch must be positive
+    and finite, as ImagingConfig's. Confidence intervals are
     95% from the linearized covariance at the optimum, scaled by the
     reduced chi-square. An unweighted fit is followed by a second one
     with Poisson weights from the first fit's model (weights frozen, so
@@ -152,16 +154,21 @@ def fit_gaussian_profile(profile, pixel_pitch=1.0):
     intervals insensitive to an overall gain. This is the one-profile
     case of fit_spot_profiles.
 
-    Raises DomainError for a sample that is not a finite number,
-    DegenerateFitError for fewer than 5 distinct pixels, a constant
-    profile, a pixel span wider than 1e150 px, a fitted center off the
-    profile's pixels, an amplitude that is not positive, a width
-    collapsing below a quarter pixel or a fit that runs away (a width
-    beyond the pixel span, or a center more than a span off the pixels,
-    stops the solver at once) or a fit that the line a + b x matches
-    nearly as well (the nested-model F test, at p = 1e-6), and
-    FitConvergenceError if the solver stalls.
+    Raises DomainError for a pitch that is not positive and finite or a
+    sample that is not a finite number, and DegenerateFitError for fewer
+    than 5 distinct pixels, a constant profile or a pixel span wider than
+    1e150 px. Each pass then refuses, in this order, a fit that runs away
+    (a width beyond the pixel span, or a center more than a span off the
+    pixels, stops the solver at once) with DegenerateFitError, one that
+    does not converge with FitConvergenceError, and a fitted center off
+    the profile's pixels or an amplitude that is not positive with
+    DegenerateFitError. After the weighted pass, DegenerateFitError also
+    refuses a width below a quarter pixel and a fit that the line a + b x
+    matches nearly as well (the nested-model F test, at p = 1e-6).
     """
+    if not 0.0 < pixel_pitch < math.inf:  # NaN fails too
+        raise DomainError(
+            f"pixel_pitch must be positive and finite, got {pixel_pitch!r}")
     (fit,) = _fit_profiles([profile])
     if isinstance(fit, Exception):
         raise fit
@@ -185,9 +192,8 @@ def _fit_profiles(profiles):
     no sum of squares leaves the float range however small the counts.
     Profiles of unequal length are zero-padded, and every entry is the one
     its profile gets alone. A fit that runs away is stopped during the
-    pass, and after each pass, a fit whose center lies off the profile's
-    pixels or whose amplitude is not positive is no spot, and is refused,
-    and so, after the weighted pass, is one that does not beat a line.
+    pass; after each pass one refusal reads the solver's stop and the fit,
+    and after the weighted pass the width check and the F test follow.
     """
     fits = [None] * len(profiles)
     kept, x0 = [], []
@@ -240,7 +246,7 @@ def _fit_profiles(profiles):
         x[k, :lengths[k]], y[k, :lengths[k]] = px, counts
 
     def solve(rows, sig, start):
-        xs, ys = x[rows], y[rows]
+        xs, ys, los, his = x[rows], y[rows], lo[rows], hi[rows]
 
         def resid(p, lanes):
             a, c, s, b = p.T[:, :, None]
@@ -254,37 +260,38 @@ def _fit_profiles(profiles):
             return np.stack([e, a * e * u / s, a * e * u * u / s,
                              np.ones_like(px)], axis=-1) \
                 / sig[lanes][..., None]
+
+        def ran_away(p, lanes):
+            # a fit has run away once its width exceeds its profile's
+            # pixel span, or its center lies more than one span off the
+            # pixels: no spot lies out there, and the solver stops it
+            _, c, s, _ = np.transpose(p)
+            span = his[lanes] - los[lanes]
+            return (np.abs(s) > span) | (c < los[lanes] - span) \
+                | (c > his[lanes] + span)
         return least_squares_batch(resid, start, jac, lengths[rows],
                                    tol=1e-14, max_nfev=2000,
-                                   ran_away=lambda p, lanes: ran_away(
-                                       p, rows[lanes]))
+                                   ran_away=ran_away)
 
-    def ran_away(p, rows):
-        # a fit p (L, 4) of kept profiles rows has run away once its width
-        # exceeds their pixel span, or its center lies more than one span
-        # off their pixels: no spot lies out there, and the solver stops
-        _, c, s, _ = np.transpose(p)
-        span = hi[rows] - lo[rows]
-        return (np.abs(s) > span) | (c < lo[rows] - span) \
-            | (c > hi[rows] + span)
-
-    def failed(k, p, message, what):
-        # the error of kept profile k, whose fit stopped unsuccessful at p
-        if ran_away(p[None], [k])[0]:
+    def refusal(k, res, lane, what):
+        # the error of kept profile k, whose fit lane of the pass what
+        # stopped in res, or None if the fit may be a spot
+        p, message = res.x[lane], res.message[lane]
+        if message == RAN_AWAY:
             return DegenerateFitError(
                 f"{what} ran away from the profile's pixels {lo[k]:.3g} to "
                 f"{hi[k]:.3g} (width {abs(p[2]):.3g} px, center "
                 f"{p[1]:.3g} px): a fit whose width exceeds their span, or "
                 "whose center lies more than a span off them, is no spot")
-        return FitConvergenceError(f"{what} did not converge: {message}")
-
-    def no_spot(k, p):
-        # why the fit p of kept profile k is no spot, or None
+        if not res.success[lane]:
+            return FitConvergenceError(f"{what} did not converge: {message}")
         if not lo[k] <= p[1] <= hi[k]:
-            return (f"fitted center {p[1]:.3g} px lies off the profile's "
-                    f"pixels {lo[k]:.3g} to {hi[k]:.3g}")
+            return DegenerateFitError(
+                f"fitted center {p[1]:.3g} px lies off the profile's "
+                f"pixels {lo[k]:.3g} to {hi[k]:.3g}")
         if not p[0] > 0.0:
-            return f"fitted amplitude {p[0] * peaks[k]:.3g} is not positive"
+            return DegenerateFitError(
+                f"fitted amplitude {p[0] * peaks[k]:.3g} is not positive")
         return None
 
     def no_peak(k, sig, rss):
@@ -308,32 +315,26 @@ def _fit_profiles(profiles):
                 f"F {f:.3g} is below {quantile:.3g}, the F(2, {nu}) "
                 f"quantile at p = {_F_TEST_P:g}")
 
-    res = solve(np.arange(len(kept)), np.ones_like(y), x0)
-    ok = []
-    for k in range(len(kept)):
-        if not res.success[k]:
-            fits[kept[k][0]] = failed(k, res.x[k], res.message[k],
-                                      "Gaussian fit")
-        elif why := no_spot(k, res.x[k]):
-            fits[kept[k][0]] = DegenerateFitError(why)
-        else:
-            ok.append(k)
-    ok = np.array(ok, dtype=int)
-    if not ok.size:
-        return fits
-    a, c, s, b = res.x[ok].T[:, :, None]
-    sig = np.sqrt(np.maximum(peaks[ok, None] * _gauss(x[ok], a, c, s, b),
-                             1.0))
-    res = solve(ok, sig, res.x[ok])
-    for k, i in enumerate(ok):
+    # rows: the kept profiles a pass fits, from start, weighted by sig
+    rows, sig, start = np.arange(len(kept)), np.ones_like(y), x0
+    for what in ("Gaussian fit", "weighted Gaussian fit"):
+        if what == "weighted Gaussian fit":
+            # Poisson weights from the unweighted fit's model, frozen
+            a, c, s, b = start.T[:, :, None]
+            sig = np.sqrt(np.maximum(
+                peaks[rows, None] * _gauss(x[rows], a, c, s, b), 1.0))
+        res = solve(rows, sig, start)
+        live = []  # positions in rows of the fits that pass
+        for k, i in enumerate(rows):
+            if (error := refusal(i, res, k, what)) is None:
+                live.append(k)
+            else:
+                fits[kept[i][0]] = error
+        if not live:
+            return fits
+        rows, start = rows[live], res.x[live]
+    for k, i in zip(live, rows):
         m = lengths[i]
-        if not res.success[k]:
-            fits[kept[i][0]] = failed(i, res.x[k], res.message[k],
-                                      "weighted Gaussian fit")
-            continue
-        if why := no_spot(i, res.x[k]):
-            fits[kept[i][0]] = DegenerateFitError(why)
-            continue
         a, c, s, b = res.x[k]
         s = abs(s)
         if s < 0.25:  # below a quarter pixel the model is unresolvable
@@ -446,9 +447,17 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
     noise (deterministic under seed), then a Gaussian fit of the result
     (fit_spot_profiles). Spots whose centers sit within two widths of
     another ion on the same projection axis are marked overlapping.
+    A photon_budget that is not positive and finite, or a background that
+    is negative or not finite, raises DomainError before anything is drawn.
     """
     if T < 0:
         raise DomainError("temperature must be non-negative")
+    if not 0.0 < photon_budget < math.inf:  # NaN fails too
+        raise DomainError("photon_budget must be positive and finite, "
+                          f"got {photon_budget!r}")
+    if not 0.0 <= background < math.inf:
+        raise DomainError("background must be non-negative and finite, "
+                          f"got {background!r}")
     species = _default_species(species)
     rng = np.random.default_rng(seed)
     pitch = imaging.pixel_pitch
@@ -476,10 +485,10 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
             expected = _gauss(px * pitch, amp, c, s, background)
             counts = rng.poisson(expected).astype(float) if noise else expected
             profiles.append((m, axis, np.column_stack([px, counts])))
-    return [SpotMeasurement(spot.ion_index, spot.axis, spot.profile,
-                            spot.fitted_sigma, spot.sigma_ci95, flag)
-            for spot, flag in zip(fit_spot_profiles(profiles, imaging),
-                                  overlapping)]
+    spots = fit_spot_profiles(profiles, imaging)
+    for spot, flag in zip(spots, overlapping):
+        spot.overlapping = flag
+    return spots
 
 
 def ion_temperature_from_mode_temperatures(modes, mode_temperatures):

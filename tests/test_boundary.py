@@ -53,6 +53,8 @@ from ionlattice import (
     energy_density,
     equilibrium,
     excess_micromotion,
+    fit_gaussian_profile,
+    gamma_parameters,
     lattice_frequency,
     mean_scattering_rate,
     normal_modes,
@@ -66,6 +68,7 @@ from ionlattice import (
     scattering_rate,
     spot_variance_model,
     subsequent_fraction,
+    synthesize_spots,
     total_potential,
     variance_broadening,
 )
@@ -220,6 +223,19 @@ DOMAIN_ERROR_CALLS = {
 }
 
 _TRAP_SQUARES = "secular and rf frequencies must be positive and finite"
+_SPOT = np.column_stack([np.arange(-20.0, 21.0), 5.0 + 100.0 * np.exp(
+    -0.5 * (np.arange(-20.0, 21.0) / 3.0) ** 2)])
+_IMAGING = ImagingConfig(2.23e-6, 2.09e-6, 0.92e-6)
+
+
+def _synthesize(photon_budget=1e4, background=0.0):
+    # two ions' spots; the arguments are checked before anything is drawn
+    state = equilibrium(2, TRAP, seed=1)
+    gamma = gamma_parameters(normal_modes(state, TRAP))
+    return synthesize_spots(3.5e-3, state, gamma, _IMAGING, photon_budget,
+                            seed=1, trap=TRAP, background=background)
+
+
 # entries that square, multiply or divide one real argument, each with
 # values of the wrong sign or whose results leave the float range, and the
 # start of the DomainError that the Python float gives: the equal numpy
@@ -267,6 +283,21 @@ _REAL_ARGUMENT_CALLS = {
                           {1e308: "T_latt = "}),
     "dimensionless_action": (lambda v: dimensionless_action(v, 1e-25),
                              {1e308: "E/U0 leaves the float range"}),
+    # the pitch scales the fitted width and its interval, so a pitch that
+    # is not positive and finite would scale them to such values
+    "fit_gaussian_profile pixel_pitch": (
+        lambda v: fit_gaussian_profile(_SPOT, pixel_pitch=v),
+        dict.fromkeys([-1.0, 0.0, NAN, math.inf],
+                      "pixel_pitch must be positive and finite")),
+    # refused before numpy's Poisson draw, which cannot take them
+    "synthesize_spots photon_budget": (
+        lambda v: _synthesize(photon_budget=v),
+        dict.fromkeys([-1e4, 0.0, NAN, math.inf],
+                      "photon_budget must be positive and finite")),
+    "synthesize_spots background": (
+        lambda v: _synthesize(background=v),
+        dict.fromkeys([-5.0, NAN, math.inf],
+                      "background must be non-negative and finite")),
 }
 DOMAIN_ERROR_CALLS.update({
     f"{entry}{kind} {value!r}": (partial(call, real(value)), message)

@@ -703,6 +703,33 @@ class TestBatchedFit:
             fit_spot_profiles([(6, "axial", prof)], imaging)
         assert calls == [1, 1]
 
+    def test_weighted_pass_runaway_names_the_spot(self, imaging,
+                                                  monkeypatch):
+        # the unweighted pass converges, and the weighted one starts from
+        # a width far beyond the pixel span, where the solver stops it
+        calls = []
+
+        def weighted_starts_wide(fun, x0, jac, lengths, tol, max_nfev,
+                                 ran_away):
+            calls.append(len(x0))
+            if len(calls) == 2:
+                x0 = np.array(x0)
+                x0[:, 2] = 1e6  # the pixels span 40
+            return _optim.least_squares_batch(fun, x0, jac, lengths, tol,
+                                              max_nfev, ran_away=ran_away)
+
+        monkeypatch.setattr(thermometry, "least_squares_batch",
+                            weighted_starts_wide)
+        rng = np.random.default_rng(3)
+        prof = _gauss_profile(200.0, 0.4, 2.0, 3.0)
+        prof[:, 1] = rng.poisson(prof[:, 1])
+        with pytest.raises(DegenerateFitError,
+                           match=r"^spot \(ion_index 6, axis axial\): "
+                                 "weighted Gaussian fit ran away from the "
+                                 "profile's pixels"):
+            fit_spot_profiles([(6, "axial", prof)], imaging)
+        assert calls == [1, 1]
+
     def test_singular_normal_matrix_takes_pseudo_inverse(self, monkeypatch):
         # where J^T J cannot be inverted, the covariance is its
         # pseudo-inverse: for an invertible one, the same to rounding
