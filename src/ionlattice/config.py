@@ -26,7 +26,7 @@ import math
 from . import _EXPORTS, constants as cn
 from .crystal import TrapConfig
 from .ensemble import BeamProfile
-from .errors import ConfigError, refused
+from .errors import ConfigError, read_utf8, refused
 from .pendulum import IonSpecies, LatticeConfig, RampProfile, _depth_for_nu
 from .thermometry import ImagingConfig
 
@@ -117,6 +117,17 @@ class RunConfig:
         self.normalized = normalized  # canonical SI values, hashed
 
 
+def _shown(value):
+    """repr of a refused value: a scalar whole, anything else cut to one
+    level, so that a tree of YAML aliases cannot blow up the message."""
+    if isinstance(value, (int, float, str, type(None))):  # bool is an int
+        return repr(value)
+    import reprlib  # here, so that only such a refusal pays its import
+    short = reprlib.Repr()
+    short.maxlevel = 1
+    return short.repr(value)
+
+
 def _suggest(key, options):
     import difflib  # here, so that only a misspelled key pays its import
     close = difflib.get_close_matches(str(key), options, n=1)
@@ -138,14 +149,14 @@ def _check_block(name, raw):
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name}.{key} must be a number, "
-                                  f"got {value!r}")
+                                  f"got {_shown(value)}")
             try:
                 si = value * conv
             except OverflowError:  # an integer beyond the float range
                 si = math.inf
             if not math.isfinite(si):  # YAML .nan and .inf, or an overflow
                 raise ConfigError(f"{name}.{key} must be finite in SI "
-                                  f"units, got {value!r}")
+                                  f"units, got {_shown(value)}")
             out[key] = si
     for key, (_, required, default) in table.items():
         if key not in out:
@@ -157,7 +168,8 @@ def _check_block(name, raw):
 
 def _validate_int(block, key, value, minimum=0):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{block}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{block}.{key} must be an integer, "
+                          f"got {_shown(value)}")
     if value < minimum:
         raise ConfigError(f"{block}.{key} must be >= {minimum}")
     return value
@@ -188,7 +200,8 @@ def _json_object(pairs):
 
 
 def _load_yaml(text):
-    """yaml.safe_load that refuses a mapping key given twice."""
+    """yaml.safe_load that refuses a mapping key given twice, and whatever
+    PyYAML cannot read or construct."""
     import yaml  # here, so that a JSON config never pays its import
 
     class Loader(yaml.SafeLoader):
@@ -216,10 +229,23 @@ def _load_yaml(text):
                 self.paths[value_node] = path
             return super().construct_mapping(node, deep)
 
+        def construct_yaml_int(self, node):
+            # hex, octal and binary ints convert at any length, but str()
+            # refuses one past 4300 digits, as int() does a decimal one
+            value = super().construct_yaml_int(node)
+            str(value)
+            return value
+
+    Loader.add_constructor("tag:yaml.org,2002:int", Loader.construct_yaml_int)
     try:
         return yaml.load(text, Loader=Loader)
-    except yaml.YAMLError as exc:
+    # a constructor's ValueError, such as for the date 2001-13-45 or an int
+    # past 4300 digits
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"config is not valid YAML/JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config is not valid YAML/JSON: it nests too "
+                          "deeply") from None
 
 
 def parse_config(text):
@@ -229,7 +255,7 @@ def parse_config(text):
     """
     try:
         raw = json.loads(text, object_pairs_hook=_json_object)
-    except ValueError:  # not JSON, so YAML
+    except (ValueError, RecursionError):  # not JSON, or too deep: YAML's
         raw = _load_yaml(text)
     if isinstance(raw, _Repeated):
         raise ConfigError(f"duplicate key {raw}")
@@ -240,7 +266,7 @@ def parse_config(text):
     # an int, not a bool or float that merely compares equal (True == 1)
     if type(version) is not int or version != _SCHEMA_VERSION:
         raise ConfigError(
-            f"schema_version {version!r} is not supported (expected "
+            f"schema_version {_shown(version)} is not supported (expected "
             f"{_SCHEMA_VERSION})")
     for block in raw:
         if block not in _SCHEMA:
@@ -263,14 +289,16 @@ def parse_config(text):
 
     ramp_shape = norm["ramp"]["shape"]
     if ramp_shape not in ("linear", "smoothstep"):
-        raise ConfigError(
-            f"ramp.shape must be 'linear' or 'smoothstep', got {ramp_shape!r}")
+        raise ConfigError("ramp.shape must be 'linear' or 'smoothstep', "
+                          f"got {_shown(ramp_shape)}")
     include_radial = norm["thermometry"]["include_radial"]
     if not isinstance(include_radial, bool):
         raise ConfigError("thermometry.include_radial must be true or false")
     out_dir = norm["output"]["dir"]
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output.dir must be a non-empty string")
+    if "\0" in out_dir:  # no file system takes it
+        raise ConfigError("output.dir must not hold a NUL character")
 
     species_n = norm["species"]
     with refused("species"):
@@ -338,12 +366,5 @@ def parse_config(text):
 
 def load_config(path):
     """Read and parse a UTF-8 config file. File-system errors propagate."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:  # read() decodes the whole file
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(
-                f"config is not UTF-8 text: line {line} holds byte "
-                f"0x{exc.object[exc.start]:02x}") from None
-    return parse_config(text)
+    return parse_config(read_utf8(path, lambda line, byte: ConfigError(
+        f"config is not UTF-8 text: line {line} holds byte 0x{byte:02x}")))

@@ -125,6 +125,19 @@ def refused(name):
                           f"range ({exc})") from None
 
 
+def read_utf8(path, refusal):
+    """The whole text of a UTF-8 file, line ends as written. A byte that is
+    not UTF-8 raises ``refusal(line, byte)``, its line counted from 1.
+    File-system errors propagate."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise refusal(line, data[exc.start]) from None
+
+
 def exit_code_for(exc):
     """Map an exception to the CLI exit code."""
     if isinstance(exc, (ConfigError, SpotParseError)):

@@ -40,6 +40,7 @@ from .errors import (
     FitConvergenceError,
     NegativeThermalVarianceError,
     SpotParseError,
+    read_utf8,
 )
 from .pendulum import _default_species, _real
 
@@ -448,7 +449,9 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
     (fit_spot_profiles). Spots whose centers sit within two widths of
     another ion on the same projection axis are marked overlapping.
     A photon_budget that is not positive and finite, or a background that
-    is negative or not finite, raises DomainError before anything is drawn.
+    is negative or not finite, raises DomainError before anything is drawn;
+    so, with noise, does a pixel's expected count past what numpy's Poisson
+    draw takes (about 9.2e18).
     """
     if T < 0:
         raise DomainError("temperature must be non-negative")
@@ -463,6 +466,8 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
     pitch = imaging.pixel_pitch
     pos = np.asarray(state.positions, dtype=float)
     n = pos.shape[0]
+    c_long = np.iinfo("l").max  # numpy's Poisson limit, as numpy forms it
+    lam_max = c_long - 10.0 * math.sqrt(c_long)
 
     profiles, overlapping = [], []
     for axis in axes:
@@ -483,6 +488,11 @@ def synthesize_spots(T, state, gamma, imaging, photon_budget, seed,
             px = np.arange(lo, hi + 1, dtype=float)
             amp = photon_budget * pitch / (s * math.sqrt(2.0 * math.pi))
             expected = _gauss(px * pitch, amp, c, s, background)
+            if noise and not expected.max() <= lam_max:
+                raise DomainError(
+                    f"photon_budget and background give {expected.max():.3g} "
+                    f"expected counts in one pixel, past the {lam_max:.3g} "
+                    "that the Poisson draw takes")
             counts = rng.poisson(expected).astype(float) if noise else expected
             profiles.append((m, axis, np.column_stack([px, counts])))
     spots = fit_spot_profiles(profiles, imaging)
@@ -519,29 +529,23 @@ def read_spot_profiles(path):
 
     Rows are grouped by (ion_index, axis) in order of first appearance.
     Malformed content raises SpotParseError naming the offending line:
-    bytes that are not UTF-8, a wrong header or field count, a non-integer
-    or negative ion_index, an unknown axis, a pixel or counts value that is
-    not a finite number, negative counts, or (naming the group's first
-    line) a group of fewer than 5 distinct pixels, too few for the
-    Gaussian fit.
+    bytes that are not UTF-8 or that csv refuses, a wrong header or field
+    count, a non-integer or negative ion_index, an unknown axis, a pixel or
+    counts value that is not a finite number, negative counts, or (naming
+    the group's first line) a group of fewer than 5 distinct pixels, too
+    few for the Gaussian fit.
     """
     import csv  # here, so that only the spots CSV pays its import
     groups = {}
     first_line = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:  # read() decodes the whole file
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise SpotParseError(
-                f"line {line}: not UTF-8 text, byte "
-                f"0x{exc.object[exc.start]:02x}") from None
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
+    text = read_utf8(path, lambda line, byte: SpotParseError(
+        f"line {line}: not UTF-8 text, byte 0x{byte:02x}"))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
             raise SpotParseError("line 1: empty file, expected header "
-                                 + ",".join(_HEADER)) from None
+                                 + ",".join(_HEADER))
         if [h.strip() for h in header] != _HEADER:
             raise SpotParseError(
                 f"line 1: expected header {','.join(_HEADER)!r}, "
@@ -575,6 +579,9 @@ def read_spot_profiles(path):
                 groups[key] = []
                 first_line[key] = i
             groups[key].append((pixel, counts))
+    except csv.Error as exc:  # a field past csv's size limit; before
+        # Python 3.11 a NUL byte too
+        raise SpotParseError(f"line {reader.line_num}: {exc}") from None
     for (ion, axis), rows in groups.items():
         pixels = len({pixel for pixel, _ in rows})
         if pixels < _MIN_PIXELS:

@@ -228,12 +228,22 @@ _SPOT = np.column_stack([np.arange(-20.0, 21.0), 5.0 + 100.0 * np.exp(
 _IMAGING = ImagingConfig(2.23e-6, 2.09e-6, 0.92e-6)
 
 
-def _synthesize(photon_budget=1e4, background=0.0):
+def _synthesize(photon_budget=1e4, background=0.0, noise=True):
     # two ions' spots; the arguments are checked before anything is drawn
     state = equilibrium(2, TRAP, seed=1)
     gamma = gamma_parameters(normal_modes(state, TRAP))
     return synthesize_spots(3.5e-3, state, gamma, _IMAGING, photon_budget,
-                            seed=1, trap=TRAP, background=background)
+                            seed=1, trap=TRAP, background=background,
+                            noise=noise)
+
+
+@pytest.mark.parametrize("budget", [1e20, 1e300])
+def test_photon_budget_past_the_poisson_limit_fits_without_noise(budget):
+    # only the Poisson draw has the limit; the noiseless spots' widths do
+    # not depend on their height
+    widths = [s.fitted_sigma for s in _synthesize(1e4, noise=False)]
+    assert [s.fitted_sigma for s in _synthesize(budget, noise=False)] == \
+        pytest.approx(widths, rel=1e-9)
 
 
 # entries that square, multiply or divide one real argument, each with
@@ -292,8 +302,10 @@ _REAL_ARGUMENT_CALLS = {
     # refused before numpy's Poisson draw, which cannot take them
     "synthesize_spots photon_budget": (
         lambda v: _synthesize(photon_budget=v),
-        dict.fromkeys([-1e4, 0.0, NAN, math.inf],
-                      "photon_budget must be positive and finite")),
+        {**dict.fromkeys([-1e4, 0.0, NAN, math.inf],
+                         "photon_budget must be positive and finite"),
+         # peak counts past numpy's Poisson limit of about 9.2e18
+         **dict.fromkeys([1e20, 1e300], "photon_budget and background give")}),
     "synthesize_spots background": (
         lambda v: _synthesize(background=v),
         dict.fromkeys([-5.0, NAN, math.inf],

@@ -220,11 +220,14 @@ class TestParsing:
          "its square inside the float range"),
         ("f_radial_kHz: 170.0", "f_radial_kHz: -170\n  q_radial: 0.1",
          "modes", TRAP_SIGN),
+        # os.makedirs raised ValueError on it, which exited 5
+        ("crystal:", 'output: {dir: "a\\0b"}\ncrystal:', "equilibrium",
+         "output.dir must not hold a NUL character"),
     ], ids=["n_ions_0", "n_ions_2.5", "n_ions_true", "seed_-1",
             "ramp_shape", "include_radial_1", "scatter_detuning_0",
             "n_ions_past_the_cap", "duplicate_block", "duplicate_key",
             "f_z_-85", "asymmetry_3", "asymmetry_-3", "waist_-37",
-            "f_radial_-170"])
+            "f_radial_-170", "output_dir_nul"])
     def test_refusal_names_its_key(self, tmp_path, capsys, monkeypatch, old,
                                    new, verb, message):
         assert old in BASE_YAML
@@ -1215,6 +1218,26 @@ class TestThermometryCommand:
         assert capsys.readouterr().err == \
             "ionlattice: error: line 3: not UTF-8 text, byte 0xff\n"
 
+    @pytest.mark.parametrize("field", ["1" * 200_000, "1\0"],
+                             ids=["past_the_field_limit", "nul"])
+    def test_spots_that_csv_cannot_read_are_config_error(
+            self, ws8, tmp_path, capsys, monkeypatch, field):
+        # csv.Error, for a field past csv's 131072 characters or (before
+        # Python 3.11) a NUL byte, used to exit 5, as a bug
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the crystal was solved before the check")
+
+        monkeypatch.setattr(cli, "equilibrium", no_solve)
+        cfg, out = ws8
+        bad = tmp_path / "field.csv"
+        bad.write_text(f"ion_index,axis,pixel,counts\n0,axial,1,{field}\n")
+        code = main(["thermometry", "--config", str(cfg), "--out", str(out),
+                     "--spots", str(bad)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("ionlattice: error: line 2: ")
+        assert err.count("\n") == 1 and len(err) < 200
+
     @pytest.mark.parametrize("far, message", [
         ("1e100", "fitted width 0.122 px is below"),
         ("1e200", "pixel span 1e+200 px is wider than 1e+150"),
@@ -1318,6 +1341,56 @@ class TestCliPlumbing:
         assert main(["equilibrium", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("date.yaml", BASE_YAML.replace("seed: 7", "seed: 2001-13-45"),
+         "config is not valid YAML/JSON: month must be in 1..12"),
+        ("int.json", json.dumps({"crystal": {"n_ions": 2, "seed": 1}})[:-1]
+         + ', "trap": {"f_z_kHz": ' + "1" * 5000 + "}}",
+         "config is not valid YAML/JSON: Exceeds the limit"),
+        ("int.yaml", BASE_YAML.replace("85.0", "1" * 5000),
+         "config is not valid YAML/JSON: Exceeds the limit"),
+        ("hex.yaml", BASE_YAML.replace("85.0", "0x" + "f" * 4000),
+         "config is not valid YAML/JSON: Exceeds the limit"),
+        ("deep.json", "[" * 100_000,
+         "config is not valid YAML/JSON: it nests too deeply"),
+        ("deep.yaml", "trap: " + "[" * 100_000,
+         "config is not valid YAML/JSON: it nests too deeply"),
+    ], ids=["yaml_date", "json_int", "yaml_int", "yaml_hex_int", "json_deep",
+            "yaml_deep"])
+    def test_what_the_parser_cannot_read_is_refused(
+            self, tmp_path, capsys, monkeypatch, name, text, message):
+        # each used to exit 5, as a bug: PyYAML's date and int constructors
+        # raise ValueError, and so does str() of the 4800-digit int that
+        # the hex literal gives; deep nesting raises RecursionError
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code, err = _refused_before_solve(
+            monkeypatch, capsys, ["equilibrium", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"ionlattice: error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_refused_alias_tree_is_quoted_short(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # 330 bytes whose f_z_kHz expands to 111,110 numbers: its message
+        # used to quote them all, in 358,055 characters
+        lists = ["&a0 [" + ", ".join(["1"] * 10) + "]"] + [
+            f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]"
+            for i in range(1, 5)]
+        cfg = tmp_path / "alias.yaml"
+        cfg.write_text("trap:\n  f_z_kHz: [" + ", ".join(lists) + "]\n"
+                       "  f_radial_kHz: 170.0\n"
+                       "crystal: {n_ions: 2, seed: 1}\n")
+        assert cfg.stat().st_size == 330
+        code, err = _refused_before_solve(
+            monkeypatch, capsys, ["equilibrium", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert err.startswith(
+            "ionlattice: error: trap.f_z_kHz must be a number, got [")
+        assert err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize("verb", ["modes", "scatter"])
     def test_grid_count_past_the_cap_refused(self, ws, capsys, verb):

@@ -1179,17 +1179,39 @@ def _swap_in_reference_loops(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, raises=EquilibriumError,
-                   reason="the damped Newton polish stalls by a nearly free "
-                          "rotation (CHANGES.md, FOUND line on the 3-ion "
-                          "cold solve)")
-def test_near_isotropic_three_ion_cold_solve(ca40):
+                   reason="the damped Newton polish stalls in a "
+                          "near-isotropic trap (CHANGES.md, FOUND lines on "
+                          "the 3-ion and 4-ion cold solves)")
+@pytest.mark.parametrize("n, f_z, f_radial, asymmetry, seed", [
     # the softer radial frequency is within 0.14% of the axial one, so the
     # planar triangle's rotation is nearly free (lowest eigenvalue about
     # 1.6e-8 against 6.2e-2 for the next); the polish's damping ladder
     # then alternates between a rejected and an accepted step at 1.1e-9
-    trap = TrapConfig.from_frequencies(248.859e3, 252.991e3, asymmetry=0.03)
-    state = equilibrium(3, trap, species=ca40, seed=1)
+    (3, 248.859e3, 252.991e3, 0.03, 1),
+    # omega_y/omega_z = 1.0001, a trap that test_boundary's scatter test
+    # can draw: all four starts stall, the best at gradient 2.7e-10
+    (4, 40e3, 42.109375e3, 0.1, 0),
+], ids=["3_ions", "4_ions"])
+def test_near_isotropic_cold_solve(ca40, n, f_z, f_radial, asymmetry, seed):
+    trap = TrapConfig.from_frequencies(f_z, f_radial, asymmetry=asymmetry)
+    state = equilibrium(n, trap, species=ca40, seed=seed)
     assert state.gradient_norm <= 1e-10
+
+
+def test_stalled_warm_polish_descends_from_the_guess(monkeypatch, ca40,
+                                                     trap_zigzag4):
+    # a guess far from any minimum: its Newton polish stalls, and one BFGS
+    # descent from the guess itself reaches the cold solve's minimum
+    guess = (np.random.default_rng(0).normal(size=(4, 3))
+             * 3 * length_scale(trap_zigzag4, ca40))
+    stacks = _calls(monkeypatch, crystal, "_descend",
+                    lambda scaled, starts, what: starts.shape)
+    state = equilibrium(4, trap_zigzag4, initial_guess=guess, species=ca40)
+    assert stacks == [(1, 4, 3)]
+    assert state.gradient_norm <= 1e-10 and not state.is_saddle
+    cold = equilibrium(4, trap_zigzag4, species=ca40, seed=7)
+    assert state.potential_value == pytest.approx(cold.potential_value,
+                                                  rel=1e-12)
 
 
 class TestColdSolver:
